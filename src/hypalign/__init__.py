@@ -17,17 +17,16 @@ from .datasynth import (Box, CaptionRecord, ConceptTree, SynonymMap,
 from .fusion import (AttentionWeights, FusionMlp, RegionFeature,
                      cross_modal_attention, fuse, positional_encode,
                      sinusoidal_box_encoding)
-from .geometry import (Angle, CurvatureParam, LorentzPoint, cone_contains,
-                       exp_map_origin, exterior_angle, half_aperture,
-                       lorentz_distance, lorentz_inner)
-from .objectives import (EmbeddingBatch, LossReport, LossWeights,
-                         Temperature, bbox_regression_loss,
+from .geometry import (Angle, LorentzPoint, cone_contains, exp_map_origin,
+                       exterior_angle, half_aperture, lorentz_distance,
+                       lorentz_inner)
+from .objectives import (LossReport, LossWeights, bbox_regression_loss,
                          classification_loss, entailment_loss,
                          euclidean_contrastive_loss,
                          hyperbolic_contrastive_loss, objective_baseline,
                          objective_det, objective_hyper)
 from .trainer import (ExperimentConfig, HierarchyReport, MetricsRecord,
-                      ModelState, evaluate_batch, evaluate_retrieval,
-                      hierarchy_report, init, step, train)
+                      ModelState, evaluate_retrieval, hierarchy_report, init,
+                      step, train)
 
 __version__ = "0.1.0"

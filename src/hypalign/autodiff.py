@@ -8,7 +8,8 @@ makes repeated backward passes bit-identical.
 Every public op in this module is polymorphic: called with :class:`Var`
 arguments it records a tape node, called with plain floats / numpy arrays it
 just computes the value.  That gives two independent evaluation routes for the
-same formula, which the finite-difference checker exploits.
+same formula, which the finite-difference checker exploits.  ``Var`` has no
+arithmetic operators: every recorded node comes from an explicit op call.
 
 Scalars are kept as Python floats, vectors and matrices as float64 numpy
 arrays.  There is deliberately no broadcasting engine: binary ops accept equal
@@ -37,27 +38,25 @@ _SINHC_SWITCH = 1e-4         # below this, sinh(t)/t uses its Taylor series
 
 (
     _LEAF, _ADD, _ADDC, _SUB, _NEG, _MUL, _MULC, _DIV, _DIVC, _CDIV, _EXP,
-    _LOG, _SQRT, _POWC, _SINH, _COSH, _SINHC, _TANH, _SIGMOID, _ARCCOSH,
-    _ASIN, _ARCCOS, _CLAMP_MIN, _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM,
-    _MATMUL, _MATVEC, _VECMAT, _STACK, _CONCAT, _STACK_ROWS, _TAKE_ROW,
-    _VSLICE, _COLS, _VSUM, _GET, _LOGSUMEXP, _SOFTMAX,
-) = range(41)
+    _SQRT, _SINHC, _TANH, _SIGMOID, _ARCCOSH, _ASIN, _ARCCOS, _CLAMP_MIN,
+    _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM, _MATMUL, _MATVEC, _VECMAT,
+    _STACK, _CONCAT, _STACK_ROWS, _TAKE_ROW, _VSLICE, _COLS, _GET,
+    _LOGSUMEXP, _SOFTMAX,
+) = range(36)
 
 _OP_NAMES = [
     "leaf", "add", "addc", "sub", "neg", "mul", "mulc", "div", "divc",
-    "cdiv", "exp", "log", "sqrt", "powc", "sinh", "cosh", "sinhc", "tanh",
-    "sigmoid", "arccosh", "asin", "arccos", "clamp_min", "clamp_max",
-    "hinge", "smooth_l1", "dot", "norm", "matmul", "matvec", "vecmat",
-    "stack", "concat", "stack_rows", "take_row", "vslice", "cols", "vsum",
-    "get", "logsumexp", "softmax",
+    "cdiv", "exp", "sqrt", "sinhc", "tanh", "sigmoid", "arccosh", "asin",
+    "arccos", "clamp_min", "clamp_max", "hinge", "smooth_l1", "dot", "norm",
+    "matmul", "matvec", "vecmat", "stack", "concat", "stack_rows",
+    "take_row", "vslice", "cols", "get", "logsumexp", "softmax",
 ]
 
 
 class Var:
-    """Handle to one tape node.  Supports arithmetic operators."""
+    """Handle to one tape node: its tape, index and value."""
 
     __slots__ = ("tape", "idx", "value")
-    __array_ufunc__ = None  # keep numpy from hijacking ndarray <op> Var
 
     def __init__(self, tape: "Tape", idx: int, value: Value):
         self.tape = tape
@@ -66,34 +65,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(idx={self.idx}, value={self.value!r})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return powc(self, exponent)
 
 
 class Tape:
@@ -155,10 +126,6 @@ def as_value(x) -> Value:
 def val(x) -> Value:
     """Underlying numeric value of a Var, or the input unchanged."""
     return x.value if isinstance(x, Var) else x
-
-
-def is_var(x) -> bool:
-    return isinstance(x, Var)
 
 
 def _tape_of(*args) -> Tape:
@@ -286,14 +253,6 @@ def div(a, b):
     return as_value(a) / bb
 
 
-def powc(a, exponent):
-    """a ** p for scalar a and a constant exponent."""
-    p = float(exponent)
-    if isinstance(a, Var):
-        return a.tape._record(_POWC, (a.idx,), p, a.value ** p)
-    return as_value(a) ** p
-
-
 def _unary(opcode: int, fn: Callable, a):
     if isinstance(a, Var):
         return a.tape._record(opcode, (a.idx,), None, fn(a.value))
@@ -304,20 +263,8 @@ def exp(a):
     return _unary(_EXP, math.exp, a)
 
 
-def log(a):
-    return _unary(_LOG, math.log, a)
-
-
 def sqrt(a):
     return _unary(_SQRT, math.sqrt, a)
-
-
-def sinh(a):
-    return _unary(_SINH, math.sinh, a)
-
-
-def cosh(a):
-    return _unary(_COSH, math.cosh, a)
 
 
 def sinhc(a):
@@ -475,12 +422,6 @@ def cols(m, a: int, b: int):
     return as_value(m)[:, a:b].copy()
 
 
-def vsum(u):
-    if isinstance(u, Var):
-        return u.tape._record(_VSUM, (u.idx,), None, float(np.sum(u.value)))
-    return float(np.sum(as_value(u)))
-
-
 def get(u, i: int):
     """Element i of a vector, as a scalar."""
     if isinstance(u, Var):
@@ -606,26 +547,9 @@ def _bw_exp(g, inputs, aux, values, adj):
     _acc(adj, inputs[0], g * math.exp(values[inputs[0]]))
 
 
-def _bw_log(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g / values[inputs[0]])
-
-
 def _bw_sqrt(g, inputs, aux, values, adj):
     out = math.sqrt(values[inputs[0]])
     _acc(adj, inputs[0], g / (2.0 * max(out, 1e-150)))
-
-
-def _bw_powc(g, inputs, aux, values, adj):
-    a = values[inputs[0]]
-    _acc(adj, inputs[0], g * aux * a ** (aux - 1.0))
-
-
-def _bw_sinh(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g * math.cosh(values[inputs[0]]))
-
-
-def _bw_cosh(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g * math.sinh(values[inputs[0]]))
 
 
 def _bw_sinhc(g, inputs, aux, values, adj):
@@ -755,10 +679,6 @@ def _bw_cols(g, inputs, aux, values, adj):
     _acc_into(adj, inputs[0], shape, write)
 
 
-def _bw_vsum(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], np.full(values[inputs[0]].shape, g))
-
-
 def _bw_get(g, inputs, aux, values, adj):
     shape = values[inputs[0]].shape
 
@@ -781,12 +701,11 @@ def _bw_softmax(g, inputs, aux, values, adj):
 
 _BACKWARD = [
     None, _bw_add, _bw_addc, _bw_sub, _bw_neg, _bw_mul, _bw_mulc, _bw_div,
-    _bw_divc, _bw_cdiv, _bw_exp, _bw_log, _bw_sqrt, _bw_powc, _bw_sinh,
-    _bw_cosh, _bw_sinhc, _bw_tanh, _bw_sigmoid, _bw_arccosh, _bw_asin,
-    _bw_arccos, _bw_clamp_min, _bw_clamp_max, _bw_hinge, _bw_smooth_l1,
-    _bw_dot, _bw_norm, _bw_matmul, _bw_matvec, _bw_vecmat, _bw_stack,
-    _bw_concat, _bw_stack_rows, _bw_take_row, _bw_vslice, _bw_cols, _bw_vsum,
-    _bw_get, _bw_logsumexp, _bw_softmax,
+    _bw_divc, _bw_cdiv, _bw_exp, _bw_sqrt, _bw_sinhc, _bw_tanh, _bw_sigmoid,
+    _bw_arccosh, _bw_asin, _bw_arccos, _bw_clamp_min, _bw_clamp_max,
+    _bw_hinge, _bw_smooth_l1, _bw_dot, _bw_norm, _bw_matmul, _bw_matvec,
+    _bw_vecmat, _bw_stack, _bw_concat, _bw_stack_rows, _bw_take_row,
+    _bw_vslice, _bw_cols, _bw_get, _bw_logsumexp, _bw_softmax,
 ]
 
 

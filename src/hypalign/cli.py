@@ -18,14 +18,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .datasynth import (Box, ConceptTree, SynonymMap, caption_noise_metric,
-                        default_synonyms, grid_sample, proposal_sample,
-                        read_corpus, synth_corpus, write_corpus)
-from .trainer import (ExperimentConfig, evaluate_retrieval,
+from .datasynth import (SCHEMA_VERSION, Box, ConceptTree, SynonymMap,
+                        caption_noise_metric, grid_sample, json_line,
+                        proposal_sample, read_corpus, write_corpus,
+                        write_lines)
+from .trainer import (ExperimentConfig, default_corpus, evaluate_retrieval,
                       export_embeddings, hierarchy_report, load_state,
                       save_state, split_records, train)
 
 _BOOL_FIELDS = {"early_stop"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _flag(name: str) -> str:
@@ -58,7 +61,11 @@ def load_config_file(path: str) -> dict:
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in _BOOL_FIELDS:
-                out[key] = value.lower() in ("1", "true", "yes", "on")
+                if value.lower() not in _BOOL_WORDS:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be one of "
+                        f"{'/'.join(_BOOL_WORDS)}, got {value!r}")
+                out[key] = _BOOL_WORDS[value.lower()]
             else:
                 out[key] = type(fields[key].default)(value)
     return out
@@ -79,10 +86,15 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _load_artifacts(config: ExperimentConfig):
+def _load_corpus(config: ExperimentConfig):
     records = read_corpus(config.corpus_path)
     with open(config.synonyms_path, encoding="utf-8") as fh:
         synonyms = SynonymMap.from_json(json.load(fh))
+    return records, synonyms
+
+
+def _load_artifacts(config: ExperimentConfig):
+    records, synonyms = _load_corpus(config)
     with open(config.meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     tree = ConceptTree.from_json(meta["tree"])
@@ -91,21 +103,11 @@ def _load_artifacts(config: ExperimentConfig):
 
 def cmd_gen_corpus(args) -> int:
     config = build_config(args)
-    tree = ConceptTree.balanced(config.categories,
-                                config.leaves_per_category)
-    synonyms = default_synonyms(tree)
-    records, scene_objects = synth_corpus(
-        tree, scenes=config.scenes, noise_rate=config.rho,
-        seed=config.seed, synonyms=synonyms, k=config.k,
-        objects_per_scene=config.objects_per_scene, top_n=config.top_n,
-        iou_threshold=config.iou_threshold)
+    tree, synonyms, records, scene_objects = default_corpus(config)
     write_corpus(config.corpus_path, records)
-    with open(config.synonyms_path, "w", encoding="utf-8") as fh:
-        json.dump(synonyms.to_json(), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+    write_lines(config.synonyms_path, [json_line(synonyms.to_json())])
     meta = {
-        "v": "v1",
+        "v": SCHEMA_VERSION,
         "tree": tree.to_json(),
         "seed": config.seed,
         "rho": config.rho,
@@ -119,9 +121,7 @@ def cmd_gen_corpus(args) -> int:
             for i, objs in enumerate(scene_objects)
         ],
     }
-    with open(config.meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_lines(config.meta_path, [json_line(meta)])
     noise = caption_noise_metric(records, synonyms)
     _emit({"records": len(records), "noise_pct": noise,
            "corpus": config.corpus_path})
@@ -133,9 +133,7 @@ def cmd_train(args) -> int:
     records, synonyms, tree = _load_artifacts(config)
     state, metrics = train(config, records=records, tree=tree,
                            synonyms=synonyms)
-    with open(config.metrics_path, "w", encoding="utf-8") as fh:
-        for record in metrics:
-            fh.write(record.to_json() + "\n")
+    write_lines(config.metrics_path, (record.to_json() for record in metrics))
     save_state(config.state_path, state)
     last = metrics[-1]
     _emit({"steps": last.step, "recall_at_1": last.recall_at_1,
@@ -161,9 +159,7 @@ def cmd_eval(args) -> int:
 
 def cmd_noise_metric(args) -> int:
     config = build_config(args)
-    records = read_corpus(config.corpus_path)
-    with open(config.synonyms_path, encoding="utf-8") as fh:
-        synonyms = SynonymMap.from_json(json.load(fh))
+    records, synonyms = _load_corpus(config)
     print(caption_noise_metric(records, synonyms))
     return 0
 
@@ -195,10 +191,7 @@ def cmd_export_embeddings(args) -> int:
     state = load_state(config.state_path)
     records, _, _ = _load_artifacts(config)
     rows = export_embeddings(state, records)
-    with open(config.export_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":"))
-                     + "\n")
+    write_lines(config.export_path, (json_line(row) for row in rows))
     _emit({"rows": len(rows), "export": config.export_path})
     return 0
 

@@ -13,6 +13,7 @@ generation is single-threaded and fully determined by the seed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -274,12 +275,12 @@ class CaptionRecord:
     gt_box: Optional[Box] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens",
-                           tuple(int(t) for t in self.tokens))
-        object.__setattr__(self, "true_objects",
-                           frozenset(int(t) for t in self.true_objects))
-        object.__setattr__(self, "hallucinated",
-                           frozenset(int(t) for t in self.hallucinated))
+        for name, kind in (("tokens", tuple), ("true_objects", frozenset),
+                           ("hallucinated", frozenset)):
+            ids = kind(int(t) for t in getattr(self, name))
+            if any(t < 0 for t in ids):
+                raise ValueError(f"negative id in {name}: {min(ids)}")
+            object.__setattr__(self, name, ids)
         if not self.tokens:
             raise ValueError("caption needs at least one token")
         if self.true_objects & self.hallucinated:
@@ -437,6 +438,29 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
 # serialization (one JSON object per line, schema "v1")
 
 
+def json_line(payload) -> str:
+    """Compact, key-sorted JSON text: the form of every file written."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to ``path``, atomically.
+
+    The text goes to a temporary file beside ``path`` that then replaces
+    it, so an error part-way leaves the old file as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _box_to_json(box: Optional[Box]):
     if box is None:
         return None
@@ -454,7 +478,7 @@ def record_to_json(rec: CaptionRecord) -> str:
         "true_objects": sorted(rec.true_objects),
         "hallucinated": sorted(rec.hallucinated),
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json_line(payload)
 
 
 def record_from_json(line: str) -> CaptionRecord:
@@ -474,9 +498,7 @@ def record_from_json(line: str) -> CaptionRecord:
 
 
 def write_corpus(path, records: Sequence[CaptionRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(record_to_json(rec) + "\n")
+    write_lines(path, (record_to_json(rec) for rec in records))
 
 
 def read_corpus(path) -> list:

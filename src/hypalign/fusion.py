@@ -59,10 +59,13 @@ class AttentionWeights:
         return _shape(self.w_q)[1]
 
 
-def _head_distributions(v, text, weights: AttentionWeights,
-                        logit_shift: float):
-    n = _shape(text)[0]
-    if n == 0:
+def cross_modal_attention(v, text, weights: AttentionWeights):
+    """Attend from a visual embedding over text rows.
+
+    Scores are scaled by 1/sqrt(d_h); each head softmaxes over the n text
+    rows, head outputs are concatenated and projected by ``w_out``.
+    """
+    if _shape(text)[0] == 0:
         raise ValueError("attention requires at least one text row")
     dh = weights.hidden_dim
     scale = 1.0 / math.sqrt(dh)
@@ -76,30 +79,8 @@ def _head_distributions(v, text, weights: AttentionWeights,
         lo, hi = h * hd, (h + 1) * hd
         scores = ad.mul(ad.matvec(ad.cols(keys, lo, hi),
                                   ad.vslice(q, lo, hi)), scale)
-        if logit_shift:
-            scores = ad.add(scores, np.full(n, float(logit_shift)))
         dists.append(ad.softmax(scores))
         head_values.append(ad.cols(values, lo, hi))
-    return dists, head_values
-
-
-def attention_distributions(v, text, weights: AttentionWeights,
-                            logit_shift: float = 0.0) -> list:
-    """Per-head attention weights over the text rows (each sums to 1)."""
-    dists, _ = _head_distributions(v, text, weights, logit_shift)
-    return [val(d) for d in dists]
-
-
-def cross_modal_attention(v, text, weights: AttentionWeights,
-                          logit_shift: float = 0.0):
-    """Attend from a visual embedding over text rows.
-
-    Scores are scaled by 1/sqrt(d_h); each head softmaxes over the n text
-    rows, head outputs are concatenated and projected by ``w_out``.
-    ``logit_shift`` adds a constant to every attention logit; softmax makes
-    the output invariant to it (exposed so that invariance is testable).
-    """
-    dists, head_values = _head_distributions(v, text, weights, logit_shift)
     mixed = [ad.vecmat(d, hv) for d, hv in zip(dists, head_values)]
     return ad.vecmat(ad.concat(mixed), weights.w_out)
 

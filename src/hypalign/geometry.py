@@ -29,32 +29,6 @@ OFF_MANIFOLD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class CurvatureParam:
-    """Learnable positive curvature, reparameterized as C = exp(raw).
-
-    The map is smooth with derivative exp(raw) > 0 everywhere, so an
-    unconstrained optimizer can never push C out of (0, inf).
-    """
-
-    raw: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.raw)
-
-    @classmethod
-    def from_value(cls, c: float) -> "CurvatureParam":
-        if not (c > 0.0 and math.isfinite(c)):
-            raise ValueError(f"curvature must be positive and finite, got {c}")
-        return cls(raw=math.log(c))
-
-
-def curvature_value(raw):
-    """Positive curvature from an unconstrained scalar (float or Var)."""
-    return ad.exp(raw)
-
-
-@dataclass(frozen=True)
 class Angle:
     """An angle in radians, restricted to [0, pi]."""
 
@@ -72,8 +46,6 @@ class Angle:
 
 def _check_curvature(c):
     cv = val(c)
-    if isinstance(c, CurvatureParam):
-        return c.value
     if not (cv > 0.0 and math.isfinite(cv)):
         raise ValueError(f"curvature must be positive and finite, got {cv}")
     return c

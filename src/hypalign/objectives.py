@@ -8,53 +8,16 @@ reductions run in fixed index order for determinism.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
 from .geometry import (APERTURE_K, LorentzPoint, exp_map_origin,
                        exterior_angle, half_aperture, lorentz_distance)
 
-EMBEDDING_KINDS = ("visual", "label", "caption")
-
 #: Default entailment margin; same order as the aperture constant K.
 DEFAULT_MARGIN = 0.1
-
-
-@dataclass(frozen=True)
-class EmbeddingBatch:
-    """An n x d matrix of embeddings tagged with what they represent."""
-
-    rows: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ValueError("EmbeddingBatch needs an n x d matrix, n >= 1")
-        if not np.isfinite(rows).all():
-            raise ValueError("non-finite embedding entries")
-        if self.kind not in EMBEDDING_KINDS:
-            raise ValueError(f"unknown embedding kind: {self.kind!r}")
-        object.__setattr__(self, "rows", rows)
-
-    def __len__(self):
-        return self.rows.shape[0]
-
-
-@dataclass(frozen=True)
-class Temperature:
-    """Softmax temperature, strictly positive."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"temperature must be positive, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +56,6 @@ class LossReport:
 
 
 def _rows(batch) -> list:
-    if isinstance(batch, EmbeddingBatch):
-        return [batch.rows[i] for i in range(len(batch))]
     rows = list(batch)
     if not rows:
         raise ValueError("empty embedding batch")
@@ -102,10 +63,9 @@ def _rows(batch) -> list:
 
 
 def _tau(tau):
-    t = tau.value if isinstance(tau, Temperature) else tau
-    if not (val(t) > 0.0):
-        raise ValueError(f"temperature must be positive, got {val(t)}")
-    return t
+    if not (val(tau) > 0.0):
+        raise ValueError(f"temperature must be positive, got {val(tau)}")
+    return tau
 
 
 def _row_norms(rows: Sequence, what: str) -> list:
@@ -116,12 +76,6 @@ def _row_norms(rows: Sequence, what: str) -> list:
             raise ValueError(f"zero-norm {what} row {i}: cosine undefined")
         norms.append(n)
     return norms
-
-
-def _softmax_pick_loss(logits_row, target: int):
-    """-log softmax(logits)[target], via stable logsumexp."""
-    vec = ad.stack(logits_row)
-    return ad.sub(ad.logsumexp(vec), ad.get(vec, target))
 
 
 def classification_loss(visual, labels, targets: Sequence[int], tau):

@@ -25,19 +25,19 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import val
 from .datasynth import (Box, CaptionRecord, ConceptTree, SynonymMap,
-                        caption_noise_metric, default_synonyms, synth_corpus)
+                        caption_noise_metric, default_synonyms, json_line,
+                        synth_corpus, write_lines)
 from .fusion import (AttentionWeights, FusionMlp, RegionFeature,
                      cross_modal_attention, fuse, positional_encode)
-from .geometry import exp_map_origin, exterior_angle, half_aperture
-from .objectives import (LossReport, LossWeights, bbox_regression_loss,
-                         classification_loss, entailment_loss,
-                         euclidean_contrastive_loss,
+from .geometry import APERTURE_K, cone_contains, exp_map_origin
+from .objectives import (DEFAULT_MARGIN, LossReport, LossWeights,
+                         bbox_regression_loss, classification_loss,
+                         entailment_loss, euclidean_contrastive_loss,
                          hyperbolic_contrastive_loss, objective_baseline,
                          objective_det, objective_hyper)
 
 OBJECTIVES = ("hyper", "baseline", "det-only")
 
-HEAD_COUNT = 4
 PROPOSAL_DIM = 4
 INIT_SCALE = 0.02
 ADAM_BETA1 = 0.9
@@ -70,8 +70,8 @@ class ExperimentConfig:
     batch: int = 16
     steps: int = 600
     lr: float = 0.03
-    gamma: float = 0.1
-    aperture_k: float = 0.1
+    gamma: float = DEFAULT_MARGIN
+    aperture_k: float = APERTURE_K
     tau_init: float = 0.07
     c_init: float = 1.0
     rho: float = 0.0
@@ -150,8 +150,7 @@ class MetricsRecord:
     noise_pct: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":"))
+        return json_line(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -191,6 +190,11 @@ def _param_specs(d: int, vocab: int) -> list:
     ]
 
 
+def _vocab_size(tree: ConceptTree, synonyms: SynonymMap) -> int:
+    """Embedding-table rows: one per tree node and synonym token id."""
+    return max(max(tree.nodes()), synonyms.max_token_id()) + 1
+
+
 def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
          synonyms: Optional[SynonymMap] = None) -> ModelState:
     """Deterministically initialize a model for the given config.
@@ -204,7 +208,7 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
                                     config.leaves_per_category)
     if synonyms is None:
         synonyms = default_synonyms(tree)
-    vocab = max(max(tree.nodes()), synonyms.max_token_id()) + 1
+    vocab = _vocab_size(tree, synonyms)
     rng = np.random.default_rng(config.seed)
     biases = {"fuse_b1", "fuse_b2", "box_b"}
     params: dict = {}
@@ -239,8 +243,7 @@ class _Forward:
     def __init__(self, params: dict):
         self.p = params
         self.attn = AttentionWeights(params["attn_wq"], params["attn_wk"],
-                                     params["attn_wv"], params["attn_wout"],
-                                     head_count=HEAD_COUNT)
+                                     params["attn_wv"], params["attn_wout"])
         self.mlp = FusionMlp(params["fuse_w1"], params["fuse_b1"],
                              params["fuse_w2"], params["fuse_b2"])
 
@@ -316,15 +319,6 @@ def _batch_losses(fwd: _Forward, records: Sequence[CaptionRecord],
     return objective_det(bbox, cls, weights=weights)
 
 
-def evaluate_batch(state: ModelState, records: Sequence[CaptionRecord]
-                   ) -> LossReport:
-    """Loss report on a batch without updating anything."""
-    leaf_pos = {leaf: i for i, leaf in enumerate(state.leaf_ids)}
-    fwd = _Forward(state.params)
-    return _batch_losses(fwd, records, state.config, leaf_pos,
-                         state.leaf_ids)
-
-
 def step(state: ModelState, records: Sequence[CaptionRecord]
          ) -> tuple:
     """One optimization step; returns the new state and the loss report.
@@ -332,8 +326,8 @@ def step(state: ModelState, records: Sequence[CaptionRecord]
     Forward through fusion, all active losses, reverse-mode backward, then
     an adaptive-moment update (beta1 0.9, beta2 0.999, eps 1e-8) with a
     linear warm-up over the first 10% of configured steps.  Aborts with a
-    node diagnostic if any gradient is non-finite; asserts curvature stays
-    positive.
+    node diagnostic if any gradient is non-finite, or naming the parameter
+    if an update is non-finite.
     """
     if not records:
         raise ValueError("empty batch")
@@ -379,7 +373,6 @@ def step(state: ModelState, records: Sequence[CaptionRecord]
                                     LOG_TAU_BOUNDS[0]), LOG_TAU_BOUNDS[1])
     new_params["curv_raw"] = min(max(new_params["curv_raw"],
                                      CURV_RAW_BOUNDS[0]), CURV_RAW_BOUNDS[1])
-    assert math.exp(new_params["curv_raw"]) > 0.0
     new_state = ModelState(config=config, tree=state.tree,
                            synonyms=state.synonyms,
                            leaf_ids=state.leaf_ids, params=new_params,
@@ -469,9 +462,7 @@ def hierarchy_report(state: ModelState,
             curvature)
         cap_norms.append(float(val(cap.space_norm)))
         obj_norms.append(float(val(vt.space_norm)))
-        angle = exterior_angle(cap, vt).value
-        aperture = half_aperture(cap, state.config.aperture_k).value
-        contained += int(angle <= aperture)
+        contained += int(cone_contains(cap, vt, state.config.aperture_k))
     return HierarchyReport(
         mean_caption_norm=float(np.mean(cap_norms)),
         mean_object_norm=float(np.mean(obj_norms)),
@@ -552,51 +543,56 @@ def train(config: ExperimentConfig,
 # state serialization
 
 
+def _plain(values: dict) -> dict:
+    return {k: (v if isinstance(v, float) else v.tolist())
+            for k, v in values.items()}
+
+
 def state_to_json(state: ModelState) -> dict:
-    params = {k: (v if isinstance(v, float) else v.tolist())
-              for k, v in state.params.items()}
     return {
         "config": asdict(state.config),
         "tree": state.tree.to_json(),
         "synonyms": state.synonyms.to_json(),
-        "params": params,
-        "adam_m": {k: (v if isinstance(v, float) else v.tolist())
-                   for k, v in state.adam_m.items()},
-        "adam_v": {k: (v if isinstance(v, float) else v.tolist())
-                   for k, v in state.adam_v.items()},
+        "params": _plain(state.params),
+        "adam_m": _plain(state.adam_m),
+        "adam_v": _plain(state.adam_v),
         "adam_t": state.adam_t,
     }
 
 
-def _revive(name: str, data, d: int, vocab: int):
-    if isinstance(data, float):
-        return data
-    return np.asarray(data, dtype=np.float64)
+def _revive(field: str, data: dict, d: int, vocab: int) -> dict:
+    """A state file's parameter map, checked against the model's shapes."""
+    shapes = dict(_param_specs(d, vocab), log_tau=(), curv_raw=())
+    if data.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - data.keys())
+        extra = sorted(data.keys() - shapes.keys())
+        raise ValueError(f"{field}: missing {missing}, unexpected {extra}")
+    out = {}
+    for name, value in data.items():
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape != shapes[name]:
+            raise ValueError(f"{field}.{name}: shape {arr.shape}, "
+                             f"expected {shapes[name]}")
+        out[name] = float(arr) if arr.shape == () else arr
+    return out
 
 
 def state_from_json(data: dict) -> ModelState:
     config = ExperimentConfig(**data["config"])
     tree = ConceptTree.from_json(data["tree"])
     synonyms = SynonymMap.from_json(data["synonyms"])
-    vocab = max(max(tree.nodes()), synonyms.max_token_id()) + 1
-    params = {k: _revive(k, v, config.d, vocab)
-              for k, v in data["params"].items()}
+    vocab = _vocab_size(tree, synonyms)
     return ModelState(
         config=config, tree=tree, synonyms=synonyms, leaf_ids=tree.leaves(),
-        params=params,
-        adam_m={k: _revive(k, v, config.d, vocab)
-                for k, v in data["adam_m"].items()},
-        adam_v={k: _revive(k, v, config.d, vocab)
-                for k, v in data["adam_v"].items()},
+        params=_revive("params", data["params"], config.d, vocab),
+        adam_m=_revive("adam_m", data["adam_m"], config.d, vocab),
+        adam_v=_revive("adam_v", data["adam_v"], config.d, vocab),
         adam_t=int(data["adam_t"]),
     )
 
 
 def save_state(path, state: ModelState) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_json(state), fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
+    write_lines(path, [json_line(state_to_json(state))])
 
 
 def load_state(path) -> ModelState:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypalign import trainer as tr
-from hypalign.cli import run_cli
+from hypalign.cli import load_config_file, run_cli
 from hypalign.datasynth import read_corpus
 
 
@@ -171,6 +171,18 @@ def test_missing_corpus_is_machine_readable_error(tmp_path, capsys):
     err_lines = capsys.readouterr().err.strip().splitlines()
     payload = json.loads(err_lines[-1])
     assert "error" in payload
+
+
+def test_config_file_rejects_unknown_boolean(tmp_path, capsys):
+    cfg_file = tmp_path / "bool.cfg"
+    cfg_file.write_text("# typo below\nearly_stop = ture\n")
+    assert run_cli(["gen-corpus", "--config", str(cfg_file)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert f"{cfg_file}:2: early_stop" in payload["error"]
+    for word, want in (("YES", True), ("on", True), ("0", False),
+                       ("Off", False)):
+        cfg_file.write_text(f"early_stop={word}\n")
+        assert load_config_file(str(cfg_file)) == {"early_stop": want}
 
 
 def test_bad_config_file_key_is_reported(tmp_path, capsys):

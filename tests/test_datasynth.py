@@ -303,6 +303,27 @@ def test_caption_record_validation():
         make_record([], {1}, set())
 
 
+def test_record_from_json_rejects_negative_ids():
+    # a negative token id would silently read the last embedding row
+    good = json.loads(ds.record_to_json(make_record([4, 1], {4}, {5})))
+    assert ds.record_from_json(json.dumps(good)) == make_record([4, 1], {4},
+                                                                {5})
+    for field in ("tokens", "true_objects", "hallucinated"):
+        bad = dict(good, **{field: good[field] + [-1]})
+        with pytest.raises(ValueError, match=f"negative id in {field}"):
+            ds.record_from_json(json.dumps(bad))
+
+
+def test_write_corpus_is_atomic(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    ds.write_corpus(path, [make_record([4], {4}, set())])
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        ds.write_corpus(path, [make_record([7], {7}, set()), None])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
 # --- corpus generation -----------------------------------------------------------
 
 

@@ -380,19 +380,6 @@ def test_geometry_gradients_match_finite_differences():
                                    err_msg=f"gradient mismatch for {name}")
 
 
-def test_curvature_param_reparameterization():
-    cp = geo.CurvatureParam.from_value(1.0)
-    assert cp.value == pytest.approx(1.0, abs=1e-12)
-    assert geo.CurvatureParam(-40.0).value > 0.0
-    # derivative of the map is exp(raw): finite and positive
-    fd = ad.finite_diff(lambda p: float(ad.val(geo.curvature_value(p["r"]))),
-                        {"r": 0.7})
-    assert fd["r"] > 0.0
-    assert math.isfinite(fd["r"])
-    with pytest.raises(ValueError):
-        geo.CurvatureParam.from_value(-1.0)
-
-
 def test_angle_range_validation():
     with pytest.raises(ValueError, match="angle"):
         geo.Angle(-0.5)

@@ -513,23 +513,12 @@ def test_bbox_gradients():
     grad_check(build, params)
 
 
-def test_embedding_batch_validation():
-    with pytest.raises(ValueError, match="kind"):
-        obj.EmbeddingBatch(np.ones((2, 2)), "bogus")
-    with pytest.raises(ValueError, match="non-finite"):
-        obj.EmbeddingBatch(np.array([[np.nan, 1.0]]), "visual")
-    with pytest.raises(ValueError, match="matrix"):
-        obj.EmbeddingBatch(np.ones(3), "visual")
-    batch = obj.EmbeddingBatch(np.ones((2, 3)), "caption")
-    assert len(batch) == 2
-    assert val(obj.classification_loss(
-        obj.EmbeddingBatch(np.ones((1, 2)), "visual"),
-        obj.EmbeddingBatch(np.ones((1, 2)), "label"), [0],
-        obj.Temperature(0.5))) == 0.0
-
-
 def test_temperature_validation():
-    with pytest.raises(ValueError, match="positive"):
-        obj.Temperature(0.0)
-    with pytest.raises(ValueError, match="positive"):
-        obj.Temperature(-1.0)
+    rows = np.ones((2, 2))
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            obj.classification_loss(rows, rows, [0, 1], tau)
+        with pytest.raises(ValueError, match="positive"):
+            obj.euclidean_contrastive_loss(rows, rows, tau)
+        with pytest.raises(ValueError, match="positive"):
+            obj.hyperbolic_contrastive_loss(rows, rows, 1.0, tau)

@@ -1,5 +1,6 @@
 """Trainer tests: init, stepping, retrieval, hierarchy, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -102,10 +103,10 @@ def test_single_step_descends_on_same_batch(corpus):
     cfg1 = tiny_config(lr=1e-3, steps=1)
     state = tr.init(cfg1, tree, syn)
     batch = records[:6]
-    before = tr.evaluate_batch(state, batch).values()["total"]
-    state2, _ = tr.step(state, batch)
-    after = tr.evaluate_batch(state2, batch).values()["total"]
-    assert after < before
+    # step reports the loss at the parameters it starts from
+    state2, before = tr.step(state, batch)
+    _, after = tr.step(state2, batch)
+    assert after.values()["total"] < before.values()["total"]
 
 
 def test_step_deterministic(corpus):
@@ -304,6 +305,25 @@ def test_state_round_trips_through_json(tmp_path, corpus):
     assert r1 == r2
 
 
+def test_state_file_shapes_checked_at_load(tmp_path, corpus):
+    cfg, tree, syn, _ = corpus
+    path = tmp_path / "state.json"
+    tr.save_state(path, tr.init(cfg, tree, syn))
+    good = json.loads(path.read_text())
+    tr.state_from_json(good)
+
+    narrow = json.loads(path.read_text())
+    narrow["params"]["token_table"] = [row[:8] for row in
+                                       narrow["params"]["token_table"]]
+    with pytest.raises(ValueError, match=r"params\.token_table: shape"):
+        tr.state_from_json(narrow)
+
+    missing = json.loads(path.read_text())
+    del missing["adam_m"]["fuse_w1"]
+    with pytest.raises(ValueError, match=r"adam_m: missing \['fuse_w1'\]"):
+        tr.state_from_json(missing)
+
+
 def test_export_embeddings_rows(corpus):
     cfg, tree, syn, records = corpus
     state = tr.init(cfg, tree, syn)
@@ -318,7 +338,6 @@ def test_export_embeddings_rows(corpus):
 
 
 def test_metrics_record_json_round_trip():
-    import json
     rec = tr.MetricsRecord(step=3, bbox=0.1, cls=0.2, cap=0.3, entail=0.0,
                            total=0.6, recall_at_1=0.5,
                            mean_caption_norm=0.4, mean_object_norm=1.2,
