@@ -13,8 +13,11 @@ arithmetic operators: every recorded node comes from an explicit op call.
 
 Scalars are kept as Python floats, vectors and matrices as float64 numpy
 arrays.  There is deliberately no broadcasting engine: binary ops accept equal
-shapes, or a scalar paired with an array.  Batches are looped explicitly by
-callers.
+shapes, or a scalar paired with an array.  The unary ops work elementwise on
+arrays (scalars keep a ``math`` fast path), and a few row-wise ops (``norm``,
+``dot``, ``logsumexp`` on matrices, ``scale_rows``, ``outer``, ``pick``,
+``sum``) let a whole batch loss be a handful of array nodes instead of one
+scalar node per pair.
 """
 
 from __future__ import annotations
@@ -40,16 +43,17 @@ _SINHC_SWITCH = 1e-4         # below this, sinh(t)/t uses its Taylor series
     _LEAF, _ADD, _ADDC, _SUB, _NEG, _MUL, _MULC, _DIV, _DIVC, _CDIV, _EXP,
     _SQRT, _SINHC, _TANH, _SIGMOID, _ARCCOSH, _ASIN, _ARCCOS, _CLAMP_MIN,
     _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM, _MATMUL, _MATVEC, _VECMAT,
-    _STACK, _CONCAT, _STACK_ROWS, _TAKE_ROW, _VSLICE, _COLS, _GET,
-    _LOGSUMEXP, _SOFTMAX,
-) = range(36)
+    _CONCAT, _STACK_ROWS, _TAKE_ROW, _VSLICE, _COLS, _GET, _LOGSUMEXP,
+    _SOFTMAX, _SCALE_ROWS, _OUTER, _SUM, _PICK,
+) = range(39)
 
 _OP_NAMES = [
     "leaf", "add", "addc", "sub", "neg", "mul", "mulc", "div", "divc",
     "cdiv", "exp", "sqrt", "sinhc", "tanh", "sigmoid", "arccosh", "asin",
     "arccos", "clamp_min", "clamp_max", "hinge", "smooth_l1", "dot", "norm",
-    "matmul", "matvec", "vecmat", "stack", "concat", "stack_rows",
-    "take_row", "vslice", "cols", "get", "logsumexp", "softmax",
+    "matmul", "matvec", "vecmat", "concat", "stack_rows", "take_row",
+    "vslice", "cols", "get", "logsumexp", "softmax", "scale_rows", "outer",
+    "sum", "pick",
 ]
 
 
@@ -143,21 +147,57 @@ def _tape_of(*args) -> Tape:
 
 # ---------------------------------------------------------------------------
 # shared value kernels (used by both the tape route and the plain route)
+#
+# Elementwise kernels take a float or an array, and return the same kind.
 
 
-def _sinhc_value(t: float) -> float:
+def _elementwise(scalar_fn: Callable, array_fn: Callable) -> Callable:
+    def kernel(x):
+        return scalar_fn(x) if isinstance(x, float) else array_fn(x)
+    return kernel
+
+
+_exp_value = _elementwise(math.exp, np.exp)
+_sqrt_value = _elementwise(math.sqrt, np.sqrt)
+_tanh_value = _elementwise(math.tanh, np.tanh)
+_arccosh_value = _elementwise(math.acosh, np.arccosh)
+_asin_value = _elementwise(math.asin, np.arcsin)
+_arccos_value = _elementwise(math.acos, np.arccos)
+
+
+def _clamp_min_value(x: Value, lo: float) -> Value:
+    return max(x, lo) if isinstance(x, float) else np.maximum(x, lo)
+
+
+def _clamp_max_value(x: Value, hi: float) -> Value:
+    return min(x, hi) if isinstance(x, float) else np.minimum(x, hi)
+
+
+def _sigmoid_value(x: Value) -> Value:
+    if isinstance(x, float):
+        return 1.0 / (1.0 + math.exp(-x))
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _sinhc_value(t: Value) -> Value:
     # removable singularity at 0: 4-term Taylor series below the switch point
-    if abs(t) < _SINHC_SWITCH:
-        t2 = t * t
-        return 1.0 + t2 / 6.0 + t2 * t2 / 120.0 + t2 * t2 * t2 / 5040.0
-    return math.sinh(t) / t
+    a = np.asarray(t)
+    small = np.abs(a) < _SINHC_SWITCH
+    safe = np.where(small, 1.0, a)
+    t2 = a * a
+    out = np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0
+                   + t2 * t2 * t2 / 5040.0, np.sinh(safe) / safe)
+    return float(out) if isinstance(t, float) else out
 
 
-def _sinhc_deriv(t: float) -> float:
-    if abs(t) < _SINHC_SWITCH:
-        t2 = t * t
-        return t / 3.0 + t * t2 / 30.0 + t * t2 * t2 / 840.0
-    return math.cosh(t) / t - math.sinh(t) / (t * t)
+def _sinhc_deriv(t: Value) -> Value:
+    a = np.asarray(t)
+    small = np.abs(a) < _SINHC_SWITCH
+    safe = np.where(small, 1.0, a)
+    t2 = a * a
+    out = np.where(small, a / 3.0 + a * t2 / 30.0 + a * t2 * t2 / 840.0,
+                   np.cosh(safe) / safe - np.sinh(safe) / (safe * safe))
+    return float(out) if isinstance(t, float) else out
 
 
 def _smooth_l1_value(a: float) -> float:
@@ -168,9 +208,26 @@ def _smooth_l1_deriv(a: float) -> float:
     return a if abs(a) < 1.0 else math.copysign(1.0, a)
 
 
-def _logsumexp_value(u: np.ndarray) -> float:
-    m = float(np.max(u))
-    return m + math.log(float(np.sum(np.exp(u - m))))
+def _norm_value(u: np.ndarray) -> Value:
+    if u.ndim == 1:
+        return float(np.linalg.norm(u))
+    return np.linalg.norm(u, axis=1)
+
+
+def _dot_value(u: np.ndarray, v: np.ndarray) -> Value:
+    if u.ndim == 1 and v.ndim == 1:
+        return float(np.dot(u, v))
+    if u.ndim != 2 or v.ndim != 2:
+        raise ValueError("dot takes two vectors or two matrices")
+    return u @ v.T
+
+
+def _logsumexp_value(u: np.ndarray) -> Value:
+    if u.ndim == 1:
+        m = float(np.max(u))
+        return m + math.log(float(np.sum(np.exp(u - m))))
+    m = np.max(u, axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.sum(np.exp(u - m), axis=1))
 
 
 def _softmax_value(u: np.ndarray) -> np.ndarray:
@@ -178,14 +235,8 @@ def _softmax_value(u: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def _tanh_value(x: Value) -> Value:
-    return math.tanh(x) if isinstance(x, float) else np.tanh(x)
-
-
-def _sigmoid_value(x: Value) -> Value:
-    if isinstance(x, float):
-        return 1.0 / (1.0 + math.exp(-x))
-    return 1.0 / (1.0 + np.exp(-x))
+def _is_scalar(x) -> bool:
+    return np.ndim(val(x)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +287,14 @@ def mul(a, b):
 
 
 def div(a, b):
-    """a / b with a scalar-or-array numerator and scalar denominator."""
+    """a / b elementwise: equal shapes, or either operand a scalar."""
     if isinstance(b, Var):
-        if not isinstance(b.value, float):
-            raise TypeError("div expects a scalar denominator")
         if isinstance(a, Var):
             t = _tape_of(a, b)
             return t._record(_DIV, (a.idx, b.idx), None, a.value / b.value)
         c = as_value(a)
         return b.tape._record(_CDIV, (b.idx,), c, c / b.value)
     bb = as_value(b)
-    if not isinstance(bb, float):
-        raise TypeError("div expects a scalar denominator")
     if isinstance(a, Var):
         return a.tape._record(_DIVC, (a.idx,), bb, a.value / bb)
     return as_value(a) / bb
@@ -260,11 +307,11 @@ def _unary(opcode: int, fn: Callable, a):
 
 
 def exp(a):
-    return _unary(_EXP, math.exp, a)
+    return _unary(_EXP, _exp_value, a)
 
 
 def sqrt(a):
-    return _unary(_SQRT, math.sqrt, a)
+    return _unary(_SQRT, _sqrt_value, a)
 
 
 def sinhc(a):
@@ -281,36 +328,39 @@ def sigmoid(a):
 
 
 def arccosh(a):
-    return _unary(_ARCCOSH, math.acosh, a)
+    return _unary(_ARCCOSH, _arccosh_value, a)
 
 
 def asin(a):
-    return _unary(_ASIN, math.asin, a)
+    return _unary(_ASIN, _asin_value, a)
 
 
 def arccos(a):
-    return _unary(_ARCCOS, math.acos, a)
+    return _unary(_ARCCOS, _arccos_value, a)
 
 
 def clamp_min(a, lo):
     lo = float(lo)
     if isinstance(a, Var):
-        return a.tape._record(_CLAMP_MIN, (a.idx,), lo, max(a.value, lo))
-    return max(float(a), lo)
+        return a.tape._record(_CLAMP_MIN, (a.idx,), lo,
+                              _clamp_min_value(a.value, lo))
+    return _clamp_min_value(as_value(a), lo)
 
 
 def clamp_max(a, hi):
     hi = float(hi)
     if isinstance(a, Var):
-        return a.tape._record(_CLAMP_MAX, (a.idx,), hi, min(a.value, hi))
-    return min(float(a), hi)
+        return a.tape._record(_CLAMP_MAX, (a.idx,), hi,
+                              _clamp_max_value(a.value, hi))
+    return _clamp_max_value(as_value(a), hi)
 
 
 def hinge(a):
     """max(0, a); subgradient 0 at the kink."""
     if isinstance(a, Var):
-        return a.tape._record(_HINGE, (a.idx,), None, max(a.value, 0.0))
-    return max(float(a), 0.0)
+        return a.tape._record(_HINGE, (a.idx,), None,
+                              _clamp_min_value(a.value, 0.0))
+    return _clamp_min_value(as_value(a), 0.0)
 
 
 def smooth_l1(a):
@@ -318,62 +368,73 @@ def smooth_l1(a):
     return _unary(_SMOOTH_L1, _smooth_l1_value, a)
 
 
-def dot(u, v):
-    if isinstance(u, Var) or isinstance(v, Var):
-        t = _tape_of(u, v)
-        uu = u if isinstance(u, Var) else t.const(u)
-        vv = v if isinstance(v, Var) else t.const(v)
-        value = float(np.dot(uu.value, vv.value))
-        return t._record(_DOT, (uu.idx, vv.idx), None, value)
-    return float(np.dot(as_value(u), as_value(v)))
-
-
-def norm(u):
-    """Euclidean norm of a vector."""
-    if isinstance(u, Var):
-        return u.tape._record(_NORM, (u.idx,), None,
-                              float(np.linalg.norm(u.value)))
-    return float(np.linalg.norm(as_value(u)))
-
-
-def matmul(a, b):
+def _binary(opcode: int, fn: Callable, a, b):
+    """Record a two-operand op, registering plain operands as constants."""
     if isinstance(a, Var) or isinstance(b, Var):
         t = _tape_of(a, b)
         aa = a if isinstance(a, Var) else t.const(a)
         bb = b if isinstance(b, Var) else t.const(b)
-        return t._record(_MATMUL, (aa.idx, bb.idx), None, aa.value @ bb.value)
-    return as_value(a) @ as_value(b)
+        return t._record(opcode, (aa.idx, bb.idx), None,
+                         fn(aa.value, bb.value))
+    return fn(as_value(a), as_value(b))
+
+
+def dot(u, v):
+    """Inner product of two vectors; for two matrices, the inner product of
+    every row of ``u`` with every row of ``v`` (``u @ v.T``)."""
+    return _binary(_DOT, _dot_value, u, v)
+
+
+def norm(u):
+    """Euclidean norm of a vector; for a matrix, the vector of row norms."""
+    return _unary(_NORM, _norm_value, u)
+
+
+def matmul(a, b):
+    return _binary(_MATMUL, np.matmul, a, b)
 
 
 def matvec(a, x):
     """Matrix (n x d) times column vector (d) -> vector (n)."""
-    if isinstance(a, Var) or isinstance(x, Var):
-        t = _tape_of(a, x)
-        aa = a if isinstance(a, Var) else t.const(a)
-        xx = x if isinstance(x, Var) else t.const(x)
-        return t._record(_MATVEC, (aa.idx, xx.idx), None, aa.value @ xx.value)
-    return as_value(a) @ as_value(x)
+    return _binary(_MATVEC, np.matmul, a, x)
 
 
 def vecmat(x, a):
     """Row vector (n) times matrix (n x d) -> vector (d)."""
-    if isinstance(a, Var) or isinstance(x, Var):
-        t = _tape_of(x, a)
-        xx = x if isinstance(x, Var) else t.const(x)
-        aa = a if isinstance(a, Var) else t.const(a)
-        return t._record(_VECMAT, (xx.idx, aa.idx), None, xx.value @ aa.value)
-    return as_value(x) @ as_value(a)
+    return _binary(_VECMAT, np.matmul, x, a)
 
 
-def stack(xs: Sequence):
-    """Scalars -> vector."""
-    xs = list(xs)
-    if any(isinstance(x, Var) for x in xs):
-        t = _tape_of(*[x for x in xs if isinstance(x, Var)])
-        vv = [x if isinstance(x, Var) else t.const(x) for x in xs]
-        value = np.array([v.value for v in vv], dtype=np.float64)
-        return t._record(_STACK, tuple(v.idx for v in vv), None, value)
-    return np.array([float(x) for x in xs], dtype=np.float64)
+def scale_rows(s, m):
+    """Row i of matrix ``m`` times ``s[i]``; a scalar ``s`` scales all of
+    ``m`` (that is ``mul``)."""
+    if _is_scalar(s):
+        return mul(s, m)
+    return _binary(_SCALE_ROWS, lambda a, b: a[:, None] * b, s, m)
+
+
+def outer(a, b):
+    """Outer product of two vectors (n x m); two scalars give their product
+    (that is ``mul``)."""
+    if _is_scalar(a) and _is_scalar(b):
+        return mul(a, b)
+    return _binary(_OUTER, np.outer, a, b)
+
+
+def sum(u):  # shadows the builtin, which this module does not use
+    """Sum of all entries of an array, as a scalar."""
+    return _unary(_SUM, lambda x: float(np.sum(x)), u)
+
+
+def pick(m, idx: Sequence[int]):
+    """Entry ``idx[i]`` of row i of matrix ``m``, for every row: a vector."""
+    cols = np.asarray(idx, dtype=np.intp)
+    rows = val(m).shape[0]
+    if cols.shape != (rows,):
+        raise ValueError(f"pick needs one column index per row ({rows})")
+    if isinstance(m, Var):
+        return m.tape._record(_PICK, (m.idx,), cols,
+                              m.value[np.arange(rows), cols])
+    return as_value(m)[np.arange(rows), cols]
 
 
 def concat(vs: Sequence):
@@ -430,18 +491,12 @@ def get(u, i: int):
 
 
 def logsumexp(u):
-    """Stable log(sum(exp(u))) of a vector."""
-    if isinstance(u, Var):
-        return u.tape._record(_LOGSUMEXP, (u.idx,), None,
-                              _logsumexp_value(u.value))
-    return _logsumexp_value(as_value(u))
+    """Stable log(sum(exp(u))) of a vector; for a matrix, of each row."""
+    return _unary(_LOGSUMEXP, _logsumexp_value, u)
 
 
 def softmax(u):
-    if isinstance(u, Var):
-        return u.tape._record(_SOFTMAX, (u.idx,), None,
-                              _softmax_value(u.value))
-    return _softmax_value(as_value(u))
+    return _unary(_SOFTMAX, _softmax_value, u)
 
 
 def mean(xs: Sequence):
@@ -479,21 +534,25 @@ def _acc_into(adj, j, shape, write):
     write(cur)
 
 
+def _fit(grad: Value, operand: Value) -> Value:
+    """An adjoint summed down to a scalar operand that was broadcast."""
+    if isinstance(operand, float) and isinstance(grad, np.ndarray):
+        return float(np.sum(grad))
+    return grad
+
+
 def _bw_add(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g)
-    _acc(adj, inputs[1], g)
+    _acc(adj, inputs[0], _fit(g, values[inputs[0]]))
+    _acc(adj, inputs[1], _fit(g, values[inputs[1]]))
 
 
 def _bw_addc(g, inputs, aux, values, adj):
-    v = values[inputs[0]]
-    if isinstance(v, float) and isinstance(g, np.ndarray):
-        g = float(np.sum(g))
-    _acc(adj, inputs[0], g)
+    _acc(adj, inputs[0], _fit(g, values[inputs[0]]))
 
 
 def _bw_sub(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g)
-    _acc(adj, inputs[1], -g)
+    _acc(adj, inputs[0], _fit(g, values[inputs[0]]))
+    _acc(adj, inputs[1], -_fit(g, values[inputs[1]]))
 
 
 def _bw_neg(g, inputs, aux, values, adj):
@@ -503,53 +562,37 @@ def _bw_neg(g, inputs, aux, values, adj):
 def _bw_mul(g, inputs, aux, values, adj):
     ia, ib = inputs
     va, vb = values[ia], values[ib]
-    ga = g * vb
-    gb = g * va
-    if isinstance(va, float) and isinstance(ga, np.ndarray):
-        ga = float(np.sum(ga))
-    if isinstance(vb, float) and isinstance(gb, np.ndarray):
-        gb = float(np.sum(gb))
-    _acc(adj, ia, ga)
-    _acc(adj, ib, gb)
+    _acc(adj, ia, _fit(g * vb, va))
+    _acc(adj, ib, _fit(g * va, vb))
 
 
 def _bw_mulc(g, inputs, aux, values, adj):
-    va = values[inputs[0]]
-    ga = g * aux
-    if isinstance(va, float) and isinstance(ga, np.ndarray):
-        ga = float(np.sum(ga))
-    _acc(adj, inputs[0], ga)
+    _acc(adj, inputs[0], _fit(g * aux, values[inputs[0]]))
 
 
 def _bw_div(g, inputs, aux, values, adj):
     ia, ib = inputs
     va, vb = values[ia], values[ib]
-    _acc(adj, ia, g / vb)
-    gb = g * va
-    if isinstance(gb, np.ndarray):
-        gb = float(np.sum(gb))
-    _acc(adj, ib, -gb / (vb * vb))
+    _acc(adj, ia, _fit(g / vb, va))
+    _acc(adj, ib, -_fit(g * va, vb) / (vb * vb))
 
 
 def _bw_divc(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g / aux)
+    _acc(adj, inputs[0], _fit(g / aux, values[inputs[0]]))
 
 
 def _bw_cdiv(g, inputs, aux, values, adj):
     vb = values[inputs[0]]
-    gb = g * aux
-    if isinstance(gb, np.ndarray):
-        gb = float(np.sum(gb))
-    _acc(adj, inputs[0], -gb / (vb * vb))
+    _acc(adj, inputs[0], -_fit(g * aux, vb) / (vb * vb))
 
 
 def _bw_exp(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g * math.exp(values[inputs[0]]))
+    _acc(adj, inputs[0], g * _exp_value(values[inputs[0]]))
 
 
 def _bw_sqrt(g, inputs, aux, values, adj):
-    out = math.sqrt(values[inputs[0]])
-    _acc(adj, inputs[0], g / (2.0 * max(out, 1e-150)))
+    out = _sqrt_value(values[inputs[0]])
+    _acc(adj, inputs[0], g / (2.0 * _clamp_min_value(out, 1e-150)))
 
 
 def _bw_sinhc(g, inputs, aux, values, adj):
@@ -568,33 +611,43 @@ def _bw_sigmoid(g, inputs, aux, values, adj):
 
 def _bw_arccosh(g, inputs, aux, values, adj):
     # 1/sqrt(x^2-1) diverges at 1; clip so matched pairs (d = 0) stay finite
-    x = max(values[inputs[0]], _ACOSH_GUARD)
-    _acc(adj, inputs[0], g / math.sqrt(x * x - 1.0))
+    x = _clamp_min_value(values[inputs[0]], _ACOSH_GUARD)
+    _acc(adj, inputs[0], g / _sqrt_value(x * x - 1.0))
+
+
+def _trig_clip(x: Value) -> Value:
+    return _clamp_max_value(_clamp_min_value(x, -_TRIG_GUARD), _TRIG_GUARD)
 
 
 def _bw_asin(g, inputs, aux, values, adj):
-    x = min(max(values[inputs[0]], -_TRIG_GUARD), _TRIG_GUARD)
-    _acc(adj, inputs[0], g / math.sqrt(1.0 - x * x))
+    x = _trig_clip(values[inputs[0]])
+    _acc(adj, inputs[0], g / _sqrt_value(1.0 - x * x))
 
 
 def _bw_arccos(g, inputs, aux, values, adj):
-    x = min(max(values[inputs[0]], -_TRIG_GUARD), _TRIG_GUARD)
-    _acc(adj, inputs[0], -g / math.sqrt(1.0 - x * x))
+    x = _trig_clip(values[inputs[0]])
+    _acc(adj, inputs[0], -g / _sqrt_value(1.0 - x * x))
+
+
+def _gate(g, inputs, adj, active):
+    """Pass the adjoint where ``active`` holds (a bool or a bool array)."""
+    if isinstance(active, np.ndarray):
+        _acc(adj, inputs[0], g * active)
+    elif active:
+        _acc(adj, inputs[0], g)
 
 
 def _bw_clamp_min(g, inputs, aux, values, adj):
-    if values[inputs[0]] > aux:  # boundary takes the inactive side: zero
-        _acc(adj, inputs[0], g)
+    # the boundary takes the inactive side: zero
+    _gate(g, inputs, adj, values[inputs[0]] > aux)
 
 
 def _bw_clamp_max(g, inputs, aux, values, adj):
-    if values[inputs[0]] < aux:
-        _acc(adj, inputs[0], g)
+    _gate(g, inputs, adj, values[inputs[0]] < aux)
 
 
 def _bw_hinge(g, inputs, aux, values, adj):
-    if values[inputs[0]] > 0.0:
-        _acc(adj, inputs[0], g)
+    _gate(g, inputs, adj, values[inputs[0]] > 0.0)
 
 
 def _bw_smooth_l1(g, inputs, aux, values, adj):
@@ -603,16 +656,26 @@ def _bw_smooth_l1(g, inputs, aux, values, adj):
 
 def _bw_dot(g, inputs, aux, values, adj):
     ia, ib = inputs
-    _acc(adj, ia, g * values[ib])
-    _acc(adj, ib, g * values[ia])
+    va, vb = values[ia], values[ib]
+    if isinstance(g, float):
+        _acc(adj, ia, g * vb)
+        _acc(adj, ib, g * va)
+    else:
+        _acc(adj, ia, g @ vb)
+        _acc(adj, ib, g.T @ va)
 
 
 def _bw_norm(g, inputs, aux, values, adj):
     u = values[inputs[0]]
-    n = float(np.linalg.norm(u))
-    if n > 1e-300:
-        _acc(adj, inputs[0], (g / n) * u)
-    # at u = 0 the limit gradient used is 0
+    n = _norm_value(u)
+    # at a zero row the limit gradient used is 0
+    if isinstance(n, float):
+        if n > 1e-300:
+            _acc(adj, inputs[0], (g / n) * u)
+        return
+    live = n > 1e-300
+    coef = np.where(live, g / np.where(live, n, 1.0), 0.0)
+    _acc(adj, inputs[0], coef[:, None] * u)
 
 
 def _bw_matmul(g, inputs, aux, values, adj):
@@ -633,9 +696,29 @@ def _bw_vecmat(g, inputs, aux, values, adj):
     _acc(adj, ia, np.outer(values[ix], g))
 
 
-def _bw_stack(g, inputs, aux, values, adj):
-    for k, j in enumerate(inputs):
-        _acc(adj, j, float(g[k]))
+def _bw_scale_rows(g, inputs, aux, values, adj):
+    i_s, i_m = inputs
+    _acc(adj, i_s, np.einsum("ij,ij->i", g, values[i_m]))
+    _acc(adj, i_m, values[i_s][:, None] * g)
+
+
+def _bw_outer(g, inputs, aux, values, adj):
+    ia, ib = inputs
+    _acc(adj, ia, g @ values[ib])
+    _acc(adj, ib, values[ia] @ g)
+
+
+def _bw_sum(g, inputs, aux, values, adj):
+    _acc(adj, inputs[0], np.full(values[inputs[0]].shape, g))
+
+
+def _bw_pick(g, inputs, aux, values, adj):
+    shape = values[inputs[0]].shape
+
+    def write(buf):
+        buf[np.arange(shape[0]), aux] += g
+
+    _acc_into(adj, inputs[0], shape, write)
 
 
 def _bw_concat(g, inputs, aux, values, adj):
@@ -691,7 +774,10 @@ def _bw_get(g, inputs, aux, values, adj):
 def _bw_logsumexp(g, inputs, aux, values, adj):
     u = values[inputs[0]]
     out = _logsumexp_value(u)
-    _acc(adj, inputs[0], g * np.exp(u - out))
+    if u.ndim == 1:
+        _acc(adj, inputs[0], g * np.exp(u - out))
+    else:
+        _acc(adj, inputs[0], g[:, None] * np.exp(u - out[:, None]))
 
 
 def _bw_softmax(g, inputs, aux, values, adj):
@@ -704,8 +790,9 @@ _BACKWARD = [
     _bw_divc, _bw_cdiv, _bw_exp, _bw_sqrt, _bw_sinhc, _bw_tanh, _bw_sigmoid,
     _bw_arccosh, _bw_asin, _bw_arccos, _bw_clamp_min, _bw_clamp_max,
     _bw_hinge, _bw_smooth_l1, _bw_dot, _bw_norm, _bw_matmul, _bw_matvec,
-    _bw_vecmat, _bw_stack, _bw_concat, _bw_stack_rows, _bw_take_row,
-    _bw_vslice, _bw_cols, _bw_get, _bw_logsumexp, _bw_softmax,
+    _bw_vecmat, _bw_concat, _bw_stack_rows, _bw_take_row, _bw_vslice,
+    _bw_cols, _bw_get, _bw_logsumexp, _bw_softmax, _bw_scale_rows,
+    _bw_outer, _bw_sum, _bw_pick,
 ]
 
 

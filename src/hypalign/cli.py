@@ -22,9 +22,9 @@ from .datasynth import (SCHEMA_VERSION, Box, ConceptTree, SynonymMap,
                         caption_noise_metric, grid_sample, json_line,
                         proposal_sample, read_corpus, write_corpus,
                         write_lines)
-from .trainer import (ExperimentConfig, default_corpus, evaluate_retrieval,
-                      export_embeddings, hierarchy_report, load_state,
-                      save_state, split_records, train)
+from .trainer import (ExperimentConfig, _vocab_size, default_corpus,
+                      evaluate_retrieval, export_embeddings, hierarchy_report,
+                      load_state, save_state, split_records, train)
 
 _BOOL_FIELDS = {"early_stop"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -67,7 +67,13 @@ def load_config_file(path: str) -> dict:
                         f"{'/'.join(_BOOL_WORDS)}, got {value!r}")
                 out[key] = _BOOL_WORDS[value.lower()]
             else:
-                out[key] = type(fields[key].default)(value)
+                kind = type(fields[key].default)
+                try:
+                    out[key] = kind(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key} must be {kind.__name__}, "
+                        f"got {value!r}") from None
     return out
 
 
@@ -93,11 +99,23 @@ def _load_corpus(config: ExperimentConfig):
     return records, synonyms
 
 
-def _load_artifacts(config: ExperimentConfig):
+def _load_artifacts(config: ExperimentConfig, state=None):
+    """Corpus, synonyms and tree; every token and object id must index the
+    embedding tables of ``state``, or of a model built from this tree and
+    these synonyms."""
     records, synonyms = _load_corpus(config)
     with open(config.meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     tree = ConceptTree.from_json(meta["tree"])
+    vocab = (_vocab_size(tree, synonyms) if state is None
+             else _vocab_size(state.tree, state.synonyms))
+    for i, rec in enumerate(records):
+        for field in ("tokens", "true_objects", "hallucinated"):
+            ids = getattr(rec, field)
+            if ids and max(ids) >= vocab:
+                raise ValueError(
+                    f"{config.corpus_path}: record {i}: {field} id "
+                    f"{max(ids)} is outside the vocabulary of {vocab} ids")
     return records, synonyms, tree
 
 
@@ -145,7 +163,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = build_config(args)
     state = load_state(config.state_path)
-    records, _, _ = _load_artifacts(config)
+    records, _, _ = _load_artifacts(config, state)
     _, held = split_records(records)
     recall = evaluate_retrieval(state, held)
     hier = hierarchy_report(state, held)
@@ -189,7 +207,7 @@ def cmd_sample_regions(args) -> int:
 def cmd_export_embeddings(args) -> int:
     config = build_config(args)
     state = load_state(config.state_path)
-    records, _, _ = _load_artifacts(config)
+    records, _, _ = _load_artifacts(config, state)
     rows = export_embeddings(state, records)
     write_lines(config.export_path, (json_line(row) for row in rows))
     _emit({"rows": len(rows), "export": config.export_path})

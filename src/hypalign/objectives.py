@@ -2,14 +2,18 @@
 
 Every loss is a scalar, nonnegative and finite for valid inputs, and
 accepts either plain numpy rows or autodiff ``Var`` rows, so the same
-code is used for evaluation and for differentiable training.  Batch
-reductions run in fixed index order for determinism.
+code is used for evaluation and for differentiable training.  A batch is
+one n x d matrix, or a sequence of rows that is stacked once; each loss is
+a fixed handful of array ops whatever the batch size.  Reductions are
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
@@ -55,11 +59,21 @@ class LossReport:
                 for name in ("bbox", "cls", "cap", "entail", "total")}
 
 
-def _rows(batch) -> list:
-    rows = list(batch)
-    if not rows:
+def _matrix(batch):
+    """A batch as one n x d matrix: arrays and matrix Vars as they are, a
+    sequence of rows stacked once."""
+    if isinstance(batch, (ad.Var, np.ndarray)):
+        if np.ndim(val(batch)) != 2:
+            raise ValueError("an embedding batch is a matrix of rows")
+        m = batch
+    else:
+        rows = list(batch)
+        if not rows:
+            raise ValueError("empty embedding batch")
+        m = ad.stack_rows(rows)
+    if len(val(m)) == 0:
         raise ValueError("empty embedding batch")
-    return rows
+    return m
 
 
 def _tau(tau):
@@ -68,14 +82,28 @@ def _tau(tau):
     return tau
 
 
-def _row_norms(rows: Sequence, what: str) -> list:
-    norms = []
-    for i, r in enumerate(rows):
-        n = ad.norm(r)
-        if val(n) == 0.0:
-            raise ValueError(f"zero-norm {what} row {i}: cosine undefined")
-        norms.append(n)
+def _row_norms(rows, what: str):
+    norms = ad.norm(rows)
+    zero = np.flatnonzero(val(norms) == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm {what} {zero[0]}: cosine undefined")
     return norms
+
+
+def pairwise_cosine(a, b, what_a: str, what_b: str):
+    """Cosine similarity of every row of ``a`` with every row of ``b``.
+
+    A zero row has no direction and is rejected, naming it as
+    ``{what} {index}``.
+    """
+    return ad.div(ad.dot(a, b), ad.outer(_row_norms(a, what_a),
+                                         _row_norms(b, what_b)))
+
+
+def _cross_entropy(logits, targets: Sequence[int]):
+    """Mean over rows of -log softmax(row) at the row's target column."""
+    per_row = ad.sub(ad.logsumexp(logits), ad.pick(logits, targets))
+    return ad.div(ad.sum(per_row), float(len(targets)))
 
 
 def classification_loss(visual, labels, targets: Sequence[int], tau):
@@ -84,43 +112,33 @@ def classification_loss(visual, labels, targets: Sequence[int], tau):
     Mean over visual rows i of -log softmax_j(cos(v_i, l_j) / tau) at the
     target label index.
     """
-    vrows = _rows(visual)
-    lrows = _rows(labels)
+    v = _matrix(visual)
+    lab = _matrix(labels)
     targets = list(targets)
-    if len(targets) != len(vrows):
+    if len(targets) != len(val(v)):
         raise ValueError("one target index per visual row required")
-    n = len(lrows)
+    n = len(val(lab))
     if any(not (0 <= t < n) for t in targets):
         raise ValueError(f"target index out of range for {n} labels")
     t = _tau(tau)
-    vnorms = _row_norms(vrows, "visual")
-    lnorms = _row_norms(lrows, "label")
-    per_row = []
-    for i, v in enumerate(vrows):
-        sims = [ad.div(ad.dot(v, l), ad.mul(vnorms[i], lnorms[j]))
-                for j, l in enumerate(lrows)]
-        logits = ad.div(ad.stack(sims), t)
-        per_row.append(ad.sub(ad.logsumexp(logits), ad.get(logits,
-                                                           targets[i])))
-    return ad.mean(per_row)
+    sims = pairwise_cosine(v, lab, "visual row", "label row")
+    return _cross_entropy(ad.div(sims, t), targets)
+
+
+def _matched(visual, captions):
+    v = _matrix(visual)
+    c = _matrix(captions)
+    if len(val(v)) != len(val(c)):
+        raise ValueError("visual and caption batches must be matched")
+    return v, c
 
 
 def euclidean_contrastive_loss(visual, captions, tau):
     """InfoNCE on cosine similarity over matched visual/caption pairs."""
-    vrows = _rows(visual)
-    crows = _rows(captions)
-    if len(vrows) != len(crows):
-        raise ValueError("visual and caption batches must be matched")
+    v, c = _matched(visual, captions)
     t = _tau(tau)
-    vnorms = _row_norms(vrows, "visual")
-    cnorms = _row_norms(crows, "caption")
-    per_row = []
-    for i, v in enumerate(vrows):
-        sims = [ad.div(ad.dot(v, c), ad.mul(vnorms[i], cnorms[j]))
-                for j, c in enumerate(crows)]
-        logits = ad.div(ad.stack(sims), t)
-        per_row.append(ad.sub(ad.logsumexp(logits), ad.get(logits, i)))
-    return ad.mean(per_row)
+    sims = pairwise_cosine(v, c, "visual row", "caption row")
+    return _cross_entropy(ad.div(sims, t), range(len(val(v))))
 
 
 def hyperbolic_contrastive_loss(visual, captions, curvature, tau):
@@ -129,51 +147,54 @@ def hyperbolic_contrastive_loss(visual, captions, curvature, tau):
     Rows are lifted with the exponential map at the origin first; unlike
     the cosine losses this one is sensitive to the scale of its inputs.
     """
-    vrows = _rows(visual)
-    crows = _rows(captions)
-    if len(vrows) != len(crows):
-        raise ValueError("visual and caption batches must be matched")
+    v, c = _matched(visual, captions)
     t = _tau(tau)
-    vpts = [exp_map_origin(r, curvature) for r in vrows]
-    cpts = [exp_map_origin(r, curvature) for r in crows]
-    per_row = []
-    for i, v in enumerate(vpts):
-        dists = [lorentz_distance(v, c) for c in cpts]
-        logits = ad.div(ad.neg(ad.stack(dists)), t)
-        per_row.append(ad.sub(ad.logsumexp(logits), ad.get(logits, i)))
-    return ad.mean(per_row)
+    dists = lorentz_distance(exp_map_origin(v, curvature),
+                             exp_map_origin(c, curvature))
+    return _cross_entropy(ad.div(ad.neg(dists), t), range(len(val(v))))
 
 
-def entailment_loss(captions_lifted: Sequence[LorentzPoint],
-                    visuals_lifted: Sequence[LorentzPoint],
+def _point_batch(points) -> LorentzPoint:
+    """Lifted points as one batch: a batch as it is, single points stacked
+    once (they must share one curvature)."""
+    if isinstance(points, LorentzPoint) and np.ndim(val(points.space)) == 2:
+        return points
+    pts = list(points)
+    if not pts:
+        raise ValueError("matched, non-empty lifted batches required")
+    curvature = pts[0].curvature
+    if any(float(val(p.curvature)) != float(val(curvature)) for p in pts):
+        raise ValueError("curvature mismatch within a lifted batch")
+    return LorentzPoint(ad.stack_rows([p.space for p in pts]), curvature)
+
+
+def entailment_loss(captions_lifted, visuals_lifted,
                     margin: float = DEFAULT_MARGIN,
                     aperture_k: float = APERTURE_K):
     """Cone-membership hinge loss imposing `caption entails object`.
 
-    For each caption cone i: penalize the matched visual falling outside
-    the cone, and penalize every other visual j != i that is not outside
-    by at least ``margin``:
+    The lifted batches are batched ``LorentzPoint`` values or sequences of
+    single points.  For each caption cone i: penalize the matched visual
+    falling outside the cone, and penalize every other visual j != i that
+    is not outside by at least ``margin``:
 
         mean_i [ max(0, angle(c_i, v_i) - A(c_i))
                  + sum_{j != i} max(0, margin - max(0, angle(c_i, v_j) - A(c_i))) ]
     """
-    cpts = list(captions_lifted)
-    vpts = list(visuals_lifted)
-    if not cpts or len(cpts) != len(vpts):
+    cpts = _point_batch(captions_lifted)
+    vpts = _point_batch(visuals_lifted)
+    n = len(val(cpts.space))
+    if n != len(val(vpts.space)):
         raise ValueError("matched, non-empty lifted batches required")
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    per_row = []
-    for i, c in enumerate(cpts):
-        aperture = half_aperture(c, aperture_k).radians
-        term = ad.hinge(ad.sub(exterior_angle(c, vpts[i]).radians, aperture))
-        for j, v in enumerate(vpts):
-            if j == i:
-                continue
-            outside = ad.hinge(ad.sub(exterior_angle(c, v).radians, aperture))
-            term = ad.add(term, ad.hinge(ad.sub(margin, outside)))
-        per_row.append(term)
-    return ad.mean(per_row)
+    aperture = half_aperture(cpts, aperture_k).radians
+    angles = exterior_angle(cpts, vpts).radians
+    outside = ad.hinge(ad.sub(angles, ad.outer(aperture, np.ones(n))))
+    eye = np.eye(n)
+    terms = ad.add(ad.mul(outside, eye),
+                   ad.mul(ad.hinge(ad.sub(margin, outside)), 1.0 - eye))
+    return ad.div(ad.sum(terms), float(n))
 
 
 def _box4(box):

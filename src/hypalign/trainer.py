@@ -23,18 +23,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import val
 from .datasynth import (Box, CaptionRecord, ConceptTree, SynonymMap,
                         caption_noise_metric, default_synonyms, json_line,
                         synth_corpus, write_lines)
 from .fusion import (AttentionWeights, FusionMlp, RegionFeature,
                      cross_modal_attention, fuse, positional_encode)
-from .geometry import APERTURE_K, cone_contains, exp_map_origin
+from .geometry import (APERTURE_K, cone_contains, exp_map_origin,
+                       lorentz_distance)
 from .objectives import (DEFAULT_MARGIN, LossReport, LossWeights,
                          bbox_regression_loss, classification_loss,
                          entailment_loss, euclidean_contrastive_loss,
                          hyperbolic_contrastive_loss, objective_baseline,
-                         objective_det, objective_hyper)
+                         objective_det, objective_hyper, pairwise_cosine)
 
 OBJECTIVES = ("hyper", "baseline", "det-only")
 
@@ -291,32 +291,32 @@ def _batch_losses(fwd: _Forward, records: Sequence[CaptionRecord],
                   config: ExperimentConfig, leaf_pos: dict,
                   leaf_ids: Sequence[int]) -> LossReport:
     tau = ad.exp(fwd.p["log_tau"])
-    curvature = ad.exp(fwd.p["curv_raw"])
-    fused, captions, preds, gts, targets = [], [], [], [], []
+    fused, preds, gts, targets = [], [], [], []
     for rec in records:
         leaf = _leaf_of(rec)
         vt = fwd.fused_visual(leaf, rec.box, rec.tokens)
         fused.append(vt)
-        captions.append(fwd.caption(rec.tokens))
         preds.append(fwd.predicted_box(vt))
         gts.append(rec.gt_box if rec.gt_box is not None else rec.box)
         targets.append(leaf_pos[leaf])
     label_rows = [ad.take_row(fwd.p["token_table"], leaf)
                   for leaf in leaf_ids]
     bbox = bbox_regression_loss(preds, gts)
+    fused = ad.stack_rows(fused)
     cls = classification_loss(fused, label_rows, targets, tau)
     weights = config.loss_weights()
-    if config.objective == "hyper":
-        cap = hyperbolic_contrastive_loss(fused, captions, curvature, tau)
-        entail = entailment_loss(
-            [exp_map_origin(c, curvature) for c in captions],
-            [exp_map_origin(v, curvature) for v in fused],
-            margin=config.gamma, aperture_k=config.aperture_k)
-        return objective_hyper(bbox, cls, cap, entail, weights=weights)
+    if config.objective == "det-only":
+        return objective_det(bbox, cls, weights=weights)
+    captions = ad.stack_rows([fwd.caption(rec.tokens) for rec in records])
     if config.objective == "baseline":
         cap = euclidean_contrastive_loss(fused, captions, tau)
         return objective_baseline(bbox, cls, cap, weights=weights)
-    return objective_det(bbox, cls, weights=weights)
+    curvature = ad.exp(fwd.p["curv_raw"])
+    cap = hyperbolic_contrastive_loss(fused, captions, curvature, tau)
+    entail = entailment_loss(exp_map_origin(captions, curvature),
+                             exp_map_origin(fused, curvature),
+                             margin=config.gamma, aperture_k=config.aperture_k)
+    return objective_hyper(bbox, cls, cap, entail, weights=weights)
 
 
 def step(state: ModelState, records: Sequence[CaptionRecord]
@@ -392,25 +392,12 @@ def split_records(records: Sequence[CaptionRecord]) -> tuple:
     return train, held
 
 
-def _lifted_parts(rows: np.ndarray, curvature: float):
-    """Vectorized exponential map: spatial matrix and time vector."""
-    norms = np.linalg.norm(rows, axis=1)
-    t = math.sqrt(curvature) * norms
-    factor = np.where(np.abs(t) < 1e-4,
-                      1.0 + t * t / 6.0, np.sinh(np.where(t == 0, 1.0, t))
-                      / np.where(t == 0, 1.0, t))
-    space = rows * factor[:, None]
-    time = np.sqrt(1.0 / curvature + np.sum(space * space, axis=1))
-    return space, time
-
-
-def _pairwise_lorentz(queries: np.ndarray, cands: np.ndarray,
-                      curvature: float) -> np.ndarray:
-    qs, qt = _lifted_parts(queries, curvature)
-    cs, ct = _lifted_parts(cands, curvature)
-    inner = qs @ cs.T - np.outer(qt, ct)
-    arg = np.maximum(-curvature * inner, 1.0)
-    return np.arccosh(arg) / math.sqrt(curvature)
+def _embed_records(fwd: _Forward, records: Sequence[CaptionRecord]):
+    """Plain-array caption (queries) and fused visual (candidates) rows."""
+    captions = np.stack([fwd.caption(rec.tokens) for rec in records])
+    visuals = np.stack([fwd.fused_visual(_leaf_of(rec), rec.box, rec.tokens)
+                        for rec in records])
+    return captions, visuals
 
 
 def evaluate_retrieval(state: ModelState,
@@ -420,25 +407,21 @@ def evaluate_retrieval(state: ModelState,
     Candidates are the records' own fused visual embeddings; a query
     caption scores a hit when its nearest candidate (Lorentzian distance
     between lifted embeddings for ``hyper``, cosine otherwise) carries the
-    caption's object class.
+    caption's object class.  A zero embedding has no cosine and is
+    rejected, naming its record.
     """
     records = list(records)
     if not records:
         raise ValueError("no evaluation pairs")
-    fwd = _Forward(state.params)
+    queries, cands = _embed_records(_Forward(state.params), records)
     classes = np.array([_leaf_of(rec) for rec in records])
-    cands = np.stack([
-        np.asarray(val(fwd.fused_visual(_leaf_of(rec), rec.box, rec.tokens)))
-        for rec in records])
-    queries = np.stack([np.asarray(val(fwd.caption(rec.tokens)))
-                        for rec in records])
     if state.config.objective == "hyper":
         curvature = math.exp(state.params["curv_raw"])
-        scores = -_pairwise_lorentz(queries, cands, curvature)
+        scores = -lorentz_distance(exp_map_origin(queries, curvature),
+                                   exp_map_origin(cands, curvature))
     else:
-        qn = np.linalg.norm(queries, axis=1)
-        cn = np.linalg.norm(cands, axis=1)
-        scores = (queries @ cands.T) / np.outer(qn, cn)
+        scores = pairwise_cosine(queries, cands, "caption of record",
+                                 "visual of record")
     best = np.argmax(scores, axis=1)
     return float(np.mean(classes[best] == classes))
 
@@ -450,23 +433,17 @@ def hierarchy_report(state: ModelState,
     records = list(records)
     if not records:
         raise ValueError("no records to diagnose")
-    fwd = _Forward(state.params)
     curvature = math.exp(state.params["curv_raw"])
-    cap_norms, obj_norms, contained = [], [], 0
-    for rec in records:
-        leaf = _leaf_of(rec)
-        cap = exp_map_origin(np.asarray(val(fwd.caption(rec.tokens))),
-                             curvature)
-        vt = exp_map_origin(
-            np.asarray(val(fwd.fused_visual(leaf, rec.box, rec.tokens))),
-            curvature)
-        cap_norms.append(float(val(cap.space_norm)))
-        obj_norms.append(float(val(vt.space_norm)))
-        contained += int(cone_contains(cap, vt, state.config.aperture_k))
+    captions, visuals = _embed_records(_Forward(state.params), records)
+    captions = exp_map_origin(captions, curvature)
+    visuals = exp_map_origin(visuals, curvature)
+    # matched pairs are the diagonal of the pairwise membership matrix
+    contained = np.diag(cone_contains(captions, visuals,
+                                      state.config.aperture_k))
     return HierarchyReport(
-        mean_caption_norm=float(np.mean(cap_norms)),
-        mean_object_norm=float(np.mean(obj_norms)),
-        containment_rate=contained / len(records),
+        mean_caption_norm=float(np.mean(captions.space_norm)),
+        mean_object_norm=float(np.mean(visuals.space_norm)),
+        containment_rate=int(np.sum(contained)) / len(records),
     )
 
 
@@ -605,16 +582,11 @@ def export_embeddings(state: ModelState,
     """Rows for external 2D projection: id, kind, pre-lift vector, norm."""
     fwd = _Forward(state.params)
     curvature = math.exp(state.params["curv_raw"])
-    rows = []
-    for leaf in state.leaf_ids:
-        vec = np.asarray(val(fwd.class_embedding(leaf)))
-        lifted = exp_map_origin(vec, curvature)
-        rows.append({"id": int(leaf), "kind": "object",
-                     "vector": vec.tolist(),
-                     "lifted_norm": float(val(lifted.space_norm))})
-    for i, rec in enumerate(records):
-        vec = np.asarray(val(fwd.caption(rec.tokens)))
-        lifted = exp_map_origin(vec, curvature)
-        rows.append({"id": i, "kind": "caption", "vector": vec.tolist(),
-                     "lifted_norm": float(val(lifted.space_norm))})
-    return rows
+    ids = [(int(leaf), "object") for leaf in state.leaf_ids]
+    ids += [(i, "caption") for i in range(len(records))]
+    vectors = np.stack([fwd.class_embedding(leaf) for leaf in state.leaf_ids]
+                       + [fwd.caption(rec.tokens) for rec in records])
+    norms = exp_map_origin(vectors, curvature).space_norm
+    return [{"id": i, "kind": kind, "vector": vec.tolist(),
+             "lifted_norm": float(norm)}
+            for (i, kind), vec, norm in zip(ids, vectors, norms)]

@@ -98,6 +98,57 @@ def _entailment_config(rng, margin):
             return c_rows, v_rows
 
 
+def _array_op_cases(rng):
+    """(op, build, params) for every op that is new or extended to arrays
+    by the batched losses; each has at least 100 coordinates.  Random
+    weights reduce an array result to a scalar without symmetry."""
+    shape = (10, 12)
+    w = rng.normal(size=shape)
+    w_outer = rng.normal(size=(60, 50))
+
+    def reduce(x, weights=w):
+        return ad.sum(ad.mul(x, weights))
+
+    normal = lambda: rng.normal(size=shape)
+    between = lambda lo, hi: rng.uniform(lo, hi, size=shape)
+    tiny = between(-2.0, 2.0)
+    tiny[::3] *= 1e-5            # exercises the sinhc series branch too
+    return [
+        ("exp", lambda p: reduce(ad.exp(p["x"])), {"x": normal() * 0.5}),
+        ("sqrt", lambda p: reduce(ad.sqrt(p["x"])), {"x": between(0.3, 3)}),
+        ("sinhc", lambda p: reduce(ad.sinhc(p["x"])), {"x": tiny}),
+        ("arccosh", lambda p: reduce(ad.arccosh(p["x"])),
+         {"x": between(1.2, 3.0)}),
+        ("asin", lambda p: reduce(ad.asin(p["x"])),
+         {"x": between(-0.9, 0.9)}),
+        ("arccos", lambda p: reduce(ad.arccos(p["x"])),
+         {"x": between(-0.9, 0.9)}),
+        ("clamp_min", lambda p: reduce(ad.clamp_min(p["x"], 0.1)),
+         {"x": normal()}),
+        ("clamp_max", lambda p: reduce(ad.clamp_max(p["x"], -0.1)),
+         {"x": normal()}),
+        ("hinge", lambda p: reduce(ad.hinge(p["x"])), {"x": normal()}),
+        ("div", lambda p: reduce(ad.div(p["x"], p["y"])),
+         {"x": normal(), "y": between(0.5, 2.0)}),
+        ("add_scalar_array", lambda p: reduce(ad.exp(ad.add(p["a"], p["x"]))),
+         {"a": 0.3, "x": normal() * 0.5}),
+        ("norm_rows", lambda p: reduce(ad.norm(p["x"]), w[:, 0]),
+         {"x": normal()}),
+        ("dot_rows", lambda p: reduce(ad.dot(p["x"], p["y"]), w[:, :8]),
+         {"x": normal(), "y": rng.normal(size=(8, 12))}),
+        ("logsumexp_rows", lambda p: reduce(ad.logsumexp(p["x"]), w[:, 0]),
+         {"x": normal()}),
+        ("scale_rows", lambda p: reduce(ad.scale_rows(p["s"], p["x"])),
+         {"s": rng.normal(size=10), "x": normal()}),
+        ("outer", lambda p: reduce(ad.outer(p["a"], p["b"]), w_outer),
+         {"a": rng.normal(size=60), "b": rng.normal(size=50)}),
+        ("sum", lambda p: ad.sum(ad.mul(p["x"], p["x"])), {"x": normal()}),
+        ("pick", lambda p: reduce(ad.pick(p["x"], [3, 0, 11, 5, 5, 2, 9, 1,
+                                                   7, 4]), w[:, 0]),
+         {"x": normal()}),
+    ]
+
+
 def test_criterion_2_gradient_suite():
     rng = np.random.default_rng(2)
     start = time.perf_counter()
@@ -193,6 +244,9 @@ def test_criterion_2_gradient_suite():
         "tau": 0.8,
         "raw_curv": 0.1,
     })
+
+    for op, build, params in _array_op_cases(rng):
+        checked[f"op:{op}"] = _grad_coords_checked(build, params)
 
     elapsed = time.perf_counter() - start
     ok = all(n >= 100 for n in checked.values()) and elapsed < 60.0

@@ -116,10 +116,6 @@ VECTOR_CASES = [
      lambda: {"A": RNG.normal(size=(3, 4)), "x": RNG.normal(size=4)}),
     ("vecmat", lambda p: ad.dot(ad.vecmat(p["x"], p["A"]), np.ones(4)),
      lambda: {"A": RNG.normal(size=(3, 4)), "x": RNG.normal(size=3)}),
-    ("stack",
-     lambda p: ad.dot(ad.stack([p["a"], p["b"], ad.mul(p["a"], p["b"])]),
-                      np.array([1.0, 2.0, 3.0])),
-     lambda: {"a": 0.5, "b": -1.1}),
     ("concat",
      lambda p: ad.dot(ad.concat([p["u"], p["v"]]), np.arange(5.0)),
      lambda: {"u": RNG.normal(size=2), "v": RNG.normal(size=3)}),
@@ -143,6 +139,18 @@ VECTOR_CASES = [
     ("softmax",
      lambda p: ad.dot(ad.softmax(p["u"]), np.array([1.0, -1.0, 2.0, 0.3])),
      lambda: {"u": RNG.normal(size=4)}),
+    ("scale_rows",
+     lambda p: ad.sum(ad.mul(ad.scale_rows(p["s"], p["M"]),
+                             np.arange(6.0).reshape(2, 3))),
+     lambda: {"s": RNG.normal(size=2), "M": RNG.normal(size=(2, 3))}),
+    ("outer",
+     lambda p: ad.sum(ad.mul(ad.outer(p["u"], p["v"]),
+                             np.arange(6.0).reshape(3, 2))),
+     lambda: {"u": RNG.normal(size=3), "v": RNG.normal(size=2)}),
+    ("sum", lambda p: ad.sum(ad.mul(p["M"], p["M"])),
+     lambda: {"M": RNG.normal(size=(2, 3))}),
+    ("pick", lambda p: ad.dot(ad.pick(p["M"], [2, 0]), np.array([1.0, -3.0])),
+     lambda: {"M": RNG.normal(size=(2, 3))}),
 ]
 
 

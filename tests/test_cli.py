@@ -191,3 +191,36 @@ def test_bad_config_file_key_is_reported(tmp_path, capsys):
     assert run_cli(["gen-corpus", "--config", str(cfg_file)]) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "not_a_field" in payload["error"]
+
+
+def test_config_file_reports_unparsable_number(tmp_path, capsys):
+    cfg_file = tmp_path / "num.cfg"
+    cfg_file.write_text("seed = 3\nsteps = 1.5\n")
+    assert run_cli(["gen-corpus", "--config", str(cfg_file)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert f"{cfg_file}:2: steps must be int, got '1.5'" in payload["error"]
+    cfg_file.write_text("lr = fast\n")
+    with pytest.raises(ValueError, match=r":1: lr must be float"):
+        load_config_file(str(cfg_file))
+
+
+def _add_id_to_last_record(path, field, bad_id):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[-1])
+    record[field] = record[field] + [bad_id]
+    lines[-1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines) - 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+@pytest.mark.parametrize("field", ["tokens", "true_objects"])
+def test_ids_outside_the_vocabulary_are_rejected_at_load(tmp_path, capsys,
+                                                         command, field):
+    assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
+    assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
+    capsys.readouterr()
+    index = _add_id_to_last_record(tmp_path / "corpus.jsonl", field, 999)
+    assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert f"record {index}: {field} id 999" in payload["error"]

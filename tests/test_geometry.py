@@ -326,11 +326,28 @@ def test_exterior_angle_in_range_and_continuous():
         assert abs(geo.exterior_angle(c, v2).value - angle) <= 1e-3
 
 
-def test_exterior_angle_rejects_coincident_points():
+def test_exterior_angle_of_coincident_points_is_zero_with_zero_gradient():
+    # no geodesic joins coincident points: the angle is 0 by convention
     p = lift([0.5, 0.1], 1.0)
     q = lift([0.5, 0.1], 1.0)
-    with pytest.raises(ValueError, match="coincident"):
-        geo.exterior_angle(p, q)
+    assert geo.exterior_angle(p, q).value == 0.0
+    tape = ad.Tape()
+    x = tape.leaf(np.array([0.5, 0.1]), name="x")
+    y = tape.leaf(np.array([0.5, 0.1]), name="y")
+    angle = geo.exterior_angle(geo.exp_map_origin(x, 1.0),
+                               geo.exp_map_origin(y, 1.0)).radians
+    grads = ad.backward(tape, angle)
+    assert np.array_equal(grads["x"], np.zeros(2))
+    assert np.array_equal(grads["y"], np.zeros(2))
+    # inside a batch the coincident pair is masked; the others are exact
+    cone_rows = np.array([[0.5, 0.1], [-0.3, 0.7]])
+    other_rows = np.array([[0.5, 0.1], [0.9, -0.2]])
+    angles = geo.exterior_angle(geo.exp_map_origin(cone_rows, 1.0),
+                                geo.exp_map_origin(other_rows, 1.0)).value
+    assert angles[0, 0] == 0.0
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        want = geo.exterior_angle(lift(cone_rows[i]), lift(other_rows[j]))
+        assert angles[i, j] == pytest.approx(want.value, rel=1e-12)
 
 
 def test_exterior_angle_rejects_apex_parent():

@@ -193,8 +193,11 @@ def test_vectorized_distances_match_geometry_route():
     queries = rng.normal(scale=0.7, size=(5, 4))
     cands = rng.normal(scale=0.7, size=(6, 4))
     curvature = 1.3
-    fast = tr._pairwise_lorentz(queries, cands, curvature)
     from hypalign.geometry import lorentz_distance
+    # the plain-array batch route that evaluate_retrieval ranks with
+    fast = lorentz_distance(exp_map_origin(queries, curvature),
+                            exp_map_origin(cands, curvature))
+    assert fast.shape == (5, 6)
     for i in range(5):
         for j in range(6):
             want = ad.val(lorentz_distance(
@@ -213,6 +216,20 @@ def test_retrieval_rejects_empty(corpus):
     cfg, tree, syn, _ = corpus
     with pytest.raises(ValueError, match="pairs"):
         tr.evaluate_retrieval(tr.init(cfg, tree, syn), [])
+
+
+def test_baseline_retrieval_rejects_zero_norm_embedding(corpus):
+    cfg, tree, syn, records = corpus
+    state = tr.init(tiny_config(objective="baseline"), tree, syn)
+    batch = records[:5]
+    # a caption made only of zeroed token rows embeds to the zero vector
+    zeroed = set(batch[3].tokens)
+    for token in zeroed:
+        state.params["token_table"][token] = 0.0
+    first = min(i for i, rec in enumerate(batch) if set(rec.tokens) <= zeroed)
+    with pytest.raises(ValueError,
+                       match=f"zero-norm caption of record {first}:"):
+        tr.evaluate_retrieval(state, batch)
 
 
 def test_retrieval_untrained_is_chance_level():
