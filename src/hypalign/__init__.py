@@ -14,9 +14,8 @@ from .autodiff import GradientMap, Tape, Var, backward, finite_diff
 from .datasynth import (Box, CaptionRecord, ConceptTree, SynonymMap,
                         caption_noise_metric, grid_sample, iou, nms,
                         proposal_sample, synth_corpus)
-from .fusion import (AttentionWeights, FusionMlp, RegionFeature,
-                     cross_modal_attention, fuse, positional_encode,
-                     sinusoidal_box_encoding)
+from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
+                     fuse, positional_encode, sinusoidal_box_encoding)
 from .geometry import (Angle, LorentzPoint, cone_contains, exp_map_origin,
                        exterior_angle, half_aperture, lorentz_distance,
                        lorentz_inner)

@@ -13,11 +13,13 @@ arithmetic operators: every recorded node comes from an explicit op call.
 
 Scalars are kept as Python floats, vectors and matrices as float64 numpy
 arrays.  There is deliberately no broadcasting engine: binary ops accept equal
-shapes, or a scalar paired with an array.  The unary ops work elementwise on
-arrays (scalars keep a ``math`` fast path), and a few row-wise ops (``norm``,
-``dot``, ``logsumexp`` on matrices, ``scale_rows``, ``outer``, ``pick``,
-``sum``) let a whole batch loss be a handful of array nodes instead of one
-scalar node per pair.
+shapes, a scalar paired with an array, or (``add``, ``sub``) a row vector
+added to every row of a matrix.  The unary ops work elementwise on arrays
+(scalars keep a ``math`` fast path); ``norm``, ``dot``, ``logsumexp`` and
+``softmax`` work row-wise on matrices.  With ``matmul``, ``scale_rows``,
+``outer``, ``pick``, ``sum``, ``cols`` and ``take_row`` of a set of rows, a
+whole batch, from the fusion forward to each loss, is a handful of array
+nodes instead of one node per row or pair.
 """
 
 from __future__ import annotations
@@ -42,18 +44,16 @@ _SINHC_SWITCH = 1e-4         # below this, sinh(t)/t uses its Taylor series
 (
     _LEAF, _ADD, _ADDC, _SUB, _NEG, _MUL, _MULC, _DIV, _DIVC, _CDIV, _EXP,
     _SQRT, _SINHC, _TANH, _SIGMOID, _ARCCOSH, _ASIN, _ARCCOS, _CLAMP_MIN,
-    _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM, _MATMUL, _MATVEC, _VECMAT,
-    _CONCAT, _STACK_ROWS, _TAKE_ROW, _VSLICE, _COLS, _GET, _LOGSUMEXP,
-    _SOFTMAX, _SCALE_ROWS, _OUTER, _SUM, _PICK,
-) = range(39)
+    _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM, _MATMUL, _STACK_ROWS,
+    _TAKE_ROW, _COLS, _LOGSUMEXP, _SOFTMAX, _SCALE_ROWS, _OUTER, _SUM, _PICK,
+) = range(34)
 
 _OP_NAMES = [
     "leaf", "add", "addc", "sub", "neg", "mul", "mulc", "div", "divc",
     "cdiv", "exp", "sqrt", "sinhc", "tanh", "sigmoid", "arccosh", "asin",
     "arccos", "clamp_min", "clamp_max", "hinge", "smooth_l1", "dot", "norm",
-    "matmul", "matvec", "vecmat", "concat", "stack_rows", "take_row",
-    "vslice", "cols", "get", "logsumexp", "softmax", "scale_rows", "outer",
-    "sum", "pick",
+    "matmul", "stack_rows", "take_row", "cols", "logsumexp", "softmax",
+    "scale_rows", "outer", "sum", "pick",
 ]
 
 
@@ -200,12 +200,12 @@ def _sinhc_deriv(t: Value) -> Value:
     return float(out) if isinstance(t, float) else out
 
 
-def _smooth_l1_value(a: float) -> float:
-    return 0.5 * a * a if abs(a) < 1.0 else abs(a) - 0.5
-
-
-def _smooth_l1_deriv(a: float) -> float:
-    return a if abs(a) < 1.0 else math.copysign(1.0, a)
+_smooth_l1_value = _elementwise(
+    lambda a: 0.5 * a * a if abs(a) < 1.0 else abs(a) - 0.5,
+    lambda a: np.where(np.abs(a) < 1.0, 0.5 * a * a, np.abs(a) - 0.5))
+_smooth_l1_deriv = _elementwise(
+    lambda a: a if abs(a) < 1.0 else math.copysign(1.0, a),
+    lambda a: np.where(np.abs(a) < 1.0, a, np.sign(a)))
 
 
 def _norm_value(u: np.ndarray) -> Value:
@@ -231,8 +231,8 @@ def _logsumexp_value(u: np.ndarray) -> Value:
 
 
 def _softmax_value(u: np.ndarray) -> np.ndarray:
-    e = np.exp(u - np.max(u))
-    return e / np.sum(e)
+    e = np.exp(u - np.max(u, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _is_scalar(x) -> bool:
@@ -364,7 +364,7 @@ def hinge(a):
 
 
 def smooth_l1(a):
-    """0.5 a^2 for |a| < 1, |a| - 0.5 otherwise (threshold 1)."""
+    """0.5 a^2 for |a| < 1, |a| - 0.5 otherwise (threshold 1), elementwise."""
     return _unary(_SMOOTH_L1, _smooth_l1_value, a)
 
 
@@ -392,16 +392,6 @@ def norm(u):
 
 def matmul(a, b):
     return _binary(_MATMUL, np.matmul, a, b)
-
-
-def matvec(a, x):
-    """Matrix (n x d) times column vector (d) -> vector (n)."""
-    return _binary(_MATVEC, np.matmul, a, x)
-
-
-def vecmat(x, a):
-    """Row vector (n) times matrix (n x d) -> vector (d)."""
-    return _binary(_VECMAT, np.matmul, x, a)
 
 
 def scale_rows(s, m):
@@ -437,18 +427,6 @@ def pick(m, idx: Sequence[int]):
     return as_value(m)[np.arange(rows), cols]
 
 
-def concat(vs: Sequence):
-    """Vectors -> one vector."""
-    vs = list(vs)
-    if any(isinstance(v, Var) for v in vs):
-        t = _tape_of(*[v for v in vs if isinstance(v, Var)])
-        vv = [v if isinstance(v, Var) else t.const(v) for v in vs]
-        lengths = tuple(len(v.value) for v in vv)
-        value = np.concatenate([v.value for v in vv])
-        return t._record(_CONCAT, tuple(v.idx for v in vv), lengths, value)
-    return np.concatenate([as_value(v) for v in vs])
-
-
 def stack_rows(vs: Sequence):
     """Equal-length vectors -> matrix with those rows."""
     vs = list(vs)
@@ -460,19 +438,13 @@ def stack_rows(vs: Sequence):
     return np.stack([as_value(v) for v in vs])
 
 
-def take_row(m, i: int):
-    """Row i of a matrix, as a vector."""
+def take_row(m, i):
+    """Row i of a matrix, as a vector; for a sequence of indices, those
+    rows as a matrix (an index may repeat)."""
+    i = int(i) if np.ndim(i) == 0 else np.asarray(i, dtype=np.intp)
     if isinstance(m, Var):
-        return m.tape._record(_TAKE_ROW, (m.idx,), int(i),
-                              m.value[int(i)].copy())
-    return as_value(m)[int(i)].copy()
-
-
-def vslice(u, a: int, b: int):
-    if isinstance(u, Var):
-        return u.tape._record(_VSLICE, (u.idx,), (int(a), int(b)),
-                              u.value[a:b].copy())
-    return as_value(u)[a:b].copy()
+        return m.tape._record(_TAKE_ROW, (m.idx,), i, m.value[i].copy())
+    return as_value(m)[i].copy()
 
 
 def cols(m, a: int, b: int):
@@ -483,31 +455,14 @@ def cols(m, a: int, b: int):
     return as_value(m)[:, a:b].copy()
 
 
-def get(u, i: int):
-    """Element i of a vector, as a scalar."""
-    if isinstance(u, Var):
-        return u.tape._record(_GET, (u.idx,), int(i), float(u.value[int(i)]))
-    return float(as_value(u)[int(i)])
-
-
 def logsumexp(u):
     """Stable log(sum(exp(u))) of a vector; for a matrix, of each row."""
     return _unary(_LOGSUMEXP, _logsumexp_value, u)
 
 
 def softmax(u):
+    """Softmax of a vector; for a matrix, of each row."""
     return _unary(_SOFTMAX, _softmax_value, u)
-
-
-def mean(xs: Sequence):
-    """Mean of a sequence of scalars (fixed left-to-right summation)."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("mean of empty sequence")
-    total = xs[0]
-    for x in xs[1:]:
-        total = add(total, x)
-    return div(total, float(len(xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +490,12 @@ def _acc_into(adj, j, shape, write):
 
 
 def _fit(grad: Value, operand: Value) -> Value:
-    """An adjoint summed down to a scalar operand that was broadcast."""
-    if isinstance(operand, float) and isinstance(grad, np.ndarray):
-        return float(np.sum(grad))
+    """An adjoint summed down to an operand that was broadcast: a scalar,
+    or a row vector over the rows of a matrix."""
+    if isinstance(operand, float):
+        return float(np.sum(grad)) if isinstance(grad, np.ndarray) else grad
+    if grad.ndim > operand.ndim:
+        return np.sum(grad, axis=0)
     return grad
 
 
@@ -684,18 +642,6 @@ def _bw_matmul(g, inputs, aux, values, adj):
     _acc(adj, ib, values[ia].T @ g)
 
 
-def _bw_matvec(g, inputs, aux, values, adj):
-    ia, ix = inputs
-    _acc(adj, ia, np.outer(g, values[ix]))
-    _acc(adj, ix, values[ia].T @ g)
-
-
-def _bw_vecmat(g, inputs, aux, values, adj):
-    ix, ia = inputs
-    _acc(adj, ix, values[ia] @ g)
-    _acc(adj, ia, np.outer(values[ix], g))
-
-
 def _bw_scale_rows(g, inputs, aux, values, adj):
     i_s, i_m = inputs
     _acc(adj, i_s, np.einsum("ij,ij->i", g, values[i_m]))
@@ -721,13 +667,6 @@ def _bw_pick(g, inputs, aux, values, adj):
     _acc_into(adj, inputs[0], shape, write)
 
 
-def _bw_concat(g, inputs, aux, values, adj):
-    off = 0
-    for j, length in zip(inputs, aux):
-        _acc(adj, j, g[off:off + length])
-        off += length
-
-
 def _bw_stack_rows(g, inputs, aux, values, adj):
     for k, j in enumerate(inputs):
         _acc(adj, j, g[k])
@@ -737,17 +676,7 @@ def _bw_take_row(g, inputs, aux, values, adj):
     shape = values[inputs[0]].shape
 
     def write(buf):
-        buf[aux] += g
-
-    _acc_into(adj, inputs[0], shape, write)
-
-
-def _bw_vslice(g, inputs, aux, values, adj):
-    a, b = aux
-    shape = values[inputs[0]].shape
-
-    def write(buf):
-        buf[a:b] += g
+        np.add.at(buf, aux, g)   # repeated rows accumulate
 
     _acc_into(adj, inputs[0], shape, write)
 
@@ -758,15 +687,6 @@ def _bw_cols(g, inputs, aux, values, adj):
 
     def write(buf):
         buf[:, a:b] += g
-
-    _acc_into(adj, inputs[0], shape, write)
-
-
-def _bw_get(g, inputs, aux, values, adj):
-    shape = values[inputs[0]].shape
-
-    def write(buf):
-        buf[aux] += g
 
     _acc_into(adj, inputs[0], shape, write)
 
@@ -782,16 +702,15 @@ def _bw_logsumexp(g, inputs, aux, values, adj):
 
 def _bw_softmax(g, inputs, aux, values, adj):
     s = _softmax_value(values[inputs[0]])
-    _acc(adj, inputs[0], s * (g - float(np.dot(g, s))))
+    _acc(adj, inputs[0], s * (g - np.sum(g * s, axis=-1, keepdims=True)))
 
 
 _BACKWARD = [
     None, _bw_add, _bw_addc, _bw_sub, _bw_neg, _bw_mul, _bw_mulc, _bw_div,
     _bw_divc, _bw_cdiv, _bw_exp, _bw_sqrt, _bw_sinhc, _bw_tanh, _bw_sigmoid,
     _bw_arccosh, _bw_asin, _bw_arccos, _bw_clamp_min, _bw_clamp_max,
-    _bw_hinge, _bw_smooth_l1, _bw_dot, _bw_norm, _bw_matmul, _bw_matvec,
-    _bw_vecmat, _bw_concat, _bw_stack_rows, _bw_take_row, _bw_vslice,
-    _bw_cols, _bw_get, _bw_logsumexp, _bw_softmax, _bw_scale_rows,
+    _bw_hinge, _bw_smooth_l1, _bw_dot, _bw_norm, _bw_matmul, _bw_stack_rows,
+    _bw_take_row, _bw_cols, _bw_logsumexp, _bw_softmax, _bw_scale_rows,
     _bw_outer, _bw_sum, _bw_pick,
 ]
 

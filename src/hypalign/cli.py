@@ -22,9 +22,10 @@ from .datasynth import (SCHEMA_VERSION, Box, ConceptTree, SynonymMap,
                         caption_noise_metric, grid_sample, json_line,
                         proposal_sample, read_corpus, write_corpus,
                         write_lines)
-from .trainer import (ExperimentConfig, _vocab_size, default_corpus,
-                      evaluate_retrieval, export_embeddings, hierarchy_report,
-                      load_state, save_state, split_records, train)
+from .trainer import (ExperimentConfig, _vocab_size, check_true_objects,
+                      default_corpus, evaluate_retrieval, export_embeddings,
+                      hierarchy_report, load_state, save_state, split_records,
+                      train)
 
 _BOOL_FIELDS = {"early_stop"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -100,15 +101,16 @@ def _load_corpus(config: ExperimentConfig):
 
 
 def _load_artifacts(config: ExperimentConfig, state=None):
-    """Corpus, synonyms and tree; every token and object id must index the
-    embedding tables of ``state``, or of a model built from this tree and
-    these synonyms."""
+    """Corpus, synonyms and tree.  Every id must index the embedding tables
+    of ``state``, or of a model built from this tree and these synonyms, and
+    true objects must be leaves of that model's tree."""
     records, synonyms = _load_corpus(config)
     with open(config.meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
     tree = ConceptTree.from_json(meta["tree"])
-    vocab = (_vocab_size(tree, synonyms) if state is None
-             else _vocab_size(state.tree, state.synonyms))
+    model_tree, model_synonyms = ((tree, synonyms) if state is None
+                                  else (state.tree, state.synonyms))
+    vocab = _vocab_size(model_tree, model_synonyms)
     for i, rec in enumerate(records):
         for field in ("tokens", "true_objects", "hallucinated"):
             ids = getattr(rec, field)
@@ -116,6 +118,8 @@ def _load_artifacts(config: ExperimentConfig, state=None):
                 raise ValueError(
                     f"{config.corpus_path}: record {i}: {field} id "
                     f"{max(ids)} is outside the vocabulary of {vocab} ids")
+    check_true_objects(records, model_tree.leaves(),
+                       where=f"{config.corpus_path}: ")
     return records, synonyms, tree
 
 

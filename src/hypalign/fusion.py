@@ -1,18 +1,21 @@
 """Language- and spatial-aware visual embedding construction.
 
-``cross_modal_attention`` mixes text rows into a visual embedding,
-``positional_encode`` adds box geometry (sinusoidal encoding plus a learned
-projection of the proposal feature), and ``fuse`` combines the two views
-through a small residual MLP standing in for a region-fusion network.
+``cross_modal_attention`` mixes each visual row with the text rows of its
+own caption, ``positional_encode`` adds box geometry (sinusoidal encoding
+plus a learned projection of the proposal feature), and ``fuse`` combines
+the two views through a small residual MLP standing in for a region-fusion
+network.
 
-All forwards are pure functions of their inputs and work on plain arrays
-or autodiff ``Var`` values alike.
+Each forward takes an n x d matrix of visual rows, one per region, works
+on plain arrays or autodiff ``Var`` values alike, and records a fixed
+handful of tape nodes whatever n is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +35,7 @@ class AttentionWeights:
     """Projection matrices for multi-head cross-modal attention.
 
     ``w_q``, ``w_k``, ``w_v`` map d -> d_h (right multiplication of row
-    vectors); ``w_out`` maps the concatenated d_h head outputs back to d.
+    vectors); ``w_out`` maps the d_h head outputs, side by side, back to d.
     """
 
     w_q: object
@@ -54,51 +57,41 @@ class AttentionWeights:
             if not np.all(np.isfinite(val(getattr(self, name)))):
                 raise ValueError(f"non-finite entries in {name}")
 
-    @property
-    def hidden_dim(self) -> int:
-        return _shape(self.w_q)[1]
 
+def cross_modal_attention(visual, text, owner: Sequence[int],
+                          weights: AttentionWeights):
+    """Attend from each visual row over the text rows it owns.
 
-def cross_modal_attention(v, text, weights: AttentionWeights):
-    """Attend from a visual embedding over text rows.
-
-    Scores are scaled by 1/sqrt(d_h); each head softmaxes over the n text
-    rows, head outputs are concatenated and projected by ``w_out``.
+    ``text`` holds the token rows of every caption in the batch; ``owner[j]``
+    is the visual row that text row j belongs to.  Scores are scaled by
+    1/sqrt(d_h) and are -inf outside the row's own tokens, so one row-wise
+    softmax per head covers the batch; each head's output is projected by
+    its rows of ``w_out`` and the heads are summed.
     """
-    if _shape(text)[0] == 0:
-        raise ValueError("attention requires at least one text row")
-    dh = weights.hidden_dim
+    n = _shape(visual)[0]
+    owner = np.asarray(owner, dtype=np.intp)
+    own = owner[None, :] == np.arange(n)[:, None]
+    if (owner.shape != (_shape(text)[0],) or not own.any(axis=0).all()
+            or not own.any(axis=1).all()):
+        raise ValueError("each text row needs an owner visual row, and each "
+                         "visual row at least one text row")
+    mask = np.where(own, 0.0, -np.inf)
+    dh = _shape(weights.w_q)[1]
     scale = 1.0 / math.sqrt(dh)
-    q = ad.vecmat(v, weights.w_q)
+    hd = dh // weights.head_count
+    q = ad.matmul(visual, weights.w_q)
     keys = ad.matmul(text, weights.w_k)
     values = ad.matmul(text, weights.w_v)
-    hd = dh // weights.head_count
-    dists = []
-    head_values = []
+    out = None
     for h in range(weights.head_count):
         lo, hi = h * hd, (h + 1) * hd
-        scores = ad.mul(ad.matvec(ad.cols(keys, lo, hi),
-                                  ad.vslice(q, lo, hi)), scale)
-        dists.append(ad.softmax(scores))
-        head_values.append(ad.cols(values, lo, hi))
-    mixed = [ad.vecmat(d, hv) for d, hv in zip(dists, head_values)]
-    return ad.vecmat(ad.concat(mixed), weights.w_out)
-
-
-@dataclass(frozen=True)
-class RegionFeature:
-    """A region's visual embedding, its box, and its proposal feature."""
-
-    v: object
-    box: Box
-    p: object
-
-    def __post_init__(self):
-        if not isinstance(self.box, Box):
-            raise ValueError("RegionFeature.box must be a Box")
-        for name in ("v", "p"):
-            if not np.all(np.isfinite(val(getattr(self, name)))):
-                raise ValueError(f"non-finite entries in {name}")
+        scores = ad.mul(ad.dot(ad.cols(q, lo, hi), ad.cols(keys, lo, hi)),
+                        scale)
+        attn = ad.softmax(ad.add(scores, mask))
+        head = ad.matmul(ad.matmul(attn, ad.cols(values, lo, hi)),
+                         ad.take_row(weights.w_out, range(lo, hi)))
+        out = head if out is None else ad.add(out, head)
+    return out
 
 
 def sinusoidal_box_encoding(box: Box, d: int) -> np.ndarray:
@@ -120,14 +113,17 @@ def sinusoidal_box_encoding(box: Box, d: int) -> np.ndarray:
     return np.array(out)
 
 
-def positional_encode(rf: RegionFeature, proj):
-    """Spatial-aware embedding: v + proj(p) + PE(box)."""
-    d = _shape(rf.v)[0]
-    p_dim = _shape(rf.p)[0]
-    if _shape(proj) != (p_dim, d):
+def positional_encode(visual, boxes: Sequence[Box], proj):
+    """Spatial-aware embeddings: row i is v_i + proj(p_i) + PE(box_i), with
+    p_i the box's (cx, cy, w, h) proposal feature."""
+    n, d = _shape(visual)
+    if len(boxes) != n or not all(isinstance(b, Box) for b in boxes):
+        raise ValueError("positional encoding needs one Box per visual row")
+    if _shape(proj) != (4, d):
         raise ValueError("proposal projection must map p to the embedding dim")
-    encoded = sinusoidal_box_encoding(rf.box, d)
-    return ad.add(ad.add(rf.v, ad.vecmat(rf.p, proj)), encoded)
+    features = np.stack([b.features() for b in boxes])
+    encoded = np.stack([sinusoidal_box_encoding(b, d) for b in boxes])
+    return ad.add(ad.add(visual, ad.matmul(features, proj)), encoded)
 
 
 @dataclass(frozen=True)
@@ -152,17 +148,12 @@ class FusionMlp:
                 or _shape(self.b2) != (d,)):
             raise ValueError("fusion MLP parameter shapes disagree")
 
-    @classmethod
-    def identity(cls, d: int) -> "FusionMlp":
-        """Parameters that make ``fuse`` the exact identity map."""
-        return cls(w1=np.zeros((d, 2 * d)), b1=np.zeros(2 * d),
-                   w2=np.zeros((2 * d, d)), b2=np.zeros(d))
-
 
 def fuse(v_l, v_s, mlp: FusionMlp):
-    """Combine language-aware and spatial-aware embeddings."""
-    if _shape(v_l) != _shape(v_s):
-        raise ValueError("fuse requires equally shaped embeddings")
+    """Combine language-aware and spatial-aware n x d embeddings row-wise;
+    the biases are added to every row."""
+    if _shape(v_l) != _shape(v_s) or len(_shape(v_l)) != 2:
+        raise ValueError("fuse requires two equally shaped n x d matrices")
     x = ad.add(v_l, v_s)
-    hidden = ad.tanh(ad.add(ad.vecmat(x, mlp.w1), mlp.b1))
-    return ad.add(ad.add(x, ad.vecmat(hidden, mlp.w2)), mlp.b2)
+    hidden = ad.tanh(ad.add(ad.matmul(x, mlp.w1), mlp.b1))
+    return ad.add(ad.add(x, ad.matmul(hidden, mlp.w2)), mlp.b2)

@@ -197,31 +197,15 @@ def entailment_loss(captions_lifted, visuals_lifted,
     return ad.div(ad.sum(terms), float(n))
 
 
-def _box4(box):
-    if hasattr(box, "x1"):
-        return (box.x1, box.y1, box.x2, box.y2)
-    coords = tuple(box)
-    if len(coords) != 4:
-        raise ValueError("a box is (x1, y1, x2, y2)")
-    return coords
-
-
 def bbox_regression_loss(pred, gt):
-    """Mean smooth-L1 (threshold 1) over the 4 coordinates of matched boxes."""
-    pred = list(pred)
-    gt = list(gt)
-    if not pred or len(pred) != len(gt):
-        raise ValueError("matched, non-empty box batches required")
-    terms = []
-    for p, g in zip(pred, gt):
-        (px1, py1, px2, py2) = _box4(p)
-        (gx1, gy1, gx2, gy2) = _box4(g)
-        for a, b, c, d in ((px1, py1, px2, py2), (gx1, gy1, gx2, gy2)):
-            if not (val(c) > val(a) and val(d) > val(b)):
-                raise ValueError("degenerate box: requires x1 < x2, y1 < y2")
-        for pc, gc in ((px1, gx1), (py1, gy1), (px2, gx2), (py2, gy2)):
-            terms.append(ad.smooth_l1(ad.sub(pc, gc)))
-    return ad.mean(terms)
+    """Mean smooth-L1 (threshold 1) over the 4 coordinates of matched boxes:
+    ``pred`` and ``gt`` are n x 4 matrices of (x1, y1, x2, y2) rows."""
+    p, g = (np.asarray(val(m), dtype=np.float64) for m in (pred, gt))
+    if p.shape != g.shape or p.ndim != 2 or p.shape[1] != 4 or not len(p):
+        raise ValueError("matched, non-empty n x 4 box batches required")
+    if not (np.all(p[:, 2:] > p[:, :2]) and np.all(g[:, 2:] > g[:, :2])):
+        raise ValueError("degenerate box: requires x1 < x2, y1 < y2")
+    return ad.div(ad.sum(ad.smooth_l1(ad.sub(pred, gt))), 4.0 * len(p))
 
 
 def _weighted(weight: float, term):

@@ -26,8 +26,8 @@ from . import autodiff as ad
 from .datasynth import (Box, CaptionRecord, ConceptTree, SynonymMap,
                         caption_noise_metric, default_synonyms, json_line,
                         synth_corpus, write_lines)
-from .fusion import (AttentionWeights, FusionMlp, RegionFeature,
-                     cross_modal_attention, fuse, positional_encode)
+from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
+                     fuse, positional_encode)
 from .geometry import (APERTURE_K, cone_contains, exp_map_origin,
                        lorentz_distance)
 from .objectives import (DEFAULT_MARGIN, LossReport, LossWeights,
@@ -231,14 +231,15 @@ def _zeros_like(v):
 
 
 def _squash(x, radius: float = EMBED_RADIUS):
-    """Direction-preserving norm bound: x * radius*tanh(|x|/radius)/|x|."""
+    """Direction-preserving row norm bound: x * radius*tanh(|x|/radius)/|x|."""
     n = ad.clamp_min(ad.norm(x), 1e-12)
     factor = ad.div(ad.mul(ad.tanh(ad.div(n, radius)), radius), n)
-    return ad.mul(factor, x)
+    return ad.scale_rows(factor, x)
 
 
 class _Forward:
-    """Shared forward passes over a parameter set (tape Vars or arrays)."""
+    """Shared forward passes over a parameter set (tape Vars or arrays);
+    each takes a batch and returns one row per item."""
 
     def __init__(self, params: dict):
         self.p = params
@@ -247,67 +248,86 @@ class _Forward:
         self.mlp = FusionMlp(params["fuse_w1"], params["fuse_b1"],
                              params["fuse_w2"], params["fuse_b2"])
 
-    def caption(self, tokens: Sequence[int]):
-        rows = [ad.take_row(self.p["token_table"], t) for t in tokens]
-        total = rows[0]
-        for r in rows[1:]:
-            total = ad.add(total, r)
-        return _squash(ad.div(total, float(len(rows))))
+    def captions(self, token_lists: Sequence[Sequence[int]]):
+        """Mean token embedding of each caption: a bag-of-words count
+        matrix (captions x vocabulary) times the token table."""
+        tokens, owner = _flatten(token_lists)
+        counts = np.zeros((len(token_lists),
+                           len(ad.val(self.p["token_table"]))))
+        np.add.at(counts, (owner, tokens), 1.0)
+        total = ad.matmul(counts, self.p["token_table"])
+        return _squash(ad.div(total, np.sum(counts, axis=1, keepdims=True)))
 
-    def fused_visual(self, leaf: int, box: Box, tokens: Sequence[int]):
-        v = ad.take_row(self.p["object_table"], leaf)
-        text = ad.stack_rows([ad.take_row(self.p["token_table"], t)
-                              for t in tokens])
-        v_l = cross_modal_attention(v, text, self.attn)
-        rf = RegionFeature(v=v, box=box, p=box.features())
-        v_s = positional_encode(rf, self.p["pe_proj"])
+    def fused_visuals(self, leaves: Sequence[int], boxes: Sequence[Box],
+                      token_lists: Sequence[Sequence[int]]):
+        tokens, owner = _flatten(token_lists)
+        visual = ad.take_row(self.p["object_table"], leaves)
+        text = ad.take_row(self.p["token_table"], tokens)
+        v_l = cross_modal_attention(visual, text, owner, self.attn)
+        v_s = positional_encode(visual, boxes, self.p["pe_proj"])
         return _squash(fuse(v_l, v_s, self.mlp))
 
-    def predicted_box(self, fused):
-        """Sigmoid corner-size parameterization; always a valid box.
+    def predicted_boxes(self, fused):
+        """Sigmoid corner-size parameterization: n x 4 (x1, y1, x2, y2) rows.
 
         The sigmoid is squashed into [eps, 1-eps] so a saturated head can
         never produce a zero-width or zero-height box.
         """
-        raw = ad.add(ad.vecmat(fused, self.p["box_w"]), self.p["box_b"])
+        raw = ad.add(ad.matmul(fused, self.p["box_w"]), self.p["box_b"])
         u = ad.add(ad.mul(ad.sigmoid(raw), 1.0 - 2.0 * BOX_HEAD_EPS),
-                   np.full(4, BOX_HEAD_EPS))
-        u0, u1, u2, u3 = (ad.get(u, i) for i in range(4))
-        x1 = ad.mul(u0, ad.sub(1.0, u2))
-        y1 = ad.mul(u1, ad.sub(1.0, u3))
-        return (x1, y1, ad.add(x1, u2), ad.add(y1, u3))
+                   BOX_HEAD_EPS)
+        sizes = ad.cols(u, 2, 4)
+        near = ad.mul(ad.cols(u, 0, 2), ad.sub(1.0, sizes))
+        # (x1, y1) into columns 0-1 and (x2, y2) into columns 2-3
+        return ad.add(ad.matmul(near, np.eye(2, 4)),
+                      ad.matmul(ad.add(near, sizes), np.eye(2, 4, 2)))
 
-    def class_embedding(self, leaf: int):
-        """Canonical class candidate: the class's own label token as text
+    def class_embeddings(self, leaves: Sequence[int]):
+        """Canonical class candidates: each class's own label token as text
         over the full-image box."""
-        return self.fused_visual(leaf, _FULL_BOX, [leaf])
+        return self.fused_visuals(leaves, [_FULL_BOX] * len(leaves),
+                                  [[leaf] for leaf in leaves])
+
+
+def _flatten(token_lists: Sequence[Sequence[int]]) -> tuple:
+    """Every caption's tokens in order, and the caption each comes from."""
+    lengths = [len(tokens) for tokens in token_lists]
+    return (np.array([t for tokens in token_lists for t in tokens], np.intp),
+            np.repeat(np.arange(len(lengths)), lengths))
 
 
 def _leaf_of(record: CaptionRecord) -> int:
     return min(record.true_objects)
 
 
+def check_true_objects(records: Sequence[CaptionRecord], leaves,
+                       where: str = "") -> None:
+    """A record's class is its smallest true object: true_objects must be
+    one or more leaves of the tree.  Errors name ``where`` and the record."""
+    leaves = set(leaves)
+    for i, rec in enumerate(records):
+        if not rec.true_objects or not rec.true_objects <= leaves:
+            raise ValueError(
+                f"{where}record {i}: true_objects {sorted(rec.true_objects)} "
+                "must be one or more leaves of the concept tree")
+
+
 def _batch_losses(fwd: _Forward, records: Sequence[CaptionRecord],
                   config: ExperimentConfig, leaf_pos: dict,
                   leaf_ids: Sequence[int]) -> LossReport:
     tau = ad.exp(fwd.p["log_tau"])
-    fused, preds, gts, targets = [], [], [], []
-    for rec in records:
-        leaf = _leaf_of(rec)
-        vt = fwd.fused_visual(leaf, rec.box, rec.tokens)
-        fused.append(vt)
-        preds.append(fwd.predicted_box(vt))
-        gts.append(rec.gt_box if rec.gt_box is not None else rec.box)
-        targets.append(leaf_pos[leaf])
-    label_rows = [ad.take_row(fwd.p["token_table"], leaf)
-                  for leaf in leaf_ids]
-    bbox = bbox_regression_loss(preds, gts)
-    fused = ad.stack_rows(fused)
-    cls = classification_loss(fused, label_rows, targets, tau)
+    leaves = [_leaf_of(rec) for rec in records]
+    tokens = [rec.tokens for rec in records]
+    fused = fwd.fused_visuals(leaves, [rec.box for rec in records], tokens)
+    gts = np.array([(rec.gt_box or rec.box).coords() for rec in records])
+    bbox = bbox_regression_loss(fwd.predicted_boxes(fused), gts)
+    labels = ad.take_row(fwd.p["token_table"], leaf_ids)
+    cls = classification_loss(fused, labels,
+                              [leaf_pos[leaf] for leaf in leaves], tau)
     weights = config.loss_weights()
     if config.objective == "det-only":
         return objective_det(bbox, cls, weights=weights)
-    captions = ad.stack_rows([fwd.caption(rec.tokens) for rec in records])
+    captions = fwd.captions(tokens)
     if config.objective == "baseline":
         cap = euclidean_contrastive_loss(fused, captions, tau)
         return objective_baseline(bbox, cls, cap, weights=weights)
@@ -394,10 +414,10 @@ def split_records(records: Sequence[CaptionRecord]) -> tuple:
 
 def _embed_records(fwd: _Forward, records: Sequence[CaptionRecord]):
     """Plain-array caption (queries) and fused visual (candidates) rows."""
-    captions = np.stack([fwd.caption(rec.tokens) for rec in records])
-    visuals = np.stack([fwd.fused_visual(_leaf_of(rec), rec.box, rec.tokens)
-                        for rec in records])
-    return captions, visuals
+    tokens = [rec.tokens for rec in records]
+    visuals = fwd.fused_visuals([_leaf_of(rec) for rec in records],
+                                [rec.box for rec in records], tokens)
+    return fwd.captions(tokens), visuals
 
 
 def evaluate_retrieval(state: ModelState,
@@ -474,6 +494,7 @@ def train(config: ExperimentConfig,
         tree, synonyms, records, _ = default_corpus(config)
     if tree is None or synonyms is None:
         raise ValueError("tree and synonyms are required with records")
+    check_true_objects(records, tree.leaves())
     noise_pct = caption_noise_metric(records, synonyms)
     train_recs, held_recs = split_records(records)
     if not train_recs or not held_recs:
@@ -584,8 +605,8 @@ def export_embeddings(state: ModelState,
     curvature = math.exp(state.params["curv_raw"])
     ids = [(int(leaf), "object") for leaf in state.leaf_ids]
     ids += [(i, "caption") for i in range(len(records))]
-    vectors = np.stack([fwd.class_embedding(leaf) for leaf in state.leaf_ids]
-                       + [fwd.caption(rec.tokens) for rec in records])
+    vectors = np.concatenate([fwd.class_embeddings(state.leaf_ids),
+                              fwd.captions([rec.tokens for rec in records])])
     norms = exp_map_origin(vectors, curvature).space_norm
     return [{"id": i, "kind": kind, "vector": vec.tolist(),
              "lifted_norm": float(norm)}

@@ -100,8 +100,9 @@ def _entailment_config(rng, margin):
 
 def _array_op_cases(rng):
     """(op, build, params) for every op that is new or extended to arrays
-    by the batched losses; each has at least 100 coordinates.  Random
-    weights reduce an array result to a scalar without symmetry."""
+    by the batched losses and the batched forward; each has at least 100
+    coordinates.  Random weights reduce an array result to a scalar without
+    symmetry."""
     shape = (10, 12)
     w = rng.normal(size=shape)
     w_outer = rng.normal(size=(60, 50))
@@ -146,6 +147,19 @@ def _array_op_cases(rng):
         ("pick", lambda p: reduce(ad.pick(p["x"], [3, 0, 11, 5, 5, 2, 9, 1,
                                                    7, 4]), w[:, 0]),
          {"x": normal()}),
+        ("take_row_repeated",
+         lambda p: reduce(ad.take_row(p["x"], [3, 0, 3, 9, 9, 9, 1, 0, 5,
+                                               7])),
+         {"x": normal()}),
+        ("softmax_rows", lambda p: reduce(ad.softmax(p["x"])),
+         {"x": normal()}),
+        ("smooth_l1", lambda p: reduce(ad.smooth_l1(p["x"])),
+         {"x": np.where(rng.uniform(size=shape) < 0.5, between(-0.9, 0.9),
+                        between(1.1, 3.0) * rng.choice([-1.0, 1.0],
+                                                       size=shape))}),
+        ("add_row_bias",
+         lambda p: reduce(ad.exp(ad.add(p["x"], p["b"]))),
+         {"x": normal() * 0.5, "b": rng.normal(size=12) * 0.5}),
     ]
 
 
@@ -212,20 +226,17 @@ def test_criterion_2_gradient_suite():
     d = 8
     boxes = [ds.Box(0.1, 0.2, 0.5, 0.8), ds.Box(0.3, 0.1, 0.9, 0.6)]
     text_np = rng.normal(scale=0.5, size=(3, d))
+    # both regions attend over the same three tokens
+    text_np, owner = np.vstack([text_np, text_np]), [0, 0, 0, 1, 1, 1]
 
     def fused_build(p):
         weights = fu.AttentionWeights(p["wq"], p["wk"], p["wv"], p["wout"],
                                       head_count=4)
         mlp = fu.FusionMlp(p["w1"], p["b1"], p["w2"], p["b2"])
-        fused = []
-        for i in range(2):
-            v = ad.take_row(p["vis"], i)
-            v_l = fu.cross_modal_attention(v, text_np, weights)
-            rf = fu.RegionFeature(v=v, box=boxes[i], p=boxes[i].features())
-            v_s = fu.positional_encode(rf, p["proj"])
-            fused.append(fu.fuse(v_l, v_s, mlp))
-        caps = [ad.take_row(p["caps"], i) for i in range(2)]
-        return obj.hyperbolic_contrastive_loss(fused, caps,
+        v_l = fu.cross_modal_attention(p["vis"], text_np, owner, weights)
+        v_s = fu.positional_encode(p["vis"], boxes, p["proj"])
+        fused = fu.fuse(v_l, v_s, mlp)
+        return obj.hyperbolic_contrastive_loss(fused, p["caps"],
                                                ad.exp(p["raw_curv"]),
                                                p["tau"])
 

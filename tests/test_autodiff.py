@@ -108,37 +108,40 @@ VECTOR_CASES = [
     ("div_array_scalar",
      lambda p: ad.dot(ad.div(p["u"], p["a"]), np.ones(3)),
      lambda: {"u": RNG.normal(size=3), "a": 1.7}),
-    ("matmul",
-     lambda p: ad.dot(ad.matvec(ad.matmul(p["A"], p["B"]), np.ones(3)),
-                      np.ones(2)),
+    ("matmul", lambda p: ad.sum(ad.matmul(p["A"], p["B"])),
      lambda: {"A": RNG.normal(size=(2, 4)), "B": RNG.normal(size=(4, 3))}),
-    ("matvec", lambda p: ad.dot(ad.matvec(p["A"], p["x"]), np.ones(3)),
-     lambda: {"A": RNG.normal(size=(3, 4)), "x": RNG.normal(size=4)}),
-    ("vecmat", lambda p: ad.dot(ad.vecmat(p["x"], p["A"]), np.ones(4)),
-     lambda: {"A": RNG.normal(size=(3, 4)), "x": RNG.normal(size=3)}),
-    ("concat",
-     lambda p: ad.dot(ad.concat([p["u"], p["v"]]), np.arange(5.0)),
-     lambda: {"u": RNG.normal(size=2), "v": RNG.normal(size=3)}),
     ("stack_rows",
-     lambda p: ad.dot(ad.matvec(ad.stack_rows([p["u"], p["v"]]),
-                                np.array([1.0, -2.0, 0.5])), np.ones(2)),
+     lambda p: ad.sum(ad.matmul(ad.stack_rows([p["u"], p["v"]]),
+                                np.array([[1.0], [-2.0], [0.5]]))),
      lambda: {"u": RNG.normal(size=3), "v": RNG.normal(size=3)}),
     ("take_row",
      lambda p: ad.dot(ad.take_row(p["M"], 1), np.array([1.0, 2.0])),
      lambda: {"M": RNG.normal(size=(3, 2))}),
-    ("vslice",
-     lambda p: ad.dot(ad.vslice(p["u"], 1, 4), np.ones(3)),
-     lambda: {"u": RNG.normal(size=5)}),
-    ("cols",
-     lambda p: ad.dot(ad.matvec(ad.cols(p["M"], 1, 3), np.ones(2)),
-                      np.ones(3)),
+    ("take_row_repeated",
+     lambda p: ad.sum(ad.mul(ad.take_row(p["M"], [2, 0, 2]),
+                             np.arange(6.0).reshape(3, 2))),
+     lambda: {"M": RNG.normal(size=(3, 2))}),
+    ("cols", lambda p: ad.sum(ad.cols(p["M"], 1, 3)),
      lambda: {"M": RNG.normal(size=(3, 4))}),
-    ("get", lambda p: ad.get(p["u"], 2), lambda: {"u": RNG.normal(size=4)}),
     ("logsumexp", lambda p: ad.logsumexp(p["u"]),
      lambda: {"u": RNG.normal(size=5)}),
     ("softmax",
      lambda p: ad.dot(ad.softmax(p["u"]), np.array([1.0, -1.0, 2.0, 0.3])),
      lambda: {"u": RNG.normal(size=4)}),
+    ("softmax_rows",
+     lambda p: ad.sum(ad.mul(ad.softmax(p["M"]),
+                             np.array([[1.0, -1.0, 2.0], [0.3, 0.0, -2.5]]))),
+     lambda: {"M": RNG.normal(size=(2, 3))}),
+    ("smooth_l1_array",
+     lambda p: ad.sum(ad.mul(ad.smooth_l1(p["u"]), np.arange(1.0, 9.0))),
+     lambda: {"u": np.concatenate([RNG.uniform(-0.9, 0.9, size=4),
+                                   RNG.uniform(1.1, 3.0, size=2),
+                                   -RNG.uniform(1.1, 3.0, size=2)])}),
+    ("add_row_bias",
+     lambda p: ad.sum(ad.mul(ad.sub(ad.add(p["M"], p["b"]), p["c"]),
+                             np.arange(6.0).reshape(2, 3))),
+     lambda: {"M": RNG.normal(size=(2, 3)), "b": RNG.normal(size=3),
+              "c": RNG.normal(size=3)}),
     ("scale_rows",
      lambda p: ad.sum(ad.mul(ad.scale_rows(p["s"], p["M"]),
                              np.arange(6.0).reshape(2, 3))),
@@ -205,6 +208,24 @@ def test_softmax_sums_to_one_and_ignores_shift():
     assert abs(float(np.sum(s)) - 1.0) <= 1e-12
     assert np.all(s >= 0.0)
     assert np.max(np.abs(ad.softmax(u + 1e4) - s)) <= 1e-9
+    # row-wise on a matrix; a -inf entry (a masked token) gets weight 0
+    m = np.vstack([u, u + 1e4, np.where(np.arange(5) < 2, -np.inf, u)])
+    rows = ad.softmax(m)
+    assert np.max(np.abs(rows[:2] - s)) <= 1e-9
+    assert np.array_equal(rows[2, :2], [0.0, 0.0])
+    assert np.max(np.abs(rows[2, 2:] - ad.softmax(u[2:]))) <= 1e-12
+
+
+def test_opcode_tables_are_aligned():
+    # every opcode constant indexes its own name and its own adjoint
+    opcodes = {name[1:].lower(): value for name, value in vars(ad).items()
+               if name.startswith("_") and name[1:].isupper()
+               and type(value) is int}
+    assert len(opcodes) == len(ad._OP_NAMES) == len(ad._BACKWARD)
+    assert {ad._OP_NAMES[i]: i for i in opcodes.values()} == opcodes
+    for i, name in enumerate(ad._OP_NAMES):
+        if name != "leaf":
+            assert ad._BACKWARD[i].__name__ == "_bw_" + name
 
 
 def test_backward_deterministic_bit_identical():

@@ -2,8 +2,8 @@
 
 Property tests draw random batches with hypothesis (derandomized, so every
 run checks the same examples); the per-pair oracles below use plain
-``math`` only.  The node-count guards keep each batch loss a fixed handful
-of tape nodes, whatever the batch size.
+``math`` only.  The node-count guards keep each batch loss, and each full
+training step, a fixed handful of tape nodes whatever the batch size.
 """
 
 import math
@@ -198,12 +198,23 @@ def test_batch_losses_record_the_same_nodes_at_any_batch_size():
     assert loss_nodes(4) == loss_nodes(16)
 
 
-def test_hyper_step_tape_stays_small():
-    # the benchmark's hyper-noisy configuration
-    config = tr.ExperimentConfig(objective="hyper", d=16, batch=16,
+def step_nodes(objective, batch_size):
+    """Tape nodes of one full step in the benchmark's configuration."""
+    config = tr.ExperimentConfig(objective=objective, d=16, batch=16,
                                  rho=0.326, scenes=60, categories=4,
                                  leaves_per_category=3, seed=0)
     tree, synonyms, records, _ = tr.default_corpus(config)
     train, _ = tr.split_records(records)
-    _, report = tr.step(tr.init(config, tree, synonyms), train[:16])
-    assert len(report.total.tape) <= 2000
+    _, report = tr.step(tr.init(config, tree, synonyms), train[:batch_size])
+    return len(report.total.tape)
+
+
+@pytest.mark.parametrize("objective", tr.OBJECTIVES)
+def test_step_records_the_same_nodes_at_any_batch_size(objective):
+    # the forward, from fusion to the box head, is batched like the losses
+    assert step_nodes(objective, 4) == step_nodes(objective, 16)
+
+
+def test_hyper_step_tape_stays_small():
+    # 226 nodes when this bound was set (1,691 with a per-record forward)
+    assert step_nodes("hyper", 16) <= 280

@@ -204,10 +204,10 @@ def test_config_file_reports_unparsable_number(tmp_path, capsys):
         load_config_file(str(cfg_file))
 
 
-def _add_id_to_last_record(path, field, bad_id):
+def _edit_last_record(path, field, edit):
     lines = path.read_text().splitlines()
     record = json.loads(lines[-1])
-    record[field] = record[field] + [bad_id]
+    record[field] = edit(record[field])
     lines[-1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return len(lines) - 1
@@ -220,7 +220,26 @@ def test_ids_outside_the_vocabulary_are_rejected_at_load(tmp_path, capsys,
     assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
     assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
     capsys.readouterr()
-    index = _add_id_to_last_record(tmp_path / "corpus.jsonl", field, 999)
+    index = _edit_last_record(tmp_path / "corpus.jsonl", field,
+                              lambda ids: ids + [999])
     assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert f"record {index}: {field} id 999" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+@pytest.mark.parametrize("edit,problem", [
+    # category 2 of the 3 x 3 tree: inside the vocabulary, not a leaf
+    (lambda ids: ids + [2], "true_objects [2, "),
+    (lambda ids: [], "true_objects [] must be"),
+], ids=["category", "empty"])
+def test_true_objects_must_be_leaves_at_load(tmp_path, capsys, command,
+                                            edit, problem):
+    assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
+    assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
+    capsys.readouterr()
+    corpus = tmp_path / "corpus.jsonl"
+    index = _edit_last_record(corpus, "true_objects", edit)
+    assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert f"{corpus}: record {index}: {problem}" in payload["error"]

@@ -13,6 +13,12 @@ from hypalign.autodiff import val
 from hypalign.datasynth import Box
 
 
+def zero_mlp(d):
+    """The exact identity of ``fuse``: a zero residual branch."""
+    return fu.FusionMlp(w1=np.zeros((d, 2 * d)), b1=np.zeros(2 * d),
+                        w2=np.zeros((2 * d, d)), b2=np.zeros(d))
+
+
 def make_weights(rng, d=8, heads=4):
     return fu.AttentionWeights(
         w_q=rng.normal(size=(d, d)), w_k=rng.normal(size=(d, d)),
@@ -27,9 +33,11 @@ def test_single_text_row_output_ignores_visual():
     rng = np.random.default_rng(1)
     w = make_weights(rng)
     text = rng.normal(size=(1, 8))
-    out1 = val(fu.cross_modal_attention(rng.normal(size=8), text, w))
-    out2 = val(fu.cross_modal_attention(rng.normal(size=8), text, w))
-    want = (text[0] @ np.asarray(w.w_v)) @ np.asarray(w.w_out)
+    out1 = val(fu.cross_modal_attention(rng.normal(size=(1, 8)), text, [0],
+                                        w))
+    out2 = val(fu.cross_modal_attention(rng.normal(size=(1, 8)), text, [0],
+                                        w))
+    want = (text @ np.asarray(w.w_v)) @ np.asarray(w.w_out)
     assert np.allclose(out1, out2, atol=1e-12)
     assert np.allclose(out1, want, atol=1e-12)
 
@@ -50,18 +58,33 @@ def test_single_head_matches_matrix_oracle():
     attn = e / e.sum()
     want = (attn @ (text @ wv)) @ wout
 
-    got = val(fu.cross_modal_attention(v, text, weights))
-    assert np.allclose(got, want, atol=1e-12)
+    got = val(fu.cross_modal_attention(v[None, :], text, [0, 0], weights))
+    assert np.allclose(got, want[None, :], atol=1e-12)
+
+
+def test_batched_attention_equals_one_row_calls():
+    # each visual row attends over its own tokens only, wherever they sit
+    rng = np.random.default_rng(2)
+    w = make_weights(rng)
+    visual = rng.normal(size=(3, 8))
+    text = rng.normal(size=(7, 8))
+    owner = [2, 0, 1, 2, 0, 2, 1]
+    got = val(fu.cross_modal_attention(visual, text, owner, w))
+    for i in range(3):
+        own = [j for j, o in enumerate(owner) if o == i]
+        want = val(fu.cross_modal_attention(visual[i:i + 1], text[own],
+                                            [0] * len(own), w))
+        assert np.max(np.abs(got[i] - want[0])) <= 1e-12
 
 
 def test_attention_invariant_to_text_row_permutation():
     rng = np.random.default_rng(3)
     w = make_weights(rng)
-    v = rng.normal(size=8)
+    v = rng.normal(size=(1, 8))
     text = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    out = val(fu.cross_modal_attention(v, text, w))
-    out_p = val(fu.cross_modal_attention(v, text[perm], w))
+    out = val(fu.cross_modal_attention(v, text, [0] * 6, w))
+    out_p = val(fu.cross_modal_attention(v, text[perm], [0] * 6, w))
     assert np.max(np.abs(out - out_p)) <= 1e-12
 
 
@@ -69,7 +92,15 @@ def test_attention_rejects_empty_text():
     rng = np.random.default_rng(5)
     w = make_weights(rng)
     with pytest.raises(ValueError, match="text row"):
-        fu.cross_modal_attention(rng.normal(size=8), np.zeros((0, 8)), w)
+        fu.cross_modal_attention(rng.normal(size=(1, 8)), np.zeros((0, 8)),
+                                 [], w)
+    # a visual row that owns no token is rejected, not averaged over nothing
+    with pytest.raises(ValueError, match="text row"):
+        fu.cross_modal_attention(rng.normal(size=(2, 8)),
+                                 rng.normal(size=(2, 8)), [0, 0], w)
+    with pytest.raises(ValueError, match="owner"):
+        fu.cross_modal_attention(rng.normal(size=(1, 8)),
+                                 rng.normal(size=(2, 8)), [0, 1], w)
 
 
 def test_attention_weights_validation():
@@ -127,19 +158,24 @@ def test_encoding_requires_multiple_of_eight():
 
 def test_positional_encode_adds_three_parts():
     rng = np.random.default_rng(8)
-    v = rng.normal(size=16)
-    box = Box(0.2, 0.3, 0.6, 0.8)
-    p = box.features()
+    v = rng.normal(size=(2, 16))
+    boxes = [Box(0.2, 0.3, 0.6, 0.8), Box(0.0, 0.1, 0.9, 0.4)]
     proj = rng.normal(size=(4, 16))
-    rf = fu.RegionFeature(v=v, box=box, p=p)
-    got = val(fu.positional_encode(rf, proj))
-    want = v + p @ proj + fu.sinusoidal_box_encoding(box, 16)
-    assert np.allclose(got, want, atol=1e-12)
+    got = val(fu.positional_encode(v, boxes, proj))
+    for i, box in enumerate(boxes):
+        p = box.features()
+        want = v[i] + p @ proj + fu.sinusoidal_box_encoding(box, 16)
+        assert np.allclose(got[i], want, atol=1e-12)
 
 
 def test_region_feature_rejects_bad_box():
+    # a region feature is a visual row and its box: one Box per row
+    proj = np.zeros((4, 8))
     with pytest.raises(ValueError, match="Box"):
-        fu.RegionFeature(v=np.zeros(8), box=(0, 0, 1, 1), p=np.zeros(4))
+        fu.positional_encode(np.zeros((1, 8)), [(0, 0, 1, 1)], proj)
+    with pytest.raises(ValueError, match="Box"):
+        fu.positional_encode(np.zeros((2, 8)), [Box(0.0, 0.0, 1.0, 1.0)],
+                             proj)
     with pytest.raises(ValueError, match="outside"):
         Box(0.0, 0.0, 1.2, 1.0)
 
@@ -150,9 +186,9 @@ def test_region_feature_rejects_bad_box():
 def test_fuse_identity_construction():
     rng = np.random.default_rng(9)
     d = 6
-    mlp = fu.FusionMlp.identity(d)
-    v_l = rng.normal(size=d)
-    v_s = rng.normal(size=d)
+    mlp = zero_mlp(d)
+    v_l = rng.normal(size=(1, d))
+    v_s = rng.normal(size=(1, d))
     assert np.allclose(val(fu.fuse(v_l, v_s, mlp)), v_l + v_s, atol=0.0)
 
 
@@ -161,7 +197,7 @@ def test_fuse_zero_inputs_zero_biases_give_zero():
     d = 4
     mlp = fu.FusionMlp(w1=rng.normal(size=(d, 2 * d)), b1=np.zeros(2 * d),
                        w2=rng.normal(size=(2 * d, d)), b2=np.zeros(d))
-    out = val(fu.fuse(np.zeros(d), np.zeros(d), mlp))
+    out = val(fu.fuse(np.zeros((1, d)), np.zeros((1, d)), mlp))
     assert np.allclose(out, 0.0, atol=0.0)
 
 
@@ -173,16 +209,20 @@ def test_fuse_matches_forward_oracle():
     w2 = rng.normal(size=(2 * d, d))
     b2 = rng.normal(size=d)
     mlp = fu.FusionMlp(w1, b1, w2, b2)
-    v_l, v_s = rng.normal(size=d), rng.normal(size=d)
-    x = v_l + v_s
-    want = x + np.tanh(x @ w1 + b1) @ w2 + b2
-    assert np.allclose(val(fu.fuse(v_l, v_s, mlp)), want, atol=1e-12)
+    v_l, v_s = rng.normal(size=(3, d)), rng.normal(size=(3, d))
+    got = val(fu.fuse(v_l, v_s, mlp))
+    for i in range(3):
+        x = v_l[i] + v_s[i]
+        want = x + np.tanh(x @ w1 + b1) @ w2 + b2
+        assert np.allclose(got[i], want, atol=1e-12)
 
 
 def test_fuse_rejects_shape_mismatch():
-    mlp = fu.FusionMlp.identity(4)
+    mlp = zero_mlp(4)
     with pytest.raises(ValueError, match="shape"):
-        fu.fuse(np.zeros(4), np.zeros(5), mlp)
+        fu.fuse(np.zeros((1, 4)), np.zeros((1, 5)), mlp)
+    with pytest.raises(ValueError, match="matrices"):
+        fu.fuse(np.zeros(4), np.zeros(4), mlp)
     with pytest.raises(ValueError, match="2d"):
         fu.FusionMlp(w1=np.zeros((4, 4)), b1=np.zeros(4),
                      w2=np.zeros((4, 4)), b2=np.zeros(4))
@@ -198,6 +238,8 @@ def test_full_fusion_path_gradients():
     m = 2
     boxes = [Box(0.1, 0.2, 0.5, 0.8), Box(0.3, 0.1, 0.9, 0.6)]
     text_np = rng.normal(scale=0.5, size=(3, d))
+    # both regions attend over the same three tokens
+    text_np, owner = np.vstack([text_np, text_np]), [0, 0, 0, 1, 1, 1]
     params = {
         "wq": rng.normal(scale=0.4, size=(d, d)),
         "wk": rng.normal(scale=0.4, size=(d, d)),
@@ -218,15 +260,10 @@ def test_full_fusion_path_gradients():
         weights = fu.AttentionWeights(p["wq"], p["wk"], p["wv"], p["wout"],
                                       head_count=4)
         mlp = fu.FusionMlp(p["w1"], p["b1"], p["w2"], p["b2"])
-        fused = []
-        for i in range(m):
-            v = ad.take_row(p["vis"], i)
-            v_l = fu.cross_modal_attention(v, text_np, weights)
-            rf = fu.RegionFeature(v=v, box=boxes[i], p=boxes[i].features())
-            v_s = fu.positional_encode(rf, p["proj"])
-            fused.append(fu.fuse(v_l, v_s, mlp))
-        caps = [ad.take_row(p["caps"], i) for i in range(m)]
-        return obj.hyperbolic_contrastive_loss(fused, caps,
+        v_l = fu.cross_modal_attention(p["vis"], text_np, owner, weights)
+        v_s = fu.positional_encode(p["vis"], boxes, p["proj"])
+        fused = fu.fuse(v_l, v_s, mlp)
+        return obj.hyperbolic_contrastive_loss(fused, p["caps"],
                                                ad.exp(p["raw_curv"]),
                                                p["tau"])
 

@@ -314,9 +314,15 @@ def test_bbox_small_offset_hits_quadratic_branch():
 
 
 def test_bbox_rejects_degenerate_box():
+    good = [(0.1, 0.1, 0.4, 0.5), (0.2, 0.3, 0.9, 0.8)]
     with pytest.raises(ValueError, match="degenerate"):
-        obj.bbox_regression_loss([(0.5, 0.1, 0.4, 0.5)],
-                                 [(0.1, 0.1, 0.4, 0.5)])
+        obj.bbox_regression_loss([(0.5, 0.1, 0.4, 0.5), good[1]], good)
+    with pytest.raises(ValueError, match="degenerate"):
+        obj.bbox_regression_loss(good, [good[0], (0.2, 0.3, 0.9, 0.3)])
+    with pytest.raises(ValueError, match="n x 4"):
+        obj.bbox_regression_loss([(0.1, 0.1, 0.4)], [(0.1, 0.1, 0.4)])
+    with pytest.raises(ValueError, match="matched"):
+        obj.bbox_regression_loss(good, good[:1])
 
 
 # --- composite objectives ---------------------------------------------------------
@@ -504,9 +510,7 @@ def test_bbox_gradients():
               "q": np.array([0.3, 0.25, 0.8, 0.9])}
 
     def build(p):
-        b1 = [ad.get(p["p"], i) for i in range(4)]
-        b2 = [ad.get(p["q"], i) for i in range(4)]
-        return obj.bbox_regression_loss([b1, b2],
+        return obj.bbox_regression_loss(ad.stack_rows([p["p"], p["q"]]),
                                         [(0.1, 0.1, 0.5, 0.5),
                                          (0.2, 0.2, 0.9, 0.95)])
 

@@ -1,0 +1,105 @@
+"""Box, IoU and NMS invariants and the corpus and state JSON round trips.
+
+Property tests draw their inputs with hypothesis, derandomized and without
+an example database, so every run checks the same examples.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypalign import datasynth as ds
+from hypalign import trainer as tr
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def boxes(draw, scored=st.none()):
+    x1, x2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    return ds.Box(x1, y1, x2, y2, score=draw(scored))
+
+
+ids = st.integers(0, 10_000)
+
+
+@st.composite
+def records(draw):
+    true_objects = draw(st.frozensets(ids, max_size=4))
+    return ds.CaptionRecord(
+        box=draw(boxes(scored=st.none() | unit)),
+        tokens=tuple(draw(st.lists(ids, min_size=1, max_size=6))),
+        true_objects=true_objects,
+        hallucinated=draw(st.frozensets(ids, max_size=3)) - true_objects,
+        scene=draw(ids),
+        # a corpus file stores ground-truth boxes without a score
+        gt_box=draw(st.none() | boxes()))
+
+
+# --- boxes ---------------------------------------------------------------------
+
+
+@PROPERTY
+@given(a=boxes(), b=boxes())
+def test_iou_is_symmetric_bounded_and_one_on_itself(a, b):
+    assert ds.iou(a, b) == ds.iou(b, a)
+    assert 0.0 <= ds.iou(a, b) <= 1.0
+    assert ds.iou(a, a) == 1.0
+
+
+@PROPERTY
+@given(candidates=st.lists(boxes(scored=unit), max_size=12),
+       threshold=st.floats(0.05, 0.95))
+def test_nms_keeps_a_score_ordered_subset_without_overlaps(candidates,
+                                                           threshold):
+    kept = ds.nms(candidates, threshold)
+    remaining = list(candidates)
+    for box in kept:
+        remaining.remove(box)   # a sub-multiset of the input
+    scores = [box.score for box in kept]
+    assert scores == sorted(scores, reverse=True)
+    for i, a in enumerate(kept):
+        for b in kept[i + 1:]:
+            assert ds.iou(a, b) < threshold
+
+
+# --- JSON round trips ----------------------------------------------------------
+
+
+@PROPERTY
+@given(rec=records())
+def test_record_json_round_trip(rec):
+    assert ds.record_from_json(ds.record_to_json(rec)) == rec
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([8, 16]),
+       scale=st.floats(1e-300, 1e300), adam_t=st.integers(0, 10**6))
+def test_state_json_round_trip(seed, d, scale, adam_t):
+    config = tr.ExperimentConfig(d=d, seed=seed, categories=2,
+                                 leaves_per_category=2)
+    state = tr.init(config)
+    rng = np.random.default_rng(seed)
+
+    def noisy(values):
+        return {k: (float(rng.normal() * scale) if isinstance(v, float)
+                    else rng.normal(size=v.shape) * scale)
+                for k, v in values.items()}
+
+    state.params, state.adam_m = noisy(state.params), noisy(state.adam_m)
+    state.adam_v, state.adam_t = noisy(state.adam_v), adam_t
+    again = tr.state_from_json(json.loads(ds.json_line(
+        tr.state_to_json(state))))
+    assert again.config == state.config and again.adam_t == adam_t
+    for field in ("params", "adam_m", "adam_v"):
+        want, got = getattr(state, field), getattr(again, field)
+        assert want.keys() == got.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (field, name)
+            assert type(got[name]) is type(want[name])

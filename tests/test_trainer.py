@@ -155,6 +155,19 @@ def test_objective_variants_populate_expected_terms(corpus):
 # --- train loop -------------------------------------------------------------------
 
 
+def test_train_rejects_records_without_a_leaf_class(corpus):
+    cfg, tree, syn, records = corpus
+    category = tree.children[tree.root][0]
+    for objects in ({category, tree.leaves()[0]}, set()):
+        bad = list(records)
+        bad[3] = CaptionRecord(box=bad[3].box, tokens=bad[3].tokens,
+                               true_objects=objects,
+                               hallucinated=frozenset(), scene=bad[3].scene)
+        with pytest.raises(ValueError, match="record 3: true_objects .* "
+                                             "leaves of the concept tree"):
+            tr.train(cfg, records=bad, tree=tree, synonyms=syn)
+
+
 def test_train_runs_and_metrics_are_monotone_in_step(corpus):
     cfg, tree, syn, records = corpus
     state, metrics = tr.train(cfg, records=records, tree=tree, synonyms=syn)
@@ -352,6 +365,8 @@ def test_export_embeddings_rows(corpus):
     for row in rows:
         assert len(row["vector"]) == cfg.d
         assert row["lifted_norm"] >= 0.0
+    # no captions: the class rows alone, as before
+    assert tr.export_embeddings(state, []) == objects
 
 
 def test_metrics_record_json_round_trip():
