@@ -14,12 +14,13 @@ arithmetic operators: every recorded node comes from an explicit op call.
 Scalars are kept as Python floats, vectors and matrices as float64 numpy
 arrays.  There is deliberately no broadcasting engine: binary ops accept equal
 shapes, a scalar paired with an array, or (``add``, ``sub``) a row vector
-added to every row of a matrix.  The unary ops work elementwise on arrays
-(scalars keep a ``math`` fast path); ``norm``, ``dot``, ``logsumexp`` and
-``softmax`` work row-wise on matrices.  With ``matmul``, ``scale_rows``,
-``outer``, ``pick``, ``sum``, ``cols`` and ``take_row`` of a set of rows, a
-whole batch, from the fusion forward to each loss, is a handful of array
-nodes instead of one node per row or pair.
+added to every row of a matrix.  The unary ops work elementwise on scalars
+and arrays alike; the temperature, the curvature and the loss totals are
+scalars.  A batch is always an n x d matrix of rows: ``norm``, ``dot``,
+``logsumexp`` and ``softmax`` work row-wise on it, and with ``matmul``,
+``scale_rows``, ``outer``, ``pick``, ``sum``, ``cols`` and ``take_row`` of a
+sequence of rows, a whole batch, from the fusion forward to each loss, is a
+handful of array nodes instead of one node per row or pair.
 """
 
 from __future__ import annotations
@@ -44,16 +45,16 @@ _SINHC_SWITCH = 1e-4         # below this, sinh(t)/t uses its Taylor series
 (
     _LEAF, _ADD, _ADDC, _SUB, _NEG, _MUL, _MULC, _DIV, _DIVC, _CDIV, _EXP,
     _SQRT, _SINHC, _TANH, _SIGMOID, _ARCCOSH, _ASIN, _ARCCOS, _CLAMP_MIN,
-    _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM, _MATMUL, _STACK_ROWS,
-    _TAKE_ROW, _COLS, _LOGSUMEXP, _SOFTMAX, _SCALE_ROWS, _OUTER, _SUM, _PICK,
-) = range(34)
+    _CLAMP_MAX, _HINGE, _SMOOTH_L1, _DOT, _NORM, _MATMUL, _TAKE_ROW, _COLS,
+    _LOGSUMEXP, _SOFTMAX, _SCALE_ROWS, _OUTER, _SUM, _PICK,
+) = range(33)
 
 _OP_NAMES = [
     "leaf", "add", "addc", "sub", "neg", "mul", "mulc", "div", "divc",
     "cdiv", "exp", "sqrt", "sinhc", "tanh", "sigmoid", "arccosh", "asin",
     "arccos", "clamp_min", "clamp_max", "hinge", "smooth_l1", "dot", "norm",
-    "matmul", "stack_rows", "take_row", "cols", "logsumexp", "softmax",
-    "scale_rows", "outer", "sum", "pick",
+    "matmul", "take_row", "cols", "logsumexp", "softmax", "scale_rows",
+    "outer", "sum", "pick",
 ]
 
 
@@ -208,24 +209,17 @@ _smooth_l1_deriv = _elementwise(
     lambda a: np.where(np.abs(a) < 1.0, a, np.sign(a)))
 
 
-def _norm_value(u: np.ndarray) -> Value:
-    if u.ndim == 1:
-        return float(np.linalg.norm(u))
+def _norm_value(u: np.ndarray) -> np.ndarray:
     return np.linalg.norm(u, axis=1)
 
 
-def _dot_value(u: np.ndarray, v: np.ndarray) -> Value:
-    if u.ndim == 1 and v.ndim == 1:
-        return float(np.dot(u, v))
+def _dot_value(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.ndim != 2 or v.ndim != 2:
-        raise ValueError("dot takes two vectors or two matrices")
+        raise ValueError("dot takes two matrices of rows (n x d and m x d)")
     return u @ v.T
 
 
-def _logsumexp_value(u: np.ndarray) -> Value:
-    if u.ndim == 1:
-        m = float(np.max(u))
-        return m + math.log(float(np.sum(np.exp(u - m))))
+def _logsumexp_value(u: np.ndarray) -> np.ndarray:
     m = np.max(u, axis=1, keepdims=True)
     return m[:, 0] + np.log(np.sum(np.exp(u - m), axis=1))
 
@@ -233,10 +227,6 @@ def _logsumexp_value(u: np.ndarray) -> Value:
 def _softmax_value(u: np.ndarray) -> np.ndarray:
     e = np.exp(u - np.max(u, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def _is_scalar(x) -> bool:
-    return np.ndim(val(x)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +370,13 @@ def _binary(opcode: int, fn: Callable, a, b):
 
 
 def dot(u, v):
-    """Inner product of two vectors; for two matrices, the inner product of
-    every row of ``u`` with every row of ``v`` (``u @ v.T``)."""
+    """Inner product of every row of ``u`` with every row of ``v``
+    (``u @ v.T``)."""
     return _binary(_DOT, _dot_value, u, v)
 
 
 def norm(u):
-    """Euclidean norm of a vector; for a matrix, the vector of row norms."""
+    """The vector of row norms of a matrix."""
     return _unary(_NORM, _norm_value, u)
 
 
@@ -395,18 +385,12 @@ def matmul(a, b):
 
 
 def scale_rows(s, m):
-    """Row i of matrix ``m`` times ``s[i]``; a scalar ``s`` scales all of
-    ``m`` (that is ``mul``)."""
-    if _is_scalar(s):
-        return mul(s, m)
+    """Row i of matrix ``m`` times ``s[i]``."""
     return _binary(_SCALE_ROWS, lambda a, b: a[:, None] * b, s, m)
 
 
 def outer(a, b):
-    """Outer product of two vectors (n x m); two scalars give their product
-    (that is ``mul``)."""
-    if _is_scalar(a) and _is_scalar(b):
-        return mul(a, b)
+    """Outer product of two vectors (n x m)."""
     return _binary(_OUTER, np.outer, a, b)
 
 
@@ -427,21 +411,14 @@ def pick(m, idx: Sequence[int]):
     return as_value(m)[np.arange(rows), cols]
 
 
-def stack_rows(vs: Sequence):
-    """Equal-length vectors -> matrix with those rows."""
-    vs = list(vs)
-    if any(isinstance(v, Var) for v in vs):
-        t = _tape_of(*[v for v in vs if isinstance(v, Var)])
-        vv = [v if isinstance(v, Var) else t.const(v) for v in vs]
-        value = np.stack([v.value for v in vv])
-        return t._record(_STACK_ROWS, tuple(v.idx for v in vv), None, value)
-    return np.stack([as_value(v) for v in vs])
-
-
-def take_row(m, i):
-    """Row i of a matrix, as a vector; for a sequence of indices, those
-    rows as a matrix (an index may repeat)."""
-    i = int(i) if np.ndim(i) == 0 else np.asarray(i, dtype=np.intp)
+def take_row(m, i: Sequence[int]):
+    """The rows of a matrix at a non-empty sequence of indices, as a matrix
+    (an index may repeat)."""
+    i = np.asarray(i, dtype=np.intp)
+    if np.ndim(val(m)) != 2 or i.ndim != 1 or not i.size:
+        raise ValueError("take_row takes an n x d matrix and a non-empty "
+                         f"sequence of row indices, got shapes "
+                         f"{np.shape(val(m))} and {i.shape}")
     if isinstance(m, Var):
         return m.tape._record(_TAKE_ROW, (m.idx,), i, m.value[i].copy())
     return as_value(m)[i].copy()
@@ -456,7 +433,7 @@ def cols(m, a: int, b: int):
 
 
 def logsumexp(u):
-    """Stable log(sum(exp(u))) of a vector; for a matrix, of each row."""
+    """Stable log(sum(exp(row))) of each row of a matrix."""
     return _unary(_LOGSUMEXP, _logsumexp_value, u)
 
 
@@ -614,23 +591,14 @@ def _bw_smooth_l1(g, inputs, aux, values, adj):
 
 def _bw_dot(g, inputs, aux, values, adj):
     ia, ib = inputs
-    va, vb = values[ia], values[ib]
-    if isinstance(g, float):
-        _acc(adj, ia, g * vb)
-        _acc(adj, ib, g * va)
-    else:
-        _acc(adj, ia, g @ vb)
-        _acc(adj, ib, g.T @ va)
+    _acc(adj, ia, g @ values[ib])
+    _acc(adj, ib, g.T @ values[ia])
 
 
 def _bw_norm(g, inputs, aux, values, adj):
     u = values[inputs[0]]
     n = _norm_value(u)
     # at a zero row the limit gradient used is 0
-    if isinstance(n, float):
-        if n > 1e-300:
-            _acc(adj, inputs[0], (g / n) * u)
-        return
     live = n > 1e-300
     coef = np.where(live, g / np.where(live, n, 1.0), 0.0)
     _acc(adj, inputs[0], coef[:, None] * u)
@@ -667,11 +635,6 @@ def _bw_pick(g, inputs, aux, values, adj):
     _acc_into(adj, inputs[0], shape, write)
 
 
-def _bw_stack_rows(g, inputs, aux, values, adj):
-    for k, j in enumerate(inputs):
-        _acc(adj, j, g[k])
-
-
 def _bw_take_row(g, inputs, aux, values, adj):
     shape = values[inputs[0]].shape
 
@@ -694,10 +657,7 @@ def _bw_cols(g, inputs, aux, values, adj):
 def _bw_logsumexp(g, inputs, aux, values, adj):
     u = values[inputs[0]]
     out = _logsumexp_value(u)
-    if u.ndim == 1:
-        _acc(adj, inputs[0], g * np.exp(u - out))
-    else:
-        _acc(adj, inputs[0], g[:, None] * np.exp(u - out[:, None]))
+    _acc(adj, inputs[0], g[:, None] * np.exp(u - out[:, None]))
 
 
 def _bw_softmax(g, inputs, aux, values, adj):
@@ -709,9 +669,9 @@ _BACKWARD = [
     None, _bw_add, _bw_addc, _bw_sub, _bw_neg, _bw_mul, _bw_mulc, _bw_div,
     _bw_divc, _bw_cdiv, _bw_exp, _bw_sqrt, _bw_sinhc, _bw_tanh, _bw_sigmoid,
     _bw_arccosh, _bw_asin, _bw_arccos, _bw_clamp_min, _bw_clamp_max,
-    _bw_hinge, _bw_smooth_l1, _bw_dot, _bw_norm, _bw_matmul, _bw_stack_rows,
-    _bw_take_row, _bw_cols, _bw_logsumexp, _bw_softmax, _bw_scale_rows,
-    _bw_outer, _bw_sum, _bw_pick,
+    _bw_hinge, _bw_smooth_l1, _bw_dot, _bw_norm, _bw_matmul, _bw_take_row,
+    _bw_cols, _bw_logsumexp, _bw_softmax, _bw_scale_rows, _bw_outer, _bw_sum,
+    _bw_pick,
 ]
 
 

@@ -225,9 +225,6 @@ class SynonymMap:
                 raise ValueError(f"class {cls_id} missing from its own forms")
         object.__setattr__(self, "forms", forms)
 
-    def classes(self) -> list:
-        return sorted(self.forms)
-
     def mentioned_classes(self, tokens: Iterable[int]) -> set:
         toks = set(tokens)
         return {c for c, surface in self.forms.items()
@@ -285,6 +282,9 @@ class CaptionRecord:
             raise ValueError("caption needs at least one token")
         if self.true_objects & self.hallucinated:
             raise ValueError("hallucinated ids must be absent from the truth")
+        if self.gt_box is not None and self.gt_box.score is not None:
+            raise ValueError("gt_box must be unscored: the corpus format "
+                             "stores no ground-truth score")
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,9 @@ def cross_modal_attention(visual, text, owner: Sequence[int],
     return out
 
 
-def sinusoidal_box_encoding(box: Box, d: int) -> np.ndarray:
-    """Fixed sinusoidal encoding of (cx, cy, w, h).
+def sinusoidal_box_encoding(features, d: int) -> np.ndarray:
+    """Fixed sinusoidal encoding of an n x 4 matrix of (cx, cy, w, h) rows:
+    n x d.
 
     Each coordinate gets d/8 frequency bands at geometrically spaced
     wavelengths (angle = pi * 2^band * value), emitting a sin/cos pair per
@@ -103,14 +104,9 @@ def sinusoidal_box_encoding(box: Box, d: int) -> np.ndarray:
     """
     if d % 8 != 0:
         raise ValueError(f"embedding dim must be divisible by 8, got {d}")
-    bands = d // 8
-    out = []
-    for z in box.features():
-        for b in range(bands):
-            angle = math.pi * (2.0 ** b) * float(z)
-            out.append(math.sin(angle))
-            out.append(math.cos(angle))
-    return np.array(out)
+    z = np.asarray(features, dtype=np.float64)
+    angle = (math.pi * 2.0 ** np.arange(d // 8)) * z[:, :, None]
+    return np.stack([np.sin(angle), np.cos(angle)], axis=3).reshape(-1, d)
 
 
 def positional_encode(visual, boxes: Sequence[Box], proj):
@@ -122,8 +118,8 @@ def positional_encode(visual, boxes: Sequence[Box], proj):
     if _shape(proj) != (4, d):
         raise ValueError("proposal projection must map p to the embedding dim")
     features = np.stack([b.features() for b in boxes])
-    encoded = np.stack([sinusoidal_box_encoding(b, d) for b in boxes])
-    return ad.add(ad.add(visual, ad.matmul(features, proj)), encoded)
+    return ad.add(ad.add(visual, ad.matmul(features, proj)),
+                  sinusoidal_box_encoding(features, d))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Training losses over embedding batches.
 
 Every loss is a scalar, nonnegative and finite for valid inputs, and
-accepts either plain numpy rows or autodiff ``Var`` rows, so the same
-code is used for evaluation and for differentiable training.  A batch is
-one n x d matrix, or a sequence of rows that is stacked once; each loss is
-a fixed handful of array ops whatever the batch size.  Reductions are
-deterministic.
+accepts either a plain numpy matrix or an autodiff ``Var`` matrix, so the
+same code is used for evaluation and for differentiable training.  A batch
+is one non-empty n x d matrix of rows (the entailment loss takes two lifted
+batches, ``LorentzPoint`` values); each loss is a fixed handful of array
+ops whatever the batch size.  Reductions are deterministic.
 """
 
 from __future__ import annotations
@@ -60,20 +60,13 @@ class LossReport:
 
 
 def _matrix(batch):
-    """A batch as one n x d matrix: arrays and matrix Vars as they are, a
-    sequence of rows stacked once."""
-    if isinstance(batch, (ad.Var, np.ndarray)):
-        if np.ndim(val(batch)) != 2:
-            raise ValueError("an embedding batch is a matrix of rows")
-        m = batch
-    else:
-        rows = list(batch)
-        if not rows:
-            raise ValueError("empty embedding batch")
-        m = ad.stack_rows(rows)
-    if len(val(m)) == 0:
-        raise ValueError("empty embedding batch")
-    return m
+    """An embedding batch: one non-empty n x d matrix, an array or a Var."""
+    shape = np.shape(val(batch))
+    if (not isinstance(batch, (ad.Var, np.ndarray)) or len(shape) != 2
+            or not shape[0]):
+        raise ValueError("an embedding batch is one non-empty n x d matrix "
+                         f"(an array or a Var), got shape {shape}")
+    return batch
 
 
 def _tau(tau):
@@ -154,38 +147,25 @@ def hyperbolic_contrastive_loss(visual, captions, curvature, tau):
     return _cross_entropy(ad.div(ad.neg(dists), t), range(len(val(v))))
 
 
-def _point_batch(points) -> LorentzPoint:
-    """Lifted points as one batch: a batch as it is, single points stacked
-    once (they must share one curvature)."""
-    if isinstance(points, LorentzPoint) and np.ndim(val(points.space)) == 2:
-        return points
-    pts = list(points)
-    if not pts:
-        raise ValueError("matched, non-empty lifted batches required")
-    curvature = pts[0].curvature
-    if any(float(val(p.curvature)) != float(val(curvature)) for p in pts):
-        raise ValueError("curvature mismatch within a lifted batch")
-    return LorentzPoint(ad.stack_rows([p.space for p in pts]), curvature)
-
-
-def entailment_loss(captions_lifted, visuals_lifted,
+def entailment_loss(cpts: LorentzPoint, vpts: LorentzPoint,
                     margin: float = DEFAULT_MARGIN,
                     aperture_k: float = APERTURE_K):
     """Cone-membership hinge loss imposing `caption entails object`.
 
-    The lifted batches are batched ``LorentzPoint`` values or sequences of
-    single points.  For each caption cone i: penalize the matched visual
-    falling outside the cone, and penalize every other visual j != i that
-    is not outside by at least ``margin``:
+    ``cpts`` and ``vpts`` are matched lifted batches of n rows each.  For
+    each caption cone i: penalize the matched visual falling outside the
+    cone, and penalize every other visual j != i that is not outside by at
+    least ``margin``:
 
         mean_i [ max(0, angle(c_i, v_i) - A(c_i))
                  + sum_{j != i} max(0, margin - max(0, angle(c_i, v_j) - A(c_i))) ]
     """
-    cpts = _point_batch(captions_lifted)
-    vpts = _point_batch(visuals_lifted)
+    if not all(isinstance(p, LorentzPoint) for p in (cpts, vpts)):
+        raise ValueError("entailment_loss takes two lifted n x d batches "
+                         "(LorentzPoint values)")
     n = len(val(cpts.space))
     if n != len(val(vpts.space)):
-        raise ValueError("matched, non-empty lifted batches required")
+        raise ValueError("matched lifted batches required")
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
     aperture = half_aperture(cpts, aperture_k).radians

@@ -47,9 +47,9 @@ def test_criterion_1_manifold_suite():
     for _ in range(10_000):
         d = int(rng.integers(1, 9))
         c = float(rng.uniform(0.25, 2.0))
-        x = rng.normal(scale=rng.uniform(0.05, 1.0), size=d)
+        x = rng.normal(scale=rng.uniform(0.05, 1.0), size=(1, d))
         p = geo.exp_map_origin(x, c)
-        worst = max(worst, abs(float(val(p.self_inner())) + 1.0 / c))
+        worst = max(worst, abs(geo.lorentz_inner(p, p)[0, 0] + 1.0 / c))
     elapsed = time.perf_counter() - start
     conclude(1, worst <= 1e-9 and elapsed < 5.0,
              f"10^4 lifts, max |<p,p>_H + 1/C| = {worst:.3e}, "
@@ -81,19 +81,19 @@ def _entailment_config(rng, margin):
         if min(np.linalg.norm(c_rows, axis=1)) < 0.25:
             continue
         slack = math.inf
-        cpts = [geo.exp_map_origin(r, 1.1) for r in c_rows]
-        vpts = [geo.exp_map_origin(r, 1.1) for r in v_rows]
+        cpts = geo.exp_map_origin(c_rows, 1.1)
+        vpts = geo.exp_map_origin(v_rows, 1.1)
         try:
-            for i, c in enumerate(cpts):
-                a = geo.half_aperture(c).value
-                for j, v in enumerate(vpts):
-                    ang = geo.exterior_angle(c, v).value
-                    slack = min(slack, abs(ang - a))
-                    if j != i:
-                        e = max(0.0, ang - a)
-                        slack = min(slack, abs(margin - e))
+            apertures = geo.half_aperture(cpts).value
+            angles = geo.exterior_angle(cpts, vpts).value
         except ValueError:
             continue
+        for i, a in enumerate(apertures):
+            for j, ang in enumerate(angles[i]):
+                slack = min(slack, abs(ang - a))
+                if j != i:
+                    e = max(0.0, ang - a)
+                    slack = min(slack, abs(margin - e))
         if slack >= 1e-3:
             return c_rows, v_rows
 
@@ -169,9 +169,7 @@ def test_criterion_2_gradient_suite():
     checked = {}
 
     def cls_build(p):
-        rows_v = [ad.take_row(p["v"], i) for i in range(3)]
-        rows_l = [ad.take_row(p["l"], i) for i in range(4)]
-        return obj.classification_loss(rows_v, rows_l, [0, 2, 3], p["tau"])
+        return obj.classification_loss(p["v"], p["l"], [0, 2, 3], p["tau"])
 
     checked["classification"] = sum(
         _grad_coords_checked(cls_build,
@@ -181,9 +179,7 @@ def test_criterion_2_gradient_suite():
         for _ in range(4))
 
     def cap_build(p):
-        rows_v = [ad.take_row(p["v"], i) for i in range(3)]
-        rows_c = [ad.take_row(p["c"], i) for i in range(3)]
-        return obj.euclidean_contrastive_loss(rows_v, rows_c, p["tau"])
+        return obj.euclidean_contrastive_loss(p["v"], p["c"], p["tau"])
 
     checked["euclidean_contrastive"] = sum(
         _grad_coords_checked(cap_build,
@@ -193,10 +189,8 @@ def test_criterion_2_gradient_suite():
         for _ in range(4))
 
     def hyp_build(p):
-        rows_v = [ad.take_row(p["v"], i) for i in range(3)]
-        rows_c = [ad.take_row(p["c"], i) for i in range(3)]
         return obj.hyperbolic_contrastive_loss(
-            rows_v, rows_c, ad.exp(p["raw_curv"]), p["tau"])
+            p["v"], p["c"], ad.exp(p["raw_curv"]), p["tau"])
 
     checked["hyperbolic_contrastive"] = sum(
         _grad_coords_checked(hyp_build,
@@ -213,11 +207,9 @@ def test_criterion_2_gradient_suite():
 
         def ent_build(p):
             curv = ad.exp(p["raw_curv"])
-            cpts = [geo.exp_map_origin(ad.take_row(p["c"], i), curv)
-                    for i in range(3)]
-            vpts = [geo.exp_map_origin(ad.take_row(p["v"], i), curv)
-                    for i in range(3)]
-            return obj.entailment_loss(cpts, vpts, margin=margin)
+            return obj.entailment_loss(geo.exp_map_origin(p["c"], curv),
+                                       geo.exp_map_origin(p["v"], curv),
+                                       margin=margin)
 
         total += _grad_coords_checked(
             ent_build, {"c": c_rows, "v": v_rows, "raw_curv": 0.1})

@@ -220,7 +220,7 @@ def test_tree_validation():
 def test_default_synonyms_cover_all_leaves():
     tree = ds.ConceptTree.balanced(2, 3)
     syn = ds.default_synonyms(tree)
-    assert syn.classes() == tree.leaves()
+    assert sorted(syn.forms) == tree.leaves()
     for leaf, forms in syn.forms.items():
         assert leaf in forms
     # every other leaf got one synonym beyond itself

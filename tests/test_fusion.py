@@ -118,9 +118,14 @@ def test_attention_weights_validation():
 # --- positional encoding --------------------------------------------------------
 
 
+def encode(box, d):
+    """The encoding of one box: a 1-row batch of its features."""
+    return fu.sinusoidal_box_encoding(box.features()[None, :], d)[0]
+
+
 def test_encoding_deterministic_for_identical_boxes():
-    a = fu.sinusoidal_box_encoding(Box(0.1, 0.2, 0.5, 0.9), 16)
-    b = fu.sinusoidal_box_encoding(Box(0.1, 0.2, 0.5, 0.9), 16)
+    a = encode(Box(0.1, 0.2, 0.5, 0.9), 16)
+    b = encode(Box(0.1, 0.2, 0.5, 0.9), 16)
     assert np.array_equal(a, b)
 
 
@@ -131,14 +136,14 @@ def test_encoding_entries_bounded():
         y = np.sort(rng.uniform(0, 1, size=2))
         if x[1] - x[0] < 1e-3 or y[1] - y[0] < 1e-3:
             continue
-        enc = fu.sinusoidal_box_encoding(Box(x[0], y[0], x[1], y[1]), 24)
+        enc = encode(Box(x[0], y[0], x[1], y[1]), 24)
         assert enc.shape == (24,)
         assert np.all(enc >= -1.0) and np.all(enc <= 1.0)
 
 
 def test_encoding_full_image_box_spot_values():
     # features (0.5, 0.5, 1, 1); band b angle = pi * 2^b * z
-    enc = fu.sinusoidal_box_encoding(Box(0.0, 0.0, 1.0, 1.0), 16)
+    enc = encode(Box(0.0, 0.0, 1.0, 1.0), 16)
     want = []
     for z in (0.5, 0.5, 1.0, 1.0):
         for b in range(2):
@@ -153,7 +158,7 @@ def test_encoding_full_image_box_spot_values():
 
 def test_encoding_requires_multiple_of_eight():
     with pytest.raises(ValueError, match="divisible by 8"):
-        fu.sinusoidal_box_encoding(Box(0.0, 0.0, 1.0, 1.0), 12)
+        encode(Box(0.0, 0.0, 1.0, 1.0), 12)
 
 
 def test_positional_encode_adds_three_parts():
@@ -164,7 +169,7 @@ def test_positional_encode_adds_three_parts():
     got = val(fu.positional_encode(v, boxes, proj))
     for i, box in enumerate(boxes):
         p = box.features()
-        want = v[i] + p @ proj + fu.sinusoidal_box_encoding(box, 16)
+        want = v[i] + p @ proj + encode(box, 16)
         assert np.allclose(got[i], want, atol=1e-12)
 
 

@@ -75,7 +75,23 @@ def oracle_exterior_angle(p, q):
 
 
 def lift(vec, c=1.0):
-    return geo.exp_map_origin(np.asarray(vec, dtype=float), c)
+    """One point as a 1-row batch."""
+    return geo.exp_map_origin(np.asarray(vec, dtype=float)[None, :], c)
+
+
+def point(vec, c=1.0):
+    """A 1-row batch with the given spatial part."""
+    return geo.LorentzPoint(np.asarray(vec, dtype=float)[None, :], c)
+
+
+def one(x):
+    """The single entry of a 1-row (or 1 x 1) result."""
+    return np.asarray(ad.val(x)).item()
+
+
+def self_inner(p):
+    """<p, p>_H of each row; -1/C on the manifold."""
+    return np.diag(ad.val(geo.lorentz_inner(p, p)))
 
 
 # --- exp_map_origin ----------------------------------------------------------
@@ -85,20 +101,20 @@ def test_lift_of_zero_is_apex():
     for d in (1, 2, 5):
         p = lift(np.zeros(d), 1.0)
         assert np.allclose(ad.val(p.space), 0.0)
-        assert ad.val(p.time) == pytest.approx(1.0, abs=1e-15)
+        assert one(p.time) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lift_near_zero_is_first_order_identity():
     x = np.array([1e-9, -2e-9])
     p = lift(x, 1.0)
-    assert np.allclose(ad.val(p.space), x, rtol=1e-9)
+    assert np.allclose(ad.val(p.space), [x], rtol=1e-9)
 
 
 def test_lift_norm_matches_high_precision_oracle():
     # sinh(sqrt(C)||x||)/sqrt(C) for x = (0.3, 0.4), C = 1
     p = lift([0.3, 0.4], 1.0)
-    assert ad.val(p.space_norm) == pytest.approx(0.5210953054937474,
-                                                 abs=1e-15)
+    assert one(p.space_norm) == pytest.approx(0.5210953054937474,
+                                              abs=1e-15)
 
 
 def test_lift_rejects_non_finite():
@@ -117,7 +133,7 @@ def test_manifold_constraint_on_random_lifts():
         c = float(rng.uniform(0.25, 2.0))
         x = rng.normal(scale=rng.uniform(0.05, 1.0), size=d)
         p = lift(x, c)
-        assert abs(ad.val(p.self_inner()) + 1.0 / c) <= 1e-9
+        assert abs(one(self_inner(p)) + 1.0 / c) <= 1e-9
 
 
 # --- lorentz_inner -----------------------------------------------------------
@@ -126,14 +142,14 @@ def test_manifold_constraint_on_random_lifts():
 def test_inner_of_apexes_is_pure_time_term():
     a = lift([0.0, 0.0], 4.0)
     b = lift([0.0, 0.0], 4.0)
-    assert ad.val(geo.lorentz_inner(a, b)) == pytest.approx(-0.25, abs=1e-15)
+    assert one(geo.lorentz_inner(a, b)) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_inner_hand_evaluated_case():
     # spatial parts (1,0) and (0,1) at C=1: 0 - sqrt(2)*sqrt(2) = -2
-    a = geo.LorentzPoint(np.array([1.0, 0.0]), 1.0)
-    b = geo.LorentzPoint(np.array([0.0, 1.0]), 1.0)
-    assert ad.val(geo.lorentz_inner(a, b)) == pytest.approx(-2.0, abs=1e-12)
+    a = point([1.0, 0.0])
+    b = point([0.0, 1.0])
+    assert one(geo.lorentz_inner(a, b)) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_inner_symmetric():
@@ -141,7 +157,7 @@ def test_inner_symmetric():
     for _ in range(50):
         u = lift(rng.normal(size=3), 2.0)
         v = lift(rng.normal(size=3), 2.0)
-        assert ad.val(geo.lorentz_inner(u, v)) == ad.val(geo.lorentz_inner(v, u))
+        assert one(geo.lorentz_inner(u, v)) == one(geo.lorentz_inner(v, u))
 
 
 def test_inner_rejects_curvature_mismatch():
@@ -158,13 +174,13 @@ def test_distance_to_self_is_zero():
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = lift(rng.normal(size=4), 1.5)
-        assert ad.val(geo.lorentz_distance(p, p)) == 0.0
+        assert one(geo.lorentz_distance(p, p)) == 0.0
 
 
 def test_distance_matches_high_precision_oracle():
     u = lift([0.5, 0.0], 1.0)
     v = lift([0.0, 0.5], 1.0)
-    assert ad.val(geo.lorentz_distance(u, v)) == pytest.approx(
+    assert one(geo.lorentz_distance(u, v)) == pytest.approx(
         0.7212077167133576, abs=1e-14)
 
 
@@ -174,7 +190,7 @@ def test_distance_randoms_match_oracle():
         c = float(rng.uniform(0.3, 4.0))
         xu = rng.normal(size=3)
         xv = rng.normal(size=3)
-        got = ad.val(geo.lorentz_distance(lift(xu, c), lift(xv, c)))
+        got = one(geo.lorentz_distance(lift(xu, c), lift(xv, c)))
         want = float(oracle_distance(oracle_lift(xu, c), oracle_lift(xv, c)))
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -184,10 +200,10 @@ def test_distance_is_a_metric_on_sampled_triples():
     c = 1.0
     for _ in range(1000):
         pts = [lift(rng.normal(scale=0.8, size=3), c) for _ in range(3)]
-        dab = ad.val(geo.lorentz_distance(pts[0], pts[1]))
-        dba = ad.val(geo.lorentz_distance(pts[1], pts[0]))
-        dbc = ad.val(geo.lorentz_distance(pts[1], pts[2]))
-        dac = ad.val(geo.lorentz_distance(pts[0], pts[2]))
+        dab = one(geo.lorentz_distance(pts[0], pts[1]))
+        dba = one(geo.lorentz_distance(pts[1], pts[0]))
+        dbc = one(geo.lorentz_distance(pts[1], pts[2]))
+        dac = one(geo.lorentz_distance(pts[0], pts[2]))
         assert dab >= 0.0
         assert dab == pytest.approx(dba, abs=1e-12)
         assert dac <= dab + dbc + 1e-8
@@ -195,8 +211,8 @@ def test_distance_is_a_metric_on_sampled_triples():
 
 def test_distance_rejects_off_manifold():
     u = lift([0.5, 0.0], 1.0)
-    fake = geo.LorentzPoint(np.array([0.5, 0.0]), 1.0)
-    fake.time = 0.5  # breaks the manifold constraint on purpose
+    fake = point([0.5, 0.0])
+    fake.time = np.array([0.5])  # breaks the manifold constraint on purpose
     with pytest.raises(ValueError, match="off-manifold"):
         geo.lorentz_distance(u, fake)
 
@@ -206,29 +222,28 @@ def test_distance_rejects_off_manifold():
 
 def test_half_aperture_boundary_is_pi_over_two():
     # sqrt(C)||c_space|| == 2K puts asin at its upper boundary
-    c = geo.LorentzPoint(np.array([0.2, 0.0]), 1.0)
-    assert geo.half_aperture(c, k=0.1).value == pytest.approx(math.pi / 2,
-                                                              abs=1e-12)
+    c = point([0.2, 0.0])
+    assert one(geo.half_aperture(c, k=0.1).value) == pytest.approx(
+        math.pi / 2, abs=1e-12)
 
 
 def test_half_aperture_direct_formula_case():
     # C = 1, ||c_space|| = 0.4, K = 0.1 -> asin(0.5) = pi/6
-    c = geo.LorentzPoint(np.array([0.4, 0.0]), 1.0)
-    assert geo.half_aperture(c, k=0.1).value == pytest.approx(math.pi / 6,
-                                                              rel=1e-12)
+    c = point([0.4, 0.0])
+    assert one(geo.half_aperture(c, k=0.1).value) == pytest.approx(
+        math.pi / 6, rel=1e-12)
 
 
 def test_half_aperture_vanishes_for_far_points():
-    c = geo.LorentzPoint(np.array([1e6, 0.0]), 1.0)
-    assert geo.half_aperture(c).value == pytest.approx(0.0, abs=1e-6)
+    c = point([1e6, 0.0])
+    assert one(geo.half_aperture(c).value) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_half_aperture_monotone_in_spatial_norm():
     rng = np.random.default_rng(19)
     norms = np.sort(rng.uniform(0.05, 10.0, size=200))
     apertures = [
-        geo.half_aperture(geo.LorentzPoint(np.array([n, 0.0]), 1.0)).value
-        for n in norms
+        one(geo.half_aperture(point([n, 0.0])).value) for n in norms
     ]
     assert all(a >= b - 1e-15 for a, b in zip(apertures, apertures[1:]))
 
@@ -247,7 +262,7 @@ def test_exterior_angle_collinear_is_zero():
     direction = np.array([0.6, 0.8])
     c = lift(direction * 0.5, 1.0)
     v = lift(direction * 1.5, 1.0)
-    got = geo.exterior_angle(c, v).value
+    got = one(geo.exterior_angle(c, v).value)
     want = float(oracle_exterior_angle(oracle_lift(direction * 0.5, 1.0),
                                        oracle_lift(direction * 1.5, 1.0)))
     assert got == pytest.approx(want, abs=1e-6)
@@ -258,7 +273,7 @@ def test_exterior_angle_opposite_is_pi():
     direction = np.array([1.0, 0.0])
     c = lift(direction * 0.7, 1.0)
     v = lift(-direction * 0.9, 1.0)
-    got = geo.exterior_angle(c, v).value
+    got = one(geo.exterior_angle(c, v).value)
     want = float(oracle_exterior_angle(oracle_lift(direction * 0.7, 1.0),
                                        oracle_lift(-direction * 0.9, 1.0)))
     assert got == pytest.approx(want, abs=1e-6)
@@ -273,7 +288,7 @@ def test_exterior_angle_matches_log_map_oracle_on_randoms():
         xv = rng.normal(scale=0.8, size=3)
         if np.linalg.norm(xc) < 1e-3 or np.linalg.norm(xc - xv) < 1e-3:
             continue
-        got = geo.exterior_angle(lift(xc, c), lift(xv, c)).value
+        got = one(geo.exterior_angle(lift(xc, c), lift(xv, c)).value)
         want = float(oracle_exterior_angle(oracle_lift(xc, c),
                                            oracle_lift(xv, c)))
         assert got == pytest.approx(want, abs=1e-8)
@@ -297,14 +312,14 @@ def test_cone_membership_agrees_with_sampling_oracle():
         if np.linalg.norm(xc - xv) < 1e-3:
             continue
         cpt, vpt = lift(xc, 1.0), lift(xv, 1.0)
-        aperture = geo.half_aperture(cpt).value
-        angle = geo.exterior_angle(cpt, vpt).value
+        aperture = one(geo.half_aperture(cpt).value)
+        angle = one(geo.exterior_angle(cpt, vpt).value)
         if abs(angle - aperture) < 1e-9:   # skip knife-edge cases
             continue
         oracle_angle = float(oracle_exterior_angle(oracle_lift(xc, 1.0),
                                                    oracle_lift(xv, 1.0)))
         assert (angle <= aperture) == (oracle_angle <= aperture)
-        assert geo.cone_contains(cpt, vpt) == (angle <= aperture)
+        assert one(geo.cone_contains(cpt, vpt)) == (angle <= aperture)
         inside_seen += int(angle <= aperture)
         checked += 1
     assert 0 < inside_seen < checked  # both branches exercised
@@ -318,27 +333,27 @@ def test_exterior_angle_in_range_and_continuous():
         if np.linalg.norm(xc) < 0.1 or np.linalg.norm(xc - xv) < 0.05:
             continue
         c, v = lift(xc, 1.0), lift(xv, 1.0)
-        angle = geo.exterior_angle(c, v).value
+        angle = one(geo.exterior_angle(c, v).value)
         assert 0.0 <= angle <= math.pi
         if angle < 1e-3 or angle > math.pi - 1e-3:
             continue  # near the arccos clamp boundary
         v2 = lift(xv + rng.normal(scale=1e-6 / math.sqrt(3), size=3), 1.0)
-        assert abs(geo.exterior_angle(c, v2).value - angle) <= 1e-3
+        assert abs(one(geo.exterior_angle(c, v2).value) - angle) <= 1e-3
 
 
 def test_exterior_angle_of_coincident_points_is_zero_with_zero_gradient():
     # no geodesic joins coincident points: the angle is 0 by convention
     p = lift([0.5, 0.1], 1.0)
     q = lift([0.5, 0.1], 1.0)
-    assert geo.exterior_angle(p, q).value == 0.0
+    assert one(geo.exterior_angle(p, q).value) == 0.0
     tape = ad.Tape()
-    x = tape.leaf(np.array([0.5, 0.1]), name="x")
-    y = tape.leaf(np.array([0.5, 0.1]), name="y")
+    x = tape.leaf(np.array([[0.5, 0.1]]), name="x")
+    y = tape.leaf(np.array([[0.5, 0.1]]), name="y")
     angle = geo.exterior_angle(geo.exp_map_origin(x, 1.0),
                                geo.exp_map_origin(y, 1.0)).radians
-    grads = ad.backward(tape, angle)
-    assert np.array_equal(grads["x"], np.zeros(2))
-    assert np.array_equal(grads["y"], np.zeros(2))
+    grads = ad.backward(tape, ad.sum(angle))
+    assert np.array_equal(grads["x"], np.zeros((1, 2)))
+    assert np.array_equal(grads["y"], np.zeros((1, 2)))
     # inside a batch the coincident pair is masked; the others are exact
     cone_rows = np.array([[0.5, 0.1], [-0.3, 0.7]])
     other_rows = np.array([[0.5, 0.1], [0.9, -0.2]])
@@ -347,7 +362,7 @@ def test_exterior_angle_of_coincident_points_is_zero_with_zero_gradient():
     assert angles[0, 0] == 0.0
     for i, j in ((0, 1), (1, 0), (1, 1)):
         want = geo.exterior_angle(lift(cone_rows[i]), lift(other_rows[j]))
-        assert angles[i, j] == pytest.approx(want.value, rel=1e-12)
+        assert angles[i, j] == pytest.approx(one(want.value), rel=1e-12)
 
 
 def test_exterior_angle_rejects_apex_parent():
@@ -366,25 +381,25 @@ def test_ops_are_bit_deterministic():
 
     def run():
         c, v = lift(xc, 1.3), lift(xv, 1.3)
-        return (ad.val(geo.lorentz_distance(c, v)),
-                geo.half_aperture(c).value,
-                geo.exterior_angle(c, v).value)
+        return (one(geo.lorentz_distance(c, v)),
+                one(geo.half_aperture(c).value),
+                one(geo.exterior_angle(c, v).value))
 
     assert run() == run()
 
 
 def test_geometry_gradients_match_finite_differences():
     rng = np.random.default_rng(41)
-    params = {"x": rng.normal(size=3), "y": rng.normal(size=3) + 0.5,
+    params = {"x": rng.normal(size=(1, 3)), "y": rng.normal(size=(1, 3)) + 0.5,
               "raw": 0.3}
 
     def build(p):
         c = ad.exp(p["raw"])
         u = geo.exp_map_origin(p["x"], c)
         v = geo.exp_map_origin(p["y"], c)
-        return ad.add(geo.lorentz_distance(u, v),
-                      ad.add(geo.half_aperture(u).radians,
-                             geo.exterior_angle(u, v).radians))
+        return ad.add(ad.sum(geo.lorentz_distance(u, v)),
+                      ad.add(ad.sum(geo.half_aperture(u).radians),
+                             ad.sum(geo.exterior_angle(u, v).radians)))
 
     tape = ad.Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}

@@ -229,7 +229,7 @@ def test_cosine_losses_scale_invariant_hyperbolic_not():
 
 
 def lift_batch(rows, c=1.0):
-    return [geo.exp_map_origin(np.asarray(r, dtype=float), c) for r in rows]
+    return geo.exp_map_origin(np.asarray(rows, dtype=float), c)
 
 
 def test_entailment_zero_when_all_constraints_have_slack():
@@ -237,12 +237,13 @@ def test_entailment_zero_when_all_constraints_have_slack():
     captions = lift_batch(rows_at(angles, [0.5] * 3))
     visuals = lift_batch(rows_at(angles, [1.5] * 3))
     # sanity: matched pairs strictly inside, negatives outside by > margin
-    for i, c in enumerate(captions):
-        a = geo.half_aperture(c).value
-        assert geo.exterior_angle(c, visuals[i]).value < a - 1e-3
-        for j, v in enumerate(visuals):
+    apertures = geo.half_aperture(captions).value
+    angle = geo.exterior_angle(captions, visuals).value
+    for i, a in enumerate(apertures):
+        assert angle[i, i] < a - 1e-3
+        for j in range(3):
             if j != i:
-                assert geo.exterior_angle(c, v).value > a + 0.1 + 1e-3
+                assert angle[i, j] > a + 0.1 + 1e-3
     loss = obj.entailment_loss(captions, visuals, margin=0.1)
     assert val(loss) == 0.0
 
@@ -250,7 +251,7 @@ def test_entailment_zero_when_all_constraints_have_slack():
 def test_entailment_single_pair_inside_cone_is_zero():
     c = lift_batch([[0.5, 0.0]])
     v = lift_batch([[1.4, 0.05]])
-    assert geo.cone_contains(c[0], v[0])
+    assert geo.cone_contains(c, v)[0, 0]
     assert val(obj.entailment_loss(c, v, margin=0.1)) == 0.0
 
 
@@ -393,10 +394,10 @@ def test_losses_permutation_invariant():
                                               1.3, 0.5))
     assert got == pytest.approx(base, abs=1e-12)
 
-    cpts, vpts = lift_batch(captions + 0.5), lift_batch(visual)
-    base = val(obj.entailment_loss(cpts, vpts))
-    got = val(obj.entailment_loss([cpts[i] for i in perm],
-                                  [vpts[i] for i in perm]))
+    base = val(obj.entailment_loss(lift_batch(captions + 0.5),
+                                   lift_batch(visual)))
+    got = val(obj.entailment_loss(lift_batch((captions + 0.5)[perm]),
+                                  lift_batch(visual[perm])))
     assert got == pytest.approx(base, abs=1e-12)
 
 
@@ -426,16 +427,16 @@ def entailment_slack(c_rows, v_rows, curvature, margin, k=0.1):
     """Smallest |hinge argument| over the batch (for kink filtering)."""
     cpts = lift_batch(c_rows, curvature)
     vpts = lift_batch(v_rows, curvature)
+    apertures = geo.half_aperture(cpts, k).value
+    angle = geo.exterior_angle(cpts, vpts).value
     slack = math.inf
-    for i, c in enumerate(cpts):
-        a = geo.half_aperture(c, k).value
-        slack = min(slack, abs(geo.exterior_angle(c, vpts[i]).value - a))
-        for j, v in enumerate(vpts):
+    for i, a in enumerate(apertures):
+        slack = min(slack, abs(angle[i, i] - a))
+        for j in range(len(vpts.space)):
             if j == i:
                 continue
-            e = max(0.0, geo.exterior_angle(c, v).value - a)
-            slack = min(slack, abs(geo.exterior_angle(c, v).value - a),
-                        abs(margin - e))
+            e = max(0.0, angle[i, j] - a)
+            slack = min(slack, abs(angle[i, j] - a), abs(margin - e))
     return slack
 
 
@@ -445,9 +446,7 @@ def test_classification_gradients():
               "tau": 0.6}
 
     def build(p):
-        rows_v = [ad.take_row(p["v"], i) for i in range(2)]
-        rows_l = [ad.take_row(p["l"], i) for i in range(3)]
-        return obj.classification_loss(rows_v, rows_l, [0, 2], p["tau"])
+        return obj.classification_loss(p["v"], p["l"], [0, 2], p["tau"])
 
     grad_check(build, params)
 
@@ -458,9 +457,7 @@ def test_euclidean_contrastive_gradients():
               "tau": 0.5}
 
     def build(p):
-        rows_v = [ad.take_row(p["v"], i) for i in range(3)]
-        rows_c = [ad.take_row(p["c"], i) for i in range(3)]
-        return obj.euclidean_contrastive_loss(rows_v, rows_c, p["tau"])
+        return obj.euclidean_contrastive_loss(p["v"], p["c"], p["tau"])
 
     grad_check(build, params)
 
@@ -471,9 +468,7 @@ def test_hyperbolic_contrastive_gradients_including_curvature():
               "tau": 0.7, "raw_curv": 0.2}
 
     def build(p):
-        rows_v = [ad.take_row(p["v"], i) for i in range(3)]
-        rows_c = [ad.take_row(p["c"], i) for i in range(3)]
-        return obj.hyperbolic_contrastive_loss(rows_v, rows_c,
+        return obj.hyperbolic_contrastive_loss(p["v"], p["c"],
                                                ad.exp(p["raw_curv"]),
                                                p["tau"])
 
@@ -496,25 +491,50 @@ def test_entailment_gradients_away_from_kinks():
 
         def build(p):
             curv = ad.exp(p["raw_curv"])
-            cpts = [geo.exp_map_origin(ad.take_row(p["c"], i), curv)
-                    for i in range(3)]
-            vpts = [geo.exp_map_origin(ad.take_row(p["v"], i), curv)
-                    for i in range(3)]
-            return obj.entailment_loss(cpts, vpts, margin=margin)
+            return obj.entailment_loss(geo.exp_map_origin(p["c"], curv),
+                                       geo.exp_map_origin(p["v"], curv),
+                                       margin=margin)
 
         grad_check(build, params)
 
 
 def test_bbox_gradients():
-    params = {"p": np.array([0.12, 0.2, 0.55, 0.61]),
-              "q": np.array([0.3, 0.25, 0.8, 0.9])}
+    params = {"pred": np.array([[0.12, 0.2, 0.55, 0.61],
+                                [0.3, 0.25, 0.8, 0.9]])}
 
     def build(p):
-        return obj.bbox_regression_loss(ad.stack_rows([p["p"], p["q"]]),
+        return obj.bbox_regression_loss(p["pred"],
                                         [(0.1, 0.1, 0.5, 0.5),
                                          (0.2, 0.2, 0.9, 0.95)])
 
     grad_check(build, params)
+
+
+BATCH_INPUTS = {
+    "exp_map_origin": lambda bad: geo.exp_map_origin(bad, 1.0),
+    "LorentzPoint": lambda bad: geo.LorentzPoint(bad, 1.0),
+    "classification_loss": lambda bad: obj.classification_loss(
+        bad, np.ones((2, 3)), [0], 0.5),
+    "euclidean_contrastive_loss": lambda bad: obj.euclidean_contrastive_loss(
+        np.ones((1, 3)), bad, 0.5),
+    "hyperbolic_contrastive_loss":
+        lambda bad: obj.hyperbolic_contrastive_loss(bad, bad, 1.0, 0.5),
+    "entailment_loss": lambda bad: obj.entailment_loss(bad, bad),
+}
+
+
+@pytest.mark.parametrize("kind", ["vector", "empty"])
+@pytest.mark.parametrize("name", sorted(BATCH_INPUTS) + ["take_row"])
+def test_batch_inputs_reject_vectors_and_empty_batches(name, kind):
+    # a batch is an n x d matrix with n >= 1; one point is a 1-row batch
+    bad = np.ones(3) if kind == "vector" else np.zeros((0, 3))
+    with pytest.raises(ValueError, match="n x d"):
+        if name != "take_row":
+            BATCH_INPUTS[name](bad)
+        elif kind == "vector":
+            ad.take_row(bad, [0])
+        else:
+            ad.take_row(np.ones((2, 3)), [])
 
 
 def test_temperature_validation():

@@ -1,4 +1,4 @@
-"""Every public function and class is used by the package itself."""
+"""Every public function, class and method is used by the package itself."""
 
 import ast
 from pathlib import Path
@@ -12,23 +12,32 @@ SRC = Path(hypalign.__file__).parent
 ALLOWED_UNUSED = {"finite_diff"}
 
 
-def _names(node) -> set:
-    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+def _public(stmts, kinds) -> list:
+    return [s for s in stmts if isinstance(s, kinds)
+            and not s.name.startswith("_")]
 
 
 def test_no_public_name_is_unused():
-    defined, used = {}, set()
+    # a function or class is used by name or as a module attribute, a
+    # method only as an attribute
+    defined, bare, attrs = [], set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not own.startswith("_")):
-                defined[own] = path.name
+        body = ast.parse(path.read_text()).body
+        for stmt in _public(body, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((f"{path.name}:{stmt.name}", stmt.name, False))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [(f"{path.name}:{stmt.name}.{m.name}", m.name, True)
+                            for m in _public(stmt.body, ast.FunctionDef)]
+        for stmt in body:
             # a definition naming itself (recursion) does not count as a use
-            used |= _names(stmt) - {own}
-    unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in used | ALLOWED_UNUSED)
+            own = {getattr(stmt, "name", None)}
+            nodes = list(ast.walk(stmt))
+            bare |= {n.id for n in nodes if isinstance(n, ast.Name)} - own
+            attrs |= {n.attr for n in nodes
+                      if isinstance(n, ast.Attribute)} - own
+    unused = sorted(where for where, name, method in defined
+                    if name not in (attrs if method else bare | attrs)
+                    | ALLOWED_UNUSED)
     assert not unused, f"public names nothing under src/ uses: {unused}"
