@@ -23,9 +23,9 @@ from .datasynth import (SCHEMA_VERSION, Box, ConceptTree, SynonymMap,
                         proposal_sample, read_corpus, write_corpus,
                         write_lines)
 from .trainer import (ExperimentConfig, _vocab_size, check_true_objects,
-                      default_corpus, evaluate_retrieval, export_embeddings,
-                      hierarchy_report, load_state, save_state, split_records,
-                      train)
+                      default_corpus, embed_records, evaluate_retrieval,
+                      export_embeddings, hierarchy_report, load_state,
+                      save_state, split_records, train)
 
 _BOOL_FIELDS = {"early_stop"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -111,13 +111,19 @@ def _load_artifacts(config: ExperimentConfig, state=None):
     model_tree, model_synonyms = ((tree, synonyms) if state is None
                                   else (state.tree, state.synonyms))
     vocab = _vocab_size(model_tree, model_synonyms)
-    for i, rec in enumerate(records):
-        for field in ("tokens", "true_objects", "hallucinated"):
-            ids = getattr(rec, field)
-            if ids and max(ids) >= vocab:
-                raise ValueError(
-                    f"{config.corpus_path}: record {i}: {field} id "
-                    f"{max(ids)} is outside the vocabulary of {vocab} ids")
+    # the first record with an id past the vocabulary, fields in order
+    outside = []
+    for order, field in enumerate(("tokens", "true_objects", "hallucinated")):
+        ids = getattr(records, field)
+        hits = np.flatnonzero(ids.rows_with(ids.values >= vocab))
+        if hits.size:
+            outside.append((int(hits[0]), order, field))
+    if outside:
+        i, _, field = min(outside)
+        raise ValueError(
+            f"{config.corpus_path}: record {i}: {field} id "
+            f"{max(getattr(records, field).row(i))} is outside the "
+            f"vocabulary of {vocab} ids")
     check_true_objects(records, model_tree.leaves(),
                        where=f"{config.corpus_path}: ")
     return records, synonyms, tree
@@ -169,8 +175,9 @@ def cmd_eval(args) -> int:
     state = load_state(config.state_path)
     records, _, _ = _load_artifacts(config, state)
     _, held = split_records(records)
-    recall = evaluate_retrieval(state, held)
-    hier = hierarchy_report(state, held)
+    embedded = embed_records(state, held)
+    recall = evaluate_retrieval(state, held, embedded)
+    hier = hierarchy_report(state, held, embedded)
     _emit({"recall_at_1": recall,
            "containment_rate": hier.containment_rate,
            "mean_caption_norm": hier.mean_caption_norm,

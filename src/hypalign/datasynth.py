@@ -6,15 +6,20 @@ leaf concept plus sampled ancestor attributes).  Hallucination noise is
 injected at a controlled rate as co-occurrence-correlated absent leaves,
 and measured back with a CHAIR-style incorrect-object percentage.
 
-Corpus files are UTF-8 JSON lines with a schema version field ("v1");
-generation is single-threaded and fully determined by the seed.
+A corpus is one :class:`Corpus` of numpy columns, built and checked once
+at its boundary (generation or ``read_corpus``); every consumer reads the
+columns.  Corpus files are UTF-8 JSON lines with a schema version field
+("v1"); generation is single-threaded and fully determined by the seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,13 +67,6 @@ class Box:
 
     def coords(self) -> tuple:
         return (self.x1, self.y1, self.x2, self.y2)
-
-    def features(self) -> np.ndarray:
-        """(cx, cy, w, h) vector used as the proposal feature."""
-        return np.array([(self.x1 + self.x2) / 2.0,
-                         (self.y1 + self.y2) / 2.0,
-                         self.x2 - self.x1,
-                         self.y2 - self.y1])
 
 
 def grid_sample(k: int) -> list:
@@ -225,10 +223,17 @@ class SynonymMap:
                 raise ValueError(f"class {cls_id} missing from its own forms")
         object.__setattr__(self, "forms", forms)
 
-    def mentioned_classes(self, tokens: Iterable[int]) -> set:
-        toks = set(tokens)
-        return {c for c, surface in self.forms.items()
-                if toks & set(surface)}
+    def mentions(self, tokens: "IdLists") -> np.ndarray:
+        """Records x classes (in class order): whether any of a record's
+        tokens is a surface form of the class.  Every record needs a
+        token."""
+        top = self.max_token_id() + 1
+        table = np.zeros((top + 1, len(self.forms)), dtype=bool)
+        for col, surface in enumerate(self.forms.values()):
+            table[list(surface), col] = True
+        # ids past every surface form land on the last row, which is empty
+        rows = table[np.minimum(tokens.values, top)]
+        return np.logical_or.reduceat(rows, tokens.offsets[:-1], axis=0)
 
     def max_token_id(self) -> int:
         return max(max(surface) for surface in self.forms.values())
@@ -256,35 +261,261 @@ def default_synonyms(tree: ConceptTree) -> SynonymMap:
 
 
 # ---------------------------------------------------------------------------
-# caption records
+# the caption corpus: one column per field
+
+_CORNERS = ("x1", "y1", "x2", "y2")
 
 
-@dataclass(frozen=True)
-class CaptionRecord:
-    """A region caption: token ids, the objects truly present, and any
-    injected hallucinated objects (always disjoint from the true set)."""
+def _first(bad: np.ndarray) -> Optional[int]:
+    """Index of the first true entry of a boolean vector, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
 
-    box: Box
-    tokens: tuple
-    true_objects: frozenset
-    hallucinated: frozenset
-    scene: int = 0
-    gt_box: Optional[Box] = None
 
-    def __post_init__(self):
-        for name, kind in (("tokens", tuple), ("true_objects", frozenset),
-                           ("hallucinated", frozenset)):
-            ids = kind(int(t) for t in getattr(self, name))
-            if any(t < 0 for t in ids):
-                raise ValueError(f"negative id in {name}: {min(ids)}")
-            object.__setattr__(self, name, ids)
-        if not self.tokens:
-            raise ValueError("caption needs at least one token")
-        if self.true_objects & self.hallucinated:
-            raise ValueError("hallucinated ids must be absent from the truth")
-        if self.gt_box is not None and self.gt_box.score is not None:
-            raise ValueError("gt_box must be unscored: the corpus format "
-                             "stores no ground-truth score")
+@dataclass(frozen=True, eq=False)
+class IdLists:
+    """One list of ids per record, stored flat: record i owns
+    ``values[offsets[i]:offsets[i + 1]]``."""
+
+    values: np.ndarray     # int64
+    offsets: np.ndarray    # int64, one more entry than records
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IdLists)
+                and np.array_equal(self.values, other.values)
+                and np.array_equal(self.offsets, other.offsets))
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def owner(self) -> np.ndarray:
+        """The record each id belongs to."""
+        return np.repeat(np.arange(len(self)), self.lengths())
+
+    def rows_with(self, flagged: np.ndarray) -> np.ndarray:
+        """Per record, whether any of its ids is flagged (one flag per id)."""
+        return np.bincount(self.owner()[flagged], minlength=len(self)) > 0
+
+    def row(self, i: int) -> list:
+        return self.values[self.offsets[i]:self.offsets[i + 1]].tolist()
+
+    def lists(self) -> list:
+        values, bounds = self.values.tolist(), self.offsets.tolist()
+        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def take(self, rows: np.ndarray) -> "IdLists":
+        """The lists of the given records (nonnegative indices), in order."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        index = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1],
+                                                   lengths)
+        return IdLists(self.values[index], offsets)
+
+
+def _repeats(owner: np.ndarray, values: np.ndarray) -> tuple:
+    """The (record, id) pairs sorted by record then id, and a mask of the
+    pairs equal to the one before."""
+    order = np.lexsort((values, owner))
+    owner, values = owner[order], values[order]
+    repeat = np.zeros(len(values), dtype=bool)
+    repeat[1:] = (owner[1:] == owner[:-1]) & (values[1:] == values[:-1])
+    return owner, values, repeat
+
+
+def _distinct(ids: IdLists) -> IdLists:
+    """Each list sorted, without repeats."""
+    owner, values, repeat = _repeats(ids.owner(), ids.values)
+    lengths = np.bincount(owner[~repeat], minlength=len(ids))
+    return IdLists(values[~repeat], np.concatenate(([0], np.cumsum(lengths))))
+
+
+def _integers(values: list, field: str, record_of, fail) -> np.ndarray:
+    """An int64 array of integers (a boolean is not one); any other value
+    fails, naming the record ``record_of(position)``."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    for k, v in enumerate(values):
+        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                or not -2**63 <= v < 2**63):
+            fail(record_of(k), f"{field}: {v!r} is not a 64-bit integer")
+    return np.array(values, dtype=np.int64)
+
+
+def _id_lists(lists: list, field: str, fail) -> IdLists:
+    if not set(map(type, lists)) <= {list, tuple}:
+        i = next(i for i, v in enumerate(lists)
+                 if not isinstance(v, (list, tuple)))
+        fail(i, f"{field}: {lists[i]!r} is not a list of ids")
+    offsets = np.concatenate(([0], np.cumsum(list(map(len, lists)),
+                                             dtype=np.int64)))
+    values = _integers(
+        list(chain.from_iterable(lists)), field,
+        lambda k: int(np.searchsorted(offsets, k, side="right")) - 1, fail)
+    return IdLists(values, offsets)
+
+
+def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
+    """One float64 entry of ``shape`` per record (None reads as NaN)."""
+    try:
+        out = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        out = None
+    if out is not None and out.shape == (len(values),) + shape:
+        return out
+    for i, v in enumerate(values):
+        try:
+            bad = np.array(v, dtype=np.float64).shape != shape
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            fail(i, f"{field}: {v!r} is not "
+                    + ("[x1, y1, x2, y2]" if shape else "a number or null"))
+    return np.zeros((0,) + shape)
+
+
+def _box_checks(field: str, rows: np.ndarray, live: np.ndarray) -> list:
+    """(failing records, message) checks of the live n x 4 corner rows."""
+    outside = live[:, None] & ~((rows >= 0.0) & (rows <= 1.0))
+
+    def coordinate(i):
+        j = int(np.argmax(outside[i]))
+        return (f"{field} coordinate {_CORNERS[j]}={float(rows[i, j])} "
+                "outside [0, 1]")
+
+    ordered = (rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])
+    return [(outside.any(axis=1), coordinate),
+            (live & ~ordered,
+             lambda i: f"{field} requires x1 < x2 and y1 < y2")]
+
+
+def _negative_check(field: str, ids: IdLists) -> tuple:
+    return (ids.rows_with(ids.values < 0),
+            lambda i: f"negative id in {field}: {min(ids.row(i))}")
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Caption records as columns: record i pairs region ``box[i]`` with
+    its caption ``tokens``, the objects truly present in it and any
+    injected hallucinated objects (always disjoint from the true ones).
+
+    ``box`` and ``gt_box`` are n x 4 float rows (x1, y1, x2, y2); a record
+    without a ground-truth box has a NaN ``gt_box`` row, and an unscored
+    region a NaN ``score``.  ``scene`` is an int64 vector.  The id fields
+    are :class:`IdLists`; ``true_objects`` and ``hallucinated`` lists are
+    sorted and distinct.  :meth:`from_lists` builds one and checks every
+    field; indexing with a slice, index array or mask selects records.
+    """
+
+    box: np.ndarray
+    score: np.ndarray
+    gt_box: np.ndarray
+    scene: np.ndarray
+    tokens: IdLists
+    true_objects: IdLists
+    hallucinated: IdLists
+
+    def __len__(self) -> int:
+        return len(self.scene)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Corpus) and all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+            else a == b for a, b in zip(vars(self).values(),
+                                        vars(other).values()))
+
+    def __getitem__(self, rows) -> "Corpus":
+        rows = np.arange(len(self))[rows]
+        if rows.ndim != 1:
+            raise TypeError("select records with a slice, an index array "
+                            "or a boolean mask")
+        return Corpus(*(column[rows] if isinstance(column, np.ndarray)
+                        else column.take(rows)
+                        for column in vars(self).values()))
+
+    def leaves(self) -> np.ndarray:
+        """Each record's class: the smallest of its true objects."""
+        true = self.true_objects
+        empty = _first(true.lengths() == 0)
+        if empty is not None:
+            raise ValueError(f"record {empty}: true_objects is empty, so "
+                             "the record has no class")
+        return np.minimum.reduceat(true.values, true.offsets[:-1])
+
+    @classmethod
+    def from_lists(cls, box: list, tokens: list, true_objects: list,
+                   hallucinated: list, score: Optional[list] = None,
+                   gt_box: Optional[list] = None,
+                   scene: Optional[list] = None,
+                   where: str = "") -> "Corpus":
+        """Check per-record values and store them as columns.
+
+        Every argument holds one entry per record: ``box`` and ``gt_box``
+        corner lists ``[x1, y1, x2, y2]`` (a ``gt_box`` may be None; it
+        has no score), ``score`` a number or None, ``scene`` an integer,
+        and the id fields lists of nonnegative integers.  Omitted columns
+        mean unscored, no ground truth and scene 0.  The lowest failing
+        record raises a ValueError ``{where}record {i}: {field} ...``.
+        """
+        n = len(box)
+        score = [None] * n if score is None else score
+        gt_box = [None] * n if gt_box is None else gt_box
+        scene = [0] * n if scene is None else scene
+        if any(len(column) != n for column in (
+                tokens, true_objects, hallucinated, score, gt_box, scene)):
+            raise ValueError(f"{where}every column needs one entry per "
+                             f"record ({n})")
+
+        def fail(i, text):
+            raise ValueError(f"{where}record {i}: {text}")
+
+        ids = {field: _id_lists(lists, field, fail) for field, lists in (
+            ("tokens", tokens), ("true_objects", true_objects),
+            ("hallucinated", hallucinated))}
+        scenes = _integers(scene, "scene", int, fail)
+        boxes = _floats(box, "box", (4,), fail)
+        gts = _floats([[math.nan] * 4 if b is None else b for b in gt_box],
+                      "gt_box", (4,), fail)
+        scores = _floats(score, "score", (), fail)
+        scored = np.array([s is not None for s in score], dtype=bool)
+        has_gt = np.array([b is not None for b in gt_box], dtype=bool)
+        true = _distinct(ids["true_objects"])
+        hall = _distinct(ids["hallucinated"])
+        owner, _, shared = _repeats(np.concatenate((true.owner(),
+                                                    hall.owner())),
+                                    np.concatenate((true.values,
+                                                    hall.values)))
+
+        # (failing records, message for record i), in the order a record
+        # is checked; the lowest failing record is reported
+        checks = (
+            _box_checks("box", boxes, np.ones(n, dtype=bool))
+            + [(scored & ~((scores >= 0.0) & (scores <= 1.0)),
+                lambda i: f"objectness score {scores[i]} outside [0, 1]")]
+            + _box_checks("gt_box", gts, has_gt)
+            + [_negative_check(field, lists) for field, lists in ids.items()]
+            + [(ids["tokens"].lengths() == 0,
+                lambda i: "tokens is empty: a caption needs at least one "
+                          "token"),
+               (np.bincount(owner[shared], minlength=n) > 0,
+                lambda i: "hallucinated ids must be absent from "
+                          "true_objects")])
+        failing = [(i, message) for bad, message in checks
+                   for i in [_first(bad)] if i is not None]
+        if failing:
+            i, message = min(failing, key=lambda pair: pair[0])
+            fail(i, message(i))
+        return cls(box=boxes, score=scores, gt_box=gts, scene=scenes,
+                   tokens=ids["tokens"], true_objects=true,
+                   hallucinated=hall)
 
 
 @dataclass(frozen=True)
@@ -293,8 +524,7 @@ class SceneObject:
     box: Box
 
 
-def caption_noise_metric(records: Sequence[CaptionRecord],
-                         synonyms: SynonymMap) -> float:
+def caption_noise_metric(records: Corpus, synonyms: SynonymMap) -> float:
     """Percentage of incorrectly described objects.
 
     Per record, the fraction of mentioned object classes (resolved through
@@ -302,17 +532,22 @@ def caption_noise_metric(records: Sequence[CaptionRecord],
     averaged over records and scaled to percent.  Invariant to record
     order and to duplicating every record.
     """
-    records = list(records)
-    if not records:
+    n = len(records)
+    if not n:
         raise ValueError("no records to score")
-    acc = 0.0
-    for i, rec in enumerate(records):
-        mentioned = synonyms.mentioned_classes(rec.tokens)
-        if not mentioned:
-            raise ValueError(f"record {i} mentions no object classes")
-        incorrect = mentioned - rec.true_objects
-        acc += len(incorrect) / len(mentioned)
-    return acc / len(records) * 100.0
+    mentioned = synonyms.mentions(records.tokens)
+    silent = _first(~mentioned.any(axis=1))
+    if silent is not None:
+        raise ValueError(f"record {silent} mentions no object classes")
+    classes = np.array(list(synonyms.forms))
+    true = records.true_objects
+    col = np.minimum(np.searchsorted(classes, true.values), len(classes) - 1)
+    hit = classes[col] == true.values
+    truth = np.zeros_like(mentioned)
+    truth[true.owner()[hit], col[hit]] = True
+    fractions = (mentioned & ~truth).sum(axis=1) / mentioned.sum(axis=1)
+    # a running total in record order, as a loop over records would sum
+    return float(np.add.accumulate(fractions)[-1]) / n * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +601,9 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
     ``hallucinated`` set.  Proposal objectness is synthetic (there is no
     detector in the loop to score regions at generation time).
 
-    Returns ``(records, scene_objects)`` where ``scene_objects[s]`` lists
-    the ground-truth objects of scene ``s``.  Byte-identical for a fixed
-    seed and arguments.
+    Returns ``(records, scene_objects)``: a :class:`Corpus` and, in
+    ``scene_objects[s]``, the ground-truth objects of scene ``s``.
+    Byte-identical for a fixed seed and arguments.
     """
     if not (0.0 <= noise_rate < 1.0):
         raise ValueError(f"noise rate must be in [0, 1), got {noise_rate}")
@@ -379,7 +614,9 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
     rng = np.random.default_rng(seed)
     leaves = tree.leaves()
     n_obj = min(objects_per_scene, len(leaves))
-    records: list = []
+    columns: dict = {name: [] for name in (
+        "box", "tokens", "true_objects", "hallucinated", "score", "gt_box",
+        "scene")}
     all_scene_objects: list = []
 
     for scene_id in range(scenes):
@@ -423,15 +660,16 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
                     tokens.append(int(forms[int(rng.integers(len(forms)))]))
                     hallucinated.add(inject)
             order = rng.permutation(len(tokens))
-            records.append(CaptionRecord(
-                box=region,
-                tokens=tuple(tokens[i] for i in order),
-                true_objects=frozenset({leaf}),
-                hallucinated=frozenset(hallucinated),
-                scene=scene_id,
-                gt_box=matched.box,
-            ))
-    return records, all_scene_objects
+            for name, value in (
+                    ("box", list(region.coords())),
+                    ("tokens", [tokens[i] for i in order]),
+                    ("true_objects", [leaf]),
+                    ("hallucinated", sorted(hallucinated)),
+                    ("score", region.score),
+                    ("gt_box", list(matched.box.coords())),
+                    ("scene", scene_id)):
+                columns[name].append(value)
+    return Corpus.from_lists(**columns), all_scene_objects
 
 
 # ---------------------------------------------------------------------------
@@ -461,46 +699,66 @@ def write_lines(path, lines: Iterable[str]) -> None:
         raise
 
 
-def _box_to_json(box: Optional[Box]):
-    if box is None:
-        return None
-    return [box.x1, box.y1, box.x2, box.y2]
+def write_corpus(path, records: Corpus) -> None:
+    """One key-sorted JSON object per record, in record order."""
+    unscored = np.isnan(records.score).tolist()
+    no_gt = np.isnan(records.gt_box[:, 0]).tolist()
+    rows = zip(records.scene.tolist(), records.box.tolist(),
+               records.score.tolist(), unscored, records.gt_box.tolist(),
+               no_gt, records.tokens.lists(), records.true_objects.lists(),
+               records.hallucinated.lists())
+    write_lines(path, (json_line({
+        "v": SCHEMA_VERSION, "scene": scene, "box": box,
+        "score": None if no_score else score,
+        "gt_box": None if no_box else gt_box, "tokens": tokens,
+        "true_objects": true, "hallucinated": hallucinated})
+        for (scene, box, score, no_score, gt_box, no_box, tokens, true,
+             hallucinated) in rows))
 
 
-def record_to_json(rec: CaptionRecord) -> str:
-    payload = {
-        "v": SCHEMA_VERSION,
-        "scene": rec.scene,
-        "box": _box_to_json(rec.box),
-        "score": rec.box.score,
-        "gt_box": _box_to_json(rec.gt_box),
-        "tokens": list(rec.tokens),
-        "true_objects": sorted(rec.true_objects),
-        "hallucinated": sorted(rec.hallucinated),
-    }
-    return json_line(payload)
+def _field(rows: list, name: str, where: str) -> list:
+    try:
+        return list(map(itemgetter(name), rows))
+    except (KeyError, TypeError):
+        i = next(i for i, row in enumerate(rows)
+                 if not isinstance(row, dict) or name not in row)
+        problem = (f"{name} missing" if isinstance(rows[i], dict)
+                   else "not a JSON object")
+        raise ValueError(f"{where}record {i}: {problem}") from None
 
 
-def record_from_json(line: str) -> CaptionRecord:
-    data = json.loads(line)
-    if data.get("v") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported corpus schema: {data.get('v')!r}")
-    box = Box(*data["box"], score=data.get("score"))
-    gt = data.get("gt_box")
-    return CaptionRecord(
-        box=box,
-        tokens=tuple(data["tokens"]),
-        true_objects=frozenset(data["true_objects"]),
-        hallucinated=frozenset(data["hallucinated"]),
-        scene=int(data.get("scene", 0)),
-        gt_box=Box(*gt) if gt is not None else None,
-    )
+def read_corpus(path) -> Corpus:
+    """Load and check a corpus file.
 
-
-def write_corpus(path, records: Sequence[CaptionRecord]) -> None:
-    write_lines(path, (record_to_json(rec) for rec in records))
-
-
-def read_corpus(path) -> list:
+    The non-blank lines are parsed as one JSON array; a line that is not a
+    JSON value is found line by line only when that fails.  Records are
+    numbered from 0 over the non-blank lines, and every error reads
+    ``{path}: record {i}: {field} ...``.  ``score`` and ``gt_box`` may be
+    absent (null) and ``scene`` defaults to 0.
+    """
+    where = f"{os.fspath(path)}: "
     with open(path, encoding="utf-8") as fh:
-        return [record_from_json(line) for line in fh if line.strip()]
+        lines = list(filter(str.strip, fh.read().split("\n")))
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        rows = None
+    if rows is None or len(rows) != len(lines):
+        for i, line in enumerate(lines):
+            try:
+                json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}record {i}: invalid JSON: {exc}"
+                                 ) from None
+    versions = _field(rows, "v", where)
+    if versions.count(SCHEMA_VERSION) != len(rows):
+        i = next(i for i, v in enumerate(versions) if v != SCHEMA_VERSION)
+        raise ValueError(f"{where}record {i}: v: unsupported corpus schema "
+                         f"{versions[i]!r}")
+    return Corpus.from_lists(
+        box=_field(rows, "box", where), tokens=_field(rows, "tokens", where),
+        true_objects=_field(rows, "true_objects", where),
+        hallucinated=_field(rows, "hallucinated", where),
+        score=[row.get("score") for row in rows],
+        gt_box=[row.get("gt_box") for row in rows],
+        scene=[row.get("scene", 0) for row in rows], where=where)

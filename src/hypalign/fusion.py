@@ -21,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .datasynth import Box
 
 DEFAULT_HEAD_COUNT = 4
 
@@ -109,15 +108,19 @@ def sinusoidal_box_encoding(features, d: int) -> np.ndarray:
     return np.stack([np.sin(angle), np.cos(angle)], axis=3).reshape(-1, d)
 
 
-def positional_encode(visual, boxes: Sequence[Box], proj):
-    """Spatial-aware embeddings: row i is v_i + proj(p_i) + PE(box_i), with
-    p_i the box's (cx, cy, w, h) proposal feature."""
+def positional_encode(visual, corners: np.ndarray, proj):
+    """Spatial-aware embeddings: row i is v_i + proj(p_i) + PE(p_i), with
+    p_i the (cx, cy, w, h) proposal feature of box row i of ``corners``,
+    an n x 4 array of checked (x1, y1, x2, y2) boxes."""
     n, d = _shape(visual)
-    if len(boxes) != n or not all(isinstance(b, Box) for b in boxes):
-        raise ValueError("positional encoding needs one Box per visual row")
+    if not isinstance(corners, np.ndarray) or corners.shape != (n, 4):
+        raise ValueError("positional encoding needs one Box row per visual "
+                         "row: an n x 4 array of (x1, y1, x2, y2) corners")
     if _shape(proj) != (4, d):
         raise ValueError("proposal projection must map p to the embedding dim")
-    features = np.stack([b.features() for b in boxes])
+    x1, y1, x2, y2 = corners.T
+    features = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1],
+                        axis=1)
     return ad.add(ad.add(visual, ad.matmul(features, proj)),
                   sinusoidal_box_encoding(features, d))
 

@@ -179,8 +179,11 @@ def entailment_loss(cpts: LorentzPoint, vpts: LorentzPoint,
 
 def bbox_regression_loss(pred, gt):
     """Mean smooth-L1 (threshold 1) over the 4 coordinates of matched boxes:
-    ``pred`` and ``gt`` are n x 4 matrices of (x1, y1, x2, y2) rows."""
-    p, g = (np.asarray(val(m), dtype=np.float64) for m in (pred, gt))
+    ``pred`` and ``gt`` are n x 4 matrices (arrays or Vars) of
+    (x1, y1, x2, y2) rows."""
+    if not all(isinstance(m, (ad.Var, np.ndarray)) for m in (pred, gt)):
+        raise ValueError("box batches are n x 4 matrices (arrays or Vars)")
+    p, g = val(pred), val(gt)
     if p.shape != g.shape or p.ndim != 2 or p.shape[1] != 4 or not len(p):
         raise ValueError("matched, non-empty n x 4 box batches required")
     if not (np.all(p[:, 2:] > p[:, :2]) and np.all(g[:, 2:] > g[:, :2])):

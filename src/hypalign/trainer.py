@@ -7,9 +7,12 @@ positional encoder, then fused and fed to every active loss.  Captions are
 the mean of their token embeddings (the learned stand-in for a text tower).
 A small box head regresses the region box from the fused embedding.
 
-Temperature and curvature are optimized in log space, so both stay strictly
-positive through any run.  Everything is deterministic given the config and
-seed: parameter init, batch order, and all metric computations.
+Every function that takes records takes a :class:`~.datasynth.Corpus` and
+reads its columns: a batch is a selection of corpus rows, and a record's
+class is its smallest true object.  Temperature and curvature are optimized
+in log space, so both stay strictly positive through any run.  Everything
+is deterministic given the config and seed: parameter init, batch order,
+and all metric computations.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .datasynth import (Box, CaptionRecord, ConceptTree, SynonymMap,
+from .datasynth import (ConceptTree, Corpus, IdLists, SynonymMap,
                         caption_noise_metric, default_synonyms, json_line,
                         synth_corpus, write_lines)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
@@ -58,7 +61,7 @@ EMBED_RADIUS = 3.0
 LOG_TAU_BOUNDS = (math.log(0.05), math.log(10.0))
 CURV_RAW_BOUNDS = (math.log(0.05), math.log(20.0))
 
-_FULL_BOX = Box(0.0, 0.0, 1.0, 1.0)
+_FULL_BOX = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -248,23 +251,22 @@ class _Forward:
         self.mlp = FusionMlp(params["fuse_w1"], params["fuse_b1"],
                              params["fuse_w2"], params["fuse_b2"])
 
-    def captions(self, token_lists: Sequence[Sequence[int]]):
+    def captions(self, tokens: IdLists):
         """Mean token embedding of each caption: a bag-of-words count
         matrix (captions x vocabulary) times the token table."""
-        tokens, owner = _flatten(token_lists)
-        counts = np.zeros((len(token_lists),
-                           len(ad.val(self.p["token_table"]))))
-        np.add.at(counts, (owner, tokens), 1.0)
+        counts = np.zeros((len(tokens), len(ad.val(self.p["token_table"]))))
+        np.add.at(counts, (tokens.owner(), tokens.values), 1.0)
         total = ad.matmul(counts, self.p["token_table"])
         return _squash(ad.div(total, np.sum(counts, axis=1, keepdims=True)))
 
-    def fused_visuals(self, leaves: Sequence[int], boxes: Sequence[Box],
-                      token_lists: Sequence[Sequence[int]]):
-        tokens, owner = _flatten(token_lists)
+    def fused_visuals(self, leaves: np.ndarray, corners: np.ndarray,
+                      tokens: IdLists):
+        """One row per region: its class's object row, its box corners
+        and its caption."""
         visual = ad.take_row(self.p["object_table"], leaves)
-        text = ad.take_row(self.p["token_table"], tokens)
-        v_l = cross_modal_attention(visual, text, owner, self.attn)
-        v_s = positional_encode(visual, boxes, self.p["pe_proj"])
+        text = ad.take_row(self.p["token_table"], tokens.values)
+        v_l = cross_modal_attention(visual, text, tokens.owner(), self.attn)
+        v_s = positional_encode(visual, corners, self.p["pe_proj"])
         return _squash(fuse(v_l, v_s, self.mlp))
 
     def predicted_boxes(self, fused):
@@ -285,49 +287,44 @@ class _Forward:
     def class_embeddings(self, leaves: Sequence[int]):
         """Canonical class candidates: each class's own label token as text
         over the full-image box."""
-        return self.fused_visuals(leaves, [_FULL_BOX] * len(leaves),
-                                  [[leaf] for leaf in leaves])
+        n = len(leaves)
+        return self.fused_visuals(
+            leaves, np.tile(_FULL_BOX, (n, 1)),
+            IdLists(np.asarray(leaves), np.arange(n + 1)))
 
 
-def _flatten(token_lists: Sequence[Sequence[int]]) -> tuple:
-    """Every caption's tokens in order, and the caption each comes from."""
-    lengths = [len(tokens) for tokens in token_lists]
-    return (np.array([t for tokens in token_lists for t in tokens], np.intp),
-            np.repeat(np.arange(len(lengths)), lengths))
-
-
-def _leaf_of(record: CaptionRecord) -> int:
-    return min(record.true_objects)
-
-
-def check_true_objects(records: Sequence[CaptionRecord], leaves,
-                       where: str = "") -> None:
+def check_true_objects(records: Corpus, leaves, where: str = "") -> None:
     """A record's class is its smallest true object: true_objects must be
     one or more leaves of the tree.  Errors name ``where`` and the record."""
-    leaves = set(leaves)
-    for i, rec in enumerate(records):
-        if not rec.true_objects or not rec.true_objects <= leaves:
-            raise ValueError(
-                f"{where}record {i}: true_objects {sorted(rec.true_objects)} "
-                "must be one or more leaves of the concept tree")
+    true = records.true_objects
+    bad = true.rows_with(~np.isin(true.values, leaves)) | (true.lengths() == 0)
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = int(hits[0])
+        raise ValueError(
+            f"{where}record {i}: true_objects {true.row(i)} "
+            "must be one or more leaves of the concept tree")
 
 
-def _batch_losses(fwd: _Forward, records: Sequence[CaptionRecord],
-                  config: ExperimentConfig, leaf_pos: dict,
-                  leaf_ids: Sequence[int]) -> LossReport:
+def _batch_losses(fwd: _Forward, batch: Corpus, config: ExperimentConfig,
+                  leaf_ids: np.ndarray) -> LossReport:
     tau = ad.exp(fwd.p["log_tau"])
-    leaves = [_leaf_of(rec) for rec in records]
-    tokens = [rec.tokens for rec in records]
-    fused = fwd.fused_visuals(leaves, [rec.box for rec in records], tokens)
-    gts = np.array([(rec.gt_box or rec.box).coords() for rec in records])
+    leaves = batch.leaves()
+    # the class index of each record; a record whose class is not a leaf
+    # would silently take a neighbour's
+    targets = np.searchsorted(leaf_ids, leaves)
+    if not np.array_equal(leaf_ids.take(targets, mode="clip"), leaves):
+        check_true_objects(batch, leaf_ids, where="batch ")
+    fused = fwd.fused_visuals(leaves, batch.box, batch.tokens)
+    # a record without a ground-truth box regresses onto its own region
+    gts = np.where(np.isnan(batch.gt_box), batch.box, batch.gt_box)
     bbox = bbox_regression_loss(fwd.predicted_boxes(fused), gts)
     labels = ad.take_row(fwd.p["token_table"], leaf_ids)
-    cls = classification_loss(fused, labels,
-                              [leaf_pos[leaf] for leaf in leaves], tau)
+    cls = classification_loss(fused, labels, targets, tau)
     weights = config.loss_weights()
     if config.objective == "det-only":
         return objective_det(bbox, cls, weights=weights)
-    captions = fwd.captions(tokens)
+    captions = fwd.captions(batch.tokens)
     if config.objective == "baseline":
         cap = euclidean_contrastive_loss(fused, captions, tau)
         return objective_baseline(bbox, cls, cap, weights=weights)
@@ -339,9 +336,9 @@ def _batch_losses(fwd: _Forward, records: Sequence[CaptionRecord],
     return objective_hyper(bbox, cls, cap, entail, weights=weights)
 
 
-def step(state: ModelState, records: Sequence[CaptionRecord]
-         ) -> tuple:
-    """One optimization step; returns the new state and the loss report.
+def step(state: ModelState, records: Corpus) -> tuple:
+    """One optimization step on a batch of records; returns the new state
+    and the loss report.
 
     Forward through fusion, all active losses, reverse-mode backward, then
     an adaptive-moment update (beta1 0.9, beta2 0.999, eps 1e-8) with a
@@ -349,15 +346,14 @@ def step(state: ModelState, records: Sequence[CaptionRecord]
     node diagnostic if any gradient is non-finite, or naming the parameter
     if an update is non-finite.
     """
-    if not records:
+    if not len(records):
         raise ValueError("empty batch")
     config = state.config
     tape = ad.Tape()
     leaves = {name: tape.leaf(value, name=name)
               for name, value in state.params.items()}
-    leaf_pos = {leaf: i for i, leaf in enumerate(state.leaf_ids)}
-    fwd = _Forward(leaves)
-    report = _batch_losses(fwd, records, config, leaf_pos, state.leaf_ids)
+    report = _batch_losses(_Forward(leaves), records, config,
+                           np.asarray(state.leaf_ids))
     grads = ad.backward(tape, report.total)
 
     t = state.adam_t + 1
@@ -406,35 +402,38 @@ def scene_held_out(scene: int) -> bool:
     return digest[0] % 10 == 0
 
 
-def split_records(records: Sequence[CaptionRecord]) -> tuple:
-    train = [r for r in records if not scene_held_out(r.scene)]
-    held = [r for r in records if scene_held_out(r.scene)]
-    return train, held
+def split_records(records: Corpus) -> tuple:
+    """(training, held-out) records, each in corpus order; each distinct
+    scene is hashed once."""
+    scenes, inverse = np.unique(records.scene, return_inverse=True)
+    held = np.array([scene_held_out(s) for s in scenes.tolist()],
+                    dtype=bool)[inverse]
+    return records[~held], records[held]
 
 
-def _embed_records(fwd: _Forward, records: Sequence[CaptionRecord]):
-    """Plain-array caption (queries) and fused visual (candidates) rows."""
-    tokens = [rec.tokens for rec in records]
-    visuals = fwd.fused_visuals([_leaf_of(rec) for rec in records],
-                                [rec.box for rec in records], tokens)
-    return fwd.captions(tokens), visuals
+def embed_records(state: ModelState, records: Corpus) -> tuple:
+    """Plain-array caption (queries) and fused visual (candidates) rows:
+    the one forward that retrieval and hierarchy numbers share."""
+    fwd = _Forward(state.params)
+    visuals = fwd.fused_visuals(records.leaves(), records.box, records.tokens)
+    return fwd.captions(records.tokens), visuals
 
 
-def evaluate_retrieval(state: ModelState,
-                       records: Sequence[CaptionRecord]) -> float:
+def evaluate_retrieval(state: ModelState, records: Corpus,
+                       embedded: Optional[tuple] = None) -> float:
     """Recall@1 of caption -> object retrieval over the given pairs.
 
     Candidates are the records' own fused visual embeddings; a query
     caption scores a hit when its nearest candidate (Lorentzian distance
     between lifted embeddings for ``hyper``, cosine otherwise) carries the
     caption's object class.  A zero embedding has no cosine and is
-    rejected, naming its record.
+    rejected, naming its record.  ``embedded`` is ``embed_records`` of
+    the same state and records, when the caller already has it.
     """
-    records = list(records)
-    if not records:
+    if not len(records):
         raise ValueError("no evaluation pairs")
-    queries, cands = _embed_records(_Forward(state.params), records)
-    classes = np.array([_leaf_of(rec) for rec in records])
+    queries, cands = embedded or embed_records(state, records)
+    classes = records.leaves()
     if state.config.objective == "hyper":
         curvature = math.exp(state.params["curv_raw"])
         scores = -lorentz_distance(exp_map_origin(queries, curvature),
@@ -446,15 +445,15 @@ def evaluate_retrieval(state: ModelState,
     return float(np.mean(classes[best] == classes))
 
 
-def hierarchy_report(state: ModelState,
-                     records: Sequence[CaptionRecord]) -> HierarchyReport:
+def hierarchy_report(state: ModelState, records: Corpus,
+                     embedded: Optional[tuple] = None) -> HierarchyReport:
     """Lifted-norm means per kind plus the cone-containment rate of
-    matched (caption, fused visual) pairs."""
-    records = list(records)
-    if not records:
+    matched (caption, fused visual) pairs; ``embedded`` as for
+    ``evaluate_retrieval``."""
+    if not len(records):
         raise ValueError("no records to diagnose")
     curvature = math.exp(state.params["curv_raw"])
-    captions, visuals = _embed_records(_Forward(state.params), records)
+    captions, visuals = embedded or embed_records(state, records)
     captions = exp_map_origin(captions, curvature)
     visuals = exp_map_origin(visuals, curvature)
     # matched pairs are the diagonal of the pairwise membership matrix
@@ -480,8 +479,7 @@ def default_corpus(config: ExperimentConfig):
     return tree, synonyms, records, scene_objects
 
 
-def train(config: ExperimentConfig,
-          records: Optional[Sequence[CaptionRecord]] = None,
+def train(config: ExperimentConfig, records: Optional[Corpus] = None,
           tree: Optional[ConceptTree] = None,
           synonyms: Optional[SynonymMap] = None):
     """Run the configured experiment; returns (state, metrics list).
@@ -497,30 +495,30 @@ def train(config: ExperimentConfig,
     check_true_objects(records, tree.leaves())
     noise_pct = caption_noise_metric(records, synonyms)
     train_recs, held_recs = split_records(records)
-    if not train_recs or not held_recs:
+    if not len(train_recs) or not len(held_recs):
         raise ValueError("both splits need records; add scenes")
     state = init(config, tree, synonyms)
     rng = np.random.default_rng([config.seed, 1])
     # batches are class-distinct where possible: at toy vocabulary size,
     # same-class rows would act as false negatives for the contrastive and
-    # entailment terms and push matched pairs out of their own cones
-    by_leaf: dict = {}
-    for rec in train_recs:
-        by_leaf.setdefault(_leaf_of(rec), []).append(rec)
-    batch_leaves = sorted(by_leaf)
+    # entailment terms and push matched pairs out of their own cones.  The
+    # pool of a class is its training records in corpus order.
+    leaves = train_recs.leaves()
+    by_leaf = np.argsort(leaves, kind="stable")
+    batch_leaves, starts, sizes = np.unique(
+        leaves[by_leaf], return_index=True, return_counts=True)
     metrics: list = []
     for t in range(config.steps):
         take = rng.choice(len(batch_leaves), size=config.batch,
                           replace=len(batch_leaves) < config.batch)
-        batch = []
-        for li in take:
-            pool = by_leaf[batch_leaves[int(li)]]
-            batch.append(pool[int(rng.integers(len(pool)))])
-        state, report = step(state, batch)
+        # one draw per batch row, in row order, from its class's pool
+        picks = starts[take] + rng.integers(sizes[take])
+        state, report = step(state, train_recs[by_leaf[picks]])
         is_last = t + 1 == config.steps
         if (t + 1) % config.eval_every == 0 or is_last:
-            recall = evaluate_retrieval(state, held_recs)
-            hier = hierarchy_report(state, held_recs)
+            embedded = embed_records(state, held_recs)
+            recall = evaluate_retrieval(state, held_recs, embedded)
+            hier = hierarchy_report(state, held_recs, embedded)
             values = report.values()
             metrics.append(MetricsRecord(
                 step=t + 1, bbox=values["bbox"], cls=values["cls"],
@@ -598,15 +596,14 @@ def load_state(path) -> ModelState:
         return state_from_json(json.load(fh))
 
 
-def export_embeddings(state: ModelState,
-                      records: Sequence[CaptionRecord]) -> list:
+def export_embeddings(state: ModelState, records: Corpus) -> list:
     """Rows for external 2D projection: id, kind, pre-lift vector, norm."""
     fwd = _Forward(state.params)
     curvature = math.exp(state.params["curv_raw"])
     ids = [(int(leaf), "object") for leaf in state.leaf_ids]
     ids += [(i, "caption") for i in range(len(records))]
     vectors = np.concatenate([fwd.class_embeddings(state.leaf_ids),
-                              fwd.captions([rec.tokens for rec in records])])
+                              fwd.captions(records.tokens)])
     norms = exp_map_origin(vectors, curvature).space_norm
     return [{"id": i, "kind": kind, "vector": vec.tolist(),
              "lifted_norm": float(norm)}

@@ -216,7 +216,7 @@ def test_criterion_2_gradient_suite():
     checked["entailment"] = total
 
     d = 8
-    boxes = [ds.Box(0.1, 0.2, 0.5, 0.8), ds.Box(0.3, 0.1, 0.9, 0.6)]
+    boxes = np.array([(0.1, 0.2, 0.5, 0.8), (0.3, 0.1, 0.9, 0.6)])
     text_np = rng.normal(scale=0.5, size=(3, d))
     # both regions attend over the same three tokens
     text_np, owner = np.vstack([text_np, text_np]), [0, 0, 0, 1, 1, 1]
@@ -304,14 +304,17 @@ def test_criterion_3_oracle_suite():
             mismatches += 1
 
     syn = ds.SynonymMap(forms={i: (i,) for i in range(1, 5)})
-    rec = lambda toks, true, hall: ds.CaptionRecord(
-        box=ds.Box(0.1, 0.1, 0.5, 0.5), tokens=tuple(toks),
-        true_objects=frozenset(true), hallucinated=frozenset(hall))
+
+    def corpus(*records):
+        tokens, true, hall = zip(*records)
+        return ds.Corpus.from_lists([[0.1, 0.1, 0.5, 0.5]] * len(records),
+                                    tokens, true, hall)
+
     chair_cases = (
-        ds.caption_noise_metric([rec([1, 2], {1, 2}, set())], syn) == 0.0,
-        ds.caption_noise_metric([rec([1], {2}, {1}),
-                                 rec([2], {3}, {2})], syn) == 100.0,
-        abs(ds.caption_noise_metric([rec([1, 2, 3, 4], {1, 2, 3}, {4})],
+        ds.caption_noise_metric(corpus(([1, 2], [1, 2], [])), syn) == 0.0,
+        ds.caption_noise_metric(corpus(([1], [2], [1]),
+                                       ([2], [3], [2])), syn) == 100.0,
+        abs(ds.caption_noise_metric(corpus(([1, 2, 3, 4], [1, 2, 3], [4])),
                                     syn) - 25.0) < 1e-12,
     )
 

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, determinism, config files, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -134,6 +135,53 @@ def test_full_pipeline_byte_identical_across_runs(tmp_path, capsys):
         outputs.append({name: (tmp_path / name).read_bytes()
                         for name in names})
     assert outputs[0] == outputs[1]
+
+
+#: sha256 of every file and stdout the pipeline below writes or prints.  A
+#: change to the corpus, metrics, state or export format, or to any number
+#: in them, changes a digest; update these only for an intended change.
+PINNED_DIGESTS = {
+    "gen-corpus stdout":
+        "79d871a3a1abe270db3573d9b95657d9338001d911b67739d8f09a4fbaab25c8",
+    "noise-metric stdout":
+        "53205fdaac6ff2edc78c26dc47d4bd5875508887cdde220c39cc2f1c62f7a0b9",
+    "train stdout":
+        "7e22b5385bf80e36cfc4d083b7c63ec6a6beb30433867a833258f57585355a92",
+    "eval stdout":
+        "1b7e33d77880fe11f91af9bcc5a348d88ac130019b30c149cf82831d710ca092",
+    "export-embeddings stdout":
+        "689f2185f9358dce59a3ee4527ca59e8bd7fe6f651123d19e15fc80c08299061",
+    "corpus.jsonl":
+        "786eb01dd4df76301df38f66f0431b6d3844469db374c8c3937b02b505fca231",
+    "synonyms.json":
+        "82101ee2711a364e62cdad17238df96b397b02654df2a6e5cab6f380a2a61e2c",
+    "meta.json":
+        "8b5db5b87ac02bff7c9387873d8d64da6ca31e90bd2657f0ace93867b449156f",
+    "metrics.jsonl":
+        "3b294cc4fe32ade240507fabe8106a7402d7ecfe5aad3e5dadd9f6c5e2151afe",
+    "state.json":
+        "a686d0db44ec49812c1b892d2a30f091165526999d164adda2d72964bbe17321",
+    "embeddings.jsonl":
+        "b9b0bb60f0e326a24d59cea729036ff93ad72acaf323c0008e8b5033089fed56",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path, capsys):
+    args = flag_fix(train_args(tmp_path))
+    args[args.index("--rho") + 1] = "0.3"
+    digests = {}
+    for command in ("gen-corpus", "noise-metric", "train", "eval",
+                    "export-embeddings"):
+        assert run_cli([command] + args) == 0
+        digests[f"{command} stdout"] = capsys.readouterr().out.encode()
+    for name in ("corpus.jsonl", "synonyms.json", "meta.json",
+                 "metrics.jsonl", "state.json", "embeddings.jsonl"):
+        digests[name] = (tmp_path / name).read_bytes()
+    # stdout and the state's config name the per-test directory
+    where = str(tmp_path).encode()
+    got = {k: hashlib.sha256(v.replace(where, b"<dir>")).hexdigest()
+           for k, v in digests.items()}
+    assert got == PINNED_DIGESTS
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -235,8 +235,9 @@ def test_synonym_map_rejects_missing_self():
 
 def test_synonym_resolution():
     syn = ds.SynonymMap(forms={3: (3, 10), 4: (4,)})
-    assert syn.mentioned_classes([10, 7]) == {3}
-    assert syn.mentioned_classes([3, 4]) == {3, 4}
+    tokens = ds.IdLists(np.array([10, 7, 3, 4]), np.array([0, 2, 4]))
+    # rows are records, columns classes 3 and 4
+    assert syn.mentions(tokens).tolist() == [[True, False], [True, True]]
     assert syn.to_json() == {"3": [3, 10], "4": [4]}
     assert ds.SynonymMap.from_json(syn.to_json()) == syn
 
@@ -244,84 +245,216 @@ def test_synonym_resolution():
 # --- noise metric -----------------------------------------------------------------
 
 
-def make_record(tokens, true_objects, hallucinated, box=None):
-    return ds.CaptionRecord(
-        box=box or ds.Box(0.1, 0.1, 0.5, 0.5),
-        tokens=tuple(tokens),
-        true_objects=frozenset(true_objects),
-        hallucinated=frozenset(hallucinated),
-    )
+def corpus(*records):
+    """A corpus of (tokens, true_objects, hallucinated) records, each over
+    the same region box."""
+    columns = [list(column) for column in zip(*records)] or [[], [], []]
+    return ds.Corpus.from_lists([[0.1, 0.1, 0.5, 0.5]] * len(records),
+                                *columns)
 
 
 def test_noise_metric_clean_corpus_is_zero():
     syn = ds.SynonymMap(forms={1: (1,), 2: (2,)})
-    records = [make_record([1, 99], {1}, set()),
-               make_record([2], {2}, set())]
+    records = corpus(([1, 99], [1], []), ([2], [2], []))
     assert ds.caption_noise_metric(records, syn) == 0.0
 
 
 def test_noise_metric_all_absent_is_hundred():
     syn = ds.SynonymMap(forms={1: (1,), 2: (2,)})
-    records = [make_record([1], {2}, {1}), make_record([2], {1}, {2})]
+    records = corpus(([1], [2], [1]), ([2], [1], [2]))
     assert ds.caption_noise_metric(records, syn) == pytest.approx(100.0)
 
 
 def test_noise_metric_one_of_four_is_25_percent():
     syn = ds.SynonymMap(forms={i: (i,) for i in range(1, 5)})
-    records = [make_record([1, 2, 3, 4], {1, 2, 3}, {4})]
+    records = corpus(([1, 2, 3, 4], [1, 2, 3], [4]))
     assert ds.caption_noise_metric(records, syn) == pytest.approx(25.0)
 
 
 def test_noise_metric_counts_synonym_mentions():
     syn = ds.SynonymMap(forms={1: (1, 10), 2: (2,)})
-    records = [make_record([10, 2], {2}, {1})]  # class 1 mentioned via 10
+    records = corpus(([10, 2], [2], [1]))  # class 1 mentioned via 10
     assert ds.caption_noise_metric(records, syn) == pytest.approx(50.0)
 
 
 def test_noise_metric_invariant_to_order_and_duplication():
     syn = ds.SynonymMap(forms={i: (i,) for i in range(1, 5)})
-    records = [make_record([1, 2], {1}, {2}),
-               make_record([3], {3}, set()),
-               make_record([4, 1], {4, 1}, set())]
+    records = corpus(([1, 2], [1], [2]), ([3], [3], []), ([4, 1], [4, 1], []))
     base = ds.caption_noise_metric(records, syn)
     assert ds.caption_noise_metric(records[::-1], syn) == pytest.approx(base)
-    assert ds.caption_noise_metric(records * 2, syn) == pytest.approx(base)
+    twice = records[np.tile(np.arange(len(records)), 2)]
+    assert ds.caption_noise_metric(twice, syn) == pytest.approx(base)
 
 
 def test_noise_metric_rejects_empty_and_unmentioned():
     syn = ds.SynonymMap(forms={1: (1,)})
     with pytest.raises(ValueError, match="no records"):
-        ds.caption_noise_metric([], syn)
+        ds.caption_noise_metric(corpus(), syn)
     with pytest.raises(ValueError, match="mentions no"):
-        ds.caption_noise_metric([make_record([99], set(), set())], syn)
+        ds.caption_noise_metric(corpus(([99], [], [])), syn)
 
 
-def test_caption_record_validation():
+def test_noise_metric_matches_a_loop_over_records_bit_for_bit():
+    # 1 to 9 mentioned classes with 0 to all of them absent give fractions
+    # whose float sum depends on its order (with seed 1, numpy's pairwise
+    # sum differs in the last bit); the loop adds in record order
+    syn = ds.SynonymMap(forms={i: (i,) for i in range(1, 10)})
+    rng = np.random.default_rng(1)
+    rows = []
+    for _ in range(300):
+        mentioned = rng.permutation(9)[:rng.integers(1, 10)] + 1
+        absent = int(rng.integers(0, len(mentioned) + 1))
+        rows.append((mentioned.tolist(), mentioned[absent:].tolist(),
+                     mentioned[:absent].tolist()))
+    acc = 0.0
+    for tokens, true, _ in rows:
+        acc += len(set(tokens) - set(true)) / len(set(tokens))
+    assert ds.caption_noise_metric(corpus(*rows), syn) == (
+        acc / len(rows) * 100.0)
+
+
+# --- corpus files ----------------------------------------------------------------
+
+
+def write_payloads(path, payloads):
+    path.write_text("".join(json.dumps(p) + "\n" for p in payloads))
+
+
+def payload(tokens, true_objects, hallucinated, **fields):
+    return dict({"v": "v1", "scene": 0, "box": [0.1, 0.1, 0.5, 0.5],
+                 "score": None, "gt_box": None, "tokens": tokens,
+                 "true_objects": true_objects,
+                 "hallucinated": hallucinated}, **fields)
+
+
+def test_caption_record_validation(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_payloads(path, [payload([1], [1], [1])])
     with pytest.raises(ValueError, match="disjoint|absent"):
-        make_record([1], {1}, {1})
+        ds.read_corpus(path)
+    write_payloads(path, [payload([], [1], [])])
     with pytest.raises(ValueError, match="token"):
-        make_record([], {1}, set())
+        ds.read_corpus(path)
 
 
-def test_record_from_json_rejects_negative_ids():
+def test_record_from_json_rejects_negative_ids(tmp_path):
     # a negative token id would silently read the last embedding row
-    good = json.loads(ds.record_to_json(make_record([4, 1], {4}, {5})))
-    assert ds.record_from_json(json.dumps(good)) == make_record([4, 1], {4},
-                                                                {5})
+    path = tmp_path / "corpus.jsonl"
+    good = payload([4, 1], [4], [5])
+    write_payloads(path, [good])
+    assert ds.read_corpus(path) == corpus(([4, 1], [4], [5]))
     for field in ("tokens", "true_objects", "hallucinated"):
-        bad = dict(good, **{field: good[field] + [-1]})
+        write_payloads(path, [dict(good, **{field: good[field] + [-1]})])
         with pytest.raises(ValueError, match=f"negative id in {field}"):
-            ds.record_from_json(json.dumps(bad))
+            ds.read_corpus(path)
+
+
+def test_the_lowest_failing_record_is_reported(tmp_path):
+    # each check runs over all records at once; the report is the first
+    # record a record-by-record reader would have failed on
+    path = tmp_path / "corpus.jsonl"
+    write_payloads(path, [payload([1], [1], []),
+                          payload([-1], [1], []),
+                          payload([1], [1], [], box=[0.5, 0.1, 0.2, 0.5])])
+    with pytest.raises(ValueError, match="record 1: negative id in tokens"):
+        ds.read_corpus(path)
+
+
+def _generated_lines(tmp_path):
+    tree = ds.ConceptTree.balanced(3, 4)
+    records, _ = ds.synth_corpus(tree, scenes=60, noise_rate=0.3, seed=1)
+    path = tmp_path / "corpus.jsonl"
+    ds.write_corpus(path, records)
+    lines = path.read_text().splitlines()
+    assert len(lines) > 501
+    return path, lines
+
+
+def _edit(field, value):
+    def edit(line):
+        record = json.loads(line)
+        record[field] = value(record[field])
+        return json.dumps(record)
+    return edit
+
+
+def _drop(field):
+    def edit(line):
+        record = json.loads(line)
+        del record[field]
+        return json.dumps(record)
+    return edit
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (_edit("box", lambda box: [1.5] + box[1:]),
+     "box coordinate x1=1.5 outside [0, 1]"),
+    (_edit("tokens", lambda ids: ids + [-1]), "negative id in tokens: -1"),
+    (_drop("tokens"), "tokens missing"),
+    (lambda line: line[:len(line) // 2], "invalid JSON"),
+    (_edit("v", lambda v: "v2"), "v: unsupported corpus schema 'v2'"),
+    (_edit("gt_box", lambda box: box[2:] + box[:2]),
+     "gt_box requires x1 < x2 and y1 < y2"),
+    (_edit("score", lambda score: 1.5), "objectness score 1.5 outside"),
+    (lambda line: "[1, 2]", "not a JSON object"),
+], ids=["bad-box", "negative-id", "missing-field", "truncated-json",
+        "wrong-v", "gt-box-order", "score-range", "not-an-object"])
+def test_corpus_errors_name_the_file_record_and_field(tmp_path, edit,
+                                                      problem):
+    path, lines = _generated_lines(tmp_path)
+    lines[500] = edit(lines[500])
+    # a blank line is not a record: the index counts records
+    path.write_text("\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        ds.read_corpus(path)
+    assert str(err.value).startswith(f"{path}: record 500: {problem}")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tokens", 0.5), ("tokens", True), ("tokens", "3"), ("tokens", 2**70),
+    ("true_objects", 4.0), ("hallucinated", False), ("scene", 3.9),
+    ("scene", True), ("scene", "3"),
+])
+def test_ids_and_scenes_must_be_json_integers(tmp_path, field, value):
+    # a float scene once moved its record to another split, a boolean or
+    # a float token read as an integer row
+    path, lines = _generated_lines(tmp_path)
+    lines[7] = _edit(field, lambda old: value if field == "scene"
+                     else old + [value])(lines[7])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"record 7: {field}: {value!r} is not a "
+                             "64-bit integer"):
+        ds.read_corpus(path)
 
 
 def test_write_corpus_is_atomic(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    ds.write_corpus(path, [make_record([4], {4}, set())])
+    ds.write_corpus(path, corpus(([4], [4], [])))
     before = path.read_bytes()
-    with pytest.raises(AttributeError):
-        ds.write_corpus(path, [make_record([7], {7}, set()), None])
+
+    def lines():
+        yield "{}"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        ds.write_lines(path, lines())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+def test_corpus_rows_select_records():
+    records = corpus(([1, 2], [2, 1, 2], []), ([3], [3], [4]),
+                     ([5, 6, 7], [7, 5], []))
+    picked = records[np.array([2, 0])]
+    assert len(picked) == 2
+    assert picked.tokens.lists() == [[5, 6, 7], [1, 2]]
+    # object ids are a set: sorted, without repeats
+    assert picked.true_objects.lists() == [[5, 7], [1, 2]]
+    assert picked.hallucinated.lists() == [[], []]
+    assert records[np.array([False, True, True])] == records[1:]
+    # a record's class is its smallest true object
+    assert picked.leaves().tolist() == [5, 1]
 
 
 # --- corpus generation -----------------------------------------------------------
@@ -353,7 +486,7 @@ def test_clean_corpus_has_no_hallucinations():
     syn = ds.default_synonyms(tree)
     records, _ = ds.synth_corpus(tree, scenes=10, noise_rate=0.0, seed=3,
                                  synonyms=syn)
-    assert all(not r.hallucinated for r in records)
+    assert not records.hallucinated.lengths().any()
     assert ds.caption_noise_metric(records, syn) == 0.0
 
 
@@ -361,7 +494,7 @@ def test_noisy_corpus_injection_rate_tracks_rho():
     tree = ds.ConceptTree.balanced(5, 4)
     records, _ = ds.synth_corpus(tree, scenes=900, noise_rate=0.3, seed=4)
     assert len(records) >= 10_000
-    frac = sum(1 for r in records if r.hallucinated) / len(records)
+    frac = np.count_nonzero(records.hallucinated.lengths()) / len(records)
     assert abs(frac - 0.3) <= 0.01
 
 
@@ -370,17 +503,21 @@ def test_corpus_records_entail_their_objects():
     syn = ds.default_synonyms(tree)
     records, scene_objects = ds.synth_corpus(tree, scenes=8, noise_rate=0.4,
                                              seed=5, synonyms=syn)
-    for rec in records:
-        mentioned = syn.mentioned_classes(rec.tokens)
-        assert rec.true_objects <= mentioned
-        assert rec.hallucinated <= mentioned
-        assert not (rec.hallucinated & rec.true_objects)
+    classes = list(syn.forms)
+    mentions = syn.mentions(records.tokens)
+    for i, (tokens, true, hall) in enumerate(zip(
+            records.tokens.lists(), records.true_objects.lists(),
+            records.hallucinated.lists())):
+        mentioned = {c for c, hit in zip(classes, mentions[i]) if hit}
+        assert set(true) <= mentioned
+        assert set(hall) <= mentioned
+        assert not (set(hall) & set(true))
         # caption also names at least one ancestor attribute
-        ancestors = set(tree.ancestors(next(iter(rec.true_objects))))
-        assert ancestors & set(rec.tokens)
-        scene_classes = {o.cls for o in scene_objects[rec.scene]}
-        assert rec.true_objects <= scene_classes
-        assert rec.gt_box in [o.box for o in scene_objects[rec.scene]]
+        ancestors = set(tree.ancestors(true[0]))
+        assert ancestors & set(tokens)
+        scene = scene_objects[records.scene[i]]
+        assert set(true) <= {o.cls for o in scene}
+        assert tuple(records.gt_box[i]) in [o.box.coords() for o in scene]
 
 
 def test_corpus_rejects_bad_noise_rate():
@@ -397,13 +534,12 @@ def test_hallucinations_prefer_siblings():
     parents = tree.parent_map()
     sibling = 0
     total = 0
-    for rec in records:
-        if not rec.hallucinated:
+    for true, hall in zip(records.true_objects.lists(),
+                          records.hallucinated.lists()):
+        if not hall:
             continue
-        leaf = next(iter(rec.true_objects))
-        inject = next(iter(rec.hallucinated))
         total += 1
-        sibling += int(parents[inject] == parents[leaf])
+        sibling += int(parents[hall[0]] == parents[true[0]])
     # 3 siblings at weight 4 vs 20 non-siblings at weight 1 -> p(sib) = 12/32
     assert total > 500
     assert abs(sibling / total - 12 / 32) < 0.05

@@ -118,14 +118,19 @@ def test_attention_weights_validation():
 # --- positional encoding --------------------------------------------------------
 
 
+def features(x1, y1, x2, y2):
+    """The (cx, cy, w, h) proposal feature of one box."""
+    return np.array([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1])
+
+
 def encode(box, d):
-    """The encoding of one box: a 1-row batch of its features."""
-    return fu.sinusoidal_box_encoding(box.features()[None, :], d)[0]
+    """The encoding of one (x1, y1, x2, y2) box: a 1-row feature batch."""
+    return fu.sinusoidal_box_encoding(features(*box)[None, :], d)[0]
 
 
 def test_encoding_deterministic_for_identical_boxes():
-    a = encode(Box(0.1, 0.2, 0.5, 0.9), 16)
-    b = encode(Box(0.1, 0.2, 0.5, 0.9), 16)
+    a = encode((0.1, 0.2, 0.5, 0.9), 16)
+    b = encode((0.1, 0.2, 0.5, 0.9), 16)
     assert np.array_equal(a, b)
 
 
@@ -136,14 +141,14 @@ def test_encoding_entries_bounded():
         y = np.sort(rng.uniform(0, 1, size=2))
         if x[1] - x[0] < 1e-3 or y[1] - y[0] < 1e-3:
             continue
-        enc = encode(Box(x[0], y[0], x[1], y[1]), 24)
+        enc = encode((x[0], y[0], x[1], y[1]), 24)
         assert enc.shape == (24,)
         assert np.all(enc >= -1.0) and np.all(enc <= 1.0)
 
 
 def test_encoding_full_image_box_spot_values():
     # features (0.5, 0.5, 1, 1); band b angle = pi * 2^b * z
-    enc = encode(Box(0.0, 0.0, 1.0, 1.0), 16)
+    enc = encode((0.0, 0.0, 1.0, 1.0), 16)
     want = []
     for z in (0.5, 0.5, 1.0, 1.0):
         for b in range(2):
@@ -158,29 +163,32 @@ def test_encoding_full_image_box_spot_values():
 
 def test_encoding_requires_multiple_of_eight():
     with pytest.raises(ValueError, match="divisible by 8"):
-        encode(Box(0.0, 0.0, 1.0, 1.0), 12)
+        encode((0.0, 0.0, 1.0, 1.0), 12)
 
 
 def test_positional_encode_adds_three_parts():
     rng = np.random.default_rng(8)
     v = rng.normal(size=(2, 16))
-    boxes = [Box(0.2, 0.3, 0.6, 0.8), Box(0.0, 0.1, 0.9, 0.4)]
+    boxes = np.array([(0.2, 0.3, 0.6, 0.8), (0.0, 0.1, 0.9, 0.4)])
     proj = rng.normal(size=(4, 16))
     got = val(fu.positional_encode(v, boxes, proj))
     for i, box in enumerate(boxes):
-        p = box.features()
-        want = v[i] + p @ proj + encode(box, 16)
+        want = v[i] + features(*box) @ proj + encode(box, 16)
         assert np.allclose(got[i], want, atol=1e-12)
 
 
 def test_region_feature_rejects_bad_box():
-    # a region feature is a visual row and its box: one Box per row
+    # a region feature is a visual row and its box: one row of an n x 4
+    # corner array per visual row
     proj = np.zeros((4, 8))
     with pytest.raises(ValueError, match="Box"):
         fu.positional_encode(np.zeros((1, 8)), [(0, 0, 1, 1)], proj)
     with pytest.raises(ValueError, match="Box"):
         fu.positional_encode(np.zeros((2, 8)), [Box(0.0, 0.0, 1.0, 1.0)],
                              proj)
+    with pytest.raises(ValueError, match="Box"):
+        fu.positional_encode(np.zeros((2, 8)),
+                             np.array([(0.0, 0.0, 1.0, 1.0)]), proj)
     with pytest.raises(ValueError, match="outside"):
         Box(0.0, 0.0, 1.2, 1.0)
 
@@ -241,7 +249,7 @@ def test_full_fusion_path_gradients():
     rng = np.random.default_rng(12)
     d = 8
     m = 2
-    boxes = [Box(0.1, 0.2, 0.5, 0.8), Box(0.3, 0.1, 0.9, 0.6)]
+    boxes = np.array([(0.1, 0.2, 0.5, 0.8), (0.3, 0.1, 0.9, 0.6)])
     text_np = rng.normal(scale=0.5, size=(3, d))
     # both regions attend over the same three tokens
     text_np, owner = np.vstack([text_np, text_np]), [0, 0, 0, 1, 1, 1]

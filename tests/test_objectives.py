@@ -296,34 +296,46 @@ def test_entailment_rejects_caption_at_origin():
 
 
 def test_bbox_exact_match_is_zero():
-    boxes = [(0.1, 0.1, 0.4, 0.5), (0.2, 0.3, 0.9, 0.8)]
+    boxes = np.array([(0.1, 0.1, 0.4, 0.5), (0.2, 0.3, 0.9, 0.8)])
     assert val(obj.bbox_regression_loss(boxes, boxes)) == 0.0
 
 
 def test_bbox_unit_offset_hits_linear_branch():
-    gt = [(0.1, 0.1, 0.4, 0.5)]
-    pred = [(1.1, 1.1, 1.4, 1.5)]
+    gt = np.array([(0.1, 0.1, 0.4, 0.5)])
+    pred = np.array([(1.1, 1.1, 1.4, 1.5)])
     # |e| = 1 per coordinate -> |e| - 0.5 = 0.5 each
     assert val(obj.bbox_regression_loss(pred, gt)) == pytest.approx(0.5)
 
 
 def test_bbox_small_offset_hits_quadratic_branch():
-    gt = [(0.1, 0.1, 0.4, 0.5)]
-    pred = [(0.2, 0.2, 0.5, 0.6)]
+    gt = np.array([(0.1, 0.1, 0.4, 0.5)])
+    pred = np.array([(0.2, 0.2, 0.5, 0.6)])
     # 0.5 * 0.1^2 per coordinate
     assert val(obj.bbox_regression_loss(pred, gt)) == pytest.approx(0.005)
 
 
 def test_bbox_rejects_degenerate_box():
-    good = [(0.1, 0.1, 0.4, 0.5), (0.2, 0.3, 0.9, 0.8)]
+    good = np.array([(0.1, 0.1, 0.4, 0.5), (0.2, 0.3, 0.9, 0.8)])
     with pytest.raises(ValueError, match="degenerate"):
-        obj.bbox_regression_loss([(0.5, 0.1, 0.4, 0.5), good[1]], good)
+        obj.bbox_regression_loss(np.array([(0.5, 0.1, 0.4, 0.5), good[1]]),
+                                 good)
     with pytest.raises(ValueError, match="degenerate"):
-        obj.bbox_regression_loss(good, [good[0], (0.2, 0.3, 0.9, 0.3)])
+        obj.bbox_regression_loss(good,
+                                 np.array([good[0], (0.2, 0.3, 0.9, 0.3)]))
     with pytest.raises(ValueError, match="n x 4"):
-        obj.bbox_regression_loss([(0.1, 0.1, 0.4)], [(0.1, 0.1, 0.4)])
+        obj.bbox_regression_loss(np.array([(0.1, 0.1, 0.4)]),
+                                 np.array([(0.1, 0.1, 0.4)]))
     with pytest.raises(ValueError, match="matched"):
         obj.bbox_regression_loss(good, good[:1])
+
+
+def test_bbox_rejects_lists_of_rows():
+    # one batch form: an n x 4 array or Var, never a sequence of rows
+    rows = [(0.1, 0.1, 0.4, 0.5), (0.2, 0.3, 0.9, 0.8)]
+    with pytest.raises(ValueError, match="n x 4 matrices"):
+        obj.bbox_regression_loss(rows, np.array(rows))
+    with pytest.raises(ValueError, match="n x 4 matrices"):
+        obj.bbox_regression_loss(np.array(rows), rows)
 
 
 # --- composite objectives ---------------------------------------------------------
@@ -342,8 +354,8 @@ def test_objective_baseline_recomposes_concrete_batch():
     captions = rng.normal(size=(3, 4))
     labels = rng.normal(size=(4, 4))
     targets = [0, 1, 3]
-    boxes_gt = [(0.1, 0.1, 0.5, 0.5)] * 3
-    boxes_pred = [(0.15, 0.1, 0.55, 0.5)] * 3
+    boxes_gt = np.array([(0.1, 0.1, 0.5, 0.5)] * 3)
+    boxes_pred = np.array([(0.15, 0.1, 0.55, 0.5)] * 3)
     bbox = obj.bbox_regression_loss(boxes_pred, boxes_gt)
     cls = obj.classification_loss(visual, labels, targets, 0.5)
     cap = obj.euclidean_contrastive_loss(visual, captions, 0.5)
@@ -504,8 +516,8 @@ def test_bbox_gradients():
 
     def build(p):
         return obj.bbox_regression_loss(p["pred"],
-                                        [(0.1, 0.1, 0.5, 0.5),
-                                         (0.2, 0.2, 0.9, 0.95)])
+                                        np.array([(0.1, 0.1, 0.5, 0.5),
+                                                  (0.2, 0.2, 0.9, 0.95)]))
 
     grad_check(build, params)
 

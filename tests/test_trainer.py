@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from hypalign import trainer as tr
-from hypalign.datasynth import Box, CaptionRecord, ConceptTree, default_synonyms
+from hypalign.datasynth import Corpus
 from hypalign.geometry import exp_map_origin
 
 
@@ -131,9 +131,9 @@ def test_step_keeps_curvature_positive_and_loss_consistent(corpus):
 
 
 def test_step_rejects_empty_batch(corpus):
-    cfg, tree, syn, _ = corpus
+    cfg, tree, syn, records = corpus
     with pytest.raises(ValueError, match="empty"):
-        tr.step(tr.init(cfg, tree, syn), [])
+        tr.step(tr.init(cfg, tree, syn), records[:0])
 
 
 def test_objective_variants_populate_expected_terms(corpus):
@@ -154,17 +154,30 @@ def test_objective_variants_populate_expected_terms(corpus):
 # --- train loop -------------------------------------------------------------------
 
 
+def with_true_objects(records, index, objects):
+    """The corpus with record ``index``'s true objects replaced (and its
+    hallucinated ones dropped)."""
+    true, hall = records.true_objects.lists(), records.hallucinated.lists()
+    true[index], hall[index] = sorted(objects), []
+    return Corpus.from_lists(
+        records.box.tolist(), records.tokens.lists(), true, hall,
+        score=[None if np.isnan(s) else s for s in records.score.tolist()],
+        gt_box=records.gt_box.tolist(), scene=records.scene.tolist())
+
+
 def test_train_rejects_records_without_a_leaf_class(corpus):
     cfg, tree, syn, records = corpus
     category = tree.children[tree.root][0]
     for objects in ({category, tree.leaves()[0]}, set()):
-        bad = list(records)
-        bad[3] = CaptionRecord(box=bad[3].box, tokens=bad[3].tokens,
-                               true_objects=objects,
-                               hallucinated=frozenset(), scene=bad[3].scene)
+        bad = with_true_objects(records, 3, objects)
         with pytest.raises(ValueError, match="record 3: true_objects .* "
                                              "leaves of the concept tree"):
             tr.train(cfg, records=bad, tree=tree, synonyms=syn)
+        # a batch is checked too: its row 3 is that record
+        with pytest.raises(ValueError, match="batch record 3: "
+                                             "true_objects|record 3: "
+                                             "true_objects is empty"):
+            tr.step(tr.init(cfg, tree, syn), bad[:6])
 
 
 def test_train_runs_and_metrics_are_monotone_in_step(corpus):
@@ -189,10 +202,13 @@ def test_train_bit_deterministic(corpus):
 def test_split_is_seed_stable_and_scene_level(corpus):
     cfg, tree, syn, records = corpus
     train_recs, held_recs = tr.split_records(records)
-    assert train_recs and held_recs
-    train_scenes = {r.scene for r in train_recs}
-    held_scenes = {r.scene for r in held_recs}
+    assert len(train_recs) and len(held_recs)
+    assert len(train_recs) + len(held_recs) == len(records)
+    train_scenes = set(train_recs.scene.tolist())
+    held_scenes = set(held_recs.scene.tolist())
     assert not (train_scenes & held_scenes)
+    assert held_scenes == {s for s in records.scene.tolist()
+                           if tr.scene_held_out(s)}
     again = tr.split_records(records)
     assert again[0] == train_recs and again[1] == held_recs
 
@@ -225,9 +241,9 @@ def test_retrieval_single_pair_is_one(corpus):
 
 
 def test_retrieval_rejects_empty(corpus):
-    cfg, tree, syn, _ = corpus
+    cfg, tree, syn, records = corpus
     with pytest.raises(ValueError, match="pairs"):
-        tr.evaluate_retrieval(tr.init(cfg, tree, syn), [])
+        tr.evaluate_retrieval(tr.init(cfg, tree, syn), records[:0])
 
 
 def test_baseline_retrieval_rejects_zero_norm_embedding(corpus):
@@ -235,10 +251,12 @@ def test_baseline_retrieval_rejects_zero_norm_embedding(corpus):
     state = tr.init(tiny_config(objective="baseline"), tree, syn)
     batch = records[:5]
     # a caption made only of zeroed token rows embeds to the zero vector
-    zeroed = set(batch[3].tokens)
+    captions = batch.tokens.lists()
+    zeroed = set(captions[3])
     for token in zeroed:
         state.params["token_table"][token] = 0.0
-    first = min(i for i, rec in enumerate(batch) if set(rec.tokens) <= zeroed)
+    first = min(i for i, tokens in enumerate(captions)
+                if set(tokens) <= zeroed)
     with pytest.raises(ValueError,
                        match=f"zero-norm caption of record {first}:"):
         tr.evaluate_retrieval(state, batch)
@@ -252,24 +270,22 @@ def test_retrieval_untrained_is_chance_level():
     leaves = tree.leaves()
     n = len(leaves)
     rng = np.random.default_rng(77)
-    by_leaf = {}
-    for rec in records:
-        by_leaf.setdefault(min(rec.true_objects), []).append(rec)
+    classes = records.leaves()
     trials, hits = 0, 0
     for rep in range(60):
         # relabel with a random permutation: candidate classes stay
         # distinct and carry no signal about the captions, so hits are
         # Bernoulli(1/n)
         perm = rng.permutation(n)
-        sample = []
-        for pos, leaf in enumerate(leaves):
-            pool = by_leaf[leaf]
-            rec = pool[int(rng.integers(len(pool)))]
-            fake = leaves[int(perm[pos])]
-            sample.append(CaptionRecord(
-                box=rec.box, tokens=rec.tokens, true_objects={fake},
-                hallucinated=frozenset(), scene=rec.scene,
-                gt_box=rec.gt_box))
+        rows = []
+        for leaf in leaves:
+            pool = np.flatnonzero(classes == leaf)
+            rows.append(int(pool[int(rng.integers(len(pool)))]))
+        sample = records[np.array(rows)]
+        sample = Corpus.from_lists(
+            sample.box.tolist(), sample.tokens.lists(),
+            [[leaves[int(p)]] for p in perm], [[] for _ in rows],
+            gt_box=sample.gt_box.tolist(), scene=sample.scene.tolist())
         hits += int(round(tr.evaluate_retrieval(state, sample) * n))
         trials += n
     p = 1.0 / n
@@ -363,7 +379,7 @@ def test_export_embeddings_rows(corpus):
         assert len(row["vector"]) == cfg.d
         assert row["lifted_norm"] >= 0.0
     # no captions: the class rows alone, as before
-    assert tr.export_embeddings(state, []) == objects
+    assert tr.export_embeddings(state, records[:0]) == objects
 
 
 def test_metrics_record_json_round_trip():
