@@ -17,10 +17,11 @@ shapes, a scalar paired with an array, or (``add``, ``sub``) a row vector
 added to every row of a matrix.  The unary ops work elementwise on scalars
 and arrays alike; the temperature, the curvature and the loss totals are
 scalars.  A batch is always an n x d matrix of rows: ``norm``, ``dot``,
-``logsumexp`` and ``softmax`` work row-wise on it, and with ``matmul``,
-``scale_rows``, ``outer``, ``pick``, ``sum``, ``cols`` and ``take_row`` of a
-sequence of rows, a whole batch, from the fusion forward to each loss, is a
-handful of array nodes instead of one node per row or pair.
+``logsumexp`` and ``softmax`` work row-wise on it and reject any other rank,
+naming the shape.  With them and ``matmul``, ``scale_rows``, ``outer``,
+``pick``, ``sum``, ``cols`` and ``take_row`` of a sequence of rows, a whole
+batch, from the fusion forward to each loss, is a handful of array nodes
+instead of one node per row or pair.
 """
 
 from __future__ import annotations
@@ -209,24 +210,34 @@ _smooth_l1_deriv = _elementwise(
     lambda a: np.where(np.abs(a) < 1.0, a, np.sign(a)))
 
 
+def _rows(op: str, *arrays: np.ndarray) -> None:
+    """Reject any operand of a row-wise op that is not an n x d matrix."""
+    for u in arrays:
+        if u.ndim != 2:
+            raise ValueError(f"{op} takes n x d matrices of rows, got shape "
+                             f"{u.shape}")
+
+
 def _norm_value(u: np.ndarray) -> np.ndarray:
+    _rows("norm", u)
     return np.linalg.norm(u, axis=1)
 
 
 def _dot_value(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if u.ndim != 2 or v.ndim != 2:
-        raise ValueError("dot takes two matrices of rows (n x d and m x d)")
+    _rows("dot", u, v)
     return u @ v.T
 
 
 def _logsumexp_value(u: np.ndarray) -> np.ndarray:
+    _rows("logsumexp", u)
     m = np.max(u, axis=1, keepdims=True)
     return m[:, 0] + np.log(np.sum(np.exp(u - m), axis=1))
 
 
 def _softmax_value(u: np.ndarray) -> np.ndarray:
-    e = np.exp(u - np.max(u, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    _rows("softmax", u)
+    e = np.exp(u - np.max(u, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +449,7 @@ def logsumexp(u):
 
 
 def softmax(u):
-    """Softmax of a vector; for a matrix, of each row."""
+    """Softmax of each row of a matrix."""
     return _unary(_SOFTMAX, _softmax_value, u)
 
 
@@ -662,7 +673,7 @@ def _bw_logsumexp(g, inputs, aux, values, adj):
 
 def _bw_softmax(g, inputs, aux, values, adj):
     s = _softmax_value(values[inputs[0]])
-    _acc(adj, inputs[0], s * (g - np.sum(g * s, axis=-1, keepdims=True)))
+    _acc(adj, inputs[0], s * (g - np.sum(g * s, axis=1, keepdims=True)))
 
 
 _BACKWARD = [

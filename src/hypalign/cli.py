@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -207,11 +208,9 @@ def cmd_sample_regions(args) -> int:
     sampled = proposal_sample(proposals, config.top_n,
                               config.iou_threshold)
     for box in sampled:
-        print(json.dumps({"set": "P", "box": list(box.coords()),
-                          "score": box.score}, sort_keys=True))
+        _emit({"set": "P", "box": list(box.coords()), "score": box.score})
     for box in grid_sample(config.k):
-        print(json.dumps({"set": "G", "box": list(box.coords()),
-                          "score": None}, sort_keys=True))
+        _emit({"set": "G", "box": list(box.coords()), "score": None})
     return 0
 
 
@@ -236,27 +235,30 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: a parse
+    leaves the parser as it was.  Each subcommand copies the config flags
+    of one shared parent parser."""
+    config_flags = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(config_flags)
     parser = argparse.ArgumentParser(
         prog="hypalign",
         description="hyperbolic vision-language alignment, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd)
-        cmd.set_defaults(handler=fn)
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[config_flags])
     return parser
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints usage; unknown flag -> 2
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][0](args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # one machine-readable line on stderr

@@ -61,10 +61,6 @@ class Box:
                     f"objectness score {self.score} outside [0, 1]")
             object.__setattr__(self, "score", float(self.score))
 
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def coords(self) -> tuple:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -80,13 +76,26 @@ def grid_sample(k: int) -> list:
     return boxes
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes."""
-    iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of every row of ``a`` with every row of
+    ``b``: corner rows (x1, y1, x2, y2), n x 4 and m x 4, give n x m.
+
+    The IoU of two boxes is the 1 x 1 case.  Each entry takes the same
+    float64 operations, in the same order, as ``inter / (area_a + area_b -
+    inter)`` on Python floats, so it has the same bits.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4:
+        raise ValueError(f"iou takes n x 4 corner rows, got shapes {a.shape} "
+                         f"and {b.shape}")
+    a, b = a[:, None, :], b[None, :, :]
+    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
+                    - np.maximum(a[..., 0], b[..., 0]))
+    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3])
+                    - np.maximum(a[..., 1], b[..., 1]))
     inter = iw * ih
-    union = a.area + b.area - inter
-    return inter / union
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter / (area_a + area_b - inter)
 
 
 def nms(boxes: Sequence[Box], iou_threshold: float) -> list:
@@ -94,6 +103,7 @@ def nms(boxes: Sequence[Box], iou_threshold: float) -> list:
 
     A box is kept iff its IoU with every previously kept box is strictly
     below the threshold; score ties break toward the lower original index.
+    The IoU of every pair comes from one :func:`iou` call.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold must be in (0, 1), got {iou_threshold}")
@@ -102,11 +112,13 @@ def nms(boxes: Sequence[Box], iou_threshold: float) -> list:
         if b.score is None:
             raise ValueError(f"unscored box at index {i}")
     order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    corners = np.array([b.coords() for b in boxes]).reshape(-1, 4)
+    overlaps = iou(corners, corners).tolist()
     kept: list = []
     for i in order:
-        if all(iou(boxes[i], k) < iou_threshold for k in kept):
-            kept.append(boxes[i])
-    return kept
+        if all(overlaps[i][k] < iou_threshold for k in kept):
+            kept.append(i)
+    return [boxes[i] for i in kept]
 
 
 def proposal_sample(proposals: Sequence[Box], top_n: int,
@@ -132,7 +144,9 @@ class ConceptTree:
     """Rooted concept hierarchy; leaves are object classes.
 
     Internal nodes act as attribute concepts that captions may mention
-    alongside the leaf they entail.
+    alongside the leaf they entail.  The nodes, leaves and parent map are
+    computed once, when the tree is built and checked; the accessors return
+    copies.
     """
 
     root: int
@@ -160,29 +174,27 @@ class ConceptTree:
             raise ValueError(f"unreachable nodes: {sorted(unreachable)}")
         if max_depth < 2:
             raise ValueError("concept tree must have depth >= 2")
+        nodes = sorted(seen)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_leaves",
+                           [n for n in nodes if not children.get(n)])
+        object.__setattr__(self, "_parents",
+                           {c: n for n, cs in children.items() for c in cs})
 
     def leaves(self) -> list:
-        out = [n for n in self.nodes() if not self.children.get(n)]
-        return sorted(out)
+        return list(self._leaves)
 
     def nodes(self) -> list:
-        seen = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            seen.append(node)
-            stack.extend(reversed(self.children.get(node, ())))
-        return sorted(seen)
+        return list(self._nodes)
 
     def parent_map(self) -> dict:
-        return {c: n for n, cs in self.children.items() for c in cs}
+        return dict(self._parents)
 
     def ancestors(self, node: int) -> list:
         """Ancestors from the immediate parent up to the root."""
-        parents = self.parent_map()
         out = []
-        while node in parents:
-            node = parents[node]
+        while node in self._parents:
+            node = self._parents[node]
             out.append(node)
         return out
 
@@ -571,18 +583,6 @@ def _jitter_box(rng, box: Box, scale: float, score: float) -> Box:
     return Box(x1, y1, x2, y2, score=score)
 
 
-def _co_occurring_leaf(rng, tree: ConceptTree, leaf: int,
-                       sibling_weight: float) -> Optional[int]:
-    parents = tree.parent_map()
-    candidates = [l for l in tree.leaves() if l != leaf]
-    if not candidates:
-        return None
-    weights = np.array([sibling_weight if parents.get(l) == parents.get(leaf)
-                        else 1.0 for l in candidates])
-    probs = weights / weights.sum()
-    return int(rng.choice(candidates, p=probs))
-
-
 def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
                  seed: int, synonyms: Optional[SynonymMap] = None,
                  k: int = DEFAULT_GRID_K, objects_per_scene: int = 3,
@@ -601,6 +601,12 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
     ``hallucinated`` set.  Proposal objectness is synthetic (there is no
     detector in the loop to score regions at generation time).
 
+    Scene objects and proposals are :class:`Box` objects; the regions of a
+    scene are one array of corner rows, matched to the scene's objects by
+    one :func:`iou` call.  A leaf's ancestors and co-occurrence
+    probabilities are computed once per call, when the leaf is first
+    matched.  Per region, only the random draws remain.
+
     Returns ``(records, scene_objects)``: a :class:`Corpus` and, in
     ``scene_objects[s]``, the ground-truth objects of scene ``s``.
     Byte-identical for a fixed seed and arguments.
@@ -613,19 +619,34 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         synonyms = default_synonyms(tree)
     rng = np.random.default_rng(seed)
     leaves = tree.leaves()
+    parents = tree.parent_map()
+    leaf_ids = np.array(leaves)
+    leaf_parents = np.array([parents[leaf] for leaf in leaves])
     n_obj = min(objects_per_scene, len(leaves))
+    grid = np.array([box.coords() for box in grid_sample(k)])
     columns: dict = {name: [] for name in (
         "box", "tokens", "true_objects", "hallucinated", "score", "gt_box",
         "scene")}
     all_scene_objects: list = []
+    # leaf index -> (ancestors, the other leaves, the probability that a
+    # noisy caption mentions each: siblings weigh sibling_weight, the rest
+    # 1); built on first use, as a table of every leaf is leaves x leaves
+    draws: dict = {}
+
+    def leaf_draws(i: int) -> tuple:
+        if i not in draws:
+            weights = np.where(np.delete(leaf_parents, i) == leaf_parents[i],
+                               sibling_weight, 1.0)
+            draws[i] = (tree.ancestors(leaves[i]), np.delete(leaf_ids, i),
+                        weights / weights.sum())
+        return draws[i]
 
     for scene_id in range(scenes):
-        chosen = rng.choice(len(leaves), size=n_obj, replace=False)
-        scene_objects = [SceneObject(cls=leaves[int(i)], box=_random_box(rng))
+        chosen = rng.choice(len(leaves), size=n_obj, replace=False).tolist()
+        scene_objects = [SceneObject(cls=leaves[i], box=_random_box(rng))
                          for i in chosen]
         all_scene_objects.append(scene_objects)
 
-        truth_regions = [obj.box for obj in scene_objects]
         proposals = []
         for obj in scene_objects:
             proposals.append(_jitter_box(rng, obj.box, 0.05,
@@ -635,38 +656,41 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
             proposals.append(Box(base.x1, base.y1, base.x2, base.y2,
                                  score=float(rng.uniform(0.0, 0.7))))
         sampled = proposal_sample(proposals, top_n, iou_threshold)
-        regions = truth_regions + sampled + grid_sample(k)
+        truth = [obj.box.coords() for obj in scene_objects]
+        regions = np.concatenate(
+            (np.array(truth + [box.coords() for box in sampled]), grid))
+        scores = ([None] * n_obj + [box.score for box in sampled]
+                  + [None] * len(grid))
+        overlaps = iou(regions, np.array(truth))
+        best = overlaps.argmax(axis=1)
+        matched = overlaps[np.arange(len(regions)), best] >= min_match_iou
 
-        for region in regions:
-            overlaps = [iou(region, obj.box) for obj in scene_objects]
-            best = int(np.argmax(overlaps))
-            if overlaps[best] < min_match_iou:
-                continue
-            matched = scene_objects[best]
-            leaf = matched.cls
+        for r, region, j in zip(np.flatnonzero(matched).tolist(),
+                                regions[matched].tolist(),
+                                best[matched].tolist()):
+            leaf = leaves[chosen[j]]
+            ancestors, candidates, probs = leaf_draws(chosen[j])
             surface = synonyms.forms.get(leaf, (leaf,))
             tokens = [int(surface[int(rng.integers(len(surface)))])]
-            ancestors = tree.ancestors(leaf)
             kept = [a for a in ancestors
                     if rng.uniform() < ancestor_keep_prob]
             if not kept and ancestors:
                 kept = [ancestors[0]]
             tokens.extend(kept)
-            hallucinated: set = set()
-            if rng.uniform() < noise_rate:
-                inject = _co_occurring_leaf(rng, tree, leaf, sibling_weight)
-                if inject is not None:
-                    forms = synonyms.forms.get(inject, (inject,))
-                    tokens.append(int(forms[int(rng.integers(len(forms)))]))
-                    hallucinated.add(inject)
-            order = rng.permutation(len(tokens))
+            hallucinated = []
+            if rng.uniform() < noise_rate and len(candidates):
+                inject = int(rng.choice(candidates, p=probs))
+                forms = synonyms.forms.get(inject, (inject,))
+                tokens.append(int(forms[int(rng.integers(len(forms)))]))
+                hallucinated = [inject]
+            order = rng.permutation(len(tokens)).tolist()
             for name, value in (
-                    ("box", list(region.coords())),
+                    ("box", region),
                     ("tokens", [tokens[i] for i in order]),
                     ("true_objects", [leaf]),
-                    ("hallucinated", sorted(hallucinated)),
-                    ("score", region.score),
-                    ("gt_box", list(matched.box.coords())),
+                    ("hallucinated", hallucinated),
+                    ("score", scores[r]),
+                    ("gt_box", truth[j]),
                     ("scene", scene_id)):
                 columns[name].append(value)
     return Corpus.from_lists(**columns), all_scene_objects

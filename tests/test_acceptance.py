@@ -319,11 +319,11 @@ def test_criterion_3_oracle_suite():
     )
 
     grid = ds.grid_sample(3)
+    cells = np.array([b.coords() for b in grid])
     tiling_ok = (len(grid) == 9
-                 and abs(sum(b.area for b in grid) - 1.0) <= 1e-12
-                 and all(ds.iou(a, b) == 0.0
-                         for i, a in enumerate(grid)
-                         for j, b in enumerate(grid) if i != j))
+                 and abs(sum((b.x2 - b.x1) * (b.y2 - b.y1) for b in grid)
+                         - 1.0) <= 1e-12
+                 and np.array_equal(ds.iou(cells, cells), np.eye(9)))
 
     ok = mismatches == 0 and all(chair_cases) and tiling_ok
     conclude(3, ok, f"nms mismatches {mismatches}/1000, "

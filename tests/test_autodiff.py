@@ -1,6 +1,7 @@
 """Tape engine tests: per-primitive derivative checks, determinism, guards."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,8 +125,8 @@ VECTOR_CASES = [
      lambda: {"U": RNG.normal(size=(2, 5))}),
     ("softmax",
      lambda p: ad.sum(ad.mul(ad.softmax(p["u"]),
-                             np.array([1.0, -1.0, 2.0, 0.3]))),
-     lambda: {"u": RNG.normal(size=4)}),
+                             np.array([[1.0, -1.0, 2.0, 0.3]]))),
+     lambda: {"u": RNG.normal(size=(1, 4))}),
     ("softmax_rows",
      lambda p: ad.sum(ad.mul(ad.softmax(p["M"]),
                              np.array([[1.0, -1.0, 2.0], [0.3, 0.0, -2.5]]))),
@@ -202,7 +203,7 @@ def test_quadratic_finite_diff_is_exact_to_h_squared():
 
 def test_softmax_sums_to_one_and_ignores_shift():
     # attention relies on both: each head's weights are one softmax
-    u = np.random.default_rng(7).normal(size=5)
+    u = np.random.default_rng(7).normal(size=(1, 5))
     s = ad.softmax(u)
     assert abs(float(np.sum(s)) - 1.0) <= 1e-12
     assert np.all(s >= 0.0)
@@ -212,7 +213,23 @@ def test_softmax_sums_to_one_and_ignores_shift():
     rows = ad.softmax(m)
     assert np.max(np.abs(rows[:2] - s)) <= 1e-9
     assert np.array_equal(rows[2, :2], [0.0, 0.0])
-    assert np.max(np.abs(rows[2, 2:] - ad.softmax(u[2:]))) <= 1e-12
+    assert np.max(np.abs(rows[2, 2:] - ad.softmax(u[:, 2:]))) <= 1e-12
+
+
+@pytest.mark.parametrize("op,operands", [
+    ("softmax", (np.zeros(4),)),
+    ("softmax", (np.zeros((2, 3, 4)),)),
+    ("logsumexp", (np.zeros(4),)),
+    ("norm", (np.zeros((2, 3, 4)),)),
+    ("dot", (np.zeros((2, 4)), np.zeros(4))),
+])
+def test_row_ops_reject_other_ranks_naming_the_shape(op, operands):
+    shape = next(u.shape for u in operands if u.ndim != 2)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        getattr(ad, op)(*operands)
+    tape = ad.Tape()
+    with pytest.raises(ValueError, match=f"{op} takes n x d matrices"):
+        getattr(ad, op)(*(tape.leaf(u) for u in operands))
 
 
 def test_opcode_tables_are_aligned():

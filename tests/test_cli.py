@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, determinism, config files, exit codes."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from hypalign import cli
 from hypalign import trainer as tr
 from hypalign.cli import load_config_file, run_cli
 from hypalign.datasynth import read_corpus
@@ -191,14 +194,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
         f"corpus_path={tmp_path/'corpus.jsonl'}\n"
         f"synonyms_path={tmp_path/'synonyms.json'}\n"
         f"meta_path={tmp_path/'meta.json'}\n")
+    corpus = tmp_path / "corpus.jsonl"
     assert run_cli(["gen-corpus", "--config", str(cfg_file)]) == 0
     out_seed9 = capsys.readouterr().out
+    corpus_seed9 = corpus.read_bytes()
     # flag overrides the file's seed
     assert run_cli(["gen-corpus", "--config", str(cfg_file),
                     "--seed", "11"]) == 0
-    out_seed11 = capsys.readouterr().out
-    assert out_seed9 != out_seed11 or (
-        read_corpus(tmp_path / "corpus.jsonl") is not None)
+    capsys.readouterr()
+    assert corpus.read_bytes() != corpus_seed9
     # regenerating with the file alone reproduces the seed-9 corpus
     assert run_cli(["gen-corpus", "--config", str(cfg_file)]) == 0
     assert json.loads(capsys.readouterr().out) == json.loads(out_seed9)
@@ -212,6 +216,57 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
+
+
+def test_parser_reuse_leaks_no_flag_between_calls(tmp_path, capsys):
+    args = flag_fix(["gen-corpus"] + corpus_args(tmp_path))
+    seed = args.index("--seed")
+    plain = args[:seed] + args[seed + 2:]
+    corpus = tmp_path / "corpus.jsonl"
+    assert run_cli(plain + ["--seed", "0"]) == 0
+    seed0 = corpus.read_bytes()
+    assert run_cli(plain + ["--seed", "11"]) == 0
+    assert corpus.read_bytes() != seed0
+    # no --seed: the default seed 0, not the 11 of the call before
+    assert run_cli(plain) == 0
+    assert corpus.read_bytes() == seed0
+    # a call that fails to parse leaves nothing behind for the next one
+    assert run_cli(plain + ["--bogus-flag", "1"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert run_cli(plain) == 0
+    assert corpus.read_bytes() == seed0
+
+
+def _reference_parser():
+    """The parser as it was built before it was cached: every subcommand
+    adds ``--config`` and one flag per config field itself."""
+    parser = argparse.ArgumentParser(
+        prog="hypalign",
+        description="hyperbolic vision-language alignment, desk scale")
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (_, help_text) in cli._COMMANDS.items():
+        cmd = commands[name] = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", help="key=value config file; flags win")
+        for field in dataclasses.fields(tr.ExperimentConfig):
+            flag = "--" + field.name.replace("_", "-")
+            if field.name == "early_stop":
+                cmd.add_argument(flag, dest=field.name, action="store_true",
+                                 default=None)
+            else:
+                cmd.add_argument(flag, dest=field.name,
+                                 type=type(field.default), default=None)
+    return parser, commands
+
+
+def test_help_text_is_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, commands = _reference_parser()
+    assert run_cli(["--help"]) == 0
+    assert capsys.readouterr().out == parser.format_help()
+    for name, command in commands.items():
+        assert run_cli([name, "--help"]) == 0
+        assert capsys.readouterr().out == command.format_help()
 
 
 def test_missing_corpus_is_machine_readable_error(tmp_path, capsys):

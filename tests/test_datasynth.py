@@ -1,11 +1,18 @@
 """Region sampling, NMS-vs-brute-force, corpus determinism, noise metric."""
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hypalign import datasynth as ds
+
+
+def corners(*boxes):
+    """The n x 4 corner rows of the given boxes."""
+    return np.array([b.coords() for b in boxes])
 
 
 # --- grid sampling -----------------------------------------------------------
@@ -28,11 +35,10 @@ def test_grid_k2_quarters():
 def test_grid_k3_tiles_exactly():
     boxes = ds.grid_sample(3)
     assert len(boxes) == 9
-    assert abs(sum(b.area for b in boxes) - 1.0) <= 1e-12
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(boxes):
-            if i != j:
-                assert ds.iou(a, b) == 0.0
+    assert abs(sum((b.x2 - b.x1) * (b.y2 - b.y1) for b in boxes)
+               - 1.0) <= 1e-12
+    overlaps = ds.iou(corners(*boxes), corners(*boxes))
+    assert np.array_equal(overlaps, np.eye(9))
 
 
 def test_grid_rejects_zero():
@@ -44,19 +50,46 @@ def test_grid_rejects_zero():
 
 
 def test_iou_identical_is_one():
-    b = ds.Box(0.1, 0.2, 0.5, 0.8)
-    assert ds.iou(b, b) == pytest.approx(1.0)
+    b = corners(ds.Box(0.1, 0.2, 0.5, 0.8))
+    assert ds.iou(b, b)[0, 0] == pytest.approx(1.0)
 
 
 def test_iou_disjoint_is_zero():
-    assert ds.iou(ds.Box(0.0, 0.0, 0.2, 0.2), ds.Box(0.5, 0.5, 0.9, 0.9)) == 0.0
+    assert ds.iou(corners(ds.Box(0.0, 0.0, 0.2, 0.2)),
+                  corners(ds.Box(0.5, 0.5, 0.9, 0.9)))[0, 0] == 0.0
 
 
 def test_iou_half_width_offset_is_one_third():
     # squares offset by half their side: inter = A/2, union = 3A/2
     a = ds.Box(0.0, 0.0, 0.5, 0.5)
     b = ds.Box(0.25, 0.0, 0.75, 0.5)
-    assert ds.iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert ds.iou(corners(a), corners(b))[0, 0] == pytest.approx(
+        1.0 / 3.0, abs=1e-12)
+
+
+def scalar_iou(a, b):
+    """The IoU of two boxes in Python floats, one operation at a time."""
+    iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = iw * ih
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1)
+                    + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
+
+
+def test_iou_matches_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    a = [random_box(rng) for _ in range(40)]
+    b = a[:5] + [random_box(rng) for _ in range(25)]
+    got = ds.iou(corners(*a), corners(*b))
+    assert got.shape == (40, 30)
+    assert got.tolist() == [[scalar_iou(x, y) for y in b] for x in a]
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 4)])
+def test_iou_rejects_anything_but_corner_rows(shape):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"shapes {shape} and (1, 4)")):
+        ds.iou(np.zeros(shape), np.zeros((1, 4)))
 
 
 def test_box_validation():
@@ -72,21 +105,14 @@ def test_box_validation():
 
 
 def brute_force_nms(boxes, threshold):
-    """Straightforward reference: inline IoU, explicit kept-list scan."""
+    """Straightforward reference: scalar IoU, explicit kept-list scan."""
     order = sorted(range(len(boxes)),
                    key=lambda i: (-boxes[i].score, i))
     kept = []
     for i in order:
         ok = True
         for j in kept:
-            ax1, ay1, ax2, ay2 = boxes[i].coords()
-            bx1, by1, bx2, by2 = boxes[j].coords()
-            iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-            ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-            inter = iw * ih
-            union = ((ax2 - ax1) * (ay2 - ay1)
-                     + (bx2 - bx1) * (by2 - by1) - inter)
-            if inter / union >= threshold:
+            if scalar_iou(boxes[i], boxes[j]) >= threshold:
                 ok = False
                 break
         if ok:
@@ -472,6 +498,76 @@ def test_corpus_reproducible_and_serialization_round_trips(tmp_path):
     ds.write_corpus(path, rec2)
     assert path.read_bytes() == first
     assert ds.read_corpus(path) == rec1
+
+
+#: (tree shape, ``synth_corpus`` arguments) of each pinned generator run: a
+#: 1-leaf tree (a noisy draw has no leaf to inject), clean and very noisy
+#: corpora, more objects per scene than leaves, and the extremes of the
+#: proposal count, grid size and NMS threshold.
+GENERATOR_CASES = {
+    "one-leaf": ((1, 1), dict(scenes=6, noise_rate=0.5, seed=1)),
+    "rho-0": ((3, 3), dict(scenes=10, noise_rate=0.0, seed=2)),
+    "rho-0.9": ((3, 3), dict(scenes=10, noise_rate=0.9, seed=3)),
+    "crowded": ((2, 2), dict(scenes=8, noise_rate=0.4, seed=4,
+                             objects_per_scene=6)),
+    "top-n-1": ((3, 2), dict(scenes=8, noise_rate=0.3, seed=5, top_n=1)),
+    "top-n-8": ((3, 2), dict(scenes=8, noise_rate=0.3, seed=6, top_n=8)),
+    "k-1": ((2, 3), dict(scenes=8, noise_rate=0.3, seed=7, k=1)),
+    "k-4": ((2, 3), dict(scenes=8, noise_rate=0.3, seed=8, k=4)),
+    "iou-0.1": ((4, 2), dict(scenes=8, noise_rate=0.3, seed=9, top_n=6,
+                             iou_threshold=0.1)),
+    "iou-0.9": ((4, 2), dict(scenes=8, noise_rate=0.3, seed=10, top_n=6,
+                             iou_threshold=0.9)),
+}
+
+#: sha256 of the ``write_corpus`` bytes and of the scene objects of each
+#: case.  The generator's random stream is its output contract: update
+#: these only for an intended change.
+GENERATOR_DIGESTS = {
+    "one-leaf": (
+        "11216fbe2a8a4c0716d9fa45bd629ff7b682d2d80f9786c1fe90187c01924360",
+        "47d4e4e668cc8dedc4fd761b6f941310577e062bf038d5660d1642a4b114e8a2"),
+    "rho-0": (
+        "ea745f6af43f3d1d5a2c2ff83ca59756b1c08260cb026e74c16831cacba80bbe",
+        "e1c326f96edeb8e23663bab50f6b8a4d7678d0e78b8ef9c0f696770ac6da76cd"),
+    "rho-0.9": (
+        "5c545f70aac7c972f95564dd415613c886097eaeb3b49e0875353e0b60a5548a",
+        "ba4f3131d02a121b60b2ab9d84d29ed13e423a5dec55be0e0bf108d1f8abf2c0"),
+    "crowded": (
+        "021304af72b21cf8e8c83a5df6cd61b20dd268f552605719c75423d6477a183d",
+        "cad1ecfd2f80b355138f2b110bf0c65a83fe8164e11826ffea5b03a97a9644bf"),
+    "top-n-1": (
+        "313732d571e38ce090f74b33d7873e1f6722af4a3ce09fe25bf2c6ced80101db",
+        "df4cc76aa2b1dfc244b5c25ec35a80c77de52631bd5e0b48e770671d6996e270"),
+    "top-n-8": (
+        "637baa076312bc8af5d34949269aadd452d9d5a6048c0ef006d681ce202beecd",
+        "b95a37e4a5214ad450af4482c2d3cd8aecf319f6cdbd6679206265552bb7de6d"),
+    "k-1": (
+        "393a3738b2658ddb261f74b8b8358a18ab1b8a29c8dae4f793ac1c2206bd0623",
+        "3cfd6fd91de29e19bd3ab0ca1be934b9404d41dc6b0afa1a672724dbb868a1f3"),
+    "k-4": (
+        "aced652d2f24ced306aecfdb28d5bb0a8f4b0900f1a7b3aa0bff5d49f19795ca",
+        "4a4c10e3a55c2c9f7d3298d6da0dbd0146b7ceaf2f55a987b50084052d914c5c"),
+    "iou-0.1": (
+        "6a2016264fc898ddb5ba339bd5549cd566295684706c2767b481f25ab689646b",
+        "fbd77ee4cedf2c086095568753e7d1cecd2271df16003bc143a63d37d22f95e8"),
+    "iou-0.9": (
+        "a983e986ffe6423ee4c17985648a2b92f5da21dd6f55c7a6b736e2d8a2f74e18",
+        "b07bf14bc4849514f3549ef1521860762b4cbeaddb964467191fef107a70ccda"),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERATOR_CASES))
+def test_generator_output_matches_pinned_digests(tmp_path, case):
+    shape, kwargs = GENERATOR_CASES[case]
+    records, scene_objects = ds.synth_corpus(ds.ConceptTree.balanced(*shape),
+                                             **kwargs)
+    ds.write_corpus(tmp_path / "corpus.jsonl", records)
+    objects = ds.json_line([[[o.cls, *o.box.coords()] for o in scene]
+                            for scene in scene_objects])
+    got = (hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()),
+           hashlib.sha256(objects.encode()))
+    assert tuple(h.hexdigest() for h in got) == GENERATOR_DIGESTS[case]
 
 
 def test_corpus_different_seeds_differ():

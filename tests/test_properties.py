@@ -54,9 +54,11 @@ def record_lines(draw):
 @PROPERTY
 @given(a=boxes(), b=boxes())
 def test_iou_is_symmetric_bounded_and_one_on_itself(a, b):
-    assert ds.iou(a, b) == ds.iou(b, a)
-    assert 0.0 <= ds.iou(a, b) <= 1.0
-    assert ds.iou(a, a) == 1.0
+    rows = np.array([a.coords(), b.coords()])
+    overlaps = ds.iou(rows, rows)
+    assert overlaps[0, 1] == overlaps[1, 0]
+    assert 0.0 <= overlaps[0, 1] <= 1.0
+    assert overlaps[0, 0] == overlaps[1, 1] == 1.0
 
 
 @PROPERTY
@@ -70,9 +72,9 @@ def test_nms_keeps_a_score_ordered_subset_without_overlaps(candidates,
         remaining.remove(box)   # a sub-multiset of the input
     scores = [box.score for box in kept]
     assert scores == sorted(scores, reverse=True)
-    for i, a in enumerate(kept):
-        for b in kept[i + 1:]:
-            assert ds.iou(a, b) < threshold
+    rows = np.array([box.coords() for box in kept]).reshape(-1, 4)
+    overlaps = ds.iou(rows, rows)
+    assert (overlaps[~np.eye(len(kept), dtype=bool)] < threshold).all()
 
 
 # --- JSON round trips ----------------------------------------------------------
