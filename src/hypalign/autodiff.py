@@ -3,7 +3,13 @@
 Primitive operations are recorded on an append-only :class:`Tape`; a node may
 only reference earlier nodes, so the graph is acyclic by construction.
 ``backward`` walks the tape in reverse with a fixed accumulation order, which
-makes repeated backward passes bit-identical.
+makes repeated backward passes bit-identical.  Each vector-Jacobian product
+is handed its node's stored output (``exp``, ``sqrt``, ``tanh``, ``sigmoid``,
+``norm``, ``logsumexp`` and ``softmax`` read it instead of recomputing it).
+Accumulation never writes into an array it does not own: an adjoint's first
+contribution is kept as it is, possibly shared with other adjoints, each
+later one makes a new sum, and the scatter adjoints of ``take_row``,
+``cols`` and ``pick`` copy a shared adjoint before adding into it.
 
 Every public op in this module is polymorphic: called with :class:`Var`
 arguments it records a tape node, called with plain floats / numpy arrays it
@@ -105,9 +111,8 @@ class Tape:
                 raise ValueError(f"non-finite leaf value: {value!r}")
         elif not np.isfinite(value).all():
             raise ValueError("non-finite entries in leaf array")
-        if name is not None:
-            if name in set(self.names.values()):
-                raise ValueError(f"duplicate leaf name: {name!r}")
+        if name is not None and name in self.names.values():
+            raise ValueError(f"duplicate leaf name: {name!r}")
         var = self._record(_LEAF, (), None, value)
         if name is not None:
             self.names[var.idx] = name
@@ -220,7 +225,7 @@ def _rows(op: str, *arrays: np.ndarray) -> None:
 
 def _norm_value(u: np.ndarray) -> np.ndarray:
     _rows("norm", u)
-    return np.linalg.norm(u, axis=1)
+    return np.sqrt(np.add.reduce(u * u, axis=1))
 
 
 def _dot_value(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,14 +235,14 @@ def _dot_value(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _logsumexp_value(u: np.ndarray) -> np.ndarray:
     _rows("logsumexp", u)
-    m = np.max(u, axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.sum(np.exp(u - m), axis=1))
+    m = np.maximum.reduce(u, axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.add.reduce(np.exp(u - m), axis=1))
 
 
 def _softmax_value(u: np.ndarray) -> np.ndarray:
     _rows("softmax", u)
-    e = np.exp(u - np.max(u, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = np.exp(u - np.maximum.reduce(u, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +412,7 @@ def outer(a, b):
 
 def sum(u):  # shadows the builtin, which this module does not use
     """Sum of all entries of an array, as a scalar."""
-    return _unary(_SUM, lambda x: float(np.sum(x)), u)
+    return _unary(_SUM, lambda x: float(np.add.reduce(x, axis=None)), u)
 
 
 def pick(m, idx: Sequence[int]):
@@ -455,107 +460,110 @@ def softmax(u):
 
 # ---------------------------------------------------------------------------
 # backward
+#
+# A vector-Jacobian product takes the node's adjoint ``g``, its stored
+# output ``ans``, its input ids, its aux, the tape values, the adjoint list
+# and the set of adjoint slots whose buffer no other slot shares.
 
 
 def _acc(adj, j, contrib):
+    # the first contribution is kept as it is, and may be shared with other
+    # slots, so a later one makes a new array (the same IEEE sum as +=)
     cur = adj[j]
-    if cur is None:
-        # copy arrays: contrib may alias a value we must not mutate later
-        adj[j] = contrib.copy() if isinstance(contrib, np.ndarray) else contrib
-    elif isinstance(cur, np.ndarray):
-        cur += contrib
-    else:
-        adj[j] = cur + contrib
+    adj[j] = contrib if cur is None else cur + contrib
 
 
-def _acc_into(adj, j, shape, write):
-    """Accumulate into a zeros buffer of `shape` via in-place `write`."""
+def _acc_into(adj, owned, j, shape, write):
+    """Accumulate through the in-place ``write`` into a buffer of ``shape``
+    that slot ``j`` alone holds: a zeros buffer, or a copy of a borrowed
+    adjoint."""
     cur = adj[j]
     if cur is None:
-        cur = np.zeros(shape)
-        adj[j] = cur
+        cur = adj[j] = np.zeros(shape)
+    elif j not in owned:
+        cur = adj[j] = cur.copy()
+    owned.add(j)
     write(cur)
 
 
 def _fit(grad: Value, operand: Value) -> Value:
     """An adjoint summed down to an operand that was broadcast: a scalar,
     or a row vector over the rows of a matrix."""
-    if isinstance(operand, float):
-        return float(np.sum(grad)) if isinstance(grad, np.ndarray) else grad
-    if grad.ndim > operand.ndim:
-        return np.sum(grad, axis=0)
+    if isinstance(operand, np.ndarray):
+        if grad.ndim > operand.ndim:
+            return np.add.reduce(grad, axis=0)
+        return grad
+    if isinstance(grad, np.ndarray):
+        return float(np.add.reduce(grad, axis=None))
     return grad
 
 
-def _bw_add(g, inputs, aux, values, adj):
+def _bw_add(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], _fit(g, values[inputs[0]]))
     _acc(adj, inputs[1], _fit(g, values[inputs[1]]))
 
 
-def _bw_addc(g, inputs, aux, values, adj):
+def _bw_addc(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], _fit(g, values[inputs[0]]))
 
 
-def _bw_sub(g, inputs, aux, values, adj):
+def _bw_sub(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], _fit(g, values[inputs[0]]))
     _acc(adj, inputs[1], -_fit(g, values[inputs[1]]))
 
 
-def _bw_neg(g, inputs, aux, values, adj):
+def _bw_neg(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], -g)
 
 
-def _bw_mul(g, inputs, aux, values, adj):
+def _bw_mul(g, ans, inputs, aux, values, adj, owned):
     ia, ib = inputs
     va, vb = values[ia], values[ib]
     _acc(adj, ia, _fit(g * vb, va))
     _acc(adj, ib, _fit(g * va, vb))
 
 
-def _bw_mulc(g, inputs, aux, values, adj):
+def _bw_mulc(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], _fit(g * aux, values[inputs[0]]))
 
 
-def _bw_div(g, inputs, aux, values, adj):
+def _bw_div(g, ans, inputs, aux, values, adj, owned):
     ia, ib = inputs
     va, vb = values[ia], values[ib]
     _acc(adj, ia, _fit(g / vb, va))
     _acc(adj, ib, -_fit(g * va, vb) / (vb * vb))
 
 
-def _bw_divc(g, inputs, aux, values, adj):
+def _bw_divc(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], _fit(g / aux, values[inputs[0]]))
 
 
-def _bw_cdiv(g, inputs, aux, values, adj):
+def _bw_cdiv(g, ans, inputs, aux, values, adj, owned):
     vb = values[inputs[0]]
     _acc(adj, inputs[0], -_fit(g * aux, vb) / (vb * vb))
 
 
-def _bw_exp(g, inputs, aux, values, adj):
-    _acc(adj, inputs[0], g * _exp_value(values[inputs[0]]))
+def _bw_exp(g, ans, inputs, aux, values, adj, owned):
+    _acc(adj, inputs[0], g * ans)
 
 
-def _bw_sqrt(g, inputs, aux, values, adj):
-    out = _sqrt_value(values[inputs[0]])
-    _acc(adj, inputs[0], g / (2.0 * _clamp_min_value(out, 1e-150)))
+def _bw_sqrt(g, ans, inputs, aux, values, adj, owned):
+    _acc(adj, inputs[0], g / (2.0 * _clamp_min_value(ans, 1e-150)))
 
 
-def _bw_sinhc(g, inputs, aux, values, adj):
+def _bw_sinhc(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], g * _sinhc_deriv(values[inputs[0]]))
 
 
-def _bw_tanh(g, inputs, aux, values, adj):
-    out = _tanh_value(values[inputs[0]])
-    _acc(adj, inputs[0], g * (1.0 - out * out))
+def _bw_tanh(g, ans, inputs, aux, values, adj, owned):
+    _acc(adj, inputs[0], g * (1.0 - ans * ans))
 
 
-def _bw_sigmoid(g, inputs, aux, values, adj):
-    out = _sigmoid_value(values[inputs[0]])
-    _acc(adj, inputs[0], g * out * (1.0 - out))
+def _bw_sigmoid(g, ans, inputs, aux, values, adj, owned):
+    _acc(adj, inputs[0], g * ans * (1.0 - ans))
 
 
-def _bw_arccosh(g, inputs, aux, values, adj):
+def _bw_arccosh(g, ans, inputs, aux, values, adj, owned):
     # 1/sqrt(x^2-1) diverges at 1; clip so matched pairs (d = 0) stay finite
     x = _clamp_min_value(values[inputs[0]], _ACOSH_GUARD)
     _acc(adj, inputs[0], g / _sqrt_value(x * x - 1.0))
@@ -565,12 +573,12 @@ def _trig_clip(x: Value) -> Value:
     return _clamp_max_value(_clamp_min_value(x, -_TRIG_GUARD), _TRIG_GUARD)
 
 
-def _bw_asin(g, inputs, aux, values, adj):
+def _bw_asin(g, ans, inputs, aux, values, adj, owned):
     x = _trig_clip(values[inputs[0]])
     _acc(adj, inputs[0], g / _sqrt_value(1.0 - x * x))
 
 
-def _bw_arccos(g, inputs, aux, values, adj):
+def _bw_arccos(g, ans, inputs, aux, values, adj, owned):
     x = _trig_clip(values[inputs[0]])
     _acc(adj, inputs[0], -g / _sqrt_value(1.0 - x * x))
 
@@ -583,97 +591,90 @@ def _gate(g, inputs, adj, active):
         _acc(adj, inputs[0], g)
 
 
-def _bw_clamp_min(g, inputs, aux, values, adj):
+def _bw_clamp_min(g, ans, inputs, aux, values, adj, owned):
     # the boundary takes the inactive side: zero
     _gate(g, inputs, adj, values[inputs[0]] > aux)
 
 
-def _bw_clamp_max(g, inputs, aux, values, adj):
+def _bw_clamp_max(g, ans, inputs, aux, values, adj, owned):
     _gate(g, inputs, adj, values[inputs[0]] < aux)
 
 
-def _bw_hinge(g, inputs, aux, values, adj):
+def _bw_hinge(g, ans, inputs, aux, values, adj, owned):
     _gate(g, inputs, adj, values[inputs[0]] > 0.0)
 
 
-def _bw_smooth_l1(g, inputs, aux, values, adj):
+def _bw_smooth_l1(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], g * _smooth_l1_deriv(values[inputs[0]]))
 
 
-def _bw_dot(g, inputs, aux, values, adj):
+def _bw_dot(g, ans, inputs, aux, values, adj, owned):
     ia, ib = inputs
     _acc(adj, ia, g @ values[ib])
     _acc(adj, ib, g.T @ values[ia])
 
 
-def _bw_norm(g, inputs, aux, values, adj):
-    u = values[inputs[0]]
-    n = _norm_value(u)
+def _bw_norm(g, ans, inputs, aux, values, adj, owned):
     # at a zero row the limit gradient used is 0
-    live = n > 1e-300
-    coef = np.where(live, g / np.where(live, n, 1.0), 0.0)
-    _acc(adj, inputs[0], coef[:, None] * u)
+    live = ans > 1e-300
+    coef = np.where(live, g / np.where(live, ans, 1.0), 0.0)
+    _acc(adj, inputs[0], coef[:, None] * values[inputs[0]])
 
 
-def _bw_matmul(g, inputs, aux, values, adj):
+def _bw_matmul(g, ans, inputs, aux, values, adj, owned):
     ia, ib = inputs
     _acc(adj, ia, g @ values[ib].T)
     _acc(adj, ib, values[ia].T @ g)
 
 
-def _bw_scale_rows(g, inputs, aux, values, adj):
+def _bw_scale_rows(g, ans, inputs, aux, values, adj, owned):
     i_s, i_m = inputs
     _acc(adj, i_s, np.einsum("ij,ij->i", g, values[i_m]))
     _acc(adj, i_m, values[i_s][:, None] * g)
 
 
-def _bw_outer(g, inputs, aux, values, adj):
+def _bw_outer(g, ans, inputs, aux, values, adj, owned):
     ia, ib = inputs
     _acc(adj, ia, g @ values[ib])
     _acc(adj, ib, values[ia] @ g)
 
 
-def _bw_sum(g, inputs, aux, values, adj):
+def _bw_sum(g, ans, inputs, aux, values, adj, owned):
     _acc(adj, inputs[0], np.full(values[inputs[0]].shape, g))
 
 
-def _bw_pick(g, inputs, aux, values, adj):
+def _bw_pick(g, ans, inputs, aux, values, adj, owned):
     shape = values[inputs[0]].shape
 
     def write(buf):
         buf[np.arange(shape[0]), aux] += g
 
-    _acc_into(adj, inputs[0], shape, write)
+    _acc_into(adj, owned, inputs[0], shape, write)
 
 
-def _bw_take_row(g, inputs, aux, values, adj):
-    shape = values[inputs[0]].shape
-
+def _bw_take_row(g, ans, inputs, aux, values, adj, owned):
     def write(buf):
         np.add.at(buf, aux, g)   # repeated rows accumulate
 
-    _acc_into(adj, inputs[0], shape, write)
+    _acc_into(adj, owned, inputs[0], values[inputs[0]].shape, write)
 
 
-def _bw_cols(g, inputs, aux, values, adj):
+def _bw_cols(g, ans, inputs, aux, values, adj, owned):
     a, b = aux
-    shape = values[inputs[0]].shape
 
     def write(buf):
         buf[:, a:b] += g
 
-    _acc_into(adj, inputs[0], shape, write)
+    _acc_into(adj, owned, inputs[0], values[inputs[0]].shape, write)
 
 
-def _bw_logsumexp(g, inputs, aux, values, adj):
-    u = values[inputs[0]]
-    out = _logsumexp_value(u)
-    _acc(adj, inputs[0], g[:, None] * np.exp(u - out[:, None]))
+def _bw_logsumexp(g, ans, inputs, aux, values, adj, owned):
+    _acc(adj, inputs[0], g[:, None] * np.exp(values[inputs[0]] - ans[:, None]))
 
 
-def _bw_softmax(g, inputs, aux, values, adj):
-    s = _softmax_value(values[inputs[0]])
-    _acc(adj, inputs[0], s * (g - np.sum(g * s, axis=1, keepdims=True)))
+def _bw_softmax(g, ans, inputs, aux, values, adj, owned):
+    _acc(adj, inputs[0],
+         ans * (g - np.add.reduce(g * ans, axis=1, keepdims=True)))
 
 
 _BACKWARD = [
@@ -702,7 +703,8 @@ def backward(tape: Tape, output: Var) -> GradientMap:
     The traversal order is fixed (reverse node order), so two backward
     passes over the same tape produce bit-identical gradients.  Raises if
     the output is not a scalar recorded on this tape, or if a non-finite
-    adjoint appears (the error names the originating node).
+    adjoint appears (the error names the originating node).  Two leaves
+    may be handed the same gradient array: treat the arrays as read-only.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise ValueError("output is not a node of this tape")
@@ -710,6 +712,7 @@ def backward(tape: Tape, output: Var) -> GradientMap:
         raise ValueError("backward requires a scalar output node")
     adj: list = [None] * len(tape.values)
     adj[output.idx] = 1.0
+    owned: set = set()
     ops = tape.ops
     values = tape.values
     table = _BACKWARD
@@ -720,7 +723,7 @@ def backward(tape: Tape, output: Var) -> GradientMap:
         opcode, inputs, aux = ops[i]
         if opcode == _LEAF:
             continue
-        table[opcode](g, inputs, aux, values, adj)
+        table[opcode](g, values[i], inputs, aux, values, adj, owned)
     grads: GradientMap = {}
     bad = False
     for idx, name in tape.names.items():

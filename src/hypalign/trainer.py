@@ -233,6 +233,28 @@ def _zeros_like(v):
     return 0.0 if isinstance(v, float) else np.zeros(np.shape(v))
 
 
+def _layout(values: dict) -> list:
+    """(name, shape, start, stop) of each parameter when all of them are
+    laid end to end in one float64 vector; a float takes one slot."""
+    layout, stop = [], 0
+    for name, value in values.items():
+        shape = value.shape if isinstance(value, np.ndarray) else ()
+        start, stop = stop, stop + (value.size if shape else 1)
+        layout.append((name, shape, start, stop))
+    return layout
+
+
+def _flatten(values: dict, layout: list) -> np.ndarray:
+    return np.concatenate([values[name] for name, *_ in layout], axis=None)
+
+
+def _unflatten(flat: np.ndarray, layout: list) -> dict:
+    """A parameter map of views into ``flat``, and floats for the scalars."""
+    return {name: flat[start:stop].reshape(shape) if shape
+            else float(flat[start])
+            for name, shape, start, stop in layout}
+
+
 def _squash(x, radius: float = EMBED_RADIUS):
     """Direction-preserving row norm bound: x * radius*tanh(|x|/radius)/|x|."""
     n = ad.clamp_min(ad.norm(x), 1e-12)
@@ -257,7 +279,8 @@ class _Forward:
         counts = np.zeros((len(tokens), len(ad.val(self.p["token_table"]))))
         np.add.at(counts, (tokens.owner(), tokens.values), 1.0)
         total = ad.matmul(counts, self.p["token_table"])
-        return _squash(ad.div(total, np.sum(counts, axis=1, keepdims=True)))
+        return _squash(ad.div(total, np.add.reduce(counts, axis=1,
+                                                  keepdims=True)))
 
     def fused_visuals(self, leaves: np.ndarray, corners: np.ndarray,
                       tokens: IdLists):
@@ -367,24 +390,32 @@ def step(state: ModelState, records: Corpus) -> tuple:
         lr_t *= 0.1
     b1c = 1.0 - ADAM_BETA1 ** t
     b2c = 1.0 - ADAM_BETA2 ** t
-    new_params, new_m, new_v = {}, {}, {}
-    for name, value in state.params.items():
-        g = grads[name]
-        m = ADAM_BETA1 * state.adam_m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.adam_v[name] + (1.0 - ADAM_BETA2) * (g * g)
-        update = lr_t * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-        if name not in ("log_tau", "curv_raw"):
-            # decoupled weight decay keeps embedding norms from running
-            # away under the distance-based losses
-            update = update + lr_t * config.weight_decay * value
-        out = value - update
-        if isinstance(value, float):
-            out = float(out)
-            if not math.isfinite(out):
-                raise ArithmeticError(f"non-finite parameter {name!r}")
-        elif not np.isfinite(out).all():
-            raise ArithmeticError(f"non-finite entries in parameter {name!r}")
-        new_params[name], new_m[name], new_v[name] = out, m, v
+    # one elementwise update over every parameter laid end to end, in the
+    # order of state.params
+    layout = _layout(state.params)
+    value = _flatten(state.params, layout)
+    g = _flatten(grads, layout)
+    m = ADAM_BETA1 * _flatten(state.adam_m, layout) + (1.0 - ADAM_BETA1) * g
+    v = (ADAM_BETA2 * _flatten(state.adam_v, layout)
+         + (1.0 - ADAM_BETA2) * (g * g))
+    update = lr_t * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    # decoupled weight decay keeps embedding norms from running away under
+    # the distance-based losses; the temperature and curvature take none
+    decay = np.ones(len(value), dtype=bool)
+    for name, _, start, stop in layout:
+        if name in ("log_tau", "curv_raw"):
+            decay[start:stop] = False
+    update = np.where(decay,
+                      update + lr_t * config.weight_decay * value, update)
+    out = value - update
+    if not np.isfinite(out).all():
+        for name, shape, start, stop in layout:
+            if not np.isfinite(out[start:stop]).all():
+                raise ArithmeticError(
+                    f"non-finite entries in parameter {name!r}" if shape
+                    else f"non-finite parameter {name!r}")
+    new_params = _unflatten(out, layout)
+    new_m, new_v = _unflatten(m, layout), _unflatten(v, layout)
     new_params["log_tau"] = min(max(new_params["log_tau"],
                                     LOG_TAU_BOUNDS[0]), LOG_TAU_BOUNDS[1])
     new_params["curv_raw"] = min(max(new_params["curv_raw"],
@@ -557,7 +588,8 @@ def state_to_json(state: ModelState) -> dict:
 
 
 def _revive(field: str, data: dict, d: int, vocab: int) -> dict:
-    """A state file's parameter map, checked against the model's shapes."""
+    """A state file's parameter map, checked against the model's shapes
+    and for non-finite numbers."""
     shapes = dict(_param_specs(d, vocab), log_tau=(), curv_raw=())
     if data.keys() != shapes.keys():
         missing = sorted(shapes.keys() - data.keys())
@@ -569,6 +601,9 @@ def _revive(field: str, data: dict, d: int, vocab: int) -> dict:
         if arr.shape != shapes[name]:
             raise ValueError(f"{field}.{name}: shape {arr.shape}, "
                              f"expected {shapes[name]}")
+        if not np.isfinite(arr).all():
+            # json reads NaN and Infinity
+            raise ValueError(f"{field}.{name}: non-finite entries")
         out[name] = float(arr) if arr.shape == () else arr
     return out
 

@@ -165,6 +165,25 @@ def test_primitive_gradients(name, build, sample):
         check_gradients(build, sample(), tol=1e-7)
 
 
+@pytest.mark.parametrize("scatter", [
+    lambda a: ad.cols(a, 1, 3),
+    lambda a: ad.take_row(a, [2, 0, 2]),
+    lambda a: ad.pick(a, [1, 0, 3]),
+], ids=["cols", "take_row", "pick"])
+def test_scatter_adjoint_leaves_a_shared_adjoint_alone(scatter):
+    # add hands one adjoint array to both of its leaves; the scatter of
+    # ``a``, recorded earlier, runs later in backward and adds into a's slot
+    def build(p):
+        part = scatter(p["a"])
+        both = ad.add(p["a"], p["b"])
+        return ad.add(ad.sum(ad.mul(both, np.arange(12.0).reshape(3, 4))),
+                      ad.sum(ad.mul(part, part)))
+
+    for _ in range(3):
+        check_gradients(build, {"a": RNG.normal(size=(3, 4)),
+                                "b": RNG.normal(size=(3, 4))})
+
+
 def test_sinhc_small_argument_series():
     # Taylor branch below the switch point; value and derivative stay smooth
     for t in [0.0, 1e-9, 1e-6, 5e-5]:

@@ -346,3 +346,32 @@ def test_true_objects_must_be_leaves_at_load(tmp_path, capsys, command,
     assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert f"{corpus}: record {index}: {problem}" in payload["error"]
+
+
+@pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+@pytest.mark.parametrize("field,name,bad", [
+    ("params", "object_table", float("nan")),
+    ("params", "token_table", float("inf")),
+    ("params", "log_tau", float("nan")),
+    ("adam_m", "attn_wq", float("-inf")),
+    ("adam_v", "curv_raw", float("inf")),
+])
+def test_non_finite_state_numbers_are_rejected_at_load(tmp_path, capsys,
+                                                       command, field, name,
+                                                       bad):
+    assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
+    assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
+    capsys.readouterr()
+    path = tmp_path / "state.json"
+    state = json.loads(path.read_text())
+    value = state[field][name]
+    if isinstance(value, list):
+        value[-1][0] = bad
+    else:
+        state[field][name] = bad
+    # json writes the NaN and Infinity tokens that json also reads
+    path.write_text(json.dumps(state))
+    assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == (
+        f"ValueError: {field}.{name}: non-finite entries")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hypalign import autodiff as ad
 from hypalign import trainer as tr
 from hypalign.datasynth import Corpus
 from hypalign.geometry import exp_map_origin
@@ -134,6 +135,107 @@ def test_step_rejects_empty_batch(corpus):
     cfg, tree, syn, records = corpus
     with pytest.raises(ValueError, match="empty"):
         tr.step(tr.init(cfg, tree, syn), records[:0])
+
+
+@pytest.mark.parametrize("name", ["attn_wq", "log_tau"])
+def test_non_finite_update_names_its_parameter(corpus, name):
+    cfg, tree, syn, records = corpus
+    state = tr.init(cfg, tree, syn)
+    # at adam_t = 0 the first moment is divided by 1 - 0.9: m / b1c overflows
+    value = state.adam_m[name]
+    state.adam_m[name] = (np.full(value.shape, 1e308)
+                          if isinstance(value, np.ndarray) else 1e308)
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError,
+                                                   match=repr(name)):
+        tr.step(state, records[:6])
+
+
+def _per_parameter_update(state, grads):
+    """The Adam update as a loop over parameters: the reference that the
+    one flat update must match bit for bit."""
+    config = state.config
+    t = state.adam_t + 1
+    warmup = max(1, math.ceil(tr.WARMUP_FRACTION * config.steps))
+    lr_t = config.lr * min(1.0, t / warmup)
+    progress = t / config.steps
+    if progress > 2.0 / 3.0:
+        lr_t *= 0.01
+    elif progress > 1.0 / 3.0:
+        lr_t *= 0.1
+    b1c = 1.0 - tr.ADAM_BETA1 ** t
+    b2c = 1.0 - tr.ADAM_BETA2 ** t
+    new_params, new_m, new_v = {}, {}, {}
+    for name, value in state.params.items():
+        g = grads[name]
+        m = tr.ADAM_BETA1 * state.adam_m[name] + (1.0 - tr.ADAM_BETA1) * g
+        v = (tr.ADAM_BETA2 * state.adam_v[name]
+             + (1.0 - tr.ADAM_BETA2) * (g * g))
+        update = lr_t * (m / b1c) / (np.sqrt(v / b2c) + tr.ADAM_EPS)
+        if name not in ("log_tau", "curv_raw"):
+            update = update + lr_t * config.weight_decay * value
+        out = value - update
+        if isinstance(value, float):
+            out = float(out)
+        new_params[name], new_m[name], new_v[name] = out, m, v
+    new_params["log_tau"] = min(max(new_params["log_tau"],
+                                    tr.LOG_TAU_BOUNDS[0]),
+                                tr.LOG_TAU_BOUNDS[1])
+    new_params["curv_raw"] = min(max(new_params["curv_raw"],
+                                     tr.CURV_RAW_BOUNDS[0]),
+                                 tr.CURV_RAW_BOUNDS[1])
+    return new_params, new_m, new_v
+
+
+@pytest.mark.parametrize("objective", tr.OBJECTIVES)
+def test_flat_update_matches_the_per_parameter_loop_bit_for_bit(
+        corpus, monkeypatch, objective):
+    cfg, tree, syn, records = corpus
+    # 12 steps: warm-up over steps 1-2, decay after steps 4 and 8
+    state = tr.init(tiny_config(objective=objective, steps=12, lr=0.03),
+                    tree, syn)
+    seen = []
+    backward = ad.backward
+
+    def recording_backward(tape, output):
+        seen.append(backward(tape, output))
+        return seen[-1]
+
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    for t in range(12):
+        new_state, _ = tr.step(state, records[(t * 5) % 40:][:6])
+        expected = _per_parameter_update(state, seen[-1])
+        for got, want in zip((new_state.params, new_state.adam_m,
+                              new_state.adam_v), expected):
+            assert list(got) == list(want)
+            for name in want:
+                assert type(got[name]) is type(want[name]), name
+                assert np.array_equal(got[name], want[name]), (t, name)
+                assert np.asarray(got[name]).tobytes() == \
+                    np.asarray(want[name]).tobytes(), (t, name)
+        state = new_state
+    assert state.params["log_tau"] != tr.init(state.config, tree,
+                                              syn).params["log_tau"]
+
+
+def test_backward_reads_stored_outputs(corpus, monkeypatch):
+    cfg, tree, syn, records = corpus
+    calls = {"forward": 0, "backward": 0}
+    phase = ["forward"]
+    for kernel in ("_norm_value", "_softmax_value", "_logsumexp_value",
+                   "_exp_value", "_tanh_value", "_sigmoid_value"):
+        def counted(*args, _kernel=getattr(ad, kernel)):
+            calls[phase[0]] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(ad, kernel, counted)
+    backward = ad.backward
+
+    def phased_backward(tape, output):
+        phase[0] = "backward"
+        return backward(tape, output)
+
+    monkeypatch.setattr(ad, "backward", phased_backward)
+    tr.step(tr.init(cfg, tree, syn), records[:6])
+    assert calls["forward"] > 0 and calls["backward"] == 0
 
 
 def test_objective_variants_populate_expected_terms(corpus):
