@@ -11,7 +11,7 @@ Modules:
 """
 
 from .autodiff import GradientMap, Tape, Var, backward, finite_diff
-from .datasynth import (Box, ConceptTree, Corpus, SynonymMap,
+from .datasynth import (ConceptTree, Corpus, SynonymMap,
                         caption_noise_metric, grid_sample, iou, nms,
                         proposal_sample, synth_corpus)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .datasynth import (SCHEMA_VERSION, Box, ConceptTree, SynonymMap,
+from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap,
                         caption_noise_metric, grid_sample, json_line,
                         proposal_sample, read_corpus, write_corpus,
                         write_lines)
@@ -132,7 +132,7 @@ def _load_artifacts(config: ExperimentConfig, state=None):
 
 def cmd_gen_corpus(args) -> int:
     config = build_config(args)
-    tree, synonyms, records, scene_objects = default_corpus(config)
+    tree, synonyms, records, (classes, boxes) = default_corpus(config)
     write_corpus(config.corpus_path, records)
     write_lines(config.synonyms_path, [json_line(synonyms.to_json())])
     meta = {
@@ -143,11 +143,9 @@ def cmd_gen_corpus(args) -> int:
         "k": config.k,
         "scenes": [
             {"scene": i,
-             "objects": [{"cls": obj.cls,
-                          "box": [obj.box.x1, obj.box.y1,
-                                  obj.box.x2, obj.box.y2]}
-                         for obj in objs]}
-            for i, objs in enumerate(scene_objects)
+             "objects": [{"cls": c, "box": box} for c, box in zip(cs, bs)]}
+            for i, (cs, bs) in enumerate(zip(classes.tolist(),
+                                             boxes.tolist()))
         ],
     }
     write_lines(config.meta_path, [json_line(meta)])
@@ -203,14 +201,13 @@ def cmd_sample_regions(args) -> int:
         y = np.sort(rng.uniform(0.0, 1.0, size=2))
         if x[1] - x[0] < 0.05 or y[1] - y[0] < 0.05:
             continue
-        proposals.append(Box(float(x[0]), float(y[0]), float(x[1]),
-                             float(y[1]), score=float(rng.uniform())))
+        proposals.append([x[0], y[0], x[1], y[1], rng.uniform()])
     sampled = proposal_sample(proposals, config.top_n,
                               config.iou_threshold)
-    for box in sampled:
-        _emit({"set": "P", "box": list(box.coords()), "score": box.score})
-    for box in grid_sample(config.k):
-        _emit({"set": "G", "box": list(box.coords()), "score": None})
+    for *box, score in sampled.tolist():
+        _emit({"set": "P", "box": box, "score": score})
+    for box in grid_sample(config.k).tolist():
+        _emit({"set": "G", "box": box, "score": None})
     return 0
 
 

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -34,46 +34,16 @@ SIBLING_WEIGHT = 4.0
 
 
 # ---------------------------------------------------------------------------
-# boxes
+# boxes: n x 4 corner rows (x1, y1, x2, y2) in normalized image coordinates,
+# and n x 5 scored rows whose last column is the objectness score
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned region in normalized image coordinates."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    score: Optional[float] = None
-
-    def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"box coordinate {name}={v} outside [0, 1]")
-            object.__setattr__(self, name, v)
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
-            raise ValueError("box requires x1 < x2 and y1 < y2")
-        if self.score is not None:
-            if not (0.0 <= self.score <= 1.0):
-                raise ValueError(
-                    f"objectness score {self.score} outside [0, 1]")
-            object.__setattr__(self, "score", float(self.score))
-
-    def coords(self) -> tuple:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-def grid_sample(k: int) -> list:
-    """Split the unit image into a k x k tiling (row-major)."""
+def grid_sample(k: int) -> np.ndarray:
+    """The k x k tiling of the unit image: k*k corner rows, row-major."""
     if k < 1:
         raise ValueError(f"grid size must be >= 1, got {k}")
-    boxes = []
-    for i in range(k):
-        for j in range(k):
-            boxes.append(Box(j / k, i / k, (j + 1) / k, (i + 1) / k))
-    return boxes
+    i, j = np.divmod(np.arange(k * k), k)
+    return np.stack([j / k, i / k, (j + 1) / k, (i + 1) / k], axis=1)
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,19 +57,71 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 4 or b.shape[1] != 4:
         raise ValueError(f"iou takes n x 4 corner rows, got shapes {a.shape} "
                          f"and {b.shape}")
-    a, b = a[:, None, :], b[None, :, :]
-    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
-                    - np.maximum(a[..., 0], b[..., 0]))
-    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3])
-                    - np.maximum(a[..., 1], b[..., 1]))
-    inter = iw * ih
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return inter / (area_a + area_b - inter)
+    # (width, height) of every intersection, then of every box
+    wh = np.maximum(0.0, np.minimum(a[:, None, 2:], b[None, :, 2:])
+                    - np.maximum(a[:, None, :2], b[None, :, :2]))
+    inter = wh[..., 0] * wh[..., 1]
+    size_a, size_b = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
+    area_a, area_b = size_a[:, 0] * size_a[:, 1], size_b[:, 0] * size_b[:, 1]
+    return inter / (area_a[:, None] + area_b - inter)
 
 
-def nms(boxes: Sequence[Box], iou_threshold: float) -> list:
-    """Greedy non-maximum suppression by descending score.
+_CORNERS = ("x1", "y1", "x2", "y2")
+
+
+def _first(bad: np.ndarray) -> Optional[int]:
+    """Index of the first true entry of a boolean vector, or None."""
+    hits = bad.nonzero()[0]
+    return int(hits[0]) if hits.size else None
+
+
+def _fail_first(checks: list, where: str) -> None:
+    """Raise ``ValueError(f"{where}{i}: ...")`` for the lowest row i that
+    fails a ``(failing rows, message for row i)`` check; the checks of a
+    row are tried in order."""
+    failing = [(i, text) for bad, text in checks
+               for i in [_first(bad)] if i is not None]
+    if failing:
+        i, text = min(failing, key=lambda pair: pair[0])
+        raise ValueError(f"{where}{i}: {text(i)}")
+
+
+def _box_check(field: str, rows: np.ndarray, live) -> tuple:
+    """(failing rows, message for row i): a live n x 4 corner row needs
+    0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1."""
+    lo, hi = rows[:, :2], rows[:, 2:]
+    valid = (0.0 <= lo) & (lo < hi) & (hi <= 1.0)
+
+    def message(i):
+        outside = ~((rows[i] >= 0.0) & (rows[i] <= 1.0))
+        if not outside.any():
+            return f"{field} requires x1 < x2 and y1 < y2"
+        j = int(np.argmax(outside))
+        return (f"{field} coordinate {_CORNERS[j]}={float(rows[i, j])} "
+                "outside [0, 1]")
+
+    return live & ~(valid[:, 0] & valid[:, 1]), message
+
+
+def _score_check(scores: np.ndarray, scored) -> tuple:
+    return (scored & ~((scores >= 0.0) & (scores <= 1.0)),
+            lambda i: f"objectness score {scores[i]} outside [0, 1]")
+
+
+def _scored_rows(boxes) -> np.ndarray:
+    """``boxes`` as a checked n x 5 float array of scored rows."""
+    rows = np.asarray(boxes, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise ValueError("boxes must be n x 5 scored rows (x1, y1, x2, y2, "
+                         f"score), got shape {rows.shape}")
+    _fail_first([_box_check("box", rows[:, :4], True),
+                 _score_check(rows[:, 4], True)], "box ")
+    return rows
+
+
+def nms(boxes, iou_threshold: float) -> np.ndarray:
+    """Greedy non-maximum suppression of n x 5 scored rows, by descending
+    score: the kept rows, in the order they are kept.
 
     A box is kept iff its IoU with every previously kept box is strictly
     below the threshold; score ties break toward the lower original index.
@@ -107,32 +129,28 @@ def nms(boxes: Sequence[Box], iou_threshold: float) -> list:
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold must be in (0, 1), got {iou_threshold}")
-    boxes = list(boxes)
-    for i, b in enumerate(boxes):
-        if b.score is None:
-            raise ValueError(f"unscored box at index {i}")
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    corners = np.array([b.coords() for b in boxes]).reshape(-1, 4)
-    overlaps = iou(corners, corners).tolist()
+    rows = _scored_rows(boxes)
+    order = np.argsort(-rows[:, 4], kind="stable").tolist()
+    overlaps = iou(rows[:, :4], rows[:, :4]).tolist()
     kept: list = []
     for i in order:
         if all(overlaps[i][k] < iou_threshold for k in kept):
             kept.append(i)
-    return [boxes[i] for i in kept]
+    return rows[kept]
 
 
-def proposal_sample(proposals: Sequence[Box], top_n: int,
-                    iou_threshold: float = DEFAULT_NMS_THRESHOLD) -> list:
-    """Keep the top_n highest-objectness proposals, then de-duplicate."""
-    proposals = list(proposals)
-    if not proposals:
+def proposal_sample(proposals, top_n: int,
+                    iou_threshold: float = DEFAULT_NMS_THRESHOLD
+                    ) -> np.ndarray:
+    """Keep the top_n highest-objectness of n x 5 scored rows (ties toward
+    the lower index), then de-duplicate them with :func:`nms`."""
+    if not len(proposals):
         raise ValueError("no proposals to sample from")
     if top_n <= 0:
         raise ValueError(f"top_n must be positive, got {top_n}")
-    order = sorted(range(len(proposals)),
-                   key=lambda i: (-proposals[i].score, i))
-    shortlist = [proposals[i] for i in order[:top_n]]
-    return nms(shortlist, iou_threshold)
+    rows = _scored_rows(proposals)
+    return nms(rows[np.argsort(-rows[:, 4], kind="stable")[:top_n]],
+               iou_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +293,6 @@ def default_synonyms(tree: ConceptTree) -> SynonymMap:
 # ---------------------------------------------------------------------------
 # the caption corpus: one column per field
 
-_CORNERS = ("x1", "y1", "x2", "y2")
-
-
-def _first(bad: np.ndarray) -> Optional[int]:
-    """Index of the first true entry of a boolean vector, or None."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
-
-
 @dataclass(frozen=True, eq=False)
 class IdLists:
     """One list of ids per record, stored flat: record i owns
@@ -393,21 +402,6 @@ def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
     return np.zeros((0,) + shape)
 
 
-def _box_checks(field: str, rows: np.ndarray, live: np.ndarray) -> list:
-    """(failing records, message) checks of the live n x 4 corner rows."""
-    outside = live[:, None] & ~((rows >= 0.0) & (rows <= 1.0))
-
-    def coordinate(i):
-        j = int(np.argmax(outside[i]))
-        return (f"{field} coordinate {_CORNERS[j]}={float(rows[i, j])} "
-                "outside [0, 1]")
-
-    ordered = (rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])
-    return [(outside.any(axis=1), coordinate),
-            (live & ~ordered,
-             lambda i: f"{field} requires x1 < x2 and y1 < y2")]
-
-
 def _negative_check(field: str, ids: IdLists) -> tuple:
     return (ids.rows_with(ids.values < 0),
             lambda i: f"negative id in {field}: {min(ids.row(i))}")
@@ -506,34 +500,19 @@ class Corpus:
                                     np.concatenate((true.values,
                                                     hall.values)))
 
-        # (failing records, message for record i), in the order a record
-        # is checked; the lowest failing record is reported
-        checks = (
-            _box_checks("box", boxes, np.ones(n, dtype=bool))
-            + [(scored & ~((scores >= 0.0) & (scores <= 1.0)),
-                lambda i: f"objectness score {scores[i]} outside [0, 1]")]
-            + _box_checks("gt_box", gts, has_gt)
+        _fail_first(
+            [_box_check("box", boxes, True), _score_check(scores, scored),
+             _box_check("gt_box", gts, has_gt)]
             + [_negative_check(field, lists) for field, lists in ids.items()]
             + [(ids["tokens"].lengths() == 0,
                 lambda i: "tokens is empty: a caption needs at least one "
                           "token"),
                (np.bincount(owner[shared], minlength=n) > 0,
                 lambda i: "hallucinated ids must be absent from "
-                          "true_objects")])
-        failing = [(i, message) for bad, message in checks
-                   for i in [_first(bad)] if i is not None]
-        if failing:
-            i, message = min(failing, key=lambda pair: pair[0])
-            fail(i, message(i))
+                          "true_objects")], f"{where}record ")
         return cls(box=boxes, score=scores, gt_box=gts, scene=scenes,
                    tokens=ids["tokens"], true_objects=true,
                    hallucinated=hall)
-
-
-@dataclass(frozen=True)
-class SceneObject:
-    cls: int
-    box: Box
 
 
 def caption_noise_metric(records: Corpus, synonyms: SynonymMap) -> float:
@@ -566,21 +545,21 @@ def caption_noise_metric(records: Corpus, synonyms: SynonymMap) -> float:
 # corpus generation
 
 
-def _random_box(rng) -> Box:
-    cx, cy = rng.uniform(0.15, 0.85, size=2)
-    w, h = rng.uniform(0.15, 0.45, size=2)
-    x1, x2 = max(0.0, cx - w / 2), min(1.0, cx + w / 2)
-    y1, y2 = max(0.0, cy - h / 2), min(1.0, cy + h / 2)
-    return Box(x1, y1, x2, y2)
+def _random_box(rng) -> list:
+    """A corner row around a uniform centre, clipped to the image."""
+    cx, cy = rng.uniform(0.15, 0.85, size=2).tolist()
+    w, h = rng.uniform(0.15, 0.45, size=2).tolist()
+    return [max(0.0, cx - w / 2), max(0.0, cy - h / 2),
+            min(1.0, cx + w / 2), min(1.0, cy + h / 2)]
 
 
-def _jitter_box(rng, box: Box, scale: float, score: float) -> Box:
-    d = rng.normal(scale=scale, size=4)
-    x1 = min(max(box.x1 + d[0], 0.0), 0.97)
-    y1 = min(max(box.y1 + d[1], 0.0), 0.97)
-    x2 = max(min(box.x2 + d[2], 1.0), x1 + 0.02)
-    y2 = max(min(box.y2 + d[3], 1.0), y1 + 0.02)
-    return Box(x1, y1, x2, y2, score=score)
+def _jitter_box(rng, box: np.ndarray, scale: float, score: float) -> list:
+    """A scored row: ``box`` moved by Gaussian noise, at least 0.02 wide
+    and high."""
+    x1, y1, x2, y2 = (box + rng.normal(scale=scale, size=4)).tolist()
+    x1, y1 = min(max(x1, 0.0), 0.97), min(max(y1, 0.0), 0.97)
+    return [x1, y1, max(min(x2, 1.0), x1 + 0.02),
+            max(min(y2, 1.0), y1 + 0.02), score]
 
 
 def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
@@ -601,15 +580,15 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
     ``hallucinated`` set.  Proposal objectness is synthetic (there is no
     detector in the loop to score regions at generation time).
 
-    Scene objects and proposals are :class:`Box` objects; the regions of a
-    scene are one array of corner rows, matched to the scene's objects by
-    one :func:`iou` call.  A leaf's ancestors and co-occurrence
-    probabilities are computed once per call, when the leaf is first
-    matched.  Per region, only the random draws remain.
+    A scene's objects are corner rows, its proposals scored rows and its
+    regions (objects, sampled proposals, grid) one array of corner rows,
+    matched to the objects by one :func:`iou` call.  What a leaf's
+    captions draw from is built once per call; per region only the draws
+    remain, in as few ``Generator`` calls as give the same stream.
 
-    Returns ``(records, scene_objects)``: a :class:`Corpus` and, in
-    ``scene_objects[s]``, the ground-truth objects of scene ``s``.
-    Byte-identical for a fixed seed and arguments.
+    Returns ``(records, (classes, boxes))``: a :class:`Corpus`, and the
+    class ids (scenes x objects) and corner rows (scenes x objects x 4) of
+    every scene's objects.  Byte-identical for a fixed seed and arguments.
     """
     if not (0.0 <= noise_rate < 1.0):
         raise ValueError(f"noise rate must be in [0, 1), got {noise_rate}")
@@ -619,90 +598,89 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         synonyms = default_synonyms(tree)
     rng = np.random.default_rng(seed)
     leaves = tree.leaves()
-    parents = tree.parent_map()
     leaf_ids = np.array(leaves)
-    leaf_parents = np.array([parents[leaf] for leaf in leaves])
+    leaf_parents = np.array(list(map(tree.parent_map().get, leaves)))
     n_obj = min(objects_per_scene, len(leaves))
-    grid = np.array([box.coords() for box in grid_sample(k)])
+    grid = grid_sample(k)
+    picked, objects = [], []
     columns: dict = {name: [] for name in (
         "box", "tokens", "true_objects", "hallucinated", "score", "gt_box",
         "scene")}
-    all_scene_objects: list = []
-    # leaf index -> (ancestors, the other leaves, the probability that a
-    # noisy caption mentions each: siblings weigh sibling_weight, the rest
+    # leaf index -> (its surface forms, ancestors, the other leaves and the
+    # cumulative distribution of a hallucinated mention over them, as
+    # Generator.choice builds it: siblings weigh sibling_weight, the rest
     # 1); built on first use, as a table of every leaf is leaves x leaves
     draws: dict = {}
 
     def leaf_draws(i: int) -> tuple:
         if i not in draws:
-            weights = np.where(np.delete(leaf_parents, i) == leaf_parents[i],
-                               sibling_weight, 1.0)
-            draws[i] = (tree.ancestors(leaves[i]), np.delete(leaf_ids, i),
-                        weights / weights.sum())
+            candidates, cdf = np.delete(leaf_ids, i), None
+            if len(candidates):
+                weights = np.where(
+                    np.delete(leaf_parents, i) == leaf_parents[i],
+                    sibling_weight, 1.0)
+                cdf = (weights / weights.sum()).cumsum()
+                cdf /= cdf[-1]
+            draws[i] = (synonyms.forms.get(leaves[i], (leaves[i],)),
+                        tree.ancestors(leaves[i]), candidates, cdf)
         return draws[i]
 
     for scene_id in range(scenes):
         chosen = rng.choice(len(leaves), size=n_obj, replace=False).tolist()
-        scene_objects = [SceneObject(cls=leaves[i], box=_random_box(rng))
-                         for i in chosen]
-        all_scene_objects.append(scene_objects)
-
-        proposals = []
-        for obj in scene_objects:
-            proposals.append(_jitter_box(rng, obj.box, 0.05,
-                                         float(rng.uniform(0.6, 1.0))))
+        truth = np.array([_random_box(rng) for _ in chosen])
+        picked.append(chosen)
+        objects.append(truth)
+        proposals = [_jitter_box(rng, box, 0.05, rng.uniform(0.6, 1.0))
+                     for box in truth]
         for _ in range(top_n):
-            base = _random_box(rng)
-            proposals.append(Box(base.x1, base.y1, base.x2, base.y2,
-                                 score=float(rng.uniform(0.0, 0.7))))
+            proposals.append([*_random_box(rng), rng.uniform(0.0, 0.7)])
         sampled = proposal_sample(proposals, top_n, iou_threshold)
-        truth = [obj.box.coords() for obj in scene_objects]
-        regions = np.concatenate(
-            (np.array(truth + [box.coords() for box in sampled]), grid))
-        scores = ([None] * n_obj + [box.score for box in sampled]
-                  + [None] * len(grid))
-        overlaps = iou(regions, np.array(truth))
+        regions = np.concatenate((truth, sampled[:, :4], grid))
+        scores = [None] * n_obj + sampled[:, 4].tolist() + [None] * len(grid)
+        overlaps = iou(regions, truth)
         best = overlaps.argmax(axis=1)
         matched = overlaps[np.arange(len(regions)), best] >= min_match_iou
-
-        for r, region, j in zip(np.flatnonzero(matched).tolist(),
-                                regions[matched].tolist(),
-                                best[matched].tolist()):
-            leaf = leaves[chosen[j]]
-            ancestors, candidates, probs = leaf_draws(chosen[j])
-            surface = synonyms.forms.get(leaf, (leaf,))
-            tokens = [int(surface[int(rng.integers(len(surface)))])]
-            kept = [a for a in ancestors
-                    if rng.uniform() < ancestor_keep_prob]
-            if not kept and ancestors:
-                kept = [ancestors[0]]
-            tokens.extend(kept)
+        owners, gt_boxes = best[matched].tolist(), truth.tolist()
+        columns["box"] += regions[matched].tolist()
+        columns["score"] += [scores[r] for r in np.flatnonzero(matched)]
+        columns["gt_box"] += [gt_boxes[j] for j in owners]
+        columns["true_objects"] += [[leaves[chosen[j]]] for j in owners]
+        columns["scene"] += [scene_id] * len(owners)
+        for j in owners:
+            surface, ancestors, candidates, cdf = leaf_draws(chosen[j])
+            tokens = [surface[int(rng.integers(len(surface)))]]
+            # one draw per ancestor (kept below ancestor_keep_prob), then
+            # the noise draw
+            uniforms = rng.random(len(ancestors) + 1).tolist()
+            kept = [a for a, u in zip(ancestors, uniforms)
+                    if u < ancestor_keep_prob]
+            tokens.extend(kept or ancestors[:1])
             hallucinated = []
-            if rng.uniform() < noise_rate and len(candidates):
-                inject = int(rng.choice(candidates, p=probs))
+            if uniforms[-1] < noise_rate and cdf is not None:
+                # Generator.choice(candidates, p=...), one draw
+                inject = int(candidates[cdf.searchsorted(rng.random(),
+                                                         side="right")])
                 forms = synonyms.forms.get(inject, (inject,))
-                tokens.append(int(forms[int(rng.integers(len(forms)))]))
+                tokens.append(forms[int(rng.integers(len(forms)))])
                 hallucinated = [inject]
             order = rng.permutation(len(tokens)).tolist()
-            for name, value in (
-                    ("box", region),
-                    ("tokens", [tokens[i] for i in order]),
-                    ("true_objects", [leaf]),
-                    ("hallucinated", hallucinated),
-                    ("score", scores[r]),
-                    ("gt_box", truth[j]),
-                    ("scene", scene_id)):
-                columns[name].append(value)
-    return Corpus.from_lists(**columns), all_scene_objects
+            columns["tokens"].append([tokens[i] for i in order])
+            columns["hallucinated"].append(hallucinated)
+    return Corpus.from_lists(**columns), (leaf_ids[picked], np.array(objects))
 
 
 # ---------------------------------------------------------------------------
 # serialization (one JSON object per line, schema "v1")
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds this
+#: encoder on every call; one instance writes every line
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_line(payload) -> str:
     """Compact, key-sorted JSON text: the form of every file written."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def write_lines(path, lines: Iterable[str]) -> None:

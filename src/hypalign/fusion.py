@@ -114,7 +114,7 @@ def positional_encode(visual, corners: np.ndarray, proj):
     an n x 4 array of checked (x1, y1, x2, y2) boxes."""
     n, d = _shape(visual)
     if not isinstance(corners, np.ndarray) or corners.shape != (n, 4):
-        raise ValueError("positional encoding needs one Box row per visual "
+        raise ValueError("positional encoding needs one box row per visual "
                          "row: an n x 4 array of (x1, y1, x2, y2) corners")
     if _shape(proj) != (4, d):
         raise ValueError("proposal projection must map p to the embedding dim")

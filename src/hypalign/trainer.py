@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -502,12 +502,12 @@ def default_corpus(config: ExperimentConfig):
     tree = ConceptTree.balanced(config.categories,
                                 config.leaves_per_category)
     synonyms = default_synonyms(tree)
-    records, scene_objects = synth_corpus(
+    records, objects = synth_corpus(
         tree, scenes=config.scenes, noise_rate=config.rho, seed=config.seed,
         synonyms=synonyms, k=config.k,
         objects_per_scene=config.objects_per_scene, top_n=config.top_n,
         iou_threshold=config.iou_threshold)
-    return tree, synonyms, records, scene_objects
+    return tree, synonyms, records, objects
 
 
 def train(config: ExperimentConfig, records: Optional[Corpus] = None,
@@ -608,8 +608,26 @@ def _revive(field: str, data: dict, d: int, vocab: int) -> dict:
     return out
 
 
+def _config_from_json(data: dict) -> ExperimentConfig:
+    """A state file's config: every field, of its default's type (a bool
+    is no number; an integer may stand for a float)."""
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    for name in sorted(kinds.keys() ^ data.keys()):
+        raise ValueError(f"config.{name}: " + ("missing" if name in kinds
+                                               else "unknown field"))
+    for name, kind in kinds.items():
+        if type(data[name]) not in ((int, kind) if kind is float else (kind,)):
+            raise ValueError(f"config.{name}: expected {kind.__name__}, "
+                             f"got {data[name]!r}")
+    return ExperimentConfig(**{name: kind(data[name])
+                               for name, kind in kinds.items()})
+
+
 def state_from_json(data: dict) -> ModelState:
-    config = ExperimentConfig(**data["config"])
+    config = _config_from_json(data["config"])
+    adam_t = data["adam_t"]
+    if type(adam_t) is not int or adam_t < 0:
+        raise ValueError(f"adam_t: {adam_t!r} is not a non-negative integer")
     tree = ConceptTree.from_json(data["tree"])
     synonyms = SynonymMap.from_json(data["synonyms"])
     vocab = _vocab_size(tree, synonyms)
@@ -618,7 +636,7 @@ def state_from_json(data: dict) -> ModelState:
         params=_revive("params", data["params"], config.d, vocab),
         adam_m=_revive("adam_m", data["adam_m"], config.d, vocab),
         adam_v=_revive("adam_v", data["adam_v"], config.d, vocab),
-        adam_t=int(data["adam_t"]),
+        adam_t=adam_t,
     )
 
 
@@ -640,6 +658,6 @@ def export_embeddings(state: ModelState, records: Corpus) -> list:
     vectors = np.concatenate([fwd.class_embeddings(state.leaf_ids),
                               fwd.captions(records.tokens)])
     norms = exp_map_origin(vectors, curvature).space_norm
-    return [{"id": i, "kind": kind, "vector": vec.tolist(),
-             "lifted_norm": float(norm)}
-            for (i, kind), vec, norm in zip(ids, vectors, norms)]
+    return [{"id": i, "kind": kind, "vector": vec, "lifted_norm": norm}
+            for (i, kind), vec, norm in zip(ids, vectors.tolist(),
+                                            norms.tolist())]

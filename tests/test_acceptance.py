@@ -262,13 +262,13 @@ def test_criterion_2_gradient_suite():
 
 
 def _brute_force_nms(boxes, threshold):
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
+    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i][4], i))
     kept = []
     for i in order:
         ok = True
         for j in kept:
-            ax1, ay1, ax2, ay2 = boxes[i].coords()
-            bx1, by1, bx2, by2 = boxes[j].coords()
+            ax1, ay1, ax2, ay2 = boxes[i][:4]
+            bx1, by1, bx2, by2 = boxes[j][:4]
             iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
             ih = max(0.0, min(ay2, by2) - max(ay1, by1))
             inter = iw * ih
@@ -290,17 +290,17 @@ def test_criterion_3_oracle_suite():
             x = np.sort(rng.uniform(0, 1, size=2))
             y = np.sort(rng.uniform(0, 1, size=2))
             if x[1] - x[0] >= 1e-3 and y[1] - y[0] >= 1e-3:
-                return ds.Box(float(x[0]), float(y[0]), float(x[1]),
-                              float(y[1]), score=float(rng.uniform()))
+                return [float(x[0]), float(y[0]), float(x[1]), float(y[1]),
+                        float(rng.uniform())]
 
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(1, 21))
         boxes = [rand_box() for _ in range(n)]
         if n >= 2 and rng.uniform() < 0.25:
-            boxes[1] = ds.Box(*boxes[1].coords(), score=boxes[0].score)
+            boxes[1] = boxes[1][:4] + [boxes[0][4]]
         thr = float(rng.uniform(0.1, 0.9))
-        if ds.nms(boxes, thr) != _brute_force_nms(boxes, thr):
+        if ds.nms(boxes, thr).tolist() != _brute_force_nms(boxes, thr):
             mismatches += 1
 
     syn = ds.SynonymMap(forms={i: (i,) for i in range(1, 5)})
@@ -318,10 +318,10 @@ def test_criterion_3_oracle_suite():
                                     syn) - 25.0) < 1e-12,
     )
 
-    grid = ds.grid_sample(3)
-    cells = np.array([b.coords() for b in grid])
-    tiling_ok = (len(grid) == 9
-                 and abs(sum((b.x2 - b.x1) * (b.y2 - b.y1) for b in grid)
+    cells = ds.grid_sample(3)
+    tiling_ok = (len(cells) == 9
+                 and abs(sum((x2 - x1) * (y2 - y1)
+                             for x1, y1, x2, y2 in cells.tolist())
                          - 1.0) <= 1e-12
                  and np.array_equal(ds.iou(cells, cells), np.eye(9)))
 

@@ -154,6 +154,8 @@ PINNED_DIGESTS = {
         "1b7e33d77880fe11f91af9bcc5a348d88ac130019b30c149cf82831d710ca092",
     "export-embeddings stdout":
         "689f2185f9358dce59a3ee4527ca59e8bd7fe6f651123d19e15fc80c08299061",
+    "sample-regions stdout":
+        "1a385cdedddb491aa121d52aee59488ffe631a80dc3094468c86b34c64428ea5",
     "corpus.jsonl":
         "786eb01dd4df76301df38f66f0431b6d3844469db374c8c3937b02b505fca231",
     "synonyms.json":
@@ -172,10 +174,12 @@ PINNED_DIGESTS = {
 def test_outputs_match_pinned_digests(tmp_path, capsys):
     args = flag_fix(train_args(tmp_path))
     args[args.index("--rho") + 1] = "0.3"
+    # a shortlist of 8 at threshold 0.2 makes NMS suppress 3 proposals
+    extra = {"sample-regions": ["--top-n", "8", "--iou-threshold", "0.2"]}
     digests = {}
     for command in ("gen-corpus", "noise-metric", "train", "eval",
-                    "export-embeddings"):
-        assert run_cli([command] + args) == 0
+                    "export-embeddings", "sample-regions"):
+        assert run_cli([command] + args + extra.get(command, [])) == 0
         digests[f"{command} stdout"] = capsys.readouterr().out.encode()
     for name in ("corpus.jsonl", "synonyms.json", "meta.json",
                  "metrics.jsonl", "state.json", "embeddings.jsonl"):

@@ -1,4 +1,4 @@
-"""Box, IoU and NMS invariants and the corpus and state JSON round trips.
+"""IoU and NMS invariants and the corpus and state JSON round trips.
 
 Property tests draw their inputs with hypothesis, derandomized and without
 an example database, so every run checks the same examples.
@@ -22,9 +22,12 @@ unit = st.floats(0.0, 1.0)
 
 @st.composite
 def boxes(draw, scored=st.none()):
+    """A corner row [x1, y1, x2, y2], with the drawn score appended unless
+    it is None."""
     x1, x2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
     y1, y2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
-    return ds.Box(x1, y1, x2, y2, score=draw(scored))
+    score = draw(scored)
+    return [x1, y1, x2, y2] + ([] if score is None else [score])
 
 
 ids = st.integers(0, 10_000)
@@ -38,10 +41,9 @@ def record_lines(draw):
     gt_box = draw(st.none() | boxes(scored=st.none() | unit))
     true_objects = draw(st.frozensets(ids, max_size=4))
     return {
-        "v": "v1", "scene": draw(ids), "box": list(box.coords()),
-        "score": box.score,
-        "gt_box": None if gt_box is None else list(gt_box.coords()) + (
-            [] if gt_box.score is None else [gt_box.score]),
+        "v": "v1", "scene": draw(ids), "box": box[:4],
+        "score": box[4] if len(box) == 5 else None,
+        "gt_box": gt_box,
         "tokens": draw(st.lists(ids, min_size=1, max_size=6)),
         "true_objects": sorted(true_objects),
         "hallucinated": sorted(draw(st.frozensets(ids, max_size=3))
@@ -54,7 +56,7 @@ def record_lines(draw):
 @PROPERTY
 @given(a=boxes(), b=boxes())
 def test_iou_is_symmetric_bounded_and_one_on_itself(a, b):
-    rows = np.array([a.coords(), b.coords()])
+    rows = np.array([a, b])
     overlaps = ds.iou(rows, rows)
     assert overlaps[0, 1] == overlaps[1, 0]
     assert 0.0 <= overlaps[0, 1] <= 1.0
@@ -66,13 +68,13 @@ def test_iou_is_symmetric_bounded_and_one_on_itself(a, b):
        threshold=st.floats(0.05, 0.95))
 def test_nms_keeps_a_score_ordered_subset_without_overlaps(candidates,
                                                            threshold):
-    kept = ds.nms(candidates, threshold)
+    kept = ds.nms(np.array(candidates).reshape(-1, 5), threshold).tolist()
     remaining = list(candidates)
     for box in kept:
         remaining.remove(box)   # a sub-multiset of the input
-    scores = [box.score for box in kept]
+    scores = [box[4] for box in kept]
     assert scores == sorted(scores, reverse=True)
-    rows = np.array([box.coords() for box in kept]).reshape(-1, 4)
+    rows = np.array(kept).reshape(-1, 5)[:, :4]
     overlaps = ds.iou(rows, rows)
     assert (overlaps[~np.eye(len(kept), dtype=bool)] < threshold).all()
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -467,6 +468,45 @@ def test_state_file_shapes_checked_at_load(tmp_path, corpus):
     del missing["adam_m"]["fuse_w1"]
     with pytest.raises(ValueError, match=r"adam_m: missing \['fuse_w1'\]"):
         tr.state_from_json(missing)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["config"].update(d=16.0), "config.d: expected int, got 16.0"),
+    (lambda d: d["config"].update(d="16"), "config.d: expected int, got '16'"),
+    (lambda d: d["config"].update(steps=True),
+     "config.steps: expected int, got True"),
+    (lambda d: d["config"].update(lr=True),
+     "config.lr: expected float, got True"),
+    (lambda d: d["config"].update(early_stop="no"),
+     "config.early_stop: expected bool, got 'no'"),
+    (lambda d: d["config"].update(objective=None),
+     "config.objective: expected str, got None"),
+    (lambda d: d["config"].pop("gamma"), "config.gamma: missing"),
+    (lambda d: d["config"].update(margin=0.1),
+     "config.margin: unknown field"),
+    (lambda d: d.update(adam_t=2.7), "adam_t: 2.7 is not a non-negative"),
+    (lambda d: d.update(adam_t=True), "adam_t: True is not a non-negative"),
+    (lambda d: d.update(adam_t=-4), "adam_t: -4 is not a non-negative"),
+])
+def test_state_file_config_and_step_checked_at_load(tmp_path, corpus, edit,
+                                                    message):
+    cfg, tree, syn, _ = corpus
+    path = tmp_path / "state.json"
+    tr.save_state(path, tr.init(cfg, tree, syn))
+    data = json.loads(path.read_text())
+    edit(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tr.state_from_json(data)
+
+
+def test_state_file_accepts_an_integer_for_a_float_field(tmp_path, corpus):
+    cfg, tree, syn, _ = corpus
+    path = tmp_path / "state.json"
+    tr.save_state(path, tr.init(cfg, tree, syn))
+    data = json.loads(path.read_text())
+    data["config"]["lr"] = 1
+    config = tr.state_from_json(data).config
+    assert config.lr == 1.0 and type(config.lr) is float
 
 
 def test_export_embeddings_rows(corpus):
