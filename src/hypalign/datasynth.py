@@ -88,19 +88,24 @@ def _fail_first(checks: list, where: str) -> None:
 
 def _box_check(field: str, rows: np.ndarray, live) -> tuple:
     """(failing rows, message for row i): a live n x 4 corner row needs
-    0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1."""
+    0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1, and an area that does not
+    underflow to 0 (its IoU would be 0/0)."""
     lo, hi = rows[:, :2], rows[:, 2:]
     valid = (0.0 <= lo) & (lo < hi) & (hi <= 1.0)
+    size = hi - lo
 
     def message(i):
         outside = ~((rows[i] >= 0.0) & (rows[i] <= 1.0))
-        if not outside.any():
+        if outside.any():
+            j = int(np.argmax(outside))
+            return (f"{field} coordinate {_CORNERS[j]}={float(rows[i, j])} "
+                    "outside [0, 1]")
+        if not valid[i].all():
             return f"{field} requires x1 < x2 and y1 < y2"
-        j = int(np.argmax(outside))
-        return (f"{field} coordinate {_CORNERS[j]}={float(rows[i, j])} "
-                "outside [0, 1]")
+        return f"{field} area (x2 - x1) * (y2 - y1) is 0"
 
-    return live & ~(valid[:, 0] & valid[:, 1]), message
+    return (live & ~(valid[:, 0] & valid[:, 1]
+                     & (size[:, 0] * size[:, 1] > 0.0)), message)
 
 
 def _score_check(scores: np.ndarray, scored) -> tuple:

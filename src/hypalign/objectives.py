@@ -192,9 +192,8 @@ def bbox_regression_loss(pred, gt):
 
 
 def _weighted(weight: float, term):
-    if isinstance(term, float) and term == 0.0:
-        return 0.0
-    return ad.mul(term, float(weight))
+    """A weighted term; an inactive term (None) is an exact zero."""
+    return 0.0 if term is None else ad.mul(term, float(weight))
 
 
 def _compose(bbox, cls, cap, entail, weights: LossWeights) -> LossReport:
@@ -219,10 +218,10 @@ def objective_hyper(bbox, cls, cap, entail,
 def objective_baseline(bbox, cls, cap,
                        weights: LossWeights = LossWeights()) -> LossReport:
     """Composite objective with the plain contrastive caption term only."""
-    return _compose(bbox, cls, cap, 0.0, weights)
+    return _compose(bbox, cls, cap, None, weights)
 
 
 def objective_det(bbox, cls,
                   weights: LossWeights = LossWeights()) -> LossReport:
     """Detection-only objective: bbox + cls."""
-    return _compose(bbox, cls, 0.0, 0.0, weights)
+    return _compose(bbox, cls, None, None, weights)

@@ -220,27 +220,22 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
             params[name] = np.zeros(shape)
         else:
             params[name] = rng.normal(0.0, INIT_SCALE, size=shape)
-    params["log_tau"] = math.log(config.tau_init)
-    params["curv_raw"] = math.log(config.c_init)
-    adam_m = {k: _zeros_like(v) for k, v in params.items()}
-    adam_v = {k: _zeros_like(v) for k, v in params.items()}
+    params["log_tau"] = np.array(math.log(config.tau_init))
+    params["curv_raw"] = np.array(math.log(config.c_init))
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
     return ModelState(config=config, tree=tree, synonyms=synonyms,
                       leaf_ids=tree.leaves(), params=params,
                       adam_m=adam_m, adam_v=adam_v, adam_t=0)
 
 
-def _zeros_like(v):
-    return 0.0 if isinstance(v, float) else np.zeros(np.shape(v))
-
-
 def _layout(values: dict) -> list:
     """(name, shape, start, stop) of each parameter when all of them are
-    laid end to end in one float64 vector; a float takes one slot."""
+    laid end to end in one float64 vector."""
     layout, stop = [], 0
     for name, value in values.items():
-        shape = value.shape if isinstance(value, np.ndarray) else ()
-        start, stop = stop, stop + (value.size if shape else 1)
-        layout.append((name, shape, start, stop))
+        start, stop = stop, stop + value.size
+        layout.append((name, value.shape, start, stop))
     return layout
 
 
@@ -249,10 +244,19 @@ def _flatten(values: dict, layout: list) -> np.ndarray:
 
 
 def _unflatten(flat: np.ndarray, layout: list) -> dict:
-    """A parameter map of views into ``flat``, and floats for the scalars."""
-    return {name: flat[start:stop].reshape(shape) if shape
-            else float(flat[start])
+    """A parameter map of views into ``flat``."""
+    return {name: flat[start:stop].reshape(shape)
             for name, shape, start, stop in layout}
+
+
+def _check_finite(flat: np.ndarray, layout: list) -> None:
+    """Raise naming the first parameter with a non-finite entry in
+    ``flat``."""
+    if not np.isfinite(flat).all():
+        for name, _, start, stop in layout:
+            if not np.isfinite(flat[start:stop]).all():
+                raise ArithmeticError(
+                    f"non-finite entries in parameter {name!r}")
 
 
 def _squash(x, radius: float = EMBED_RADIUS):
@@ -365,18 +369,21 @@ def step(state: ModelState, records: Corpus) -> tuple:
 
     Forward through fusion, all active losses, reverse-mode backward, then
     an adaptive-moment update (beta1 0.9, beta2 0.999, eps 1e-8) with a
-    linear warm-up over the first 10% of configured steps.  Aborts with a
-    node diagnostic if any gradient is non-finite, or naming the parameter
-    if an update is non-finite.
+    linear warm-up over the first 10% of configured steps.  Aborts naming
+    the parameter if a parameter or its update is non-finite, or with a
+    node diagnostic if any gradient is.
     """
     if not len(records):
         raise ValueError("empty batch")
     config = state.config
+    # every parameter laid end to end, in the order of state.params: one
+    # finiteness check here, one elementwise update below
+    layout = _layout(state.params)
+    value = _flatten(state.params, layout)
+    _check_finite(value, layout)
     tape = ad.Tape()
-    leaves = {name: tape.leaf(value, name=name)
-              for name, value in state.params.items()}
-    report = _batch_losses(_Forward(leaves), records, config,
-                           np.asarray(state.leaf_ids))
+    report = _batch_losses(_Forward(tape.params(state.params)), records,
+                           config, np.asarray(state.leaf_ids))
     grads = ad.backward(tape, report.total)
 
     t = state.adam_t + 1
@@ -390,10 +397,6 @@ def step(state: ModelState, records: Corpus) -> tuple:
         lr_t *= 0.1
     b1c = 1.0 - ADAM_BETA1 ** t
     b2c = 1.0 - ADAM_BETA2 ** t
-    # one elementwise update over every parameter laid end to end, in the
-    # order of state.params
-    layout = _layout(state.params)
-    value = _flatten(state.params, layout)
     g = _flatten(grads, layout)
     m = ADAM_BETA1 * _flatten(state.adam_m, layout) + (1.0 - ADAM_BETA1) * g
     v = (ADAM_BETA2 * _flatten(state.adam_v, layout)
@@ -408,18 +411,12 @@ def step(state: ModelState, records: Corpus) -> tuple:
     update = np.where(decay,
                       update + lr_t * config.weight_decay * value, update)
     out = value - update
-    if not np.isfinite(out).all():
-        for name, shape, start, stop in layout:
-            if not np.isfinite(out[start:stop]).all():
-                raise ArithmeticError(
-                    f"non-finite entries in parameter {name!r}" if shape
-                    else f"non-finite parameter {name!r}")
+    _check_finite(out, layout)
     new_params = _unflatten(out, layout)
     new_m, new_v = _unflatten(m, layout), _unflatten(v, layout)
-    new_params["log_tau"] = min(max(new_params["log_tau"],
-                                    LOG_TAU_BOUNDS[0]), LOG_TAU_BOUNDS[1])
-    new_params["curv_raw"] = min(max(new_params["curv_raw"],
-                                     CURV_RAW_BOUNDS[0]), CURV_RAW_BOUNDS[1])
+    for name, (lo, hi) in (("log_tau", LOG_TAU_BOUNDS),
+                           ("curv_raw", CURV_RAW_BOUNDS)):
+        new_params[name][()] = min(max(float(new_params[name]), lo), hi)
     new_state = ModelState(config=config, tree=state.tree,
                            synonyms=state.synonyms,
                            leaf_ids=state.leaf_ids, params=new_params,
@@ -571,8 +568,7 @@ def train(config: ExperimentConfig, records: Optional[Corpus] = None,
 
 
 def _plain(values: dict) -> dict:
-    return {k: (v if isinstance(v, float) else v.tolist())
-            for k, v in values.items()}
+    return {k: v.tolist() for k, v in values.items()}
 
 
 def state_to_json(state: ModelState) -> dict:
@@ -604,7 +600,7 @@ def _revive(field: str, data: dict, d: int, vocab: int) -> dict:
         if not np.isfinite(arr).all():
             # json reads NaN and Infinity
             raise ValueError(f"{field}.{name}: non-finite entries")
-        out[name] = float(arr) if arr.shape == () else arr
+        out[name] = arr
     return out
 
 

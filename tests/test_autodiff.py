@@ -251,16 +251,15 @@ def test_row_ops_reject_other_ranks_naming_the_shape(op, operands):
         getattr(ad, op)(*(tape.leaf(u) for u in operands))
 
 
-def test_opcode_tables_are_aligned():
-    # every opcode constant indexes its own name and its own adjoint
-    opcodes = {name[1:].lower(): value for name, value in vars(ad).items()
-               if name.startswith("_") and name[1:].isupper()
-               and type(value) is int}
-    assert len(opcodes) == len(ad._OP_NAMES) == len(ad._BACKWARD)
-    assert {ad._OP_NAMES[i]: i for i in opcodes.values()} == opcodes
-    for i, name in enumerate(ad._OP_NAMES):
-        if name != "leaf":
-            assert ad._BACKWARD[i].__name__ == "_bw_" + name
+def test_gradient_cases_cover_every_primitive():
+    # criterion 2 is the gate for new ops: a primitive registered without a
+    # case in test_primitive_gradients fails here
+    recorded = set()
+    for _, build, sample in SCALAR_CASES + VECTOR_CASES:
+        tape = ad.Tape()
+        build({k: tape.leaf(v, name=k) for k, v in sample().items()})
+        recorded |= {ad._OP_NAMES[opcode] for opcode, _, _ in tape.ops}
+    assert recorded - {"leaf"} == set(ad._OP_NAMES) - {"leaf"}
 
 
 def test_backward_deterministic_bit_identical():
@@ -329,10 +328,12 @@ def test_cross_tape_operands_rejected():
 def test_non_finite_gradient_reports_node():
     tape = ad.Tape()
     x = tape.leaf(1e200, name="x")
-    y = ad.mul(x, x)          # overflows to inf
-    out = ad.mul(y, x)
-    with pytest.raises(ArithmeticError, match="node"):
-        ad.backward(tape, out)
+    # numpy warns of the overflow, which the test suite makes an error
+    with np.errstate(over="ignore"):
+        y = ad.mul(x, x)          # overflows to inf
+        out = ad.mul(y, x)
+        with pytest.raises(ArithmeticError, match="node"):
+            ad.backward(tape, out)
 
 
 def test_finite_diff_reports_non_finite_probe():

@@ -165,6 +165,28 @@ def test_nms_keeps_disjoint_boxes():
     assert scores == sorted(scores, reverse=True)
 
 
+TINY = 3.6e-165   # a side whose square underflows to 0
+
+
+@pytest.mark.parametrize("box", [
+    [0.0, 0.0, TINY, TINY],
+    [2 * TINY, 2 * TINY, 3 * TINY, 3 * TINY],
+    [0.1, 0.0, 0.5, 5e-324],
+], ids=["origin", "disjoint", "flat"])
+def test_a_box_whose_area_underflows_is_rejected_by_row(box):
+    # its IoU would be 0/0, and nms read that NaN as an overlap: it kept 1
+    # of [[0, 0, t, t, 0.9], [2t, 2t, 3t, 3t, 0.8]]
+    area = re.escape("box area (x2 - x1) * (y2 - y1) is 0")
+    with pytest.raises(ValueError, match="box 1: " + area):
+        ds.nms([[0.1, 0.1, 0.2, 0.2, 0.9], box + [0.8]], 0.5)
+    with pytest.raises(ValueError, match="record 1: " + area):
+        ds.Corpus.from_lists([[0.1, 0.1, 0.2, 0.2], box], [[1], [1]],
+                             [[1], [1]], [[], []])
+    with pytest.raises(ValueError, match="record 1: gt_" + area):
+        ds.Corpus.from_lists([[0.1, 0.1, 0.2, 0.2]] * 2, [[1], [1]],
+                             [[1], [1]], [[], []], gt_box=[None, box])
+
+
 def test_nms_suppresses_duplicates():
     dup = [0.1, 0.1, 0.4, 0.4]
     boxes = [dup + [0.3], dup + [0.9], dup + [0.5]]

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypalign import datasynth as ds
@@ -26,6 +26,8 @@ def boxes(draw, scored=st.none()):
     it is None."""
     x1, x2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
     y1, y2 = sorted(draw(st.lists(unit, min_size=2, max_size=2, unique=True)))
+    # the box checker's rule: an area that underflows to 0 is rejected
+    assume((x2 - x1) * (y2 - y1) > 0.0)
     score = draw(scored)
     return [x1, y1, x2, y2] + ([] if score is None else [score])
 
@@ -112,8 +114,7 @@ def test_state_json_round_trip(seed, d, scale, adam_t):
     rng = np.random.default_rng(seed)
 
     def noisy(values):
-        return {k: (float(rng.normal() * scale) if isinstance(v, float)
-                    else rng.normal(size=v.shape) * scale)
+        return {k: np.asarray(rng.normal(size=v.shape) * scale)
                 for k, v in values.items()}
 
     state.params, state.adam_m = noisy(state.params), noisy(state.adam_m)
