@@ -16,10 +16,9 @@ adjoints, each later one makes a new sum, and the scatter adjoints of
 ``take_row``, ``cols`` and ``pick`` copy a shared adjoint before adding.
 
 Every public op is polymorphic: called with :class:`Var` arguments it records
-a tape node (a plain operand of ``add``, ``sub``, ``mul`` or ``div`` rides
-in the node's aux, one of a matrix op becomes a constant leaf), called with
-plain numbers or arrays it just computes the value.  That gives two
-independent evaluation routes for the same formula, which the
+a tape node (a plain operand rides in the node's aux and takes no VJP),
+called with plain numbers or arrays it just computes the value.  That gives
+two independent evaluation routes for the same formula, which the
 finite-difference checker exploits.  ``Var`` has no arithmetic operators.
 
 Every value, on the tape and on the plain route, is float64 numpy: an array,
@@ -31,7 +30,11 @@ matrix of rows: ``norm``, ``dot``, ``logsumexp`` and ``softmax`` work
 row-wise on it and reject any other rank, naming the shape.  With them and
 ``matmul``, ``scale_rows``, ``outer``, ``pick``, ``sum``, ``cols`` and
 ``take_row``, a whole batch, from the fusion forward to each loss, is a
-handful of array nodes instead of one node per row or pair.
+handful of array nodes instead of one node per row or pair.  The hot
+formulas are one row each: the hyperboloid lift, distance, cone aperture
+and exterior angle (which ``geometry`` wraps) and the embedding squash.
+Each has one plain-array kernel, for training and evaluation alike, and a
+hand-derived VJP.
 """
 
 from __future__ import annotations
@@ -112,10 +115,6 @@ class Tape:
             var = out[name] = self._record(_LEAF.code, (), None, value)
             self.names[var.idx] = name
         return out
-
-    def const(self, value) -> Var:
-        """Register an unnamed input that gradients are not reported for."""
-        return self.leaf(value, None)
 
 
 def val(x):
@@ -217,14 +216,13 @@ def _scatter(name: str, kernel: Callable, write: Callable) -> _Op:
     return _Op(name, kernel, backward)
 
 
-def _binary(name: str, kernel: Callable, vjp_a: Callable, vjp_b: Callable,
-            fold: bool = True) -> Callable:
+def _binary(name: str, kernel: Callable, vjp_a: Callable,
+            vjp_b: Callable) -> Callable:
     """Register a two-operand row and return its op.
 
     ``vjp_a(g, a, b)`` and ``vjp_b(g, a, b)`` are the adjoints of a and b,
-    each summed down to its operand's shape.  With ``fold`` a plain operand
-    rides in the node's aux as (position of the Var, constant); without, it
-    is registered as a constant leaf.
+    each summed down to its operand's shape.  A plain operand rides in the
+    node's aux as (position of the Var, constant), and takes no VJP.
     """
     def backward(g, ans, inputs, aux, values, adj, owned):
         if aux is None:
@@ -245,18 +243,51 @@ def _binary(name: str, kernel: Callable, vjp_a: Callable, vjp_b: Callable,
                     raise ValueError("operands recorded on different tapes")
                 return a.tape._record(row.code, (a.idx, b.idx), None,
                                       row.kernel(a.value, b.value))
-            if not fold:
-                return op(a, a.tape.const(b))
             c = _num(b)
             return a.tape._record(row.code, (a.idx,), (0, c),
                                   row.kernel(a.value, c))
         if isinstance(b, Var):
-            if not fold:
-                return op(b.tape.const(a), b)
             c = _num(a)
             return b.tape._record(row.code, (b.idx,), (1, c),
                                   row.kernel(c, b.value))
         return row.kernel(_num(a), _num(b))
+
+    op.__name__ = name
+    return op
+
+
+def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
+    """Register a row for a whole formula of several operands and return
+    its op, ``op(*operands, aux=None)``.
+
+    ``kernel(*values, aux)`` returns the value and what the VJP needs of
+    the forward pass; ``vjp(g, ans, saved, *values, aux)`` returns one
+    adjoint per operand.  ``aux`` holds the formula's plain parameters.
+    Any operand may be plain: the node's inputs are its Var operands, and
+    its aux holds their positions, every operand value, ``aux`` and the
+    saved intermediates.
+    """
+    def backward(g, ans, inputs, aux, values, adj, owned):
+        slots, args, extra, saved = aux
+        grads = vjp(g, ans, saved, *args, extra)
+        for j, k in zip(inputs, slots):
+            _acc(adj, j, grads[k])
+
+    row = _Op(name, kernel, backward)
+
+    def op(*operands, aux=None):
+        args = tuple(a.value if isinstance(a, Var) else _num(a)
+                     for a in operands)
+        value, saved = row.kernel(*args, aux)
+        slots = tuple(k for k, a in enumerate(operands)
+                      if isinstance(a, Var))
+        if not slots:
+            return value
+        tape = operands[slots[0]].tape
+        if any(operands[k].tape is not tape for k in slots):
+            raise ValueError("operands recorded on different tapes")
+        return tape._record(row.code, tuple(operands[k].idx for k in slots),
+                            (slots, args, aux, saved), value)
 
     op.__name__ = name
     return op
@@ -273,6 +304,8 @@ def _rows(op: str, *arrays: np.ndarray) -> None:
 def _sinhc(t):
     # removable singularity at 0: 4-term Taylor series below the switch point
     small = np.abs(t) < _SINHC_SWITCH
+    if not small.any():   # the usual case, without the series' array ops
+        return np.sinh(t) / t
     safe = np.where(small, 1.0, t)
     t2 = t * t
     return np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0
@@ -281,10 +314,22 @@ def _sinhc(t):
 
 def _sinhc_deriv(t):
     small = np.abs(t) < _SINHC_SWITCH
+    if not small.any():
+        return np.cosh(t) / t - np.sinh(t) / (t * t)
     safe = np.where(small, 1.0, t)
     t2 = t * t
     return np.where(small, t / 3.0 + t * t2 / 30.0 + t * t2 * t2 / 840.0,
                     np.cosh(safe) / safe - np.sinh(safe) / (safe * safe))
+
+
+def _acosh_den(x):
+    # 1/sqrt(x^2-1) diverges at 1; clip so matched pairs (d = 0) stay finite
+    return np.sqrt(np.square(np.maximum(x, _ACOSH_GUARD)) - 1.0)
+
+
+def _trig_den(x):
+    # sqrt(1-x^2), the denominator of the asin and arccos derivatives
+    return np.sqrt(1.0 - np.square(np.clip(x, -_TRIG_GUARD, _TRIG_GUARD)))
 
 
 def _norm(u):
@@ -292,10 +337,19 @@ def _norm(u):
     return np.sqrt(np.add.reduce(u * u, axis=1))
 
 
+def _per_norm(a, norm):
+    """a / norm, with 0 where the norm is 0 (the limit gradient used)."""
+    live = norm > 1e-300
+    return np.where(live, a / np.where(live, norm, 1.0), 0.0)
+
+
+def _row_dot(g, x):
+    """The inner product of each row of g with the same row of x."""
+    return np.einsum("ij,ij->i", g, x)
+
+
 def _norm_vjp(g, ans, u):
-    # at a zero row the limit gradient used is 0
-    live = ans > 1e-300
-    return np.where(live, g / np.where(live, ans, 1.0), 0.0)[:, None] * u
+    return _per_norm(g, ans)[:, None] * u
 
 
 def _dot(u, v):
@@ -320,8 +374,8 @@ def _softmax(u):
 
 add = _binary("add", operator.add, lambda g, a, b: _fit(g, a),
               lambda g, a, b: _fit(g, b))
-_sub = _binary("sub", operator.sub, lambda g, a, b: _fit(g, a),
-               lambda g, a, b: -_fit(g, b))
+sub = _binary("sub", operator.sub, lambda g, a, b: _fit(g, a),
+              lambda g, a, b: -_fit(g, b))
 mul = _binary("mul", operator.mul, lambda g, a, b: _fit(g * b, a),
               lambda g, a, b: _fit(g * a, b))
 # a / b elementwise: equal shapes, or either operand a scalar
@@ -339,13 +393,10 @@ sinhc = _unary("sinhc", _sinhc, lambda g, ans, x: g * _sinhc_deriv(x))
 tanh = _unary("tanh", np.tanh, lambda g, ans, x: g * (1.0 - ans * ans))
 sigmoid = _unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)),
                  lambda g, ans, x: g * ans * (1.0 - ans))
-# 1/sqrt(x^2-1) diverges at 1; clip so matched pairs (d = 0) stay finite
-arccosh = _unary("arccosh", np.arccosh, lambda g, ans, x: g / np.sqrt(
-    np.square(np.maximum(x, _ACOSH_GUARD)) - 1.0))
-asin = _unary("asin", np.arcsin, lambda g, ans, x: g / np.sqrt(
-    1.0 - np.square(np.clip(x, -_TRIG_GUARD, _TRIG_GUARD))))
-arccos = _unary("arccos", np.arccos, lambda g, ans, x: -g / np.sqrt(
-    1.0 - np.square(np.clip(x, -_TRIG_GUARD, _TRIG_GUARD))))
+arccosh = _unary("arccosh", np.arccosh,
+                  lambda g, ans, x: g / _acosh_den(x))
+asin = _unary("asin", np.arcsin, lambda g, ans, x: g / _trig_den(x))
+arccos = _unary("arccos", np.arccos, lambda g, ans, x: -g / _trig_den(x))
 # the boundary of a clamp or hinge takes the inactive side: zero gradient
 _CLAMP_MIN = _gated("clamp_min", np.maximum, operator.gt)
 _CLAMP_MAX = _gated("clamp_max", np.minimum, operator.lt)
@@ -356,12 +407,11 @@ smooth_l1 = _unary(
     lambda a: np.where(np.abs(a) < 1.0, 0.5 * a * a, np.abs(a) - 0.5),
     lambda g, ans, a: g * np.where(np.abs(a) < 1.0, a, np.sign(a)))
 # inner product of every row of u with every row of v (u @ v.T)
-dot = _binary("dot", _dot, lambda g, u, v: g @ v, lambda g, u, v: g.T @ u,
-              fold=False)
+dot = _binary("dot", _dot, lambda g, u, v: g @ v, lambda g, u, v: g.T @ u)
 # the vector of row norms of a matrix
 norm = _unary("norm", _norm, _norm_vjp)
 matmul = _binary("matmul", np.matmul, lambda g, a, b: g @ b.T,
-                 lambda g, a, b: a.T @ g, fold=False)
+                 lambda g, a, b: a.T @ g)
 _TAKE_ROW = _scatter("take_row", operator.getitem, np.add.at)
 _COLS = _scatter("cols", lambda m, s: m[:, s].copy(),
                  lambda buf, s, g: np.add(buf[:, s], g, out=buf[:, s]))
@@ -373,25 +423,160 @@ softmax = _unary("softmax", _softmax, lambda g, ans, u: ans * (
     g - np.add.reduce(g * ans, axis=1, keepdims=True)))
 # row i of matrix m times s[i]
 scale_rows = _binary("scale_rows", lambda s, m: s[:, None] * m,
-                     lambda g, s, m: np.einsum("ij,ij->i", g, m),
-                     lambda g, s, m: s[:, None] * g, fold=False)
+                     lambda g, s, m: _row_dot(g, m),
+                     lambda g, s, m: s[:, None] * g)
 # outer product of two vectors (n x m)
 outer = _binary("outer", np.outer, lambda g, a, b: g @ b,
-                lambda g, a, b: a @ g, fold=False)
+                lambda g, a, b: a @ g)
 # sum of all entries of an array, as a scalar
 sum = _unary("sum", lambda x: np.add.reduce(x, axis=None),  # shadows builtin
              lambda g, ans, x: np.full(x.shape, g))
 _PICK = _scatter("pick", operator.getitem, np.add.at)
 
+
+# ---------------------------------------------------------------------------
+# composite rows: the Lorentz-model formulas and the embedding squash
+#
+# Each kernel is its formula's op sequence on plain arrays, the one
+# implementation that training (on the tape) and evaluation share; each
+# VJP is hand-derived, with the guards and gates of the ops it spans.  A
+# hyperboloid point's spatial norm and time sqrt(1/C + |x|^2), and the
+# inner products of two batches, are plain arrays in aux: the VJPs
+# differentiate through them as functions of the rows and curvatures.
+
+
+def _time_vjp(gt, x, c, t):
+    """Adjoints of rows x and curvature c through t = sqrt(1/c + |x|^2)."""
+    w = gt / t
+    return w[:, None] * x, -np.add.reduce(w) / (2.0 * c * c)
+
+
+def _inner_vjp(gl, us, vs, cu, cv, ut, vt, gut, gvt):
+    """Adjoints of both row batches and curvatures through the inner
+    product matrix <u, v>_H (adjoint gl) and the times (adjoints gut, gvt
+    beyond the inner product's)."""
+    gxu, gcu = _time_vjp(gut - gl @ vt, us, cu, ut)
+    gxv, gcv = _time_vjp(gvt - gl.T @ ut, vs, cv, vt)
+    return gl @ vs + gxu, gl.T @ us + gxv, gcu, gcv
+
+
+def _lift(x, c, aux):
+    # sinh(sqrt(C) |x|) / (sqrt(C) |x|) * x, row-wise
+    norm = _norm(x)
+    t = sqrt(c) * norm
+    s = sinhc(t)
+    return scale_rows(s, x), (norm, t, s)
+
+
+def _lift_vjp(g, ans, saved, x, c, aux):
+    norm, t, s = saved
+    root = np.sqrt(c)
+    dt = _row_dot(g, x) * _sinhc_deriv(t)   # adjoint of each row's t
+    gx = s[:, None] * g + _per_norm(dt * root, norm)[:, None] * x
+    return gx, np.add.reduce(dt * norm) / (2.0 * root)
+
+
+def _lorentz_dist(us, vs, cu, cv, aux):
+    # sqrt(1/C) arccosh(-C <u, v>_H), 0 for bitwise-identical rows
+    ut, vt, inner, tol = aux
+    keep = np.where(np.all(us[:, None, :] == vs[None, :, :], axis=2),
+                    0.0, 1.0)
+    arg = -(cu * inner)
+    low = (arg < 1.0 - tol) & (keep != 0.0)
+    if np.any(low):
+        raise ValueError("off-manifold pair: -C<u,v>_H = "
+                         f"{float(np.min(arg[low]))} < 1")
+    root = sqrt(1.0 / cu)
+    return root * arccosh(clamp_min(arg, 1.0)) * keep, (keep, arg, root)
+
+
+def _lorentz_dist_vjp(g, ans, saved, us, vs, cu, cv, aux):
+    ut, vt, inner, _ = aux
+    keep, arg, root = saved
+    ga = np.where(arg > 1.0, (g * keep) * root / _acosh_den(arg), 0.0)
+    gus, gvs, gcu, gcv = _inner_vjp(-cu * ga, us, vs, cu, cv, ut, vt, 0.0,
+                                    0.0)
+    gcu = (gcu - np.add.reduce(ga * inner, axis=None)
+           - np.add.reduce(g * ans, axis=None) / (2.0 * cu))
+    return gus, gvs, gcu, gcv
+
+
+def _cone_aperture(cs, c, aux):
+    # asin(min(2K / (sqrt(C) |c_space|), 1)) of each row
+    sn, k = aux
+    ratio = 2.0 * k / (sqrt(c) * sn)
+    return asin(clamp_max(ratio, 1.0)), ratio
+
+
+def _cone_aperture_vjp(g, ans, ratio, cs, c, aux):
+    sn, _ = aux
+    # the ratio's adjoint times the ratio: d ratio / d|c_space| is
+    # -ratio / |c_space|, and d ratio / dC is -ratio / (2C)
+    gr = np.where(ratio < 1.0, g * ratio / _trig_den(ratio), 0.0)
+    return ((-gr / (sn * sn))[:, None] * cs,
+            -np.add.reduce(gr) / (2.0 * c))
+
+
+def _cone_angle(cs, vs, cc, cv, aux):
+    # arccos((v_time + c_time C <c,v>_H) / (|c_space| sqrt((C <c,v>_H)^2
+    # - 1))), with angle 0 and denominator 1 where (C <c,v>_H)^2 <= 1
+    sn, ct, vt, inner = aux
+    ci = cc * inner
+    dsq = ci * ci - 1.0
+    keep = np.where(dsq > 0.0, 1.0, 0.0)
+    root = sqrt(np.where(dsq > 0.0, dsq, 1.0))
+    den = scale_rows(sn, root)
+    q = (vt + scale_rows(ct, ci)) / den
+    cos = clamp_max(clamp_min(q, -1.0), 1.0)
+    return arccos(cos) * keep, (ci, keep, root, den, q, cos)
+
+
+def _cone_angle_vjp(g, ans, saved, cs, vs, cc, cv, aux):
+    sn, ct, vt, inner = aux
+    ci, keep, root, den, q, cos = saved
+    gq = np.where((q > -1.0) & (q < 1.0), -(g * keep) / _trig_den(cos), 0.0)
+    gnum = gq / den
+    gden = -gnum * q
+    gci = gden * sn[:, None] * ci / root + gnum * ct[:, None]
+    gcs, gvs, gcc, gcv = _inner_vjp(
+        cc * gci, cs, vs, cc, cv, ct, vt,
+        np.add.reduce(gnum * ci, axis=1), np.add.reduce(gnum, axis=0))
+    gsn = np.add.reduce(gden * root, axis=1)
+    return (gcs + (gsn / sn)[:, None] * cs, gvs,
+            gcc + np.add.reduce(gci * inner, axis=None), gcv)
+
+
+def _squash(x, radius):
+    # x * radius tanh(|x| / radius) / |x|, row-wise, |x| clamped to 1e-12
+    norm = _norm(x)
+    n = clamp_min(norm, 1e-12)
+    th = tanh(n / radius)
+    f = th * radius / n
+    return scale_rows(f, x), (norm, n, th, f)
+
+
+def _squash_vjp(g, ans, saved, x, radius):
+    norm, n, th, f = saved
+    # f'(n) = (1 - th^2 - f) / n, and d|x|/dx = x / |x| where unclamped
+    w = np.where(norm > 1e-12, _row_dot(g, x) * (1.0 - th * th - f)
+                 / (n * n), 0.0)
+    return (f[:, None] * g + w[:, None] * x,)
+
+
+# the spatial part of the lift of each row to the hyperboloid
+lift = _composite("lift", _lift, _lift_vjp)
+# geodesic distance of every row pair; aux (u time, v time, <u, v>_H,
+# off-manifold tolerance)
+lorentz_dist = _composite("lorentz_dist", _lorentz_dist, _lorentz_dist_vjp)
+# half aperture of the cone at each row; aux (spatial norms, K)
+cone_aperture = _composite("cone_aperture", _cone_aperture,
+                           _cone_aperture_vjp)
+# exterior angle of every row pair; aux (c norms, c time, v time, <c, v>_H)
+cone_angle = _composite("cone_angle", _cone_angle, _cone_angle_vjp)
+# direction-preserving row norm bound; aux the radius
+squash = _composite("squash", _squash, _squash_vjp)
+
 _OP_NAMES = [row.name for row in _OPS]
-
-
-def sub(a, b):
-    # a plain minuend takes two nodes, neg then add: the node counts per
-    # step that the tests and the benchmark track stay as they are
-    if isinstance(b, Var) and not isinstance(a, Var):
-        return add(neg(b), a)
-    return _sub(a, b)
 
 
 def clamp_min(a, lo):

@@ -71,8 +71,9 @@ class LorentzPoint:
     """A batch of hyperboloid points: spatial rows (n x d), plus the
     curvature-implied time.
 
-    ``space_norm`` and ``time`` (one entry per row) are computed once at
-    construction and reused by the distance/angle operations.
+    ``space_norm`` and ``time`` (one entry per row) are plain arrays,
+    computed once at construction and reused by the distance and cone
+    rows, which differentiate through them.
     """
 
     __slots__ = ("space", "curvature", "space_norm", "time")
@@ -85,10 +86,10 @@ class LorentzPoint:
             raise ValueError("non-finite spatial coordinates")
         self.space = space
         self.curvature = curvature
-        self.space_norm = ad.norm(space)
+        self.space_norm = ad.norm(sv)
         # time = sqrt(1/C + ||space||^2) >= 1/sqrt(C)
-        self.time = ad.sqrt(ad.add(ad.div(1.0, curvature),
-                                   ad.mul(self.space_norm, self.space_norm)))
+        self.time = np.sqrt(1.0 / val(curvature)
+                            + self.space_norm * self.space_norm)
 
     def __repr__(self):
         return (f"LorentzPoint(space={val(self.space)!r}, "
@@ -107,8 +108,7 @@ def exp_map_origin(x, curvature) -> LorentzPoint:
     xv = val(x)
     if not np.all(np.isfinite(xv)):
         raise ValueError("non-finite input to exp_map_origin")
-    t = ad.mul(ad.sqrt(curvature), ad.norm(x))
-    return LorentzPoint(ad.scale_rows(ad.sinhc(t), x), curvature)
+    return LorentzPoint(ad.lift(x, curvature), curvature)
 
 
 def _same_curvature(u: LorentzPoint, v: LorentzPoint):
@@ -117,18 +117,12 @@ def _same_curvature(u: LorentzPoint, v: LorentzPoint):
         raise ValueError(f"curvature mismatch: {cu} vs {cv}")
 
 
-def lorentz_inner(u: LorentzPoint, v: LorentzPoint):
+def lorentz_inner(u: LorentzPoint, v: LorentzPoint) -> np.ndarray:
     """Lorentzian inner product <u, v>_H (symmetric, always <= -1/C) of
-    every row pair: an n x m matrix."""
+    every row pair, as a plain n x m matrix."""
     _same_curvature(u, v)
-    return ad.sub(ad.dot(u.space, v.space), ad.outer(u.time, v.time))
-
-
-def _distinct(u: LorentzPoint, v: LorentzPoint):
-    """0.0 where two points are bitwise identical, else 1.0: n x m."""
-    us, vs = np.asarray(val(u.space)), np.asarray(val(v.space))
-    return np.where(np.all(us[:, None, :] == vs[None, :, :], axis=2),
-                    0.0, 1.0)
+    return ad.sub(ad.dot(val(u.space), val(v.space)),
+                  ad.outer(u.time, v.time))
 
 
 def lorentz_distance(u: LorentzPoint, v: LorentzPoint):
@@ -141,17 +135,9 @@ def lorentz_distance(u: LorentzPoint, v: LorentzPoint):
     the inner product cancels catastrophically there, and zero is the
     subgradient convention at the kink anyway.
     """
-    _same_curvature(u, v)
-    c = u.curvature
-    keep = _distinct(u, v)
-    arg = ad.neg(ad.mul(c, lorentz_inner(u, v)))
-    low = (np.asarray(val(arg)) < 1.0 - OFF_MANIFOLD_TOL) & (keep != 0.0)
-    if np.any(low):
-        worst = float(np.min(np.asarray(val(arg))[low]))
-        raise ValueError(f"off-manifold pair: -C<u,v>_H = {worst} < 1")
-    dist = ad.mul(ad.sqrt(ad.div(1.0, c)),
-                  ad.arccosh(ad.clamp_min(arg, 1.0)))
-    return ad.mul(dist, keep)
+    inner = lorentz_inner(u, v)
+    return ad.lorentz_dist(u.space, v.space, u.curvature, v.curvature,
+                           aux=(u.time, v.time, inner, OFF_MANIFOLD_TOL))
 
 
 def half_aperture(c: LorentzPoint, k: float = APERTURE_K) -> Angle:
@@ -161,10 +147,10 @@ def half_aperture(c: LorentzPoint, k: float = APERTURE_K) -> Angle:
     Monotonically non-increasing in the spatial norm; undefined at the
     apex (zero spatial norm), which is rejected.
     """
-    if np.any(np.asarray(val(c.space_norm)) == 0.0):
+    if np.any(c.space_norm == 0.0):
         raise ValueError("cone undefined for a point with zero spatial norm")
-    ratio = ad.div(2.0 * k, ad.mul(ad.sqrt(c.curvature), c.space_norm))
-    return Angle(ad.asin(ad.clamp_max(ratio, 1.0)))
+    return Angle(ad.cone_aperture(c.space, c.curvature,
+                                  aux=(c.space_norm, k)))
 
 
 def exterior_angle(c: LorentzPoint, v: LorentzPoint) -> Angle:
@@ -179,21 +165,11 @@ def exterior_angle(c: LorentzPoint, v: LorentzPoint) -> Angle:
     cannot abort a batch.  Membership in the entailment cone of ``c`` is
     the test ``exterior_angle(c, v) <= half_aperture(c)``.
     """
-    _same_curvature(c, v)
-    if np.any(np.asarray(val(c.space_norm)) == 0.0):
+    inner = lorentz_inner(c, v)
+    if np.any(c.space_norm == 0.0):
         raise ValueError("exterior angle undefined at the apex")
-    curv = c.curvature
-    ci = ad.mul(curv, lorentz_inner(c, v))
-    denom_sq = ad.sub(ad.mul(ci, ci), 1.0)
-    keep = np.where(val(denom_sq) > 0.0, 1.0, 0.0)
-    # coincident entries get denominator 1, so every entry stays finite
-    # before the mask zeroes their angle
-    denom_sq = ad.add(ad.mul(denom_sq, keep), 1.0 - keep)
-    num = ad.add(ad.outer(np.ones(len(val(c.time))), v.time),
-                 ad.scale_rows(c.time, ci))
-    den = ad.scale_rows(c.space_norm, ad.sqrt(denom_sq))
-    cos_angle = ad.clamp_max(ad.clamp_min(ad.div(num, den), -1.0), 1.0)
-    return Angle(ad.mul(ad.arccos(cos_angle), keep))
+    return Angle(ad.cone_angle(c.space, v.space, c.curvature, v.curvature,
+                               aux=(c.space_norm, c.time, v.time, inner)))
 
 
 def cone_contains(c: LorentzPoint, v: LorentzPoint,

@@ -3,7 +3,7 @@
 Every loss is a scalar, nonnegative and finite for valid inputs, and
 accepts either a plain numpy matrix or an autodiff ``Var`` matrix, so the
 same code is used for evaluation and for differentiable training.  A batch
-is one non-empty n x d matrix of rows (the entailment loss takes two lifted
+is one non-empty n x d matrix of rows (the hyperbolic losses take two lifted
 batches, ``LorentzPoint`` values); each loss is a fixed handful of array
 ops whatever the batch size.  Reductions are deterministic.
 """
@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import val
-from .geometry import (APERTURE_K, LorentzPoint, exp_map_origin,
-                       exterior_angle, half_aperture, lorentz_distance)
+from .geometry import (APERTURE_K, LorentzPoint, exterior_angle,
+                       half_aperture, lorentz_distance)
 
 #: Default entailment margin; same order as the aperture constant K.
 DEFAULT_MARGIN = 0.1
@@ -118,33 +118,38 @@ def classification_loss(visual, labels, targets: Sequence[int], tau):
     return _cross_entropy(ad.div(sims, t), targets)
 
 
-def _matched(visual, captions):
-    v = _matrix(visual)
-    c = _matrix(captions)
-    if len(val(v)) != len(val(c)):
-        raise ValueError("visual and caption batches must be matched")
-    return v, c
-
-
 def euclidean_contrastive_loss(visual, captions, tau):
     """InfoNCE on cosine similarity over matched visual/caption pairs."""
-    v, c = _matched(visual, captions)
+    v, c = _matrix(visual), _matrix(captions)
+    if len(val(v)) != len(val(c)):
+        raise ValueError("visual and caption batches must be matched")
     t = _tau(tau)
     sims = pairwise_cosine(v, c, "visual row", "caption row")
     return _cross_entropy(ad.div(sims, t), range(len(val(v))))
 
 
-def hyperbolic_contrastive_loss(visual, captions, curvature, tau):
+def _lifted(a, b, loss: str) -> int:
+    if not all(isinstance(p, LorentzPoint) for p in (a, b)):
+        raise ValueError(f"{loss} takes two lifted n x d batches "
+                         "(LorentzPoint values)")
+    n = len(val(a.space))
+    if n != len(val(b.space)):
+        raise ValueError("matched lifted batches required")
+    return n
+
+
+def hyperbolic_contrastive_loss(visual: LorentzPoint, captions: LorentzPoint,
+                                tau):
     """InfoNCE with negated Lorentzian distance as the similarity.
 
-    Rows are lifted with the exponential map at the origin first; unlike
-    the cosine losses this one is sensitive to the scale of its inputs.
+    ``visual`` and ``captions`` are matched lifted batches (``LorentzPoint``
+    values, as ``exp_map_origin`` makes them); unlike the cosine losses
+    this one is sensitive to the scale of the rows before the lift.
     """
-    v, c = _matched(visual, captions)
+    n = _lifted(visual, captions, "hyperbolic_contrastive_loss")
     t = _tau(tau)
-    dists = lorentz_distance(exp_map_origin(v, curvature),
-                             exp_map_origin(c, curvature))
-    return _cross_entropy(ad.div(ad.neg(dists), t), range(len(val(v))))
+    dists = lorentz_distance(visual, captions)
+    return _cross_entropy(ad.div(ad.neg(dists), t), range(n))
 
 
 def entailment_loss(cpts: LorentzPoint, vpts: LorentzPoint,
@@ -160,12 +165,7 @@ def entailment_loss(cpts: LorentzPoint, vpts: LorentzPoint,
         mean_i [ max(0, angle(c_i, v_i) - A(c_i))
                  + sum_{j != i} max(0, margin - max(0, angle(c_i, v_j) - A(c_i))) ]
     """
-    if not all(isinstance(p, LorentzPoint) for p in (cpts, vpts)):
-        raise ValueError("entailment_loss takes two lifted n x d batches "
-                         "(LorentzPoint values)")
-    n = len(val(cpts.space))
-    if n != len(val(vpts.space)):
-        raise ValueError("matched lifted batches required")
+    n = _lifted(cpts, vpts, "entailment_loss")
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
     aperture = half_aperture(cpts, aperture_k).radians
@@ -203,8 +203,8 @@ def _compose(bbox, cls, cap, entail, weights: LossWeights) -> LossReport:
     we = _weighted(weights.entail, entail)
     total = ad.add(ad.add(ad.add(wb, wc), wp), we)
     report = LossReport(bbox=wb, cls=wc, cap=wp, entail=we, total=total)
-    parts = sum(report.values()[k] for k in ("bbox", "cls", "cap", "entail"))
-    if abs(report.values()["total"] - parts) > 1e-12:
+    values = report.values()
+    if abs(values.pop("total") - sum(values.values())) > 1e-12:
         raise AssertionError("loss report total drifted from its parts")
     return report
 

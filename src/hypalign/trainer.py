@@ -259,13 +259,6 @@ def _check_finite(flat: np.ndarray, layout: list) -> None:
                     f"non-finite entries in parameter {name!r}")
 
 
-def _squash(x, radius: float = EMBED_RADIUS):
-    """Direction-preserving row norm bound: x * radius*tanh(|x|/radius)/|x|."""
-    n = ad.clamp_min(ad.norm(x), 1e-12)
-    factor = ad.div(ad.mul(ad.tanh(ad.div(n, radius)), radius), n)
-    return ad.scale_rows(factor, x)
-
-
 class _Forward:
     """Shared forward passes over a parameter set (tape Vars or arrays);
     each takes a batch and returns one row per item."""
@@ -283,8 +276,9 @@ class _Forward:
         counts = np.zeros((len(tokens), len(ad.val(self.p["token_table"]))))
         np.add.at(counts, (tokens.owner(), tokens.values), 1.0)
         total = ad.matmul(counts, self.p["token_table"])
-        return _squash(ad.div(total, np.add.reduce(counts, axis=1,
-                                                  keepdims=True)))
+        return ad.squash(ad.div(total, np.add.reduce(counts, axis=1,
+                                                     keepdims=True)),
+                         aux=EMBED_RADIUS)
 
     def fused_visuals(self, leaves: np.ndarray, corners: np.ndarray,
                       tokens: IdLists):
@@ -294,7 +288,7 @@ class _Forward:
         text = ad.take_row(self.p["token_table"], tokens.values)
         v_l = cross_modal_attention(visual, text, tokens.owner(), self.attn)
         v_s = positional_encode(visual, corners, self.p["pe_proj"])
-        return _squash(fuse(v_l, v_s, self.mlp))
+        return ad.squash(fuse(v_l, v_s, self.mlp), aux=EMBED_RADIUS)
 
     def predicted_boxes(self, fused):
         """Sigmoid corner-size parameterization: n x 4 (x1, y1, x2, y2) rows.
@@ -355,11 +349,13 @@ def _batch_losses(fwd: _Forward, batch: Corpus, config: ExperimentConfig,
     if config.objective == "baseline":
         cap = euclidean_contrastive_loss(fused, captions, tau)
         return objective_baseline(bbox, cls, cap, weights=weights)
+    # both pairwise losses read one lift of each batch
     curvature = ad.exp(fwd.p["curv_raw"])
-    cap = hyperbolic_contrastive_loss(fused, captions, curvature, tau)
-    entail = entailment_loss(exp_map_origin(captions, curvature),
-                             exp_map_origin(fused, curvature),
-                             margin=config.gamma, aperture_k=config.aperture_k)
+    visual_pts = exp_map_origin(fused, curvature)
+    caption_pts = exp_map_origin(captions, curvature)
+    cap = hyperbolic_contrastive_loss(visual_pts, caption_pts, tau)
+    entail = entailment_loss(caption_pts, visual_pts, margin=config.gamma,
+                             aperture_k=config.aperture_k)
     return objective_hyper(bbox, cls, cap, entail, weights=weights)
 
 
@@ -440,11 +436,15 @@ def split_records(records: Corpus) -> tuple:
 
 
 def embed_records(state: ModelState, records: Corpus) -> tuple:
-    """Plain-array caption (queries) and fused visual (candidates) rows:
-    the one forward that retrieval and hierarchy numbers share."""
+    """Plain-array caption (queries) and fused visual (candidates) rows,
+    then both lifted onto the hyperboloid: the one forward and lift that
+    retrieval and hierarchy numbers share."""
     fwd = _Forward(state.params)
     visuals = fwd.fused_visuals(records.leaves(), records.box, records.tokens)
-    return fwd.captions(records.tokens), visuals
+    captions = fwd.captions(records.tokens)
+    curvature = math.exp(state.params["curv_raw"])
+    return (captions, visuals, exp_map_origin(captions, curvature),
+            exp_map_origin(visuals, curvature))
 
 
 def evaluate_retrieval(state: ModelState, records: Corpus,
@@ -460,12 +460,11 @@ def evaluate_retrieval(state: ModelState, records: Corpus,
     """
     if not len(records):
         raise ValueError("no evaluation pairs")
-    queries, cands = embedded or embed_records(state, records)
+    embedded = embedded or embed_records(state, records)
+    queries, cands, query_pts, cand_pts = embedded
     classes = records.leaves()
     if state.config.objective == "hyper":
-        curvature = math.exp(state.params["curv_raw"])
-        scores = -lorentz_distance(exp_map_origin(queries, curvature),
-                                   exp_map_origin(cands, curvature))
+        scores = -lorentz_distance(query_pts, cand_pts)
     else:
         scores = pairwise_cosine(queries, cands, "caption of record",
                                  "visual of record")
@@ -480,10 +479,7 @@ def hierarchy_report(state: ModelState, records: Corpus,
     ``evaluate_retrieval``."""
     if not len(records):
         raise ValueError("no records to diagnose")
-    curvature = math.exp(state.params["curv_raw"])
-    captions, visuals = embedded or embed_records(state, records)
-    captions = exp_map_origin(captions, curvature)
-    visuals = exp_map_origin(visuals, curvature)
+    _, _, captions, visuals = embedded or embed_records(state, records)
     # matched pairs are the diagonal of the pairwise membership matrix
     contained = np.diag(cone_contains(captions, visuals,
                                       state.config.aperture_k))

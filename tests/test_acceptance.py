@@ -114,7 +114,7 @@ def _array_op_cases(rng):
     between = lambda lo, hi: rng.uniform(lo, hi, size=shape)
     tiny = between(-2.0, 2.0)
     tiny[::3] *= 1e-5            # exercises the sinhc series branch too
-    return [
+    cases = [
         ("exp", lambda p: reduce(ad.exp(p["x"])), {"x": normal() * 0.5}),
         ("sqrt", lambda p: reduce(ad.sqrt(p["x"])), {"x": between(0.3, 3)}),
         ("sinhc", lambda p: reduce(ad.sinhc(p["x"])), {"x": tiny}),
@@ -161,6 +161,42 @@ def _array_op_cases(rng):
          lambda p: reduce(ad.exp(ad.add(p["x"], p["b"]))),
          {"x": normal() * 0.5, "b": rng.normal(size=12) * 0.5}),
     ]
+    # the composite rows' inputs are drawn after the other cases' draws
+    series = normal() * 0.5
+    series[::3] *= 1e-5          # the lift's series branch
+    near_apex = normal()
+    near_apex[::4] *= 0.01       # apertures clamped at pi/2
+    with_zero_row = normal() * 1.5
+    with_zero_row[4] = 0.0
+    # row 2 of y is row 5 of x: the distance's identical pair and the
+    # angle's coincident pair, masked and weighted 0
+    x_pair, y_pair = normal() * 0.5, rng.normal(size=(8, 12)) * 0.5
+    y_pair[2] = x_pair[5]
+    w_pair = w[:, :8].copy()
+    w_pair[5, 2] = 0.0
+
+    def points(p, rows):
+        return geo.LorentzPoint(p[rows], p["c"])
+
+    return cases + [
+        ("lift", lambda p: reduce(ad.lift(p["x"], p["c"])),
+         {"x": series, "c": 1.3}),
+        ("lorentz_dist",
+         lambda p: reduce(geo.lorentz_distance(points(p, "x"),
+                                               points(p, "y")), w_pair),
+         {"x": x_pair, "y": y_pair, "c": 0.8}),
+        ("cone_aperture",
+         lambda p: reduce(geo.half_aperture(points(p, "x")).radians,
+                          w[:, 0]),
+         {"x": near_apex, "c": 1.2}),
+        ("cone_angle",
+         lambda p: reduce(geo.exterior_angle(points(p, "x"),
+                                             points(p, "y")).radians,
+                          w_pair),
+         {"x": x_pair, "y": y_pair, "c": 0.8}),
+        ("squash", lambda p: reduce(ad.squash(p["x"], aux=3.0)),
+         {"x": with_zero_row}),
+    ]
 
 
 def test_criterion_2_gradient_suite():
@@ -189,8 +225,10 @@ def test_criterion_2_gradient_suite():
         for _ in range(4))
 
     def hyp_build(p):
+        curv = ad.exp(p["raw_curv"])
         return obj.hyperbolic_contrastive_loss(
-            p["v"], p["c"], ad.exp(p["raw_curv"]), p["tau"])
+            geo.exp_map_origin(p["v"], curv),
+            geo.exp_map_origin(p["c"], curv), p["tau"])
 
     checked["hyperbolic_contrastive"] = sum(
         _grad_coords_checked(hyp_build,
@@ -228,9 +266,10 @@ def test_criterion_2_gradient_suite():
         v_l = fu.cross_modal_attention(p["vis"], text_np, owner, weights)
         v_s = fu.positional_encode(p["vis"], boxes, p["proj"])
         fused = fu.fuse(v_l, v_s, mlp)
-        return obj.hyperbolic_contrastive_loss(fused, p["caps"],
-                                               ad.exp(p["raw_curv"]),
-                                               p["tau"])
+        curv = ad.exp(p["raw_curv"])
+        return obj.hyperbolic_contrastive_loss(
+            geo.exp_map_origin(fused, curv),
+            geo.exp_map_origin(p["caps"], curv), p["tau"])
 
     checked["fused_path"] = _grad_coords_checked(fused_build, {
         "wq": rng.normal(scale=0.4, size=(d, d)),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hypalign import autodiff as ad
+from hypalign import geometry as geo
 
 
 def rel_err(a, b):
@@ -95,6 +96,22 @@ SCALAR_CASES = [
     ("smooth_l1_linear", lambda p: ad.smooth_l1(p["a"]), lambda: {"a": 2.1}),
 ]
 
+
+def points(p, rows):
+    """Rows of p as the spatial parts of a batch at curvature p["c"]."""
+    return geo.LorentzPoint(p[rows], p["c"])
+
+
+def identical_pair():
+    # row 1 of V is row 0 of U bit for bit: a masked entry, weighted 0
+    u, v = RNG.normal(size=(2, 4)), RNG.normal(size=(3, 4))
+    v[1] = u[0]
+    return {"U": u, "V": v, "c": float(RNG.uniform(0.5, 2.0))}
+
+
+#: weights of a 2 x 3 pairwise matrix, 0 on the masked entry (0, 1)
+PAIR_WEIGHTS = np.array([[1.0, 0.0, -2.0], [0.5, 3.0, -1.0]])
+
 VECTOR_CASES = [
     ("dot",
      lambda p: ad.sum(ad.mul(ad.dot(p["U"], p["V"]),
@@ -154,6 +171,42 @@ VECTOR_CASES = [
     ("pick",
      lambda p: ad.sum(ad.mul(ad.pick(p["M"], [2, 0]), np.array([1.0, -3.0]))),
      lambda: {"M": RNG.normal(size=(2, 3))}),
+    ("lift",
+     lambda p: ad.sum(ad.mul(ad.lift(p["U"], p["c"]),
+                             np.arange(12.0).reshape(3, 4) - 5.0)),
+     lambda: {"U": RNG.normal(size=(3, 4)),
+              "c": float(RNG.uniform(0.5, 2.0))}),
+    # sqrt(C)|x| below the sinhc series switch, and a zero row; there the
+    # curvature's gradient is below the central difference's roundoff
+    ("lift_series",
+     lambda p: ad.sum(ad.mul(ad.lift(p["U"], 1.3),
+                             np.arange(12.0).reshape(3, 4) - 5.0)),
+     lambda: {"U": np.vstack([RNG.normal(scale=1e-5, size=(2, 4)),
+                              np.zeros((1, 4))])}),
+    ("lorentz_dist",
+     lambda p: ad.sum(ad.mul(geo.lorentz_distance(points(p, "U"),
+                                                  points(p, "V")),
+                             PAIR_WEIGHTS)),
+     identical_pair),
+    # row 1 is too near the apex for 2K: its aperture is clamped at pi/2
+    ("cone_aperture",
+     lambda p: ad.sum(ad.mul(geo.half_aperture(points(p, "U")).radians,
+                             np.array([1.5, -2.0, 0.7]))),
+     lambda: {"U": RNG.normal(size=(3, 4)) * np.array([[1.0], [0.01], [2.0]]),
+              "c": float(RNG.uniform(0.5, 2.0))}),
+    # the curvature's gradient can cancel across entries to below the
+    # central difference's roundoff: criterion 2 checks it, with a floor
+    ("cone_angle",
+     lambda p: ad.sum(ad.mul(geo.exterior_angle(
+         geo.LorentzPoint(p["U"], 1.3),
+         geo.LorentzPoint(p["V"], 1.3)).radians, PAIR_WEIGHTS)),
+     lambda: {k: v for k, v in identical_pair().items() if k != "c"}),
+    # a zero row stays zero, with the identity as its Jacobian
+    ("squash",
+     lambda p: ad.sum(ad.mul(ad.squash(p["U"], aux=3.0),
+                             np.arange(12.0).reshape(3, 4) - 5.0)),
+     lambda: {"U": np.vstack([RNG.normal(scale=2.0, size=(2, 4)),
+                              np.zeros((1, 4))])}),
 ]
 
 
@@ -182,6 +235,31 @@ def test_scatter_adjoint_leaves_a_shared_adjoint_alone(scatter):
     for _ in range(3):
         check_gradients(build, {"a": RNG.normal(size=(3, 4)),
                                 "b": RNG.normal(size=(3, 4))})
+
+
+@pytest.mark.parametrize("pairwise", [
+    geo.lorentz_distance,
+    lambda c, v: geo.exterior_angle(c, v).radians,
+], ids=["lorentz_dist", "cone_angle"])
+def test_masked_pairs_keep_exact_zero_value_and_gradient(pairwise):
+    # row 0 of each batch is the same point: the identical pair of the
+    # distance, and for C = 1 a coincident pair ((C<c,v>_H)^2 <= 1) of the
+    # angle; only that entry is weighted
+    rows = {"x": np.array([[0.5, 0.1], [-0.3, 0.7]]),
+            "y": np.array([[0.5, 0.1], [0.9, -0.2], [0.2, 0.4]])}
+    tape = ad.Tape()
+    leaves = {k: tape.leaf(v, name=k) for k, v in rows.items()}
+    curv = tape.leaf(1.0, name="c")
+    out = pairwise(geo.exp_map_origin(leaves["x"], curv),
+                   geo.exp_map_origin(leaves["y"], curv))
+    assert ad.val(out)[0, 0] == 0.0
+    assert np.all(ad.val(out)[1:] != 0.0)
+    weights = np.zeros((2, 3))
+    weights[0, 0] = 1.7
+    grads = ad.backward(tape, ad.sum(ad.mul(out, weights)))
+    for name, want in rows.items():
+        assert np.array_equal(grads[name], np.zeros(want.shape))
+    assert grads["c"] == 0.0
 
 
 def test_sinhc_small_argument_series():

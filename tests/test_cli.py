@@ -151,7 +151,7 @@ PINNED_DIGESTS = {
     "train stdout":
         "7e22b5385bf80e36cfc4d083b7c63ec6a6beb30433867a833258f57585355a92",
     "eval stdout":
-        "1b7e33d77880fe11f91af9bcc5a348d88ac130019b30c149cf82831d710ca092",
+        "d16a36feb02ac7159eb212c899861edcc77a497db11a4ce00f2013c48881e80b",
     "export-embeddings stdout":
         "689f2185f9358dce59a3ee4527ca59e8bd7fe6f651123d19e15fc80c08299061",
     "sample-regions stdout":
@@ -163,11 +163,11 @@ PINNED_DIGESTS = {
     "meta.json":
         "8b5db5b87ac02bff7c9387873d8d64da6ca31e90bd2657f0ace93867b449156f",
     "metrics.jsonl":
-        "3b294cc4fe32ade240507fabe8106a7402d7ecfe5aad3e5dadd9f6c5e2151afe",
+        "e60d19a5a96a4cf142cce4bc5d9f7fb467b8983658c001a3fc4a85f46b85253a",
     "state.json":
-        "a686d0db44ec49812c1b892d2a30f091165526999d164adda2d72964bbe17321",
+        "3ee8ce85ab8c1f7bb208942bb760fc1679879c188bbd67e91fb07e77acdda760",
     "embeddings.jsonl":
-        "b9b0bb60f0e326a24d59cea729036ff93ad72acaf323c0008e8b5033089fed56",
+        "39bc9f9fe99d711e89bb001ab3d39a96d28c221508fd8afca7b9c7d58235fe00",
 }
 
 

@@ -270,9 +270,10 @@ def test_full_fusion_path_gradients():
         v_l = fu.cross_modal_attention(p["vis"], text_np, owner, weights)
         v_s = fu.positional_encode(p["vis"], boxes, p["proj"])
         fused = fu.fuse(v_l, v_s, mlp)
-        return obj.hyperbolic_contrastive_loss(fused, p["caps"],
-                                               ad.exp(p["raw_curv"]),
-                                               p["tau"])
+        curv = ad.exp(p["raw_curv"])
+        return obj.hyperbolic_contrastive_loss(
+            geo.exp_map_origin(fused, curv),
+            geo.exp_map_origin(p["caps"], curv), p["tau"])
 
     tape = ad.Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}

@@ -179,23 +179,30 @@ def test_euclidean_contrastive_rejects_empty_and_mismatch():
 # --- hyperbolic contrastive ----------------------------------------------------
 
 
+def hyperbolic_cap(visual, captions, c, tau):
+    """The hyperbolic contrastive loss of two row batches, each lifted."""
+    return obj.hyperbolic_contrastive_loss(geo.exp_map_origin(visual, c),
+                                           geo.exp_map_origin(captions, c),
+                                           tau)
+
+
 def test_hyperbolic_contrastive_singleton_is_zero():
-    loss = obj.hyperbolic_contrastive_loss(np.array([[0.3, 0.4]]),
-                                           np.array([[-0.2, 0.9]]), 1.0, 1.0)
+    loss = hyperbolic_cap(np.array([[0.3, 0.4]]), np.array([[-0.2, 0.9]]),
+                          1.0, 1.0)
     assert val(loss) == 0.0
 
 
 def test_hyperbolic_contrastive_uniform_distances_is_log_m():
     visual = np.tile(np.array([[0.3, 0.2]]), (4, 1))
     captions = np.tile(np.array([[-0.1, 0.4]]), (4, 1))
-    loss = obj.hyperbolic_contrastive_loss(visual, captions, 1.0, 0.7)
+    loss = hyperbolic_cap(visual, captions, 1.0, 0.7)
     assert val(loss) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_hyperbolic_contrastive_matches_high_precision_oracle():
     visual = np.array([[0.3, 0.1], [-0.2, 0.4], [0.05, -0.3]])
     captions = np.array([[0.25, 0.15], [-0.1, 0.35], [0.0, -0.2]])
-    got = val(obj.hyperbolic_contrastive_loss(visual, captions, 1.0, 1.0))
+    got = val(hyperbolic_cap(visual, captions, 1.0, 1.0))
     # mpmath composition of lift + distance + softmax at 50 digits
     assert got == pytest.approx(0.8305385263425157, rel=1e-12)
 
@@ -218,10 +225,8 @@ def test_cosine_losses_scale_invariant_hyperbolic_not():
                                                  0.5))
     assert got_cap == pytest.approx(base_cap, abs=1e-12)
 
-    base_hyp = val(obj.hyperbolic_contrastive_loss(visual, captions, 1.0,
-                                                   0.5))
-    got_hyp = val(obj.hyperbolic_contrastive_loss(visual * scales, captions,
-                                                  1.0, 0.5))
+    base_hyp = val(hyperbolic_cap(visual, captions, 1.0, 0.5))
+    got_hyp = val(hyperbolic_cap(visual * scales, captions, 1.0, 0.5))
     assert abs(got_hyp - base_hyp) > 1e-3
 
 
@@ -401,9 +406,8 @@ def test_losses_permutation_invariant():
                                              0.5))
     assert got == pytest.approx(base, abs=1e-12)
 
-    base = val(obj.hyperbolic_contrastive_loss(visual, captions, 1.3, 0.5))
-    got = val(obj.hyperbolic_contrastive_loss(visual[perm], captions[perm],
-                                              1.3, 0.5))
+    base = val(hyperbolic_cap(visual, captions, 1.3, 0.5))
+    got = val(hyperbolic_cap(visual[perm], captions[perm], 1.3, 0.5))
     assert got == pytest.approx(base, abs=1e-12)
 
     base = val(obj.entailment_loss(lift_batch(captions + 0.5),
@@ -424,7 +428,7 @@ def test_losses_nonnegative_and_finite_on_randoms():
         for loss in (
             obj.classification_loss(visual, labels, targets, 0.3),
             obj.euclidean_contrastive_loss(visual, captions, 0.3),
-            obj.hyperbolic_contrastive_loss(visual, captions, 0.8, 0.3),
+            hyperbolic_cap(visual, captions, 0.8, 0.3),
             obj.entailment_loss(lift_batch(captions, 0.8),
                                 lift_batch(visual, 0.8)),
         ):
@@ -480,9 +484,8 @@ def test_hyperbolic_contrastive_gradients_including_curvature():
               "tau": 0.7, "raw_curv": 0.2}
 
     def build(p):
-        return obj.hyperbolic_contrastive_loss(p["v"], p["c"],
-                                               ad.exp(p["raw_curv"]),
-                                               p["tau"])
+        return hyperbolic_cap(p["v"], p["c"], ad.exp(p["raw_curv"]),
+                              p["tau"])
 
     grad_check(build, params)
 
@@ -530,7 +533,7 @@ BATCH_INPUTS = {
     "euclidean_contrastive_loss": lambda bad: obj.euclidean_contrastive_loss(
         np.ones((1, 3)), bad, 0.5),
     "hyperbolic_contrastive_loss":
-        lambda bad: obj.hyperbolic_contrastive_loss(bad, bad, 1.0, 0.5),
+        lambda bad: obj.hyperbolic_contrastive_loss(bad, bad, 0.5),
     "entailment_loss": lambda bad: obj.entailment_loss(bad, bad),
 }
 
@@ -557,4 +560,4 @@ def test_temperature_validation():
         with pytest.raises(ValueError, match="positive"):
             obj.euclidean_contrastive_loss(rows, rows, tau)
         with pytest.raises(ValueError, match="positive"):
-            obj.hyperbolic_contrastive_loss(rows, rows, 1.0, tau)
+            hyperbolic_cap(rows, rows, 1.0, tau)

@@ -1,5 +1,6 @@
 """Trainer tests: init, stepping, retrieval, hierarchy, serialization."""
 
+import hashlib
 import json
 import math
 import re
@@ -11,7 +12,8 @@ from scipy import stats
 from hypalign import autodiff as ad
 from hypalign import trainer as tr
 from hypalign.datasynth import Corpus
-from hypalign.geometry import exp_map_origin
+from hypalign.geometry import (exp_map_origin, exterior_angle, half_aperture,
+                               lorentz_distance)
 
 
 def tiny_config(**kw):
@@ -534,6 +536,37 @@ def test_export_embeddings_rows(corpus):
         assert row["lifted_norm"] >= 0.0
     # no captions: the class rows alone, as before
     assert tr.export_embeddings(state, records[:0]) == objects
+
+
+#: sha256 of the eval-route outputs below, taken before the lift, distance
+#: and cones became one tape row each; the plain route keeps its bits
+EVAL_ROUTE_DIGEST = (
+    "d1e8f85f89c877dcf254f67edcd207dc812aa23cf93c345f42016ecae1a7e69a")
+
+
+def test_eval_route_outputs_are_pinned():
+    config = tiny_config(seed=4)
+    tree, syn, records, _ = tr.default_corpus(config)
+    state = tr.init(config, tree, syn)
+    # tables at scale 0.5: row norms far above the lift's series switch
+    rng = np.random.default_rng(12)
+    for name in ("token_table", "object_table"):
+        state.params[name] = rng.normal(0.0, 0.5,
+                                        size=state.params[name].shape)
+    digest = hashlib.sha256(json.dumps({
+        "recall": tr.evaluate_retrieval(state, records),
+        "hierarchy": vars(tr.hierarchy_report(state, records)),
+        "export": tr.export_embeddings(state, records),
+    }, sort_keys=True).encode("utf-8"))
+    # and every pairwise value those outputs rank or threshold
+    curvature = math.exp(state.params["curv_raw"])
+    caps, objs = (exp_map_origin(rows, curvature)
+                  for rows in tr.embed_records(state, records)[:2])
+    for values in (caps.space, objs.space, lorentz_distance(caps, objs),
+                   half_aperture(caps).value,
+                   exterior_angle(caps, objs).value):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == EVAL_ROUTE_DIGEST
 
 
 def test_metrics_record_json_round_trip():
