@@ -17,8 +17,7 @@ from .datasynth import (ConceptTree, Corpus, SynonymMap,
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
                      fuse, positional_encode, sinusoidal_box_encoding)
 from .geometry import (Angle, LorentzPoint, cone_contains, exp_map_origin,
-                       exterior_angle, half_aperture, lorentz_distance,
-                       lorentz_inner)
+                       exterior_angle, half_aperture, lorentz_distance)
 from .objectives import (LossReport, LossWeights, bbox_regression_loss,
                          classification_loss, entailment_loss,
                          euclidean_contrastive_loss,

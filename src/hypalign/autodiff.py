@@ -90,31 +90,26 @@ class Tape:
         self.values.append(value)
         return Var(self, idx, value)
 
-    def leaf(self, value, name: str | None = None) -> Var:
-        """Register an input node, optionally named for gradient lookup."""
-        value = _num(value)
-        if not np.isfinite(value).all():
-            raise ValueError("non-finite entries in leaf"
-                             + (f" {name!r}" if name else ""))
-        if name is None:
-            return self._record(_LEAF.code, (), None, value)
-        return self.params({name: value})[name]
+    def leaf(self, value, name: str | None = None,
+             check: bool = True) -> Var:
+        """Register an input node, optionally named for gradient lookup.
 
-    def params(self, values: dict) -> dict:
-        """Named leaves for a map of float64 parameters, as Vars by name.
-
-        The values are not checked here: ``trainer.step`` checks them as
-        one flat vector, which the update, the state-file load and ``init``
-        have already found finite.
+        The value must be finite.  ``check=False`` skips that check for a
+        float64 value already found finite: ``trainer.step`` checks its
+        parameters as one flat vector, which the update, the state-file
+        load and ``init`` have already found finite.
         """
-        taken = set(self.names.values()) & values.keys()
-        if taken:
-            raise ValueError(f"duplicate leaf name: {min(taken)!r}")
-        out = {}
-        for name, value in values.items():
-            var = out[name] = self._record(_LEAF.code, (), None, value)
+        if check:
+            value = _num(value)
+            if not np.isfinite(value).all():
+                raise ValueError("non-finite entries in leaf"
+                                 + (f" {name!r}" if name else ""))
+        if name is not None and name in self.names.values():
+            raise ValueError(f"duplicate leaf name: {name!r}")
+        var = self._record(_LEAF.code, (), None, value)
+        if name is not None:
             self.names[var.idx] = name
-        return out
+        return var
 
 
 def val(x):
@@ -304,8 +299,6 @@ def _rows(op: str, *arrays: np.ndarray) -> None:
 def _sinhc(t):
     # removable singularity at 0: 4-term Taylor series below the switch point
     small = np.abs(t) < _SINHC_SWITCH
-    if not small.any():   # the usual case, without the series' array ops
-        return np.sinh(t) / t
     safe = np.where(small, 1.0, t)
     t2 = t * t
     return np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0
@@ -314,8 +307,6 @@ def _sinhc(t):
 
 def _sinhc_deriv(t):
     small = np.abs(t) < _SINHC_SWITCH
-    if not small.any():
-        return np.cosh(t) / t - np.sinh(t) / (t * t)
     safe = np.where(small, 1.0, t)
     t2 = t * t
     return np.where(small, t / 3.0 + t * t2 / 30.0 + t * t2 * t2 / 840.0,

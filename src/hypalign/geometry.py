@@ -71,9 +71,10 @@ class LorentzPoint:
     """A batch of hyperboloid points: spatial rows (n x d), plus the
     curvature-implied time.
 
-    ``space_norm`` and ``time`` (one entry per row) are plain arrays,
-    computed once at construction and reused by the distance and cone
-    rows, which differentiate through them.
+    ``space_norm`` and ``time`` (one entry per row) are plain arrays even
+    for rows on a tape, computed once at construction and reused by the
+    distance and cone rows, which differentiate through them: in a tape
+    expression of one's own they are constants and pass no gradient.
     """
 
     __slots__ = ("space", "curvature", "space_norm", "time")
@@ -117,9 +118,10 @@ def _same_curvature(u: LorentzPoint, v: LorentzPoint):
         raise ValueError(f"curvature mismatch: {cu} vs {cv}")
 
 
-def lorentz_inner(u: LorentzPoint, v: LorentzPoint) -> np.ndarray:
+def _inner(u: LorentzPoint, v: LorentzPoint) -> np.ndarray:
     """Lorentzian inner product <u, v>_H (symmetric, always <= -1/C) of
-    every row pair, as a plain n x m matrix."""
+    every row pair, as a plain n x m matrix, for rows on a tape too: the
+    distance and cone rows differentiate through it."""
     _same_curvature(u, v)
     return ad.sub(ad.dot(val(u.space), val(v.space)),
                   ad.outer(u.time, v.time))
@@ -135,7 +137,7 @@ def lorentz_distance(u: LorentzPoint, v: LorentzPoint):
     the inner product cancels catastrophically there, and zero is the
     subgradient convention at the kink anyway.
     """
-    inner = lorentz_inner(u, v)
+    inner = _inner(u, v)
     return ad.lorentz_dist(u.space, v.space, u.curvature, v.curvature,
                            aux=(u.time, v.time, inner, OFF_MANIFOLD_TOL))
 
@@ -165,7 +167,7 @@ def exterior_angle(c: LorentzPoint, v: LorentzPoint) -> Angle:
     cannot abort a batch.  Membership in the entailment cone of ``c`` is
     the test ``exterior_angle(c, v) <= half_aperture(c)``.
     """
-    inner = lorentz_inner(c, v)
+    inner = _inner(c, v)
     if np.any(c.space_norm == 0.0):
         raise ValueError("exterior angle undefined at the apex")
     return Angle(ad.cone_angle(c.space, v.space, c.curvature, v.curvature,

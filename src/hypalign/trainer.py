@@ -378,8 +378,10 @@ def step(state: ModelState, records: Corpus) -> tuple:
     value = _flatten(state.params, layout)
     _check_finite(value, layout)
     tape = ad.Tape()
-    report = _batch_losses(_Forward(tape.params(state.params)), records,
-                           config, np.asarray(state.leaf_ids))
+    leaves = {name: tape.leaf(v, name, check=False)
+              for name, v in state.params.items()}
+    report = _batch_losses(_Forward(leaves), records, config,
+                           np.asarray(state.leaf_ids))
     grads = ad.backward(tape, report.total)
 
     t = state.adam_t + 1

@@ -49,7 +49,7 @@ def test_criterion_1_manifold_suite():
         c = float(rng.uniform(0.25, 2.0))
         x = rng.normal(scale=rng.uniform(0.05, 1.0), size=(1, d))
         p = geo.exp_map_origin(x, c)
-        worst = max(worst, abs(geo.lorentz_inner(p, p)[0, 0] + 1.0 / c))
+        worst = max(worst, abs(geo._inner(p, p)[0, 0] + 1.0 / c))
     elapsed = time.perf_counter() - start
     conclude(1, worst <= 1e-9 and elapsed < 5.0,
              f"10^4 lifts, max |<p,p>_H + 1/C| = {worst:.3e}, "

@@ -91,7 +91,7 @@ def one(x):
 
 def self_inner(p):
     """<p, p>_H of each row; -1/C on the manifold."""
-    return np.diag(ad.val(geo.lorentz_inner(p, p)))
+    return np.diag(ad.val(geo._inner(p, p)))
 
 
 # --- exp_map_origin ----------------------------------------------------------
@@ -136,20 +136,20 @@ def test_manifold_constraint_on_random_lifts():
         assert abs(one(self_inner(p)) + 1.0 / c) <= 1e-9
 
 
-# --- lorentz_inner -----------------------------------------------------------
+# --- _inner -----------------------------------------------------------------
 
 
 def test_inner_of_apexes_is_pure_time_term():
     a = lift([0.0, 0.0], 4.0)
     b = lift([0.0, 0.0], 4.0)
-    assert one(geo.lorentz_inner(a, b)) == pytest.approx(-0.25, abs=1e-15)
+    assert one(geo._inner(a, b)) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_inner_hand_evaluated_case():
     # spatial parts (1,0) and (0,1) at C=1: 0 - sqrt(2)*sqrt(2) = -2
     a = point([1.0, 0.0])
     b = point([0.0, 1.0])
-    assert one(geo.lorentz_inner(a, b)) == pytest.approx(-2.0, abs=1e-12)
+    assert one(geo._inner(a, b)) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_inner_symmetric():
@@ -157,14 +157,14 @@ def test_inner_symmetric():
     for _ in range(50):
         u = lift(rng.normal(size=3), 2.0)
         v = lift(rng.normal(size=3), 2.0)
-        assert one(geo.lorentz_inner(u, v)) == one(geo.lorentz_inner(v, u))
+        assert one(geo._inner(u, v)) == one(geo._inner(v, u))
 
 
 def test_inner_rejects_curvature_mismatch():
     u = lift([0.5, 0.0], 1.0)
     v = lift([0.5, 0.0], 2.0)
     with pytest.raises(ValueError, match="mismatch"):
-        geo.lorentz_inner(u, v)
+        geo._inner(u, v)
 
 
 # --- lorentz_distance --------------------------------------------------------

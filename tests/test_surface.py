@@ -8,11 +8,8 @@ import hypalign
 SRC = Path(hypalign.__file__).parent
 
 #: Public names the package keeps without calling them itself.
-#: ``finite_diff`` is the central-difference oracle of the gradient checks,
-#: and ``Tape.leaf`` registers a checked input: the gradient checks' inputs
-#: and the README example's (training registers its parameters with
-#: ``Tape.params``, and a plain operand rides in its node's aux).
-ALLOWED_UNUSED = {"finite_diff", "leaf"}
+#: ``finite_diff`` is the central-difference oracle of the gradient checks.
+ALLOWED_UNUSED = {"finite_diff"}
 
 
 def _public(stmts, kinds) -> list:
