@@ -32,9 +32,9 @@ row-wise on it and reject any other rank, naming the shape.  With them and
 ``take_row``, a whole batch, from the fusion forward to each loss, is a
 handful of array nodes instead of one node per row or pair.  The hot
 formulas are one row each: the hyperboloid lift, distance, cone aperture
-and exterior angle (which ``geometry`` wraps) and the embedding squash.
-Each has one plain-array kernel, for training and evaluation alike, and a
-hand-derived VJP.
+and exterior angle (which ``geometry`` wraps), the embedding squash and
+multi-head attention (which ``fusion`` wraps).  Each has one plain-array
+kernel, for training and evaluation alike, and a hand-derived VJP.
 """
 
 from __future__ import annotations
@@ -426,7 +426,8 @@ _PICK = _scatter("pick", operator.getitem, np.add.at)
 
 
 # ---------------------------------------------------------------------------
-# composite rows: the Lorentz-model formulas and the embedding squash
+# composite rows: the Lorentz-model formulas, the embedding squash and
+# multi-head attention
 #
 # Each kernel is its formula's op sequence on plain arrays, the one
 # implementation that training (on the tape) and evaluation share; each
@@ -554,6 +555,53 @@ def _squash_vjp(g, ans, saved, x, radius):
     return (f[:, None] * g + w[:, None] * x,)
 
 
+def _heads(m, heads):
+    # rows x d_h -> heads x rows x d_h/heads: head h is columns h*hd:(h+1)*hd
+    return m.reshape(m.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _unheads(m):
+    # heads x rows x d_h/heads -> rows x d_h, the inverse of _heads
+    return m.transpose(1, 0, 2).reshape(m.shape[1], -1)
+
+
+def _attention(visual, text, w_q, w_k, w_v, w_out, aux):
+    # sum over heads of softmax(q_h k_h^T / sqrt(d_h) + mask) v_h w_out_h,
+    # every head at once; the softmax runs in place in one heads x n x L
+    # buffer, the largest array of an evaluation-size batch
+    mask, heads = aux
+    q = _heads(visual @ w_q, heads)
+    k = _heads(text @ w_k, heads)
+    v = _heads(text @ w_v, heads)
+    attn = np.matmul(q, k.transpose(0, 2, 1))
+    attn *= 1.0 / math.sqrt(w_q.shape[1])
+    attn += mask
+    attn -= np.maximum.reduce(attn, axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= np.add.reduce(attn, axis=2, keepdims=True)
+    mixed = np.matmul(attn, v)
+    out = np.matmul(mixed, w_out.reshape(heads, -1, w_out.shape[1]))
+    return np.add.reduce(out, axis=0), (q, k, v, attn, mixed)
+
+
+def _attention_vjp(g, ans, saved, visual, text, w_q, w_k, w_v, w_out, aux):
+    q, k, v, attn, mixed = saved
+    heads = aux[1]
+    gmixed = np.matmul(g, w_out.reshape(heads, -1, w_out.shape[1])
+                       .transpose(0, 2, 1))
+    gv = _unheads(np.matmul(attn.transpose(0, 2, 1), gmixed))
+    gs = np.matmul(gmixed, v.transpose(0, 2, 1))
+    # the softmax VJP, then the 1/sqrt(d_h) scale; the mask passes it
+    gs -= np.add.reduce(gs * attn, axis=2, keepdims=True)
+    gs *= attn
+    gs *= 1.0 / math.sqrt(w_q.shape[1])
+    gq = _unheads(np.matmul(gs, k))
+    gk = _unheads(np.matmul(gs.transpose(0, 2, 1), q))
+    return (gq @ w_q.T, gv @ w_v.T + gk @ w_k.T, visual.T @ gq,
+            text.T @ gk, text.T @ gv,
+            np.matmul(mixed.transpose(0, 2, 1), g).reshape(w_out.shape))
+
+
 # the spatial part of the lift of each row to the hyperboloid
 lift = _composite("lift", _lift, _lift_vjp)
 # geodesic distance of every row pair; aux (u time, v time, <u, v>_H,
@@ -566,6 +614,9 @@ cone_aperture = _composite("cone_aperture", _cone_aperture,
 cone_angle = _composite("cone_angle", _cone_angle, _cone_angle_vjp)
 # direction-preserving row norm bound; aux the radius
 squash = _composite("squash", _squash, _squash_vjp)
+# multi-head attention from visual rows over text rows, operands (visual,
+# text, w_q, w_k, w_v, w_out); aux (n x L additive mask, head count)
+attention = _composite("attention", _attention, _attention_vjp)
 
 _OP_NAMES = [row.name for row in _OPS]
 

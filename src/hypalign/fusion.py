@@ -8,7 +8,9 @@ network.
 
 Each forward takes an n x d matrix of visual rows, one per region, works
 on plain arrays or autodiff ``Var`` values alike, and records a fixed
-handful of tape nodes whatever n is.
+handful of tape nodes whatever n is.  Attention is one node, all heads
+included: ``cross_modal_attention`` checks the rows and the token owners
+and builds the -inf mask, and ``autodiff.attention`` does the rest.
 """
 
 from __future__ import annotations
@@ -65,32 +67,32 @@ def cross_modal_attention(visual, text, owner: Sequence[int],
     is the visual row that text row j belongs to.  Scores are scaled by
     1/sqrt(d_h) and are -inf outside the row's own tokens, so one row-wise
     softmax per head covers the batch; each head's output is projected by
-    its rows of ``w_out`` and the heads are summed.
+    its rows of ``w_out`` and the heads are summed.  The whole formula is
+    one ``autodiff.attention`` node.
     """
-    n = _shape(visual)[0]
-    owner = np.asarray(owner, dtype=np.intp)
-    own = owner[None, :] == np.arange(n)[:, None]
-    if (owner.shape != (_shape(text)[0],) or not own.any(axis=0).all()
+    d = _shape(weights.w_q)[0]
+    vis_shape, text_shape = _shape(visual), _shape(text)
+    if (len(vis_shape) != 2 or len(text_shape) != 2
+            or vis_shape[1] != d or text_shape[1] != d):
+        raise ValueError(f"attention takes n x {d} visual rows and L x {d} "
+                         f"text rows, got shapes {vis_shape} and "
+                         f"{text_shape}")
+    owner = np.asarray(owner)
+    if owner.dtype.kind not in "iu":
+        whole = (np.isfinite(owner) & (np.trunc(owner) == owner)
+                 if owner.dtype.kind == "f" else np.zeros(owner.shape, bool))
+        if not whole.all():
+            j = int(np.argmin(whole))
+            raise ValueError(f"owner entry {j} is {owner.flat[j]}, not an "
+                             "integer row index")
+    own = owner.ravel()[None, :] == np.arange(vis_shape[0])[:, None]
+    if (owner.shape != (text_shape[0],) or not own.any(axis=0).all()
             or not own.any(axis=1).all()):
         raise ValueError("each text row needs an owner visual row, and each "
                          "visual row at least one text row")
-    mask = np.where(own, 0.0, -np.inf)
-    dh = _shape(weights.w_q)[1]
-    scale = 1.0 / math.sqrt(dh)
-    hd = dh // weights.head_count
-    q = ad.matmul(visual, weights.w_q)
-    keys = ad.matmul(text, weights.w_k)
-    values = ad.matmul(text, weights.w_v)
-    out = None
-    for h in range(weights.head_count):
-        lo, hi = h * hd, (h + 1) * hd
-        scores = ad.mul(ad.dot(ad.cols(q, lo, hi), ad.cols(keys, lo, hi)),
-                        scale)
-        attn = ad.softmax(ad.add(scores, mask))
-        head = ad.matmul(ad.matmul(attn, ad.cols(values, lo, hi)),
-                         ad.take_row(weights.w_out, range(lo, hi)))
-        out = head if out is None else ad.add(out, head)
-    return out
+    return ad.attention(visual, text, weights.w_q, weights.w_k, weights.w_v,
+                        weights.w_out,
+                        aux=(np.where(own, 0.0, -np.inf), weights.head_count))
 
 
 def sinusoidal_box_encoding(features, d: int) -> np.ndarray:

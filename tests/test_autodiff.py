@@ -207,6 +207,15 @@ VECTOR_CASES = [
                              np.arange(12.0).reshape(3, 4) - 5.0)),
      lambda: {"U": np.vstack([RNG.normal(scale=2.0, size=(2, 4)),
                               np.zeros((1, 4))])}),
+    # two heads; row 0 owns one token (text row 1), row 1 owns rows 0 and 2
+    ("attention",
+     lambda p: ad.sum(ad.mul(ad.attention(
+         p["V"], p["T"], p["Wq"], p["Wk"], p["Wv"], p["Wo"],
+         aux=(np.array([[-np.inf, 0.0, -np.inf], [0.0, -np.inf, 0.0]]), 2)),
+         np.arange(8.0).reshape(2, 4) - 3.0)),
+     lambda: {"V": RNG.normal(size=(2, 4)), "T": RNG.normal(size=(3, 4)),
+              **{w: RNG.normal(scale=0.7, size=(4, 4))
+                 for w in ("Wq", "Wk", "Wv", "Wo")}}),
 ]
 
 

@@ -1,6 +1,7 @@
 """Cross-modal attention, positional encoding, and fusion MLP tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,9 @@ def test_attention_rejects_empty_text():
     with pytest.raises(ValueError, match="owner"):
         fu.cross_modal_attention(rng.normal(size=(1, 8)),
                                  rng.normal(size=(2, 8)), [0, 1], w)
+    with pytest.raises(ValueError, match="owner"):
+        fu.cross_modal_attention(rng.normal(size=(1, 8)),
+                                 rng.normal(size=(1, 8)), 0, w)
 
 
 def test_attention_weights_validation():
@@ -112,6 +116,114 @@ def test_attention_weights_validation():
     with pytest.raises(ValueError, match="non-finite"):
         fu.AttentionWeights(np.full((4, 4), np.nan), np.zeros((4, 4)),
                             np.zeros((4, 4)), np.zeros((4, 4)), head_count=2)
+
+
+def test_attention_rejects_non_integer_owner():
+    # 1.7 is not truncated to row 1: the first bad entry is named
+    rng = np.random.default_rng(8)
+    w = make_weights(rng)
+    visual, text = rng.normal(size=(2, 8)), rng.normal(size=(3, 8))
+    for owner, bad in [([0.0, 1.0, 1.7], "entry 2 is 1.7"),
+                       ([0.0, np.nan, 1.0], "entry 1 is nan"),
+                       (["0", "1", "1"], "entry 0 is 0")]:
+        with pytest.raises(ValueError, match=f"owner {bad}, not an integer"):
+            fu.cross_modal_attention(visual, text, owner, w)
+    # whole numbers in a float array name the same rows as integers
+    assert np.array_equal(
+        val(fu.cross_modal_attention(visual, text, [0.0, 1.0, 1.0], w)),
+        val(fu.cross_modal_attention(visual, text, [0, 1, 1], w)))
+
+
+@pytest.mark.parametrize("visual_shape,text_shape", [
+    ((8,), (2, 8)), ((2, 6), (2, 8)), ((2, 8), (2, 6)), ((2, 8), (2, 8, 1))])
+def test_attention_rejects_misshapen_rows(visual_shape, text_shape):
+    w = make_weights(np.random.default_rng(9))
+    with pytest.raises(ValueError) as err:
+        fu.cross_modal_attention(np.zeros(visual_shape), np.zeros(text_shape),
+                                 [0, 1], w)
+    assert f"got shapes {visual_shape} and {text_shape}" in str(err.value)
+    assert "n x 8 visual rows and L x 8 text rows" in str(err.value)
+
+
+def reference_attention(visual, text, owner, weights):
+    """Attention spelled out head by head in tape ops, as it was recorded
+    before it became one ``autodiff.attention`` row: 3 projections, then
+    per head two column slices, the scaled and masked scores, a softmax
+    and the head's output projection, and the heads added in order."""
+    owner = np.asarray(owner)
+    mask = np.where(owner[None, :] == np.arange(len(val(visual)))[:, None],
+                    0.0, -np.inf)
+    dh = np.shape(val(weights.w_q))[1]
+    hd = dh // weights.head_count
+    q = ad.matmul(visual, weights.w_q)
+    keys = ad.matmul(text, weights.w_k)
+    values = ad.matmul(text, weights.w_v)
+    out = None
+    for h in range(weights.head_count):
+        lo, hi = h * hd, (h + 1) * hd
+        scores = ad.mul(ad.dot(ad.cols(q, lo, hi), ad.cols(keys, lo, hi)),
+                        1.0 / math.sqrt(dh))
+        attn = ad.softmax(ad.add(scores, mask))
+        head = ad.matmul(ad.matmul(attn, ad.cols(values, lo, hi)),
+                         ad.take_row(weights.w_out, range(lo, hi)))
+        out = head if out is None else ad.add(out, head)
+    return out
+
+
+@pytest.mark.parametrize("heads,tokens_per_row", [
+    (1, [1, 2, 3]), (2, [2, 1, 4, 1]), (4, [1]),
+    (4, [1, 5, 2, 3, 4, 1, 2, 6, 3, 2, 1, 4, 5, 2, 3, 1])],
+    ids=["1-head", "2-heads", "4-heads-one-token", "4-heads-16-rows"])
+def test_attention_row_keeps_the_per_head_bits(heads, tokens_per_row):
+    rng = np.random.default_rng(heads * 100 + len(tokens_per_row))
+    d = 16
+    # visual row i owns tokens_per_row[i] text rows, in random order
+    owner = rng.permutation(np.repeat(np.arange(len(tokens_per_row)),
+                                      tokens_per_row))
+    params = {"visual": rng.normal(size=(len(tokens_per_row), d)),
+              "text": rng.normal(size=(len(owner), d)),
+              **{w: rng.normal(scale=0.5, size=(d, d))
+                 for w in ("w_q", "w_k", "w_v", "w_out")}}
+    out_weights = rng.normal(size=(len(tokens_per_row), d))
+
+    def run(attention, p):
+        weights = fu.AttentionWeights(p["w_q"], p["w_k"], p["w_v"],
+                                      p["w_out"], head_count=heads)
+        return attention(p["visual"], p["text"], owner, weights)
+
+    # the plain route
+    got = run(fu.cross_modal_attention, params)
+    assert got.tobytes() == run(reference_attention, params).tobytes()
+    # the tape route: the value and the adjoint of every operand
+    results = []
+    for attention in (fu.cross_modal_attention, reference_attention):
+        tape = ad.Tape()
+        out = run(attention, {k: tape.leaf(v, name=k)
+                              for k, v in params.items()})
+        results.append((val(out), ad.backward(
+            tape, ad.sum(ad.mul(out, out_weights)))))
+    (value, grads), (want_value, want_grads) = results
+    assert value.tobytes() == want_value.tobytes() == got.tobytes()
+    for name in params:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def test_plain_attention_peak_memory():
+    # an evaluation-size batch, 120 regions of 5 tokens each: the 4 heads'
+    # n x L scores are one buffer with the softmax done in place, so the
+    # peak stays within 6 n L float64 (two more n x L arrays would not)
+    rng = np.random.default_rng(13)
+    n, per, d = 120, 5, 16
+    w = make_weights(rng, d=d, heads=4)
+    visual, text = rng.normal(size=(n, d)), rng.normal(size=(n * per, d))
+    owner = np.repeat(np.arange(n), per)
+    tracemalloc.start()
+    try:
+        fu.cross_modal_attention(visual, text, owner, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * (n * per) * 8
 
 
 # --- positional encoding --------------------------------------------------------
