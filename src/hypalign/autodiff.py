@@ -32,9 +32,11 @@ row-wise on it and reject any other rank, naming the shape.  With them and
 ``take_row``, a whole batch, from the fusion forward to each loss, is a
 handful of array nodes instead of one node per row or pair.  The hot
 formulas are one row each: the hyperboloid lift, distance, cone aperture
-and exterior angle (which ``geometry`` wraps), the embedding squash and
-multi-head attention (which ``fusion`` wraps).  Each has one plain-array
-kernel, for training and evaluation alike, and a hand-derived VJP.
+and exterior angle (which ``geometry`` wraps), the embedding squash,
+multi-head attention and the residual MLP (which ``fusion`` wraps), the
+cross-entropy of the losses and the trainer's box head.  Each has one
+plain-array kernel, for training and evaluation alike, and a hand-derived
+VJP.
 """
 
 from __future__ import annotations
@@ -555,6 +557,74 @@ def _squash_vjp(g, ans, saved, x, radius):
     return (f[:, None] * g + w[:, None] * x,)
 
 
+def _cross_entropy(u, targets):
+    # mean over rows of logsumexp(row) - row[targets[row]]
+    lse = logsumexp(u)
+    per_row = lse - pick(u, targets)
+    return (np.add.reduce(per_row, axis=None) / np.float64(len(targets)),
+            (lse,))
+
+
+def _cross_entropy_vjp(g, ans, saved, u, targets):
+    (lse,) = saved
+    # the spelled-out adjoints in backward order: the mean, the sum, the
+    # picked entries (a scatter into zeros), then the logsumexp
+    g_row = np.full(lse.shape, g / np.float64(len(targets)))
+    gu = np.zeros(u.shape)
+    np.add.at(gu, (np.arange(len(targets)), targets), -g_row)
+    return (gu + g_row[:, None] * np.exp(u - lse[:, None]),)
+
+
+def _residual_mlp(a, b, w1, b1, w2, b2, aux):
+    # x + tanh(x w1 + b1) w2 + b2 with x = a + b, biases on every row
+    x = a + b
+    hidden = tanh(matmul(x, w1) + b1)
+    return x + matmul(hidden, w2) + b2, (x, hidden)
+
+
+def _residual_mlp_vjp(g, ans, saved, a, b, w1, b1, w2, b2, aux):
+    x, hidden = saved
+    # the spelled-out adjoints in backward order: x takes the residual's
+    # adjoint first, then the first layer's
+    g_pre = g @ w2.T * (1.0 - hidden * hidden)
+    gx = g + g_pre @ w1.T
+    return (gx, gx, x.T @ g_pre, np.add.reduce(g_pre, axis=0),
+            hidden.T @ g, np.add.reduce(g, axis=0))
+
+
+#: the near (x1, y1) and far (x2, y2) corner columns of a box row
+_NEAR_CORNER = np.eye(2, 4)
+_FAR_CORNER = np.eye(2, 4, 2)
+
+
+def _box_head(x, w, b, eps):
+    # u = eps + (1 - 2 eps) sigmoid(x w + b) per row, read as a start u[:2]
+    # and a size u[2:]: (x1, y1) = start (1 - size), (x2, y2) = (x1, y1) +
+    # size.  Each step is the op the spelled-out head records, in its order
+    s = sigmoid(matmul(x, w) + b)
+    u = s * (1.0 - 2.0 * eps) + eps
+    size, start = cols(u, 2, 4), cols(u, 0, 2)
+    rest = 1.0 - size
+    near = start * rest
+    return (matmul(near, _NEAR_CORNER) + matmul(near + size, _FAR_CORNER),
+            (s, start, rest))
+
+
+def _box_head_vjp(g, ans, saved, x, w, b, eps):
+    s, start, rest = saved
+    # the spelled-out head's adjoints in its backward order: (x1, y1) and
+    # (x2, y2) both reach the near corner, the size through (x2, y2) and
+    # 1 - size; start and size go back into one buffer shaped like u
+    g_far = g @ _FAR_CORNER.T
+    g_near = g_far + g @ _NEAR_CORNER.T
+    g_size = g_far + -(g_near * start)
+    gu = np.zeros(s.shape)
+    np.add(gu[:, 0:2], g_near * rest, out=gu[:, 0:2])
+    np.add(gu[:, 2:4], g_size, out=gu[:, 2:4])
+    graw = gu * (1.0 - 2.0 * eps) * s * (1.0 - s)
+    return graw @ w.T, x.T @ graw, np.add.reduce(graw, axis=0)
+
+
 def _heads(m, heads):
     # rows x d_h -> heads x rows x d_h/heads: head h is columns h*hd:(h+1)*hd
     return m.reshape(m.shape[0], heads, -1).transpose(1, 0, 2)
@@ -617,6 +687,18 @@ squash = _composite("squash", _squash, _squash_vjp)
 # multi-head attention from visual rows over text rows, operands (visual,
 # text, w_q, w_k, w_v, w_out); aux (n x L additive mask, head count)
 attention = _composite("attention", _attention, _attention_vjp)
+
+# mean over the rows of a matrix of -log softmax(row) at its target
+# column; aux the column of each row (an intp vector).  Its two adjoint
+# terms sum in the spelled-out order when the logits feed nothing else
+cross_entropy = _composite("cross_entropy", _cross_entropy,
+                           _cross_entropy_vjp)
+# the residual fusion MLP of two n x d summands, operands (a, b, w1, b1,
+# w2, b2): x + tanh(x w1 + b1) w2 + b2 with x = a + b
+residual_mlp = _composite("residual_mlp", _residual_mlp, _residual_mlp_vjp)
+# the sigmoid corner-size box head, operands (rows, weight, bias); aux
+# the margin eps that keeps every box's width and height above zero
+box_head = _composite("box_head", _box_head, _box_head_vjp)
 
 _OP_NAMES = [row.name for row in _OPS]
 

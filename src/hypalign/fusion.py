@@ -10,7 +10,8 @@ Each forward takes an n x d matrix of visual rows, one per region, works
 on plain arrays or autodiff ``Var`` values alike, and records a fixed
 handful of tape nodes whatever n is.  Attention is one node, all heads
 included: ``cross_modal_attention`` checks the rows and the token owners
-and builds the -inf mask, and ``autodiff.attention`` does the rest.
+and builds the -inf mask, and ``autodiff.attention`` does the rest.  The
+fusion MLP is one ``autodiff.residual_mlp`` node.
 """
 
 from __future__ import annotations
@@ -151,10 +152,9 @@ class FusionMlp:
 
 
 def fuse(v_l, v_s, mlp: FusionMlp):
-    """Combine language-aware and spatial-aware n x d embeddings row-wise;
-    the biases are added to every row."""
+    """Combine language-aware and spatial-aware n x d embeddings row-wise,
+    in one ``autodiff.residual_mlp`` node; the biases are added to every
+    row."""
     if _shape(v_l) != _shape(v_s) or len(_shape(v_l)) != 2:
         raise ValueError("fuse requires two equally shaped n x d matrices")
-    x = ad.add(v_l, v_s)
-    hidden = ad.tanh(ad.add(ad.matmul(x, mlp.w1), mlp.b1))
-    return ad.add(ad.add(x, ad.matmul(hidden, mlp.w2)), mlp.b2)
+    return ad.residual_mlp(v_l, v_s, mlp.w1, mlp.b1, mlp.w2, mlp.b2)

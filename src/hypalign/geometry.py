@@ -82,8 +82,12 @@ class LorentzPoint:
     def __init__(self, space, curvature):
         curvature = _check_curvature(curvature)
         _check_rows(space, "the spatial part")
+        self._place(space, curvature)
+
+    def _place(self, space, curvature):
+        # curvature and row shape already checked (a lift keeps the shape)
         sv = val(space)
-        if not np.all(np.isfinite(sv)):
+        if not np.isfinite(sv).all():
             raise ValueError("non-finite spatial coordinates")
         self.space = space
         self.curvature = curvature
@@ -107,9 +111,11 @@ def exp_map_origin(x, curvature) -> LorentzPoint:
     curvature = _check_curvature(curvature)
     _check_rows(x, "exp_map_origin input")
     xv = val(x)
-    if not np.all(np.isfinite(xv)):
+    if not np.isfinite(xv).all():
         raise ValueError("non-finite input to exp_map_origin")
-    return LorentzPoint(ad.lift(x, curvature), curvature)
+    point = LorentzPoint.__new__(LorentzPoint)
+    point._place(ad.lift(x, curvature), curvature)
+    return point
 
 
 def _same_curvature(u: LorentzPoint, v: LorentzPoint):

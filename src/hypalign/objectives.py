@@ -94,9 +94,12 @@ def pairwise_cosine(a, b, what_a: str, what_b: str):
 
 
 def _cross_entropy(logits, targets: Sequence[int]):
-    """Mean over rows of -log softmax(row) at the row's target column."""
-    per_row = ad.sub(ad.logsumexp(logits), ad.pick(logits, targets))
-    return ad.div(ad.sum(per_row), float(len(targets)))
+    """Mean over rows of -log softmax(row) at the row's target column: one
+    ``autodiff.cross_entropy`` node."""
+    cols = np.asarray(targets, dtype=np.intp)
+    if cols.shape != (len(val(logits)),):
+        raise ValueError("one target column per logits row required")
+    return ad.cross_entropy(logits, aux=cols)
 
 
 def classification_loss(visual, labels, targets: Sequence[int], tau):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
@@ -229,9 +230,28 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
                       adam_m=adam_m, adam_v=adam_v, adam_t=0)
 
 
+class _FlatMap(dict):
+    """A parameter map of views into one float64 vector, as ``_unflatten``
+    makes it.  While every entry is still the view it was made as,
+    ``_layout`` returns the layout it was cut by and ``_flatten`` the
+    vector itself instead of concatenating the entries again."""
+
+    __slots__ = ("flat", "layout", "views")
+
+    def intact(self) -> bool:
+        return len(self) == len(self.views) and all(
+            map(operator.is_, self.values(), self.views))
+
+    def __reduce__(self):
+        # a copy or a pickle is a plain map: its arrays are no views of one
+        return dict, (dict(self),)
+
+
 def _layout(values: dict) -> list:
     """(name, shape, start, stop) of each parameter when all of them are
     laid end to end in one float64 vector."""
+    if isinstance(values, _FlatMap) and values.intact():
+        return values.layout
     layout, stop = [], 0
     for name, value in values.items():
         start, stop = stop, stop + value.size
@@ -240,13 +260,18 @@ def _layout(values: dict) -> list:
 
 
 def _flatten(values: dict, layout: list) -> np.ndarray:
+    if (isinstance(values, _FlatMap) and values.layout is layout
+            and values.intact()):
+        return values.flat
     return np.concatenate([values[name] for name, *_ in layout], axis=None)
 
 
 def _unflatten(flat: np.ndarray, layout: list) -> dict:
     """A parameter map of views into ``flat``."""
-    return {name: flat[start:stop].reshape(shape)
-            for name, shape, start, stop in layout}
+    out = _FlatMap({name: flat[start:stop].reshape(shape)
+                    for name, shape, start, stop in layout})
+    out.flat, out.layout, out.views = flat, layout, tuple(out.values())
+    return out
 
 
 def _check_finite(flat: np.ndarray, layout: list) -> None:
@@ -291,19 +316,14 @@ class _Forward:
         return ad.squash(fuse(v_l, v_s, self.mlp), aux=EMBED_RADIUS)
 
     def predicted_boxes(self, fused):
-        """Sigmoid corner-size parameterization: n x 4 (x1, y1, x2, y2) rows.
+        """Sigmoid corner-size parameterization: n x 4 (x1, y1, x2, y2) rows,
+        one ``autodiff.box_head`` node.
 
         The sigmoid is squashed into [eps, 1-eps] so a saturated head can
         never produce a zero-width or zero-height box.
         """
-        raw = ad.add(ad.matmul(fused, self.p["box_w"]), self.p["box_b"])
-        u = ad.add(ad.mul(ad.sigmoid(raw), 1.0 - 2.0 * BOX_HEAD_EPS),
-                   BOX_HEAD_EPS)
-        sizes = ad.cols(u, 2, 4)
-        near = ad.mul(ad.cols(u, 0, 2), ad.sub(1.0, sizes))
-        # (x1, y1) into columns 0-1 and (x2, y2) into columns 2-3
-        return ad.add(ad.matmul(near, np.eye(2, 4)),
-                      ad.matmul(ad.add(near, sizes), np.eye(2, 4, 2)))
+        return ad.box_head(fused, self.p["box_w"], self.p["box_b"],
+                           aux=BOX_HEAD_EPS)
 
     def class_embeddings(self, leaves: Sequence[int]):
         """Canonical class candidates: each class's own label token as text

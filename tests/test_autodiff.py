@@ -216,6 +216,23 @@ VECTOR_CASES = [
      lambda: {"V": RNG.normal(size=(2, 4)), "T": RNG.normal(size=(3, 4)),
               **{w: RNG.normal(scale=0.7, size=(4, 4))
                  for w in ("Wq", "Wk", "Wv", "Wo")}}),
+    # three rows through the box head's weight and bias
+    ("box_head",
+     lambda p: ad.sum(ad.mul(ad.box_head(p["X"], p["W"], p["b"], aux=1e-3),
+                             np.arange(12.0).reshape(3, 4) - 5.0)),
+     lambda: {"X": RNG.normal(size=(3, 4)), "W": RNG.normal(size=(4, 4)),
+              "b": RNG.normal(size=4)}),
+    # three rows, two with the same target column
+    ("cross_entropy",
+     lambda p: ad.cross_entropy(p["U"], aux=np.array([2, 0, 2])),
+     lambda: {"U": RNG.normal(scale=2.0, size=(3, 4))}),
+    ("residual_mlp",
+     lambda p: ad.sum(ad.mul(ad.residual_mlp(p["A"], p["B"], p["W1"], p["b1"],
+                                             p["W2"], p["b2"]),
+                             np.arange(6.0).reshape(3, 2) - 2.0)),
+     lambda: {"A": RNG.normal(size=(3, 2)), "B": RNG.normal(size=(3, 2)),
+              "W1": RNG.normal(size=(2, 4)), "b1": RNG.normal(size=4),
+              "W2": RNG.normal(size=(4, 2)), "b2": RNG.normal(size=2)}),
 ]
 
 
@@ -225,6 +242,77 @@ VECTOR_CASES = [
 def test_primitive_gradients(name, build, sample):
     for _ in range(5):
         check_gradients(build, sample(), tol=1e-7)
+
+
+def spelled_out_box_head(x, w, b, eps=1e-3):
+    """The box head as 13 tape nodes, as the trainer recorded it before it
+    was one row: the reference ``box_head`` must match bit for bit."""
+    raw = ad.add(ad.matmul(x, w), b)
+    u = ad.add(ad.mul(ad.sigmoid(raw), 1.0 - 2.0 * eps), eps)
+    sizes = ad.cols(u, 2, 4)
+    near = ad.mul(ad.cols(u, 0, 2), ad.sub(1.0, sizes))
+    return ad.add(ad.matmul(near, np.eye(2, 4)),
+                  ad.matmul(ad.add(near, sizes), np.eye(2, 4, 2)))
+
+
+def spelled_out_cross_entropy(u, targets):
+    """The mean cross-entropy as 5 tape nodes, the reference for
+    ``cross_entropy``."""
+    per_row = ad.sub(ad.logsumexp(u), ad.pick(u, targets))
+    return ad.div(ad.sum(per_row), float(len(targets)))
+
+
+def spelled_out_residual_mlp(a, b, w1, b1, w2, b2):
+    """The fusion MLP as 7 tape nodes, the reference for
+    ``residual_mlp``."""
+    x = ad.add(a, b)
+    hidden = ad.tanh(ad.add(ad.matmul(x, w1), b1))
+    return ad.add(ad.add(x, ad.matmul(hidden, w2)), b2)
+
+
+def _row_operands(name, rng, n, d):
+    if name == "box_head":
+        return [rng.normal(size=(n, d)), rng.normal(scale=3.0, size=(d, 4)),
+                rng.normal(size=4)]
+    if name == "cross_entropy":
+        return [rng.normal(scale=5.0, size=(n, d))]
+    return [rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+            rng.normal(scale=0.5, size=(d, 2 * d)), rng.normal(size=2 * d),
+            rng.normal(scale=0.5, size=(2 * d, d)), rng.normal(size=d)]
+
+
+@pytest.mark.parametrize("n,d", [(1, 4), (6, 8), (16, 16)])
+@pytest.mark.parametrize("name", ["box_head", "cross_entropy",
+                                  "residual_mlp"])
+def test_row_keeps_the_spelled_out_bits(name, n, d):
+    # value and every operand adjoint, on the tape and on the plain route;
+    # the first operand has a second consumer after the row, as the fused
+    # rows of a training step do
+    rng = np.random.default_rng([n, d])
+    operands = _row_operands(name, rng, n, d)
+    targets = rng.integers(0, d, n)
+    # the logits of a loss are a fresh node that feeds nothing else; the
+    # row's two adjoint terms then sum in the spelled-out order
+    rows = {"box_head": (spelled_out_box_head,
+                         lambda *ops: ad.box_head(*ops, aux=1e-3)),
+            "cross_entropy": (
+                lambda u: spelled_out_cross_entropy(ad.div(u, 0.7), targets),
+                lambda u: ad.cross_entropy(ad.div(u, 0.7), aux=targets)),
+            "residual_mlp": (spelled_out_residual_mlp, ad.residual_mlp)}
+    weights = rng.normal(size=np.shape(rows[name][0](*operands)))
+    if weights.ndim:
+        weights[0] = 0.0   # a zero adjoint row keeps its signed zeros
+    results = []
+    for row in rows[name]:
+        tape = ad.Tape()
+        leaves = [tape.leaf(v, str(k)) for k, v in enumerate(operands)]
+        out = row(*leaves)
+        grads = ad.backward(tape, ad.add(ad.sum(ad.mul(out, weights)),
+                                         ad.sum(ad.tanh(leaves[0]))))
+        results.append([out.value.tobytes(), row(*operands).tobytes()]
+                       + [grads[str(k)].tobytes()
+                          for k in range(len(operands))])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("scatter", [

@@ -218,17 +218,20 @@ def test_step_records_the_same_nodes_at_any_batch_size(objective):
 
 
 def test_hyper_step_tape_stays_small():
-    # 92 nodes when this bound was set: one node for multi-head attention
-    # (137 with its 4 heads spelled out in 46 nodes, 226 with two lifts and
-    # the Lorentz formulas spelled out in elementwise ops, 1,691 with a
+    # 66 nodes when this bound was set: one node each for the box head, the
+    # fusion MLP and both cross-entropies (92 with them spelled out, 137
+    # with the 4 attention heads spelled out in 46 nodes, 226 with two lifts
+    # and the Lorentz formulas spelled out in elementwise ops, 1,691 with a
     # per-record forward)
-    assert step_nodes("hyper", 16) <= 92
+    assert step_nodes("hyper", 16) <= 66
 
 
-@pytest.mark.parametrize("objective,bound", [("baseline", 79),
-                                             ("det-only", 64)])
+@pytest.mark.parametrize("objective,bound", [("baseline", 53),
+                                             ("det-only", 42)])
 def test_other_step_tapes_stay_small(objective, bound):
-    # the counts when these bounds were set: one node for multi-head
-    # attention (124 and 109 before), after one node per squash and
-    # constant operands of matrix ops in aux (141 and 119 before that)
+    # the counts when these bounds were set: one node each for the box
+    # head, the fusion MLP and every cross-entropy (79 and 64 before), one
+    # node for multi-head attention (124 and 109 before that), after one
+    # node per squash and constant operands of matrix ops in aux (141 and
+    # 119 before that)
     assert step_nodes(objective, 16) <= bound

@@ -1,5 +1,6 @@
 """Trainer tests: init, stepping, retrieval, hierarchy, serialization."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -229,6 +230,24 @@ def test_flat_update_matches_the_per_parameter_loop_bit_for_bit(
         state = new_state
     assert state.params["log_tau"] != tr.init(state.config, tree,
                                               syn).params["log_tau"]
+
+
+def test_step_reads_parameters_edited_in_place(corpus):
+    # a step's parameters and moments are views into flat vectors that the
+    # next step reuses; an in-place edit of one must reach that step, and a
+    # plain-dict copy of the same maps must step bit for bit alike
+    cfg, tree, syn, records = corpus
+    state, _ = tr.step(tr.init(cfg, tree, syn), records[:6])
+    state.params["box_w"][0, 0] += 0.5
+    state.adam_v["fuse_b1"][3] *= 2.0
+    plain = dataclasses.replace(state, params=dict(state.params),
+                                adam_m=dict(state.adam_m),
+                                adam_v=dict(state.adam_v))
+    got, _ = tr.step(state, records[6:12])
+    want, _ = tr.step(plain, records[6:12])
+    for field in ("params", "adam_m", "adam_v"):
+        for name, value in getattr(want, field).items():
+            assert getattr(got, field)[name].tobytes() == value.tobytes()
 
 
 def test_backward_reads_stored_outputs(corpus, monkeypatch):
