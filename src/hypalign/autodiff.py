@@ -34,9 +34,15 @@ handful of array nodes instead of one node per row or pair.  The hot
 formulas are one row each: the hyperboloid lift, distance, cone aperture
 and exterior angle (which ``geometry`` wraps), the embedding squash,
 multi-head attention and the residual MLP (which ``fusion`` wraps), the
-cross-entropy of the losses and the trainer's box head.  Each has one
-plain-array kernel, for training and evaluation alike, and a hand-derived
-VJP.
+trainer's box head, and every loss (which ``objectives`` wraps): the
+cross-entropy at target columns, of scaled logits or of cosine
+similarities, the entailment cone hinge, the mean smooth L1 and the
+weighted total of the terms.  Each has one plain-array kernel, for
+training and evaluation alike, and a hand-derived VJP that sums each
+operand's adjoint terms in the order the formula's spelled-out ops would,
+so a row keeps their bits.  Index operands are integers: ``indices``
+rejects any other entry, naming it, and takes a whole float for its
+integer.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ class Tape:
     def __init__(self):
         self.ops: list = []      # (opcode, input node ids, aux)
         self.values: list = []   # float64 array or scalar per node
-        self.names: dict = {}    # node id -> leaf name
+        self.names: dict = {}    # leaf name -> node id
 
     def __len__(self):
         return len(self.values)
@@ -106,12 +112,14 @@ class Tape:
             if not np.isfinite(value).all():
                 raise ValueError("non-finite entries in leaf"
                                  + (f" {name!r}" if name else ""))
-        if name is not None and name in self.names.values():
-            raise ValueError(f"duplicate leaf name: {name!r}")
-        var = self._record(_LEAF.code, (), None, value)
+        idx = len(self.values)
         if name is not None:
-            self.names[var.idx] = name
-        return var
+            if name in self.names:
+                raise ValueError(f"duplicate leaf name: {name!r}")
+            self.names[name] = idx
+        self.ops.append(_LEAF_OP)
+        self.values.append(value)
+        return Var(self, idx, value)
 
 
 def val(x):
@@ -145,7 +153,8 @@ class _Op:
 
 
 _OPS: list = []
-_LEAF = _Op("leaf", None, None)
+# every leaf's tape entry: opcode 0, no inputs, no aux
+_LEAF_OP = (_Op("leaf", None, None).code, (), None)
 
 
 def _acc(adj, j, contrib):
@@ -258,33 +267,42 @@ def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
     its op, ``op(*operands, aux=None)``.
 
     ``kernel(*values, aux)`` returns the value and what the VJP needs of
-    the forward pass; ``vjp(g, ans, saved, *values, aux)`` returns one
-    adjoint per operand.  ``aux`` holds the formula's plain parameters.
-    Any operand may be plain: the node's inputs are its Var operands, and
-    its aux holds their positions, every operand value, ``aux`` and the
-    saved intermediates.
+    the forward pass; ``vjp(g, ans, saved, *values, aux)`` returns
+    (operand position, adjoint) pairs in the order they accumulate, so an
+    operand that the spelled-out formula reads twice takes its adjoints as
+    two terms, in that formula's backward order.  ``aux`` holds the
+    formula's plain parameters.  Any operand may be plain: the node's
+    inputs are its Var operands, and its aux holds each operand's node id
+    (None for a plain one), every operand value, ``aux`` and the saved
+    intermediates.
     """
     def backward(g, ans, inputs, aux, values, adj, owned):
-        slots, args, extra, saved = aux
-        grads = vjp(g, ans, saved, *args, extra)
-        for j, k in zip(inputs, slots):
-            _acc(adj, j, grads[k])
+        ids, args, extra, saved = aux
+        for k, grad in vjp(g, ans, saved, *args, extra):
+            j = ids[k]
+            if j is not None:
+                _acc(adj, j, grad)
 
     row = _Op(name, kernel, backward)
 
     def op(*operands, aux=None):
-        args = tuple(a.value if isinstance(a, Var) else _num(a)
-                     for a in operands)
+        tape, args, ids = None, [], []
+        for a in operands:
+            if isinstance(a, Var):
+                if tape is None:
+                    tape = a.tape
+                elif a.tape is not tape:
+                    raise ValueError("operands recorded on different tapes")
+                args.append(a.value)
+                ids.append(a.idx)
+            else:
+                args.append(_num(a))
+                ids.append(None)
         value, saved = row.kernel(*args, aux)
-        slots = tuple(k for k, a in enumerate(operands)
-                      if isinstance(a, Var))
-        if not slots:
+        if tape is None:
             return value
-        tape = operands[slots[0]].tape
-        if any(operands[k].tape is not tape for k in slots):
-            raise ValueError("operands recorded on different tapes")
-        return tape._record(row.code, tuple(operands[k].idx for k in slots),
-                            (slots, args, aux, saved), value)
+        inputs = tuple([j for j in ids if j is not None])
+        return tape._record(row.code, inputs, (ids, args, aux, saved), value)
 
     op.__name__ = name
     return op
@@ -362,6 +380,15 @@ def _softmax(u):
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
+def _smooth_l1(a):
+    # 0.5 a^2 for |a| < 1, |a| - 0.5 otherwise (threshold 1), elementwise
+    return np.where(np.abs(a) < 1.0, 0.5 * a * a, np.abs(a) - 0.5)
+
+
+def _smooth_l1_slope(a):
+    return np.where(np.abs(a) < 1.0, a, np.sign(a))
+
+
 # ---------------------------------------------------------------------------
 # primitive ops
 
@@ -394,11 +421,9 @@ arccos = _unary("arccos", np.arccos, lambda g, ans, x: -g / _trig_den(x))
 _CLAMP_MIN = _gated("clamp_min", np.maximum, operator.gt)
 _CLAMP_MAX = _gated("clamp_max", np.minimum, operator.lt)
 _HINGE = _gated("hinge", np.maximum, operator.gt)
-# 0.5 a^2 for |a| < 1, |a| - 0.5 otherwise (threshold 1), elementwise
-smooth_l1 = _unary(
-    "smooth_l1",
-    lambda a: np.where(np.abs(a) < 1.0, 0.5 * a * a, np.abs(a) - 0.5),
-    lambda g, ans, a: g * np.where(np.abs(a) < 1.0, a, np.sign(a)))
+# smooth L1 (threshold 1), elementwise
+smooth_l1 = _unary("smooth_l1", _smooth_l1,
+                   lambda g, ans, a: g * _smooth_l1_slope(a))
 # inner product of every row of u with every row of v (u @ v.T)
 dot = _binary("dot", _dot, lambda g, u, v: g @ v, lambda g, u, v: g.T @ u)
 # the vector of row norms of a matrix
@@ -467,7 +492,7 @@ def _lift_vjp(g, ans, saved, x, c, aux):
     root = np.sqrt(c)
     dt = _row_dot(g, x) * _sinhc_deriv(t)   # adjoint of each row's t
     gx = s[:, None] * g + _per_norm(dt * root, norm)[:, None] * x
-    return gx, np.add.reduce(dt * norm) / (2.0 * root)
+    return enumerate((gx, np.add.reduce(dt * norm) / (2.0 * root)))
 
 
 def _lorentz_dist(us, vs, cu, cv, aux):
@@ -492,7 +517,7 @@ def _lorentz_dist_vjp(g, ans, saved, us, vs, cu, cv, aux):
                                     0.0)
     gcu = (gcu - np.add.reduce(ga * inner, axis=None)
            - np.add.reduce(g * ans, axis=None) / (2.0 * cu))
-    return gus, gvs, gcu, gcv
+    return enumerate((gus, gvs, gcu, gcv))
 
 
 def _cone_aperture(cs, c, aux):
@@ -507,8 +532,8 @@ def _cone_aperture_vjp(g, ans, ratio, cs, c, aux):
     # the ratio's adjoint times the ratio: d ratio / d|c_space| is
     # -ratio / |c_space|, and d ratio / dC is -ratio / (2C)
     gr = np.where(ratio < 1.0, g * ratio / _trig_den(ratio), 0.0)
-    return ((-gr / (sn * sn))[:, None] * cs,
-            -np.add.reduce(gr) / (2.0 * c))
+    return enumerate(((-gr / (sn * sn))[:, None] * cs,
+                      -np.add.reduce(gr) / (2.0 * c)))
 
 
 def _cone_angle(cs, vs, cc, cv, aux):
@@ -536,8 +561,8 @@ def _cone_angle_vjp(g, ans, saved, cs, vs, cc, cv, aux):
         cc * gci, cs, vs, cc, cv, ct, vt,
         np.add.reduce(gnum * ci, axis=1), np.add.reduce(gnum, axis=0))
     gsn = np.add.reduce(gden * root, axis=1)
-    return (gcs + (gsn / sn)[:, None] * cs, gvs,
-            gcc + np.add.reduce(gci * inner, axis=None), gcv)
+    return enumerate((gcs + (gsn / sn)[:, None] * cs, gvs,
+                      gcc + np.add.reduce(gci * inner, axis=None), gcv))
 
 
 def _squash(x, radius):
@@ -554,25 +579,118 @@ def _squash_vjp(g, ans, saved, x, radius):
     # f'(n) = (1 - th^2 - f) / n, and d|x|/dx = x / |x| where unclamped
     w = np.where(norm > 1e-12, _row_dot(g, x) * (1.0 - th * th - f)
                  / (n * n), 0.0)
-    return (f[:, None] * g + w[:, None] * x,)
+    return ((0, f[:, None] * g + w[:, None] * x),)
 
 
-def _cross_entropy(u, targets):
-    # mean over rows of logsumexp(row) - row[targets[row]]
-    lse = logsumexp(u)
-    per_row = lse - pick(u, targets)
+def _cross_entropy(u, tau, aux):
+    # mean over rows of logsumexp(row) - row[target] of the logits
+    # u / (sign tau), aux (targets, sign): the spelled-out division, then
+    # the cross-entropy.  -(u)/tau and u/(-tau) are the same bits
+    targets, sign = aux
+    scale = sign * tau
+    logits = u / scale
+    lse = logsumexp(logits)
+    per_row = lse - pick(logits, targets)
     return (np.add.reduce(per_row, axis=None) / np.float64(len(targets)),
-            (lse,))
+            (logits, lse, scale))
 
 
-def _cross_entropy_vjp(g, ans, saved, u, targets):
-    (lse,) = saved
+def _cross_entropy_vjp(g, ans, saved, u, tau, aux):
+    logits, lse, scale = saved
+    targets, sign = aux
     # the spelled-out adjoints in backward order: the mean, the sum, the
-    # picked entries (a scatter into zeros), then the logsumexp
+    # picked entries (a scatter into zeros, one entry a row, so 0.0 - g is
+    # what the scatter's 0.0 + (-g) gives), the logsumexp, then the
+    # division: tau's adjoint is sign times that of the divisor sign tau
     g_row = np.full(lse.shape, g / np.float64(len(targets)))
-    gu = np.zeros(u.shape)
-    np.add.at(gu, (np.arange(len(targets)), targets), -g_row)
-    return (gu + g_row[:, None] * np.exp(u - lse[:, None]),)
+    gl = np.zeros(logits.shape)
+    gl[np.arange(len(targets)), targets] = 0.0 - g_row
+    gl = gl + g_row[:, None] * np.exp(logits - lse[:, None])
+    return ((0, gl / scale),
+            (1, sign * (-np.add.reduce(gl * u, axis=None) / (scale * scale))))
+
+
+def _cosine_cross_entropy(a, b, tau, aux):
+    # the cross-entropy of cos(a_i, b_j) / tau at each row's target, aux
+    # (targets, row norms of a, row norms of b): the spelled-out dot
+    # product, outer product of the norms and division, then the row above
+    targets, na, nb = aux
+    dots = _dot(a, b)
+    o = np.outer(na, nb)
+    sims = dots / o
+    value, saved = _cross_entropy(sims, tau, (targets, 1.0))
+    return value, (dots, o, sims, saved)
+
+
+def _cosine_cross_entropy_vjp(g, ans, saved, a, b, tau, aux):
+    targets, na, nb = aux
+    dots, o, sims, ce = saved
+    (_, gs), (_, gtau) = _cross_entropy_vjp(g, ans, ce, sims, tau,
+                                            (targets, 1.0))
+    go = -(gs * dots) / (o * o)
+    gd = gs / o
+    # the spelled-out adjoints in backward order: tau at the division by
+    # it, then the norms of b and of a, then the dot product
+    return ((2, gtau), (1, _norm_vjp(na @ go, nb, b)),
+            (0, _norm_vjp(go @ nb, na, a)), (0, gd @ b), (1, gd.T @ a))
+
+
+def _cone_hinge(angles, aperture, margin):
+    # mean over cones i of hinge(angle_ii - A_i) + sum over j != i of
+    # hinge(margin - hinge(angle_ij - A_i)), each step the op the
+    # spelled-out loss records, in its order
+    n = len(aperture)
+    eye = np.eye(n)
+    s1 = angles - np.outer(aperture, np.ones(n))
+    outside = hinge(s1)
+    s2 = margin - outside
+    terms = outside * eye + hinge(s2) * (1.0 - eye)
+    return np.add.reduce(terms, axis=None) / np.float64(n), (eye, s1, s2)
+
+
+def _cone_hinge_vjp(g, ans, saved, angles, aperture, margin):
+    eye, s1, s2 = saved
+    n = len(aperture)
+    # the spelled-out adjoints in backward order: the mean, the sum, the
+    # margin hinge, then the diagonal; the outside hinge, then the angles
+    # and the aperture broadcast across each row
+    gt = np.full(s1.shape, g / np.float64(n))
+    g_out = -(gt * (1.0 - eye) * (s2 > 0.0)) + gt * eye
+    g_s1 = g_out * (s1 > 0.0)
+    return (0, g_s1), (1, (-g_s1) @ np.ones(n))
+
+
+def _smooth_l1_loss(pred, gt, aux):
+    # mean over every entry of smooth_l1(pred - gt): the spelled-out
+    # difference, smooth L1, sum and division
+    diff = pred - gt
+    return (np.add.reduce(_smooth_l1(diff), axis=None)
+            / np.float64(diff.size), diff)
+
+
+def _smooth_l1_loss_vjp(g, ans, diff, pred, gt, aux):
+    gd = (np.full(diff.shape, g / np.float64(diff.size))
+          * _smooth_l1_slope(diff))
+    return (0, gd), (1, -gd)
+
+
+def _weighted_total(*args):
+    # ((w_0 t_0 + w_1 t_1) + w_2 t_2) + ..., in term order; an inactive term
+    # (weight None) is added as it is, an exact 0.0
+    *terms, weights = args
+    total = None
+    for t, w in zip(terms, weights):
+        part = t if w is None else t * w
+        total = part if total is None else total + part
+    return total, None
+
+
+def _weighted_total_vjp(g, ans, saved, *args):
+    *terms, weights = args
+    # each term's adjoint is g times its weight; the spelled-out backward
+    # reaches the last term first
+    return [(k, g * weights[k]) for k in range(len(terms) - 1, -1, -1)
+            if weights[k] is not None]
 
 
 def _residual_mlp(a, b, w1, b1, w2, b2, aux):
@@ -588,8 +706,8 @@ def _residual_mlp_vjp(g, ans, saved, a, b, w1, b1, w2, b2, aux):
     # adjoint first, then the first layer's
     g_pre = g @ w2.T * (1.0 - hidden * hidden)
     gx = g + g_pre @ w1.T
-    return (gx, gx, x.T @ g_pre, np.add.reduce(g_pre, axis=0),
-            hidden.T @ g, np.add.reduce(g, axis=0))
+    return enumerate((gx, gx, x.T @ g_pre, np.add.reduce(g_pre, axis=0),
+                      hidden.T @ g, np.add.reduce(g, axis=0)))
 
 
 #: the near (x1, y1) and far (x2, y2) corner columns of a box row
@@ -622,7 +740,7 @@ def _box_head_vjp(g, ans, saved, x, w, b, eps):
     np.add(gu[:, 0:2], g_near * rest, out=gu[:, 0:2])
     np.add(gu[:, 2:4], g_size, out=gu[:, 2:4])
     graw = gu * (1.0 - 2.0 * eps) * s * (1.0 - s)
-    return graw @ w.T, x.T @ graw, np.add.reduce(graw, axis=0)
+    return enumerate((graw @ w.T, x.T @ graw, np.add.reduce(graw, axis=0)))
 
 
 def _heads(m, heads):
@@ -667,9 +785,10 @@ def _attention_vjp(g, ans, saved, visual, text, w_q, w_k, w_v, w_out, aux):
     gs *= 1.0 / math.sqrt(w_q.shape[1])
     gq = _unheads(np.matmul(gs, k))
     gk = _unheads(np.matmul(gs.transpose(0, 2, 1), q))
-    return (gq @ w_q.T, gv @ w_v.T + gk @ w_k.T, visual.T @ gq,
-            text.T @ gk, text.T @ gv,
-            np.matmul(mixed.transpose(0, 2, 1), g).reshape(w_out.shape))
+    return enumerate((
+        gq @ w_q.T, gv @ w_v.T + gk @ w_k.T, visual.T @ gq, text.T @ gk,
+        text.T @ gv,
+        np.matmul(mixed.transpose(0, 2, 1), g).reshape(w_out.shape)))
 
 
 # the spatial part of the lift of each row to the hyperboloid
@@ -688,11 +807,30 @@ squash = _composite("squash", _squash, _squash_vjp)
 # text, w_q, w_k, w_v, w_out); aux (n x L additive mask, head count)
 attention = _composite("attention", _attention, _attention_vjp)
 
-# mean over the rows of a matrix of -log softmax(row) at its target
-# column; aux the column of each row (an intp vector).  Its two adjoint
-# terms sum in the spelled-out order when the logits feed nothing else
+# mean over the rows of a matrix u of -log softmax(row / (sign tau)) at
+# its target column, operands (u, tau); aux (the column of each row, an
+# intp vector, and the sign, 1.0 or -1.0).  Its two adjoint terms sum in
+# the spelled-out order when u feeds nothing else
 cross_entropy = _composite("cross_entropy", _cross_entropy,
                            _cross_entropy_vjp)
+# the same cross-entropy of cos(a_i, b_j) / tau over the rows of two
+# matrices, operands (a, b, tau); aux (targets, row norms of a, row norms
+# of b)
+cosine_cross_entropy = _composite("cosine_cross_entropy",
+                                  _cosine_cross_entropy,
+                                  _cosine_cross_entropy_vjp)
+# the entailment hinge of an n x n matrix of exterior angles (cone i, row
+# j) against the n half apertures, operands (angles, apertures); aux the
+# margin
+cone_hinge = _composite("cone_hinge", _cone_hinge, _cone_hinge_vjp)
+# mean smooth L1 over every entry of the difference of two equally shaped
+# arrays, operands (pred, target)
+smooth_l1_loss = _composite("smooth_l1_loss", _smooth_l1_loss,
+                            _smooth_l1_loss_vjp)
+# the sum of weighted scalar terms in order; aux one weight per term, None
+# for an inactive term passed as a plain 0.0
+weighted_total = _composite("weighted_total", _weighted_total,
+                            _weighted_total_vjp)
 # the residual fusion MLP of two n x d summands, operands (a, b, w1, b1,
 # w2, b2): x + tanh(x w1 + b1) w2 + b2 with x = a + b
 residual_mlp = _composite("residual_mlp", _residual_mlp, _residual_mlp_vjp)
@@ -701,6 +839,7 @@ residual_mlp = _composite("residual_mlp", _residual_mlp, _residual_mlp_vjp)
 box_head = _composite("box_head", _box_head, _box_head_vjp)
 
 _OP_NAMES = [row.name for row in _OPS]
+_BACKWARDS = [row.backward for row in _OPS]
 
 
 def clamp_min(a, lo):
@@ -716,9 +855,25 @@ def hinge(a):
     return _apply(_HINGE, a, 0.0)
 
 
+def indices(idx, what: str) -> np.ndarray:
+    """An array of integer indices as intp.  A whole number in a float
+    array stands for its integer; any other entry is rejected, naming the
+    first as ``{what} entry {position}``.  An integer array is not
+    scanned."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        whole = (np.isfinite(idx) & (np.trunc(idx) == idx)
+                 if idx.dtype.kind == "f" else np.zeros(idx.shape, bool))
+        if not whole.all():
+            j = int(np.argmin(whole))
+            raise ValueError(f"{what} entry {j} is {idx.flat[j]}, not an "
+                             "integer index")
+    return idx.astype(np.intp, copy=False)
+
+
 def pick(m, idx: Sequence[int]):
     """Entry ``idx[i]`` of row i of matrix ``m``, for every row: a vector."""
-    cols = np.asarray(idx, dtype=np.intp)
+    cols = indices(idx, "pick column")
     rows = val(m).shape[0]
     if cols.shape != (rows,):
         raise ValueError(f"pick needs one column index per row ({rows})")
@@ -728,7 +883,7 @@ def pick(m, idx: Sequence[int]):
 def take_row(m, i: Sequence[int]):
     """The rows of a matrix at a non-empty sequence of indices, as a matrix
     (an index may repeat)."""
-    i = np.asarray(i, dtype=np.intp)
+    i = indices(i, "take_row index")
     if np.ndim(val(m)) != 2 or i.ndim != 1 or not i.size:
         raise ValueError("take_row takes an n x d matrix and a non-empty "
                          f"sequence of row indices, got shapes "
@@ -763,7 +918,7 @@ def backward(tape: Tape, output: Var) -> GradientMap:
     owned: set = set()
     ops = tape.ops
     values = tape.values
-    table = [row.backward for row in _OPS]
+    table = _BACKWARDS
     for i in range(output.idx, -1, -1):
         g = adj[i]
         if g is None:
@@ -773,8 +928,10 @@ def backward(tape: Tape, output: Var) -> GradientMap:
             table[opcode](g, values[i], inputs, aux, values, adj, owned)
     grads: GradientMap = {
         name: np.zeros_like(values[j]) if adj[j] is None else adj[j]
-        for j, name in tape.names.items()}
-    if not all(np.isfinite(g).all() for g in grads.values()):
+        for name, j in tape.names.items()}
+    # one check over every gradient at once; only a failure walks the tape
+    if grads and not np.isfinite(np.concatenate(list(grads.values()),
+                                                axis=None)).all():
         for i in range(output.idx + 1):
             if adj[i] is not None and not np.isfinite(adj[i]).all():
                 raise ArithmeticError(f"non-finite gradient at node {i} "

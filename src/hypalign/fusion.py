@@ -17,7 +17,7 @@ fusion MLP is one ``autodiff.residual_mlp`` node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +45,13 @@ class AttentionWeights:
     w_v: object
     w_out: object
     head_count: int = DEFAULT_HEAD_COUNT
+    #: ``False`` skips the shape and finiteness checks, for weights whose
+    #: layout is already checked and whose values are known finite
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
+        if not check:
+            return
         d, dh = _shape(self.w_q)
         if _shape(self.w_k) != (d, dh) or _shape(self.w_v) != (d, dh):
             raise ValueError("query/key/value projections disagree on shape")
@@ -78,14 +83,7 @@ def cross_modal_attention(visual, text, owner: Sequence[int],
         raise ValueError(f"attention takes n x {d} visual rows and L x {d} "
                          f"text rows, got shapes {vis_shape} and "
                          f"{text_shape}")
-    owner = np.asarray(owner)
-    if owner.dtype.kind not in "iu":
-        whole = (np.isfinite(owner) & (np.trunc(owner) == owner)
-                 if owner.dtype.kind == "f" else np.zeros(owner.shape, bool))
-        if not whole.all():
-            j = int(np.argmin(whole))
-            raise ValueError(f"owner entry {j} is {owner.flat[j]}, not an "
-                             "integer row index")
+    owner = ad.indices(owner, "owner")
     own = owner.ravel()[None, :] == np.arange(vis_shape[0])[:, None]
     if (owner.shape != (text_shape[0],) or not own.any(axis=0).all()
             or not own.any(axis=1).all()):
@@ -141,8 +139,12 @@ class FusionMlp:
     b1: object
     w2: object
     b2: object
+    #: ``False`` skips the shape checks, as for ``AttentionWeights``
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
+        if not check:
+            return
         d, hidden = _shape(self.w1)
         if hidden != 2 * d:
             raise ValueError("fusion hidden width must be 2d")

@@ -4,8 +4,13 @@ Every loss is a scalar, nonnegative and finite for valid inputs, and
 accepts either a plain numpy matrix or an autodiff ``Var`` matrix, so the
 same code is used for evaluation and for differentiable training.  A batch
 is one non-empty n x d matrix of rows (the hyperbolic losses take two lifted
-batches, ``LorentzPoint`` values); each loss is a fixed handful of array
-ops whatever the batch size.  Reductions are deterministic.
+batches, ``LorentzPoint`` values).  Each loss checks its inputs here and is
+then one ``autodiff`` row whatever the batch size: the cosine
+cross-entropy (classification, Euclidean contrastive), the cross-entropy
+of -d / tau (hyperbolic contrastive, after the distance row), the cone
+hinge (entailment, after the aperture and angle rows) and the mean smooth
+L1 (box regression); the weighted total of the active terms is one more.
+Reductions are deterministic.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .geometry import (APERTURE_K, LorentzPoint, exterior_angle,
 #: Default entailment margin; same order as the aperture constant K.
 DEFAULT_MARGIN = 0.1
 
+#: The loss terms, in the order the total sums them.
+_TERMS = ("bbox", "cls", "cap", "entail")
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -34,7 +42,7 @@ class LossWeights:
     entail: float = 1.0
 
     def __post_init__(self):
-        for name in ("bbox", "cls", "cap", "entail"):
+        for name in _TERMS:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"negative loss weight: {name}")
 
@@ -43,9 +51,10 @@ class LossWeights:
 class LossReport:
     """Per-term (weighted) losses plus their sum.
 
-    Fields may hold floats or tape ``Var`` scalars; ``values()`` extracts
-    plain floats for logging.  The total always equals the sum of the four
-    term fields, inactive terms being exact zeros.
+    The term fields are plain numbers; the total is a tape ``Var`` scalar
+    when any term is, so a step differentiates it.  ``values()`` extracts
+    plain floats for logging.  The total is the sum of the four term
+    fields in order, inactive terms being exact zeros.
     """
 
     bbox: object = 0.0
@@ -56,7 +65,7 @@ class LossReport:
 
     def values(self) -> dict:
         return {name: float(val(getattr(self, name)))
-                for name in ("bbox", "cls", "cap", "entail", "total")}
+                for name in (*_TERMS, "total")}
 
 
 def _matrix(batch):
@@ -77,8 +86,8 @@ def _tau(tau):
 
 def _row_norms(rows, what: str):
     norms = ad.norm(rows)
-    zero = np.flatnonzero(val(norms) == 0.0)
-    if zero.size:
+    if not val(norms).all():
+        zero = np.flatnonzero(val(norms) == 0.0)
         raise ValueError(f"zero-norm {what} {zero[0]}: cosine undefined")
     return norms
 
@@ -93,13 +102,15 @@ def pairwise_cosine(a, b, what_a: str, what_b: str):
                                          _row_norms(b, what_b)))
 
 
-def _cross_entropy(logits, targets: Sequence[int]):
-    """Mean over rows of -log softmax(row) at the row's target column: one
-    ``autodiff.cross_entropy`` node."""
-    cols = np.asarray(targets, dtype=np.intp)
-    if cols.shape != (len(val(logits)),):
-        raise ValueError("one target column per logits row required")
-    return ad.cross_entropy(logits, aux=cols)
+def _cosine_cross_entropy(a, b, tau, targets: np.ndarray, what_a: str,
+                          what_b: str):
+    """Mean over rows i of -log softmax_j(cos(a_i, b_j) / tau) at column
+    ``targets[i]``: one ``autodiff.cosine_cross_entropy`` node.  The row
+    norms are checked here, naming a zero row, and ride in the node's
+    aux."""
+    tau = _tau(tau)
+    norms = (_row_norms(val(a), what_a), _row_norms(val(b), what_b))
+    return ad.cosine_cross_entropy(a, b, tau, aux=(targets, *norms))
 
 
 def classification_loss(visual, labels, targets: Sequence[int], tau):
@@ -110,15 +121,14 @@ def classification_loss(visual, labels, targets: Sequence[int], tau):
     """
     v = _matrix(visual)
     lab = _matrix(labels)
-    targets = list(targets)
-    if len(targets) != len(val(v)):
+    cols = ad.indices(targets, "target")
+    if cols.shape != (len(val(v)),):
         raise ValueError("one target index per visual row required")
     n = len(val(lab))
-    if any(not (0 <= t < n) for t in targets):
+    if not ((cols >= 0) & (cols < n)).all():
         raise ValueError(f"target index out of range for {n} labels")
-    t = _tau(tau)
-    sims = pairwise_cosine(v, lab, "visual row", "label row")
-    return _cross_entropy(ad.div(sims, t), targets)
+    return _cosine_cross_entropy(v, lab, tau, cols, "visual row",
+                                 "label row")
 
 
 def euclidean_contrastive_loss(visual, captions, tau):
@@ -126,9 +136,8 @@ def euclidean_contrastive_loss(visual, captions, tau):
     v, c = _matrix(visual), _matrix(captions)
     if len(val(v)) != len(val(c)):
         raise ValueError("visual and caption batches must be matched")
-    t = _tau(tau)
-    sims = pairwise_cosine(v, c, "visual row", "caption row")
-    return _cross_entropy(ad.div(sims, t), range(len(val(v))))
+    return _cosine_cross_entropy(v, c, tau, np.arange(len(val(v))),
+                                 "visual row", "caption row")
 
 
 def _lifted(a, b, loss: str) -> int:
@@ -151,8 +160,9 @@ def hyperbolic_contrastive_loss(visual: LorentzPoint, captions: LorentzPoint,
     """
     n = _lifted(visual, captions, "hyperbolic_contrastive_loss")
     t = _tau(tau)
-    dists = lorentz_distance(visual, captions)
-    return _cross_entropy(ad.div(ad.neg(dists), t), range(n))
+    # the logits -d / tau, as d / (-tau): one cross-entropy node
+    return ad.cross_entropy(lorentz_distance(visual, captions), t,
+                            aux=(np.arange(n), -1.0))
 
 
 def entailment_loss(cpts: LorentzPoint, vpts: LorentzPoint,
@@ -168,16 +178,12 @@ def entailment_loss(cpts: LorentzPoint, vpts: LorentzPoint,
         mean_i [ max(0, angle(c_i, v_i) - A(c_i))
                  + sum_{j != i} max(0, margin - max(0, angle(c_i, v_j) - A(c_i))) ]
     """
-    n = _lifted(cpts, vpts, "entailment_loss")
+    _lifted(cpts, vpts, "entailment_loss")
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
     aperture = half_aperture(cpts, aperture_k).radians
     angles = exterior_angle(cpts, vpts).radians
-    outside = ad.hinge(ad.sub(angles, ad.outer(aperture, np.ones(n))))
-    eye = np.eye(n)
-    terms = ad.add(ad.mul(outside, eye),
-                   ad.mul(ad.hinge(ad.sub(margin, outside)), 1.0 - eye))
-    return ad.div(ad.sum(terms), float(n))
+    return ad.cone_hinge(angles, aperture, aux=float(margin))
 
 
 def bbox_regression_loss(pred, gt):
@@ -189,27 +195,21 @@ def bbox_regression_loss(pred, gt):
     p, g = val(pred), val(gt)
     if p.shape != g.shape or p.ndim != 2 or p.shape[1] != 4 or not len(p):
         raise ValueError("matched, non-empty n x 4 box batches required")
-    if not (np.all(p[:, 2:] > p[:, :2]) and np.all(g[:, 2:] > g[:, :2])):
+    if not ((p[:, 2:] > p[:, :2]).all() and (g[:, 2:] > g[:, :2]).all()):
         raise ValueError("degenerate box: requires x1 < x2, y1 < y2")
-    return ad.div(ad.sum(ad.smooth_l1(ad.sub(pred, gt))), 4.0 * len(p))
-
-
-def _weighted(weight: float, term):
-    """A weighted term; an inactive term (None) is an exact zero."""
-    return 0.0 if term is None else ad.mul(term, float(weight))
+    return ad.smooth_l1_loss(pred, gt)
 
 
 def _compose(bbox, cls, cap, entail, weights: LossWeights) -> LossReport:
-    wb = _weighted(weights.bbox, bbox)
-    wc = _weighted(weights.cls, cls)
-    wp = _weighted(weights.cap, cap)
-    we = _weighted(weights.entail, entail)
-    total = ad.add(ad.add(ad.add(wb, wc), wp), we)
-    report = LossReport(bbox=wb, cls=wc, cap=wp, entail=we, total=total)
-    values = report.values()
-    if abs(values.pop("total") - sum(values.values())) > 1e-12:
-        raise AssertionError("loss report total drifted from its parts")
-    return report
+    """The weighted terms and their total, one ``autodiff.weighted_total``
+    node; an inactive term (None) is an exact zero and records nothing."""
+    terms = (bbox, cls, cap, entail)
+    scale = tuple(None if t is None else np.float64(getattr(weights, name))
+                  for t, name in zip(terms, _TERMS))
+    parts = [0.0 if w is None else val(t) * w for t, w in zip(terms, scale)]
+    total = ad.weighted_total(*(0.0 if t is None else t for t in terms),
+                              aux=scale)
+    return LossReport(*parts, total=total)
 
 
 def objective_hyper(bbox, cls, cap, entail,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
+from collections.abc import Mapping, MutableMapping
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
@@ -166,13 +166,17 @@ class HierarchyReport:
 
 @dataclass
 class ModelState:
+    """A model and its optimizer state.  Each parameter map holds one
+    float64 array per parameter name: a plain dict, or, after a step, a
+    map of views into one vector."""
+
     config: ExperimentConfig
     tree: ConceptTree
     synonyms: SynonymMap
     leaf_ids: list
-    params: dict
-    adam_m: dict
-    adam_v: dict
+    params: MutableMapping
+    adam_m: MutableMapping
+    adam_v: MutableMapping
     adam_t: int = 0
 
 
@@ -230,70 +234,112 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
                       adam_m=adam_m, adam_v=adam_v, adam_t=0)
 
 
-class _FlatMap(dict):
-    """A parameter map of views into one float64 vector, as ``_unflatten``
-    makes it.  While every entry is still the view it was made as,
-    ``_layout`` returns the layout it was cut by and ``_flatten`` the
-    vector itself instead of concatenating the entries again."""
+#: The parameters that take no weight decay: the log temperature and the
+#: raw curvature.
+_NO_DECAY = ("log_tau", "curv_raw")
 
-    __slots__ = ("flat", "layout", "views")
+
+class _Layout:
+    """Where each parameter lies when all of them are laid end to end in
+    one float64 vector, in the order of a parameter map, and the runs of
+    that vector that take weight decay; made once per parameter map that
+    a step did not make."""
+
+    __slots__ = ("cuts", "decay")
+
+    def __init__(self, values: Mapping):
+        self.cuts, stop, runs = {}, 0, []
+        for name, value in values.items():
+            start, stop = stop, stop + value.size
+            self.cuts[name] = (slice(start, stop), value.shape)
+            if name in _NO_DECAY:
+                continue
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+        self.decay = [slice(start, stop) for start, stop in runs]
+
+    def flatten(self, values: Mapping) -> np.ndarray:
+        if (isinstance(values, _FlatMap) and values.layout is self
+                and values.intact()):
+            return values.flat
+        return np.concatenate([values[name] for name in self.cuts],
+                              axis=None)
+
+    def check_finite(self, flat: np.ndarray) -> None:
+        """Raise naming the first parameter with a non-finite entry in
+        ``flat``."""
+        if not np.isfinite(flat).all():
+            for name, (where, _) in self.cuts.items():
+                if not np.isfinite(flat[where]).all():
+                    raise ArithmeticError(
+                        f"non-finite entries in parameter {name!r}")
+
+
+_UNREAD = object()
+
+
+class _FlatMap(MutableMapping):
+    """A parameter map over one float64 vector, as a step leaves it: each
+    entry is a view into the vector, made when it is first read, so a map
+    that nothing reads (the moments, between steps) costs nothing.  While
+    no entry is replaced, added or deleted, the next step reads the vector
+    itself and the layout it was cut by; an edit in place is an edit of
+    the vector."""
+
+    __slots__ = ("flat", "layout", "_entries", "_intact")
+
+    def __init__(self, flat: np.ndarray, layout: _Layout):
+        self.flat, self.layout, self._intact = flat, layout, True
+        self._entries = dict.fromkeys(layout.cuts, _UNREAD)
 
     def intact(self) -> bool:
-        return len(self) == len(self.views) and all(
-            map(operator.is_, self.values(), self.views))
+        return self._intact
+
+    def __getitem__(self, name):
+        value = self._entries[name]
+        if value is _UNREAD:
+            where, shape = self.layout.cuts[name]
+            value = self._entries[name] = self.flat[where].reshape(shape)
+        return value
+
+    def __setitem__(self, name, value):
+        self._entries[name] = value
+        self._intact = False
+
+    def __delitem__(self, name):
+        del self._entries[name]
+        self._intact = False
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return repr(dict(self))
 
     def __reduce__(self):
         # a copy or a pickle is a plain map: its arrays are no views of one
         return dict, (dict(self),)
 
 
-def _layout(values: dict) -> list:
-    """(name, shape, start, stop) of each parameter when all of them are
-    laid end to end in one float64 vector."""
-    if isinstance(values, _FlatMap) and values.intact():
-        return values.layout
-    layout, stop = [], 0
-    for name, value in values.items():
-        start, stop = stop, stop + value.size
-        layout.append((name, value.shape, start, stop))
-    return layout
-
-
-def _flatten(values: dict, layout: list) -> np.ndarray:
-    if (isinstance(values, _FlatMap) and values.layout is layout
-            and values.intact()):
-        return values.flat
-    return np.concatenate([values[name] for name, *_ in layout], axis=None)
-
-
-def _unflatten(flat: np.ndarray, layout: list) -> dict:
-    """A parameter map of views into ``flat``."""
-    out = _FlatMap({name: flat[start:stop].reshape(shape)
-                    for name, shape, start, stop in layout})
-    out.flat, out.layout, out.views = flat, layout, tuple(out.values())
-    return out
-
-
-def _check_finite(flat: np.ndarray, layout: list) -> None:
-    """Raise naming the first parameter with a non-finite entry in
-    ``flat``."""
-    if not np.isfinite(flat).all():
-        for name, _, start, stop in layout:
-            if not np.isfinite(flat[start:stop]).all():
-                raise ArithmeticError(
-                    f"non-finite entries in parameter {name!r}")
-
-
 class _Forward:
     """Shared forward passes over a parameter set (tape Vars or arrays);
-    each takes a batch and returns one row per item."""
+    each takes a batch and returns one row per item.  ``check=False``
+    skips the attention and fusion weights' checks, for a step whose
+    layout they have passed."""
 
-    def __init__(self, params: dict):
+    def __init__(self, params: dict, check: bool = True):
         self.p = params
         self.attn = AttentionWeights(params["attn_wq"], params["attn_wk"],
-                                     params["attn_wv"], params["attn_wout"])
+                                     params["attn_wv"], params["attn_wout"],
+                                     check=check)
         self.mlp = FusionMlp(params["fuse_w1"], params["fuse_b1"],
-                             params["fuse_w2"], params["fuse_b2"])
+                             params["fuse_w2"], params["fuse_b2"],
+                             check=check)
 
     def captions(self, tokens: IdLists):
         """Mean token embedding of each caption: a bag-of-words count
@@ -354,7 +400,7 @@ def _batch_losses(fwd: _Forward, batch: Corpus, config: ExperimentConfig,
     # the class index of each record; a record whose class is not a leaf
     # would silently take a neighbour's
     targets = np.searchsorted(leaf_ids, leaves)
-    if not np.array_equal(leaf_ids.take(targets, mode="clip"), leaves):
+    if not (leaf_ids.take(targets, mode="clip") == leaves).all():
         check_true_objects(batch, leaf_ids, where="batch ")
     fused = fwd.fused_visuals(leaves, batch.box, batch.tokens)
     # a record without a ground-truth box regresses onto its own region
@@ -393,14 +439,20 @@ def step(state: ModelState, records: Corpus) -> tuple:
         raise ValueError("empty batch")
     config = state.config
     # every parameter laid end to end, in the order of state.params: one
-    # finiteness check here, one elementwise update below
-    layout = _layout(state.params)
-    value = _flatten(state.params, layout)
-    _check_finite(value, layout)
+    # finiteness check here, one elementwise update below.  A map a step
+    # made keeps its layout; any other gets a new one, and the attention
+    # and fusion weights' shapes are checked once for it
+    params = state.params
+    fresh = not (isinstance(params, _FlatMap) and params.intact())
+    layout = _Layout(params) if fresh else params.layout
+    value = layout.flatten(params)
+    layout.check_finite(value)
+    if fresh:
+        _Forward(params)
     tape = ad.Tape()
     leaves = {name: tape.leaf(v, name, check=False)
-              for name, v in state.params.items()}
-    report = _batch_losses(_Forward(leaves), records, config,
+              for name, v in params.items()}
+    report = _batch_losses(_Forward(leaves, check=False), records, config,
                            np.asarray(state.leaf_ids))
     grads = ad.backward(tape, report.total)
 
@@ -415,26 +467,33 @@ def step(state: ModelState, records: Corpus) -> tuple:
         lr_t *= 0.1
     b1c = 1.0 - ADAM_BETA1 ** t
     b2c = 1.0 - ADAM_BETA2 ** t
-    g = _flatten(grads, layout)
-    m = ADAM_BETA1 * _flatten(state.adam_m, layout) + (1.0 - ADAM_BETA1) * g
-    v = (ADAM_BETA2 * _flatten(state.adam_v, layout)
-         + (1.0 - ADAM_BETA2) * (g * g))
-    update = lr_t * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    # the moments and lr_t (m / b1c) / (sqrt(v / b2c) + eps), each product
+    # and sum as written, in buffers of their own
+    g = layout.flatten(grads)
+    m = ADAM_BETA1 * layout.flatten(state.adam_m)
+    m += (1.0 - ADAM_BETA1) * g
+    v = g * g
+    v *= 1.0 - ADAM_BETA2
+    v += ADAM_BETA2 * layout.flatten(state.adam_v)
+    den = v / b2c
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    update = m / b1c
+    update *= lr_t
+    update /= den
     # decoupled weight decay keeps embedding norms from running away under
     # the distance-based losses; the temperature and curvature take none
-    decay = np.ones(len(value), dtype=bool)
-    for name, _, start, stop in layout:
-        if name in ("log_tau", "curv_raw"):
-            decay[start:stop] = False
-    update = np.where(decay,
-                      update + lr_t * config.weight_decay * value, update)
-    out = value - update
-    _check_finite(out, layout)
-    new_params = _unflatten(out, layout)
-    new_m, new_v = _unflatten(m, layout), _unflatten(v, layout)
+    rate = lr_t * config.weight_decay
+    for run in layout.decay:
+        update[run] += value[run] * rate
+    out = np.subtract(value, update, out=update)
+    layout.check_finite(out)
     for name, (lo, hi) in (("log_tau", LOG_TAU_BOUNDS),
                            ("curv_raw", CURV_RAW_BOUNDS)):
-        new_params[name][()] = min(max(float(new_params[name]), lo), hi)
+        i = layout.cuts[name][0].start
+        out[i] = min(max(float(out[i]), lo), hi)
+    new_params = _FlatMap(out, layout)
+    new_m, new_v = _FlatMap(m, layout), _FlatMap(v, layout)
     new_state = ModelState(config=config, tree=state.tree,
                            synonyms=state.synonyms,
                            leaf_ids=state.leaf_ids, params=new_params,

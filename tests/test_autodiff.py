@@ -222,9 +222,9 @@ VECTOR_CASES = [
                              np.arange(12.0).reshape(3, 4) - 5.0)),
      lambda: {"X": RNG.normal(size=(3, 4)), "W": RNG.normal(size=(4, 4)),
               "b": RNG.normal(size=4)}),
-    # three rows, two with the same target column
+    # three rows, two with the same target column; a plain temperature
     ("cross_entropy",
-     lambda p: ad.cross_entropy(p["U"], aux=np.array([2, 0, 2])),
+     lambda p: ad.cross_entropy(p["U"], 0.7, aux=(np.array([2, 0, 2]), 1.0)),
      lambda: {"U": RNG.normal(scale=2.0, size=(3, 4))}),
     ("residual_mlp",
      lambda p: ad.sum(ad.mul(ad.residual_mlp(p["A"], p["B"], p["W1"], p["b1"],
@@ -233,6 +233,45 @@ VECTOR_CASES = [
      lambda: {"A": RNG.normal(size=(3, 2)), "B": RNG.normal(size=(3, 2)),
               "W1": RNG.normal(size=(2, 4)), "b1": RNG.normal(size=4),
               "W2": RNG.normal(size=(4, 2)), "b2": RNG.normal(size=2)}),
+    # the cases below are drawn after all the others, so adding one moves
+    # no earlier draw
+    # the logits -u / tau of the hyperbolic loss, tau on the tape
+    ("cross_entropy_negated",
+     lambda p: ad.cross_entropy(p["U"], p["t"], aux=(np.array([1, 0, 1]),
+                                                     -1.0)),
+     lambda: {"U": RNG.normal(scale=2.0, size=(3, 4)),
+              "t": float(RNG.uniform(0.5, 2.0))}),
+    # the norms ride in aux, made from the rows on either route
+    ("cosine_cross_entropy",
+     lambda p: ad.cosine_cross_entropy(
+         p["A"], p["B"], p["t"],
+         aux=(np.array([2, 0, 2]), ad.norm(ad.val(p["A"])),
+              ad.norm(ad.val(p["B"])))),
+     lambda: {"A": RNG.normal(size=(3, 4)), "B": RNG.normal(size=(4, 4)),
+              "t": float(RNG.uniform(0.3, 1.0))}),
+    # margin 0.1: each angle lies at least 0.03 from the aperture and from
+    # the aperture plus the margin, off both hinges' kinks
+    ("cone_hinge",
+     lambda p: ad.cone_hinge(p["angles"], p["A"], aux=0.1),
+     lambda: (lambda a: {
+         "A": a, "angles": a[:, None] + np.array(
+             [[0.3, -0.2, 0.05], [-0.1, 0.2, 0.04], [0.06, -0.3, 0.25]])
+         + RNG.uniform(-0.01, 0.01, size=(3, 3))})(
+             RNG.uniform(0.3, 0.6, size=3))),
+    # differences on both sides of the threshold 1
+    ("smooth_l1_loss",
+     lambda p: ad.smooth_l1_loss(p["P"], p["G"]),
+     lambda: (lambda pred: {"P": pred, "G": pred - np.concatenate([
+         RNG.uniform(-0.9, 0.9, size=4), RNG.uniform(1.1, 3.0, size=2),
+         -RNG.uniform(1.1, 3.0, size=2)]).reshape(2, 4)})(
+             RNG.normal(size=(2, 4)))),
+    # an inactive third term, a plain zero without a weight
+    ("weighted_total",
+     lambda p: ad.weighted_total(p["a"], p["b"], 0.0, p["c"],
+                                 aux=(0.5, 2.0, None, 1.5)),
+     lambda: {"a": float(RNG.uniform(0.1, 2.0)),
+              "b": float(RNG.uniform(0.1, 2.0)),
+              "c": float(RNG.uniform(0.1, 2.0))}),
 ]
 
 
@@ -255,11 +294,50 @@ def spelled_out_box_head(x, w, b, eps=1e-3):
                   ad.matmul(ad.add(near, sizes), np.eye(2, 4, 2)))
 
 
-def spelled_out_cross_entropy(u, targets):
-    """The mean cross-entropy as 5 tape nodes, the reference for
-    ``cross_entropy``."""
-    per_row = ad.sub(ad.logsumexp(u), ad.pick(u, targets))
+def spelled_out_cross_entropy(u, tau, targets, sign=1.0):
+    """The mean cross-entropy of u / (sign tau) as the losses recorded it
+    before it was one row, the reference for ``cross_entropy``: a negation
+    for sign -1, the division, then 5 tape nodes."""
+    logits = ad.div(u if sign > 0 else ad.neg(u), tau)
+    per_row = ad.sub(ad.logsumexp(logits), ad.pick(logits, targets))
     return ad.div(ad.sum(per_row), float(len(targets)))
+
+
+def spelled_out_cosine_cross_entropy(a, b, tau, targets):
+    """The cosine cross-entropy of the classification and Euclidean
+    contrastive losses as 12 tape nodes, the reference for
+    ``cosine_cross_entropy``."""
+    sims = ad.div(ad.dot(a, b), ad.outer(ad.norm(a), ad.norm(b)))
+    return spelled_out_cross_entropy(sims, tau, targets)
+
+
+def spelled_out_cone_hinge(angles, aperture, margin):
+    """The entailment loss's hinge terms as 10 tape nodes, the reference
+    for ``cone_hinge``."""
+    n = len(ad.val(aperture))
+    outside = ad.hinge(ad.sub(angles, ad.outer(aperture, np.ones(n))))
+    eye = np.eye(n)
+    terms = ad.add(ad.mul(outside, eye),
+                   ad.mul(ad.hinge(ad.sub(margin, outside)), 1.0 - eye))
+    return ad.div(ad.sum(terms), float(n))
+
+
+def spelled_out_smooth_l1_loss(pred, gt):
+    """The box loss of n x 4 rows as 4 tape nodes, the reference for
+    ``smooth_l1_loss``."""
+    return ad.div(ad.sum(ad.smooth_l1(ad.sub(pred, gt))),
+                  4.0 * len(ad.val(pred)))
+
+
+def spelled_out_weighted_total(terms, weights):
+    """The weighted total as the objectives recorded it, one node per
+    weight and per sum; an inactive term (weight None) a plain 0.0."""
+    parts = [0.0 if w is None else ad.mul(t, w)
+             for t, w in zip(terms, weights)]
+    total = parts[0]
+    for part in parts[1:]:
+        total = ad.add(total, part)
+    return total
 
 
 def spelled_out_residual_mlp(a, b, w1, b1, w2, b2):
@@ -275,29 +353,72 @@ def _row_operands(name, rng, n, d):
         return [rng.normal(size=(n, d)), rng.normal(scale=3.0, size=(d, 4)),
                 rng.normal(size=4)]
     if name == "cross_entropy":
-        return [rng.normal(scale=5.0, size=(n, d))]
+        return [rng.normal(scale=5.0, size=(n, d)), rng.uniform(0.05, 2.0)]
+    if name == "cosine_cross_entropy":
+        return [rng.normal(size=(n, d)), rng.normal(size=(d, d)),
+                rng.uniform(0.05, 2.0)]
+    if name == "cone_hinge":
+        # angles on both sides of the aperture and of aperture + margin
+        return [rng.uniform(0.0, 2.0, size=(n, n)),
+                rng.uniform(0.1, 1.5, size=n)]
+    if name == "smooth_l1_loss":
+        return [rng.normal(scale=2.0, size=(n, 4)),
+                rng.normal(scale=2.0, size=(n, 4))]
+    if name == "weighted_total":
+        return list(rng.uniform(0.0, 3.0, size=3))
     return [rng.normal(size=(n, d)), rng.normal(size=(n, d)),
             rng.normal(scale=0.5, size=(d, 2 * d)), rng.normal(size=2 * d),
             rng.normal(scale=0.5, size=(2 * d, d)), rng.normal(size=d)]
 
 
+def _cosine_row(targets):
+    def row(a, b, tau):
+        return ad.cosine_cross_entropy(
+            a, b, tau, aux=(targets, ad.norm(ad.val(a)), ad.norm(ad.val(b))))
+    return row
+
+
+#: the weights of the weighted total's four terms, the third inactive
+TOTAL_WEIGHTS = (np.float64(0.75), np.float64(1.0), None, np.float64(2.5))
+
+
 @pytest.mark.parametrize("n,d", [(1, 4), (6, 8), (16, 16)])
 @pytest.mark.parametrize("name", ["box_head", "cross_entropy",
-                                  "residual_mlp"])
+                                  "residual_mlp", "cross_entropy_negated",
+                                  "cosine_cross_entropy", "cone_hinge",
+                                  "smooth_l1_loss", "weighted_total"])
 def test_row_keeps_the_spelled_out_bits(name, n, d):
     # value and every operand adjoint, on the tape and on the plain route;
     # the first operand has a second consumer after the row, as the fused
     # rows of a training step do
     rng = np.random.default_rng([n, d])
-    operands = _row_operands(name, rng, n, d)
+    operands = _row_operands(name.replace("_negated", ""), rng, n, d)
     targets = rng.integers(0, d, n)
-    # the logits of a loss are a fresh node that feeds nothing else; the
-    # row's two adjoint terms then sum in the spelled-out order
+    # the logits of a loss are a fresh node that feeds nothing else, or
+    # the temperature's division of one; the row's two adjoint terms then
+    # sum in the spelled-out order
     rows = {"box_head": (spelled_out_box_head,
                          lambda *ops: ad.box_head(*ops, aux=1e-3)),
             "cross_entropy": (
-                lambda u: spelled_out_cross_entropy(ad.div(u, 0.7), targets),
-                lambda u: ad.cross_entropy(ad.div(u, 0.7), aux=targets)),
+                lambda u, t: spelled_out_cross_entropy(u, t, targets),
+                lambda u, t: ad.cross_entropy(u, t, aux=(targets, 1.0))),
+            "cross_entropy_negated": (
+                lambda u, t: spelled_out_cross_entropy(u, t, targets, -1.0),
+                lambda u, t: ad.cross_entropy(u, t, aux=(targets, -1.0))),
+            "cosine_cross_entropy": (
+                lambda a, b, t: spelled_out_cosine_cross_entropy(a, b, t,
+                                                                 targets),
+                _cosine_row(targets)),
+            "cone_hinge": (
+                lambda a, b: spelled_out_cone_hinge(a, b, 0.3),
+                lambda a, b: ad.cone_hinge(a, b, aux=0.3)),
+            "smooth_l1_loss": (spelled_out_smooth_l1_loss,
+                               ad.smooth_l1_loss),
+            "weighted_total": (
+                lambda a, b, c: spelled_out_weighted_total((a, b, 0.0, c),
+                                                           TOTAL_WEIGHTS),
+                lambda a, b, c: ad.weighted_total(a, b, 0.0, c,
+                                                  aux=TOTAL_WEIGHTS)),
             "residual_mlp": (spelled_out_residual_mlp, ad.residual_mlp)}
     weights = rng.normal(size=np.shape(rows[name][0](*operands)))
     if weights.ndim:
@@ -313,6 +434,22 @@ def test_row_keeps_the_spelled_out_bits(name, n, d):
                        + [grads[str(k)].tobytes()
                           for k in range(len(operands))])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("op,what", [(ad.take_row, "take_row index"),
+                                     (ad.pick, "pick column")])
+def test_gathers_reject_non_integer_indices_naming_the_first(op, what):
+    # 1.7 is not truncated to 1: the first bad entry is named
+    m = np.arange(12.0).reshape(3, 4)
+    for idx, bad in [([0.0, 1.7, 2.2], "entry 1 is 1.7"),
+                     ([np.nan, 1.0, 0.0], "entry 0 is nan"),
+                     (np.array([True, False, True]), "entry 0 is True")]:
+        with pytest.raises(ValueError, match=f"{what} {bad}, not an integer"):
+            op(m, idx)
+        with pytest.raises(ValueError, match=f"{what} {bad}, not an integer"):
+            op(ad.Tape().leaf(m), idx)
+    # whole numbers in a float array name the same entries as integers
+    assert np.array_equal(op(m, [2.0, 0.0, 1.0]), op(m, [2, 0, 1]))
 
 
 @pytest.mark.parametrize("scatter", [

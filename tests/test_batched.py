@@ -218,20 +218,22 @@ def test_step_records_the_same_nodes_at_any_batch_size(objective):
 
 
 def test_hyper_step_tape_stays_small():
-    # 66 nodes when this bound was set: one node each for the box head, the
-    # fusion MLP and both cross-entropies (92 with them spelled out, 137
-    # with the 4 attention heads spelled out in 46 nodes, 226 with two lifts
-    # and the Lorentz formulas spelled out in elementwise ops, 1,691 with a
-    # per-record forward)
-    assert step_nodes("hyper", 16) <= 66
+    # 40 nodes when this bound was set: one node per loss and one for the
+    # weighted total (66 with the losses spelled out in 4-10 nodes each,
+    # 92 with the box head, the fusion MLP and both cross-entropies spelled
+    # out too, 137 with the 4 attention heads spelled out in 46 nodes, 226
+    # with two lifts and the Lorentz formulas spelled out in elementwise
+    # ops, 1,691 with a per-record forward)
+    assert step_nodes("hyper", 16) <= 40
 
 
-@pytest.mark.parametrize("objective,bound", [("baseline", 53),
-                                             ("det-only", 42)])
+@pytest.mark.parametrize("objective,bound", [("baseline", 33),
+                                             ("det-only", 29)])
 def test_other_step_tapes_stay_small(objective, bound):
-    # the counts when these bounds were set: one node each for the box
-    # head, the fusion MLP and every cross-entropy (79 and 64 before), one
-    # node for multi-head attention (124 and 109 before that), after one
-    # node per squash and constant operands of matrix ops in aux (141 and
-    # 119 before that)
+    # the counts when these bounds were set: one node per loss and one for
+    # the weighted total, which records nothing for an inactive term (53
+    # and 42 before), one node each for the box head, the fusion MLP and
+    # every cross-entropy (79 and 64 before that), one node for multi-head
+    # attention (124 and 109 before that), after one node per squash and
+    # constant operands of matrix ops in aux (141 and 119 before that)
     assert step_nodes(objective, 16) <= bound

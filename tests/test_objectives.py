@@ -141,6 +141,20 @@ def test_classification_rejects_bad_target():
         obj.classification_loss(np.ones((1, 2)), np.ones((2, 2)), [2], 0.5)
 
 
+def test_classification_rejects_a_non_integer_target():
+    # 1.7 is not truncated to label 1: the first bad entry is named
+    rng = np.random.default_rng(12)
+    visual, labels = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    with pytest.raises(ValueError, match="target entry 1 is 1.7, not an"):
+        obj.classification_loss(visual, labels, [0, 1.7, 2], 0.1)
+    with pytest.raises(ValueError, match="out of range for 3 labels"):
+        obj.classification_loss(visual, labels, [0, -1, 2], 0.1)
+    # whole numbers in a float array name the same labels as integers
+    assert val(obj.classification_loss(visual, labels, [0.0, 1.0, 2.0],
+                                       0.1)) == \
+        val(obj.classification_loss(visual, labels, [0, 1, 2], 0.1))
+
+
 # --- euclidean contrastive ----------------------------------------------------
 
 
@@ -373,6 +387,28 @@ def test_objective_baseline_recomposes_concrete_batch():
     assert det.values()["total"] == pytest.approx(val(bbox) + val(cls),
                                                   abs=1e-12)
     assert det.values()["cap"] == 0.0
+
+
+@pytest.mark.parametrize("objective,terms,inactive", [
+    (obj.objective_hyper, 4, ()),
+    (obj.objective_baseline, 3, ("entail",)),
+    (obj.objective_det, 2, ("cap", "entail")),
+])
+def test_an_inactive_term_records_no_node(objective, terms, inactive):
+    # the weighted total is one node; an inactive term is an exact zero
+    # that no node carries, and takes no gradient
+    tape = ad.Tape()
+    values = (0.25, 1.5, 0.125, 2.0)[:terms]
+    leaves = [tape.leaf(v, name) for v, name in zip(values, "abcd")]
+    report = objective(*leaves, weights=obj.LossWeights(cls=3.0))
+    assert len(tape) == terms + 1
+    got = report.values()
+    assert [got[name] for name in inactive] == [0.0] * len(inactive)
+    assert got["total"] == sum(got[name] for name in
+                               ("bbox", "cls", "cap", "entail"))
+    grads = ad.backward(tape, report.total)
+    assert [float(grads[name]) for name in "abcd"[:terms]] == \
+        [1.0, 3.0, 1.0, 1.0][:terms]
 
 
 def test_loss_report_total_equals_sum_of_parts():

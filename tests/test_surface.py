@@ -1,6 +1,7 @@
 """Every public function, class and method is used by the package itself."""
 
 import ast
+import textwrap
 from pathlib import Path
 
 import hypalign
@@ -11,33 +12,108 @@ SRC = Path(hypalign.__file__).parent
 #: ``finite_diff`` is the central-difference oracle of the gradient checks.
 ALLOWED_UNUSED = {"finite_diff"}
 
+#: Nodes with a scope of their own, whose bound names hide a global.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
 
 def _public(stmts, kinds) -> list:
     return [s for s in stmts if isinstance(s, kinds)
             and not s.name.startswith("_")]
 
 
-def test_no_public_name_is_unused():
-    # a function or class is used by name or as a module attribute, a
-    # method only as an attribute
+def _bound(scope) -> set:
+    """The names a function, lambda or comprehension binds in its own
+    scope: its parameters, its own name (so recursion is no use), and every
+    name it assigns, imports or defines, nested scopes excluded."""
+    names = {getattr(scope, "name", None)}
+    if hasattr(scope, "args"):
+        a = scope.args
+        names |= {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if x is not None}
+    pending = list(ast.iter_child_nodes(scope))
+    declared_global = set()
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global |= set(node.names)
+        if isinstance(node, _SCOPES + (ast.ClassDef,)):
+            names.add(getattr(node, "name", None))
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    return names - declared_global
+
+
+def _loaded_globals(node, hidden=frozenset()) -> set:
+    """Names loaded under ``node`` that no enclosing scope binds."""
+    if isinstance(node, _SCOPES):
+        hidden = hidden | _bound(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return set() if node.id in hidden else {node.id}
+    used = set()
+    for child in ast.iter_child_nodes(node):
+        used |= _loaded_globals(child, hidden)
+    return used
+
+
+def unused_public_names(sources: dict) -> list:
+    """``file:name`` of every public function, class and method of the
+    given module sources (file name -> text) that none of them uses.
+
+    A function or class is used when its name is loaded without a local of
+    the same name in scope, or read as a module attribute; a method only
+    as an attribute.
+    """
     defined, bare, attrs = [], set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        body = ast.parse(path.read_text()).body
+    for file, text in sorted(sources.items()):
+        body = ast.parse(text).body
         for stmt in _public(body, (ast.FunctionDef, ast.ClassDef)):
-            defined.append((f"{path.name}:{stmt.name}", stmt.name, False))
+            defined.append((f"{file}:{stmt.name}", stmt.name, False))
             if isinstance(stmt, ast.ClassDef):
-                defined += [(f"{path.name}:{stmt.name}.{m.name}", m.name, True)
+                defined += [(f"{file}:{stmt.name}.{m.name}", m.name, True)
                             for m in _public(stmt.body, ast.FunctionDef)]
         for stmt in body:
             # a definition naming itself (recursion) does not count as a use
             own = {getattr(stmt, "name", None)}
-            nodes = list(ast.walk(stmt))
-            bare |= {n.id for n in nodes if isinstance(n, ast.Name)} - own
-            attrs |= {n.attr for n in nodes
+            bare |= _loaded_globals(stmt) - own
+            attrs |= {n.attr for n in ast.walk(stmt)
                       if isinstance(n, ast.Attribute)} - own
-    unused = sorted(where for where, name, method in defined
-                    if name not in (attrs if method else bare | attrs)
-                    | ALLOWED_UNUSED)
+    return sorted(where for where, name, method in defined
+                  if name not in (attrs if method else bare | attrs)
+                  | ALLOWED_UNUSED)
+
+
+def test_no_public_name_is_unused():
+    unused = unused_public_names({
+        path.name: path.read_text() for path in SRC.glob("*.py")
+        if path.name != "__init__.py"})
     assert not unused, f"public names nothing under src/ uses: {unused}"
+
+
+def test_a_local_of_the_same_name_is_no_use():
+    # ``pick`` binds a local ``cols``, which hid an unused public ``cols``;
+    # ``take`` reads the global in a comprehension whose own ``sort``
+    # variable hides nothing outside it
+    source = textwrap.dedent("""
+        def cols(m):
+            return m
+
+        def sort(m):
+            return m
+
+        def pick(m, idx):
+            cols = idx
+            return m[cols]
+
+        def take(m):
+            return [sort(row) for row in m] + [sort for sort in m]
+
+        ROWS = take(pick([[1.0]], 0))
+        """)
+    assert unused_public_names({"mod.py": source}) == ["mod.py:cols"]

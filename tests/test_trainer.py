@@ -166,6 +166,20 @@ def test_non_finite_parameter_fails_naming_it(corpus, name):
         tr.step(state, records[:6])
 
 
+@pytest.mark.parametrize("stepped", [False, True])
+def test_mis_shaped_attention_weight_fails_with_its_shape_message(corpus,
+                                                                 stepped):
+    # a step builds the attention weights unchecked once their layout has
+    # passed; replacing one gives the map a new layout, checked again
+    cfg, tree, syn, records = corpus
+    state = tr.init(cfg, tree, syn)
+    if stepped:
+        state, _ = tr.step(state, records[:6])
+    state.params["attn_wq"] = np.zeros((cfg.d, cfg.d + 8))
+    with pytest.raises(ValueError, match="projections disagree on shape"):
+        tr.step(state, records[:6])
+
+
 def _per_parameter_update(state, grads):
     """The Adam update as a loop over parameters: the reference that the
     one flat update must match bit for bit."""
