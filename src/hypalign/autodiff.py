@@ -104,8 +104,8 @@ class Tape:
 
         The value must be finite.  ``check=False`` skips that check for a
         float64 value already found finite: ``trainer.step`` checks its
-        parameters as one flat vector, which the update, the state-file
-        load and ``init`` have already found finite.
+        parameters as one flat vector, which the update or the state's
+        constructor has already found finite.
         """
         if check:
             value = _num(value)
@@ -905,9 +905,10 @@ def backward(tape: Tape, output: Var) -> GradientMap:
 
     The traversal order is fixed (reverse node order), so two backward
     passes over the same tape produce bit-identical gradients.  Raises if
-    the output is not a scalar recorded on this tape, or if a non-finite
-    adjoint appears (the error names the originating node).  Two leaves
-    may be handed the same gradient array: treat the arrays as read-only.
+    the output is not a scalar recorded on this tape, or if a gradient is
+    not finite; that error names the node, by index and row, whose VJP
+    first turned a finite adjoint into non-finite ones.  Two leaves may be
+    handed the same gradient array: treat the arrays as read-only.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise ValueError("output is not a node of this tape")
@@ -932,11 +933,28 @@ def backward(tape: Tape, output: Var) -> GradientMap:
     # one check over every gradient at once; only a failure walks the tape
     if grads and not np.isfinite(np.concatenate(list(grads.values()),
                                                 axis=None)).all():
-        for i in range(output.idx + 1):
-            if adj[i] is not None and not np.isfinite(adj[i]).all():
-                raise ArithmeticError(f"non-finite gradient at node {i} "
-                                      f"(op {_OPS[tape.ops[i][0]].name})")
+        raise ArithmeticError(_non_finite_origin(tape, output))
     return grads
+
+
+def _non_finite_origin(tape: Tape, output: Var) -> str:
+    """Walk the tape in reverse again, checking the adjoints each row
+    makes: the first row whose VJP turns its finite adjoint into
+    non-finite ones is where a non-finite gradient came from."""
+    adj: list = [None] * len(tape.values)
+    adj[output.idx] = np.float64(1.0)
+    owned: set = set()
+    for i in range(output.idx, -1, -1):
+        opcode, inputs, aux = tape.ops[i]
+        if adj[i] is None or not opcode:
+            continue
+        _BACKWARDS[opcode](adj[i], tape.values[i], inputs, aux, tape.values,
+                           adj, owned)
+        if not all(adj[j] is None or np.isfinite(adj[j]).all()
+                   for j in inputs):
+            return (f"non-finite gradient from node {i} "
+                    f"(op {_OPS[opcode].name})")
+    return "non-finite gradient"
 
 
 def finite_diff(f: Callable[[dict], float], params: dict,

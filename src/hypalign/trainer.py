@@ -20,8 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Mapping, MutableMapping
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,7 +134,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"invalid config field {name}={getattr(self, name)!r}")
 
+    @cached_property
     def loss_weights(self) -> LossWeights:
+        """The loss weights, made and checked once per config."""
         return LossWeights(bbox=self.w_bbox, cls=self.w_cls, cap=self.w_cap,
                            entail=self.w_entail)
 
@@ -164,22 +168,6 @@ class HierarchyReport:
     containment_rate: float
 
 
-@dataclass
-class ModelState:
-    """A model and its optimizer state.  Each parameter map holds one
-    float64 array per parameter name: a plain dict, or, after a step, a
-    map of views into one vector."""
-
-    config: ExperimentConfig
-    tree: ConceptTree
-    synonyms: SynonymMap
-    leaf_ids: list
-    params: MutableMapping
-    adam_m: MutableMapping
-    adam_v: MutableMapping
-    adam_t: int = 0
-
-
 def _param_specs(d: int, vocab: int) -> list:
     return [
         ("token_table", (vocab, d)),
@@ -201,6 +189,121 @@ def _param_specs(d: int, vocab: int) -> list:
 def _vocab_size(tree: ConceptTree, synonyms: SynonymMap) -> int:
     """Embedding-table rows: one per tree node and synonym token id."""
     return max(max(tree.nodes()), synonyms.max_token_id()) + 1
+
+
+class _Layout:
+    """Where each parameter lies when all of them are laid end to end in
+    one float64 vector: the ``_param_specs`` arrays in their order, then
+    the log temperature and the raw curvature.  Those two are the last
+    entries, and the only ones that take no weight decay."""
+
+    __slots__ = ("cuts", "size")
+
+    def __init__(self, d: int, vocab: int):
+        self.cuts, stop = {}, 0
+        for name, shape in _param_specs(d, vocab) + [("log_tau", ()),
+                                                     ("curv_raw", ())]:
+            start, stop = stop, stop + math.prod(shape)
+            self.cuts[name] = (slice(start, stop), shape)
+        self.size = stop
+
+    def flatten(self, map_name: str, values: Mapping) -> np.ndarray:
+        """``values`` laid end to end in a new vector.  Raises naming
+        ``map_name`` and the parameter if a name is missing or unexpected,
+        a shape differs or an entry is not finite."""
+        if values.keys() != self.cuts.keys():
+            missing = sorted(self.cuts.keys() - values.keys())
+            extra = sorted(values.keys() - self.cuts.keys())
+            raise ValueError(
+                f"{map_name}: missing {missing}, unexpected {extra}")
+        flat = np.empty(self.size)
+        for name, (where, shape) in self.cuts.items():
+            value = np.asarray(values[name], dtype=np.float64)
+            if value.shape != shape:
+                raise ValueError(f"{map_name}.{name}: shape {value.shape}, "
+                                 f"expected {shape}")
+            flat[where] = value.reshape(-1)
+        name = self.non_finite(flat)
+        if name is not None:
+            # json reads NaN and Infinity
+            raise ValueError(f"{map_name}.{name}: non-finite entries")
+        return flat
+
+    def views(self, flat: np.ndarray) -> Mapping:
+        """A read-only map of each parameter's view into ``flat``."""
+        return MappingProxyType({name: flat[where].reshape(shape)
+                                 for name, (where, shape) in self.cuts.items()})
+
+    def non_finite(self, flat: np.ndarray) -> Optional[str]:
+        """The first parameter with a non-finite entry in ``flat``, if any."""
+        if np.isfinite(flat).all():
+            return None
+        return next(name for name, (where, _) in self.cuts.items()
+                    if not np.isfinite(flat[where]).all())
+
+    def check_finite(self, flat: np.ndarray) -> None:
+        """A step's check: raise naming the first non-finite parameter."""
+        name = self.non_finite(flat)
+        if name is not None:
+            raise ArithmeticError(f"non-finite entries in parameter {name!r}")
+
+
+#: The parameter maps of a state, in the order of its ``vectors``.
+_MAPS = ("params", "adam_m", "adam_v")
+
+
+@dataclass(frozen=True, eq=False)
+class ModelState:
+    """A model and its optimizer state.
+
+    The parameters and the two Adam moments are one float64 vector each,
+    ``vectors`` = (params, adam_m, adam_v), laid out by ``layout``.  The
+    maps ``params``, ``adam_m`` and ``adam_v`` are read-only views into
+    them, one array per parameter name: an edit of an array in place is an
+    edit of its vector, but no entry can be replaced or added, so no map
+    disagrees with its vector.  To change an entry, make a new state.
+
+    This constructor makes every state from its maps (``init``,
+    ``state_from_json`` and a replacement by ``dataclasses.replace``): it
+    lays each map out in a new vector, and raises naming the field and the
+    parameter if a name is missing or unexpected, a shape is not the one
+    that ``d`` and the vocabulary imply, or an entry is not finite, e.g.
+    ``params.attn_wq: shape (16, 24), expected (16, 16)``.  Only a step
+    makes a state past it, over the vectors it made and checked.
+    ``leaf_ids`` are the tree's leaves as an integer array.
+    """
+
+    config: ExperimentConfig
+    tree: ConceptTree
+    synonyms: SynonymMap
+    params: Mapping
+    adam_m: Mapping
+    adam_v: Mapping
+    adam_t: int = 0
+    layout: _Layout = field(init=False, repr=False)
+    vectors: tuple = field(init=False, repr=False)
+    leaf_ids: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = _Layout(self.config.d, _vocab_size(self.tree, self.synonyms))
+        vectors = tuple(layout.flatten(name, getattr(self, name))
+                        for name in _MAPS)
+        # the fields a frozen dataclass derives go past its __setattr__
+        self.__dict__.update(
+            _over(layout, vectors), layout=layout,
+            leaf_ids=np.asarray(self.tree.leaves(), dtype=np.intp))
+
+    def _stepped(self, vectors: tuple, adam_t: int) -> ModelState:
+        """This model at ``adam_t`` over a step's new vectors."""
+        new = object.__new__(ModelState)
+        new.__dict__.update(self.__dict__, adam_t=adam_t,
+                            **_over(self.layout, vectors))
+        return new
+
+
+def _over(layout: _Layout, vectors: tuple) -> dict:
+    """The fields of a state over ``vectors``: them and their maps."""
+    return dict(zip(_MAPS, map(layout.views, vectors)), vectors=vectors)
 
 
 def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
@@ -227,110 +330,16 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
             params[name] = rng.normal(0.0, INIT_SCALE, size=shape)
     params["log_tau"] = np.array(math.log(config.tau_init))
     params["curv_raw"] = np.array(math.log(config.c_init))
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
-    return ModelState(config=config, tree=tree, synonyms=synonyms,
-                      leaf_ids=tree.leaves(), params=params,
-                      adam_m=adam_m, adam_v=adam_v, adam_t=0)
-
-
-#: The parameters that take no weight decay: the log temperature and the
-#: raw curvature.
-_NO_DECAY = ("log_tau", "curv_raw")
-
-
-class _Layout:
-    """Where each parameter lies when all of them are laid end to end in
-    one float64 vector, in the order of a parameter map, and the runs of
-    that vector that take weight decay; made once per parameter map that
-    a step did not make."""
-
-    __slots__ = ("cuts", "decay")
-
-    def __init__(self, values: Mapping):
-        self.cuts, stop, runs = {}, 0, []
-        for name, value in values.items():
-            start, stop = stop, stop + value.size
-            self.cuts[name] = (slice(start, stop), value.shape)
-            if name in _NO_DECAY:
-                continue
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop])
-        self.decay = [slice(start, stop) for start, stop in runs]
-
-    def flatten(self, values: Mapping) -> np.ndarray:
-        if (isinstance(values, _FlatMap) and values.layout is self
-                and values.intact()):
-            return values.flat
-        return np.concatenate([values[name] for name in self.cuts],
-                              axis=None)
-
-    def check_finite(self, flat: np.ndarray) -> None:
-        """Raise naming the first parameter with a non-finite entry in
-        ``flat``."""
-        if not np.isfinite(flat).all():
-            for name, (where, _) in self.cuts.items():
-                if not np.isfinite(flat[where]).all():
-                    raise ArithmeticError(
-                        f"non-finite entries in parameter {name!r}")
-
-
-_UNREAD = object()
-
-
-class _FlatMap(MutableMapping):
-    """A parameter map over one float64 vector, as a step leaves it: each
-    entry is a view into the vector, made when it is first read, so a map
-    that nothing reads (the moments, between steps) costs nothing.  While
-    no entry is replaced, added or deleted, the next step reads the vector
-    itself and the layout it was cut by; an edit in place is an edit of
-    the vector."""
-
-    __slots__ = ("flat", "layout", "_entries", "_intact")
-
-    def __init__(self, flat: np.ndarray, layout: _Layout):
-        self.flat, self.layout, self._intact = flat, layout, True
-        self._entries = dict.fromkeys(layout.cuts, _UNREAD)
-
-    def intact(self) -> bool:
-        return self._intact
-
-    def __getitem__(self, name):
-        value = self._entries[name]
-        if value is _UNREAD:
-            where, shape = self.layout.cuts[name]
-            value = self._entries[name] = self.flat[where].reshape(shape)
-        return value
-
-    def __setitem__(self, name, value):
-        self._entries[name] = value
-        self._intact = False
-
-    def __delitem__(self, name):
-        del self._entries[name]
-        self._intact = False
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-    def __reduce__(self):
-        # a copy or a pickle is a plain map: its arrays are no views of one
-        return dict, (dict(self),)
+    zeros = {k: np.zeros_like(v) for k, v in params.items()}
+    return ModelState(config, tree, synonyms, params, zeros, zeros)
 
 
 class _Forward:
     """Shared forward passes over a parameter set (tape Vars or arrays);
     each takes a batch and returns one row per item.  ``check=False``
-    skips the attention and fusion weights' checks, for a step whose
-    layout they have passed."""
+    skips the attention and fusion weights' checks, for a step: its
+    state's constructor has checked their shapes, and the step their
+    finiteness."""
 
     def __init__(self, params: dict, check: bool = True):
         self.p = params
@@ -408,7 +417,7 @@ def _batch_losses(fwd: _Forward, batch: Corpus, config: ExperimentConfig,
     bbox = bbox_regression_loss(fwd.predicted_boxes(fused), gts)
     labels = ad.take_row(fwd.p["token_table"], leaf_ids)
     cls = classification_loss(fused, labels, targets, tau)
-    weights = config.loss_weights()
+    weights = config.loss_weights
     if config.objective == "det-only":
         return objective_det(bbox, cls, weights=weights)
     captions = fwd.captions(batch.tokens)
@@ -432,28 +441,21 @@ def step(state: ModelState, records: Corpus) -> tuple:
     Forward through fusion, all active losses, reverse-mode backward, then
     an adaptive-moment update (beta1 0.9, beta2 0.999, eps 1e-8) with a
     linear warm-up over the first 10% of configured steps.  Aborts naming
-    the parameter if a parameter or its update is non-finite, or with a
-    node diagnostic if any gradient is.
+    the parameter if a parameter or its update is non-finite, or naming
+    the tape row that a non-finite gradient came from.
     """
     if not len(records):
         raise ValueError("empty batch")
-    config = state.config
-    # every parameter laid end to end, in the order of state.params: one
-    # finiteness check here, one elementwise update below.  A map a step
-    # made keeps its layout; any other gets a new one, and the attention
-    # and fusion weights' shapes are checked once for it
-    params = state.params
-    fresh = not (isinstance(params, _FlatMap) and params.intact())
-    layout = _Layout(params) if fresh else params.layout
-    value = layout.flatten(params)
+    config, layout = state.config, state.layout
+    # the parameters as one vector: one finiteness check here, for edits
+    # in place since the state was made, and one elementwise update below
+    value, m_prev, v_prev = state.vectors
     layout.check_finite(value)
-    if fresh:
-        _Forward(params)
     tape = ad.Tape()
     leaves = {name: tape.leaf(v, name, check=False)
-              for name, v in params.items()}
+              for name, v in state.params.items()}
     report = _batch_losses(_Forward(leaves, check=False), records, config,
-                           np.asarray(state.leaf_ids))
+                           state.leaf_ids)
     grads = ad.backward(tape, report.total)
 
     t = state.adam_t + 1
@@ -469,12 +471,12 @@ def step(state: ModelState, records: Corpus) -> tuple:
     b2c = 1.0 - ADAM_BETA2 ** t
     # the moments and lr_t (m / b1c) / (sqrt(v / b2c) + eps), each product
     # and sum as written, in buffers of their own
-    g = layout.flatten(grads)
-    m = ADAM_BETA1 * layout.flatten(state.adam_m)
+    g = np.concatenate([grads[name] for name in layout.cuts], axis=None)
+    m = ADAM_BETA1 * m_prev
     m += (1.0 - ADAM_BETA1) * g
     v = g * g
     v *= 1.0 - ADAM_BETA2
-    v += ADAM_BETA2 * layout.flatten(state.adam_v)
+    v += ADAM_BETA2 * v_prev
     den = v / b2c
     np.sqrt(den, out=den)
     den += ADAM_EPS
@@ -482,23 +484,14 @@ def step(state: ModelState, records: Corpus) -> tuple:
     update *= lr_t
     update /= den
     # decoupled weight decay keeps embedding norms from running away under
-    # the distance-based losses; the temperature and curvature take none
-    rate = lr_t * config.weight_decay
-    for run in layout.decay:
-        update[run] += value[run] * rate
+    # the distance-based losses; the temperature and curvature, the last two
+    # entries, take none
+    update[:-2] += value[:-2] * (lr_t * config.weight_decay)
     out = np.subtract(value, update, out=update)
     layout.check_finite(out)
-    for name, (lo, hi) in (("log_tau", LOG_TAU_BOUNDS),
-                           ("curv_raw", CURV_RAW_BOUNDS)):
-        i = layout.cuts[name][0].start
+    for i, (lo, hi) in ((-2, LOG_TAU_BOUNDS), (-1, CURV_RAW_BOUNDS)):
         out[i] = min(max(float(out[i]), lo), hi)
-    new_params = _FlatMap(out, layout)
-    new_m, new_v = _FlatMap(m, layout), _FlatMap(v, layout)
-    new_state = ModelState(config=config, tree=state.tree,
-                           synonyms=state.synonyms,
-                           leaf_ids=state.leaf_ids, params=new_params,
-                           adam_m=new_m, adam_v=new_v, adam_t=t)
-    return new_state, report
+    return state._stepped((out, m, v), t), report
 
 
 def scene_held_out(scene: int) -> bool:
@@ -660,27 +653,6 @@ def state_to_json(state: ModelState) -> dict:
     }
 
 
-def _revive(field: str, data: dict, d: int, vocab: int) -> dict:
-    """A state file's parameter map, checked against the model's shapes
-    and for non-finite numbers."""
-    shapes = dict(_param_specs(d, vocab), log_tau=(), curv_raw=())
-    if data.keys() != shapes.keys():
-        missing = sorted(shapes.keys() - data.keys())
-        extra = sorted(data.keys() - shapes.keys())
-        raise ValueError(f"{field}: missing {missing}, unexpected {extra}")
-    out = {}
-    for name, value in data.items():
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != shapes[name]:
-            raise ValueError(f"{field}.{name}: shape {arr.shape}, "
-                             f"expected {shapes[name]}")
-        if not np.isfinite(arr).all():
-            # json reads NaN and Infinity
-            raise ValueError(f"{field}.{name}: non-finite entries")
-        out[name] = arr
-    return out
-
-
 def _config_from_json(data: dict) -> ExperimentConfig:
     """A state file's config: every field, of its default's type (a bool
     is no number; an integer may stand for a float)."""
@@ -701,16 +673,9 @@ def state_from_json(data: dict) -> ModelState:
     adam_t = data["adam_t"]
     if type(adam_t) is not int or adam_t < 0:
         raise ValueError(f"adam_t: {adam_t!r} is not a non-negative integer")
-    tree = ConceptTree.from_json(data["tree"])
-    synonyms = SynonymMap.from_json(data["synonyms"])
-    vocab = _vocab_size(tree, synonyms)
-    return ModelState(
-        config=config, tree=tree, synonyms=synonyms, leaf_ids=tree.leaves(),
-        params=_revive("params", data["params"], config.d, vocab),
-        adam_m=_revive("adam_m", data["adam_m"], config.d, vocab),
-        adam_v=_revive("adam_v", data["adam_v"], config.d, vocab),
-        adam_t=adam_t,
-    )
+    return ModelState(config, ConceptTree.from_json(data["tree"]),
+                      SynonymMap.from_json(data["synonyms"]), data["params"],
+                      data["adam_m"], data["adam_v"], adam_t)
 
 
 def save_state(path, state: ModelState) -> None:
@@ -726,7 +691,7 @@ def export_embeddings(state: ModelState, records: Corpus) -> list:
     """Rows for external 2D projection: id, kind, pre-lift vector, norm."""
     fwd = _Forward(state.params)
     curvature = math.exp(state.params["curv_raw"])
-    ids = [(int(leaf), "object") for leaf in state.leaf_ids]
+    ids = [(leaf, "object") for leaf in state.leaf_ids.tolist()]
     ids += [(i, "caption") for i in range(len(records))]
     vectors = np.concatenate([fwd.class_embeddings(state.leaf_ids),
                               fwd.captions(records.tokens)])

@@ -644,8 +644,31 @@ def test_non_finite_gradient_reports_node():
     with np.errstate(over="ignore"):
         y = ad.mul(x, x)          # overflows to inf
         out = ad.mul(y, x)
-        with pytest.raises(ArithmeticError, match="node"):
+        # out's VJP hands x the adjoint y = inf; the leaf only receives it
+        with pytest.raises(ArithmeticError,
+                           match=re.escape("from node 2 (op mul)")):
             ad.backward(tape, out)
+
+
+def test_non_finite_gradient_names_the_row_it_came_from(monkeypatch):
+    # a composite row's VJP emits NaN, which reaches both leaves, one of
+    # them through a later row: the error names the composite row
+    code = ad._OP_NAMES.index("cone_hinge")
+    vjp = ad._BACKWARDS[code]
+
+    def poisoned(g, *rest):
+        vjp(g * np.nan, *rest)
+
+    monkeypatch.setattr(ad, "_BACKWARDS", [
+        poisoned if i == code else row for i, row in enumerate(ad._BACKWARDS)])
+    tape = ad.Tape()
+    x = tape.leaf(np.full((3, 3), -1.0), name="x")
+    aperture = tape.leaf(np.full(3, 0.5), name="aperture")
+    angles = ad.exp(x)
+    out = ad.mul(ad.cone_hinge(angles, aperture, aux=0.1), 2.0)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("from node 3 (op cone_hinge)")):
+        ad.backward(tape, out)
 
 
 def test_finite_diff_reports_non_finite_probe():

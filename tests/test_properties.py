@@ -4,6 +4,7 @@ Property tests draw their inputs with hypothesis, derandomized and without
 an example database, so every run checks the same examples.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -117,8 +118,9 @@ def test_state_json_round_trip(seed, d, scale, adam_t):
         return {k: np.asarray(rng.normal(size=v.shape) * scale)
                 for k, v in values.items()}
 
-    state.params, state.adam_m = noisy(state.params), noisy(state.adam_m)
-    state.adam_v, state.adam_t = noisy(state.adam_v), adam_t
+    state = dataclasses.replace(
+        state, params=noisy(state.params), adam_m=noisy(state.adam_m),
+        adam_v=noisy(state.adam_v), adam_t=adam_t)
     again = tr.state_from_json(json.loads(ds.json_line(
         tr.state_to_json(state))))
     assert again.config == state.config and again.adam_t == adam_t

@@ -146,9 +146,8 @@ def test_non_finite_update_names_its_parameter(corpus, name):
     cfg, tree, syn, records = corpus
     state = tr.init(cfg, tree, syn)
     # at adam_t = 0 the first moment is divided by 1 - 0.9: m / b1c overflows
-    value = state.adam_m[name]
-    state.adam_m[name] = (np.full(value.shape, 1e308)
-                          if isinstance(value, np.ndarray) else 1e308)
+    state = dataclasses.replace(state, adam_m={
+        **state.adam_m, name: np.full(state.adam_m[name].shape, 1e308)})
     with np.errstate(over="ignore"), pytest.raises(ArithmeticError,
                                                    match=repr(name)):
         tr.step(state, records[:6])
@@ -169,15 +168,32 @@ def test_non_finite_parameter_fails_naming_it(corpus, name):
 @pytest.mark.parametrize("stepped", [False, True])
 def test_mis_shaped_attention_weight_fails_with_its_shape_message(corpus,
                                                                  stepped):
-    # a step builds the attention weights unchecked once their layout has
-    # passed; replacing one gives the map a new layout, checked again
+    # a step builds the attention weights unchecked: a replaced weight goes
+    # through the state's constructor, which checks every shape
     cfg, tree, syn, records = corpus
     state = tr.init(cfg, tree, syn)
     if stepped:
         state, _ = tr.step(state, records[:6])
-    state.params["attn_wq"] = np.zeros((cfg.d, cfg.d + 8))
-    with pytest.raises(ValueError, match="projections disagree on shape"):
-        tr.step(state, records[:6])
+    bad = {**state.params, "attn_wq": np.zeros((cfg.d, cfg.d + 8))}
+    with pytest.raises(ValueError, match=re.escape(
+            "params.attn_wq: shape (16, 24), expected (16, 16)")):
+        dataclasses.replace(state, params=bad)
+
+
+@pytest.mark.parametrize("field", ["params", "adam_m", "adam_v"])
+def test_state_maps_are_read_only(corpus, field):
+    # an entry is edited in place or the state is made anew: a map whose
+    # entry was swapped would disagree with the vector a step reads
+    cfg, tree, syn, records = corpus
+    for state in (tr.init(cfg, tree, syn),
+                  tr.step(tr.init(cfg, tree, syn), records[:6])[0]):
+        values = getattr(state, field)
+        with pytest.raises(TypeError):
+            values["box_b"] = np.zeros(4)
+        with pytest.raises(TypeError):
+            values["extra"] = np.zeros(4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, field, dict(values))
 
 
 def _per_parameter_update(state, grads):
@@ -247,18 +263,18 @@ def test_flat_update_matches_the_per_parameter_loop_bit_for_bit(
 
 
 def test_step_reads_parameters_edited_in_place(corpus):
-    # a step's parameters and moments are views into flat vectors that the
-    # next step reuses; an in-place edit of one must reach that step, and a
-    # plain-dict copy of the same maps must step bit for bit alike
+    # a state's parameters and moments are views into the vectors a step
+    # reads: an in-place edit of one must reach that step.  A state rebuilt
+    # from its file form, over vectors of its own, must step bit for bit
+    # alike
     cfg, tree, syn, records = corpus
     state, _ = tr.step(tr.init(cfg, tree, syn), records[:6])
     state.params["box_w"][0, 0] += 0.5
     state.adam_v["fuse_b1"][3] *= 2.0
-    plain = dataclasses.replace(state, params=dict(state.params),
-                                adam_m=dict(state.adam_m),
-                                adam_v=dict(state.adam_v))
+    rebuilt = tr.state_from_json(tr.state_to_json(state))
+    assert rebuilt.params["box_w"][0, 0] == state.params["box_w"][0, 0]
     got, _ = tr.step(state, records[6:12])
-    want, _ = tr.step(plain, records[6:12])
+    want, _ = tr.step(rebuilt, records[6:12])
     for field in ("params", "adam_m", "adam_v"):
         for name, value in getattr(want, field).items():
             assert getattr(got, field)[name].tobytes() == value.tobytes()
@@ -584,8 +600,8 @@ def test_eval_route_outputs_are_pinned():
     # tables at scale 0.5: row norms far above the lift's series switch
     rng = np.random.default_rng(12)
     for name in ("token_table", "object_table"):
-        state.params[name] = rng.normal(0.0, 0.5,
-                                        size=state.params[name].shape)
+        state.params[name][...] = rng.normal(0.0, 0.5,
+                                             size=state.params[name].shape)
     digest = hashlib.sha256(json.dumps({
         "recall": tr.evaluate_retrieval(state, records),
         "hierarchy": vars(tr.hierarchy_report(state, records)),
