@@ -15,7 +15,7 @@ from .datasynth import (ConceptTree, Corpus, SynonymMap,
                         caption_noise_metric, grid_sample, iou, nms,
                         proposal_sample, synth_corpus)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
-                     fuse, positional_encode, sinusoidal_box_encoding)
+                     encode_boxes, fuse, positional_encode)
 from .geometry import (Angle, LorentzPoint, cone_contains, exp_map_origin,
                        exterior_angle, half_aperture, lorentz_distance)
 from .objectives import (LossReport, LossWeights, bbox_regression_loss,

@@ -94,36 +94,35 @@ def cross_modal_attention(visual, text, owner: Sequence[int],
                         aux=(np.where(own, 0.0, -np.inf), weights.head_count))
 
 
-def sinusoidal_box_encoding(features, d: int) -> np.ndarray:
-    """Fixed sinusoidal encoding of an n x 4 matrix of (cx, cy, w, h) rows:
-    n x d.
+def encode_boxes(corners: np.ndarray, d: int) -> tuple:
+    """The (cx, cy, w, h) proposal feature rows of an n x 4 array of
+    checked (x1, y1, x2, y2) boxes, and their fixed sinusoidal encoding,
+    n x d; each row depends on its box alone.
 
-    Each coordinate gets d/8 frequency bands at geometrically spaced
+    Each feature gets d/8 frequency bands at geometrically spaced
     wavelengths (angle = pi * 2^band * value), emitting a sin/cos pair per
     band; all entries lie in [-1, 1].
     """
     if d % 8 != 0:
         raise ValueError(f"embedding dim must be divisible by 8, got {d}")
-    z = np.asarray(features, dtype=np.float64)
+    x1, y1, x2, y2 = corners.T
+    z = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1], axis=1)
     angle = (math.pi * 2.0 ** np.arange(d // 8)) * z[:, :, None]
-    return np.stack([np.sin(angle), np.cos(angle)], axis=3).reshape(-1, d)
+    return z, np.stack([np.sin(angle), np.cos(angle)], axis=3).reshape(-1, d)
 
 
-def positional_encode(visual, corners: np.ndarray, proj):
+def positional_encode(visual, boxes: tuple, proj):
     """Spatial-aware embeddings: row i is v_i + proj(p_i) + PE(p_i), with
-    p_i the (cx, cy, w, h) proposal feature of box row i of ``corners``,
-    an n x 4 array of checked (x1, y1, x2, y2) boxes."""
+    p_i the proposal feature of box i and PE(p_i) its encoding, row i of
+    each array of ``boxes``, the ``encode_boxes`` pair of n box rows."""
     n, d = _shape(visual)
-    if not isinstance(corners, np.ndarray) or corners.shape != (n, 4):
+    if (not isinstance(boxes, tuple)
+            or [np.shape(b) for b in boxes] != [(n, 4), (n, d)]):
         raise ValueError("positional encoding needs one box row per visual "
-                         "row: an n x 4 array of (x1, y1, x2, y2) corners")
+                         "row: the encode_boxes pair of n x 4 corners")
     if _shape(proj) != (4, d):
         raise ValueError("proposal projection must map p to the embedding dim")
-    x1, y1, x2, y2 = corners.T
-    features = np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1],
-                        axis=1)
-    return ad.add(ad.add(visual, ad.matmul(features, proj)),
-                  sinusoidal_box_encoding(features, d))
+    return ad.add(ad.add(visual, ad.matmul(boxes[0], proj)), boxes[1])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .datasynth import (ConceptTree, Corpus, IdLists, SynonymMap,
                         caption_noise_metric, default_synonyms, json_line,
                         synth_corpus, write_lines)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
-                     fuse, positional_encode)
+                     encode_boxes, fuse, positional_encode)
 from .geometry import (APERTURE_K, cone_contains, exp_map_origin,
                        lorentz_distance)
 from .objectives import (DEFAULT_MARGIN, LossReport, LossWeights,
@@ -63,9 +63,6 @@ EMBED_RADIUS = 3.0
 # learned temperature and curvature in a numerically sane band (and C > 0)
 LOG_TAU_BOUNDS = (math.log(0.05), math.log(10.0))
 CURV_RAW_BOUNDS = (math.log(0.05), math.log(20.0))
-
-_FULL_BOX = np.array([0.0, 0.0, 1.0, 1.0])
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -334,12 +331,56 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
     return ModelState(config, tree, synonyms, params, zeros, zeros)
 
 
+class _Batch(NamedTuple):
+    """Each record's model inputs, made once per corpus by ``_prepare``:
+    its class and the class's index in ``leaf_ids``, its box's
+    ``encode_boxes`` pair, its box target, its token ids (padded with -1)
+    and, for captions, its token counts over the vocabulary and their sum."""
+
+    leaves: np.ndarray
+    targets: Optional[np.ndarray]
+    features: np.ndarray
+    encoding: np.ndarray
+    gts: Optional[np.ndarray]
+    ids: np.ndarray
+    counts: Optional[np.ndarray]
+    totals: Optional[np.ndarray]
+
+    def take(self, rows: np.ndarray) -> _Batch:
+        return _Batch(*(c if c is None else c[rows] for c in self))
+
+
+def _counts(state: ModelState, tokens: IdLists) -> tuple:
+    """Each caption's token counts over the vocabulary, and their sum."""
+    counts = np.zeros((len(tokens), len(state.params["token_table"])))
+    np.add.at(counts, (tokens.owner(), tokens.values), 1.0)
+    return counts, np.add.reduce(counts, axis=1, keepdims=True)
+
+
+def _prepare(state: ModelState, records: Corpus, captions: bool = True,
+             where: str = "") -> _Batch:
+    """The ``_Batch`` of ``records``, with caption counts if ``captions``;
+    a record whose class is not a leaf raises, naming ``where`` and it."""
+    leaves, tokens = records.leaves(), records.tokens
+    targets = np.searchsorted(state.leaf_ids, leaves)
+    if not (state.leaf_ids.take(targets, mode="clip") == leaves).all():
+        check_true_objects(records, state.leaf_ids, where)
+    lengths = tokens.lengths()
+    ids = np.full((len(tokens), lengths.max(initial=0)), -1)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = tokens.values
+    # a record without a ground-truth box regresses onto its own region
+    gts = np.where(np.isnan(records.gt_box), records.box, records.gt_box)
+    return _Batch(leaves, targets, *encode_boxes(records.box, state.config.d),
+                  gts, ids, *(_counts(state, tokens) if captions
+                              else (None, None)))
+
+
 class _Forward:
     """Shared forward passes over a parameter set (tape Vars or arrays);
-    each takes a batch and returns one row per item.  ``check=False``
-    skips the attention and fusion weights' checks, for a step: its
-    state's constructor has checked their shapes, and the step their
-    finiteness."""
+    each reads the columns of a ``_Batch`` and returns one row per record.
+    ``check=False`` skips the attention and fusion weights' checks, for a
+    step: its state's constructor has checked their shapes, and the step
+    their finiteness."""
 
     def __init__(self, params: dict, check: bool = True):
         self.p = params
@@ -350,24 +391,21 @@ class _Forward:
                              params["fuse_w2"], params["fuse_b2"],
                              check=check)
 
-    def captions(self, tokens: IdLists):
-        """Mean token embedding of each caption: a bag-of-words count
-        matrix (captions x vocabulary) times the token table."""
-        counts = np.zeros((len(tokens), len(ad.val(self.p["token_table"]))))
-        np.add.at(counts, (tokens.owner(), tokens.values), 1.0)
+    def captions(self, counts: np.ndarray, totals: np.ndarray):
+        """Mean token embedding of each caption: its ``_counts`` row times
+        the token table, over its token count."""
         total = ad.matmul(counts, self.p["token_table"])
-        return ad.squash(ad.div(total, np.add.reduce(counts, axis=1,
-                                                     keepdims=True)),
-                         aux=EMBED_RADIUS)
+        return ad.squash(ad.div(total, totals), aux=EMBED_RADIUS)
 
-    def fused_visuals(self, leaves: np.ndarray, corners: np.ndarray,
-                      tokens: IdLists):
-        """One row per region: its class's object row, its box corners
-        and its caption."""
-        visual = ad.take_row(self.p["object_table"], leaves)
-        text = ad.take_row(self.p["token_table"], tokens.values)
-        v_l = cross_modal_attention(visual, text, tokens.owner(), self.attn)
-        v_s = positional_encode(visual, corners, self.p["pe_proj"])
+    def fused_visuals(self, batch: _Batch):
+        """One row per region: its class's object row, its box and its
+        caption."""
+        owner, column = (batch.ids >= 0).nonzero()
+        visual = ad.take_row(self.p["object_table"], batch.leaves)
+        text = ad.take_row(self.p["token_table"], batch.ids[owner, column])
+        v_l = cross_modal_attention(visual, text, owner, self.attn)
+        v_s = positional_encode(visual, (batch.features, batch.encoding),
+                                self.p["pe_proj"])
         return ad.squash(fuse(v_l, v_s, self.mlp), aux=EMBED_RADIUS)
 
     def predicted_boxes(self, fused):
@@ -379,14 +417,6 @@ class _Forward:
         """
         return ad.box_head(fused, self.p["box_w"], self.p["box_b"],
                            aux=BOX_HEAD_EPS)
-
-    def class_embeddings(self, leaves: Sequence[int]):
-        """Canonical class candidates: each class's own label token as text
-        over the full-image box."""
-        n = len(leaves)
-        return self.fused_visuals(
-            leaves, np.tile(_FULL_BOX, (n, 1)),
-            IdLists(np.asarray(leaves), np.arange(n + 1)))
 
 
 def check_true_objects(records: Corpus, leaves, where: str = "") -> None:
@@ -402,25 +432,17 @@ def check_true_objects(records: Corpus, leaves, where: str = "") -> None:
             "must be one or more leaves of the concept tree")
 
 
-def _batch_losses(fwd: _Forward, batch: Corpus, config: ExperimentConfig,
+def _batch_losses(fwd: _Forward, batch: _Batch, config: ExperimentConfig,
                   leaf_ids: np.ndarray) -> LossReport:
     tau = ad.exp(fwd.p["log_tau"])
-    leaves = batch.leaves()
-    # the class index of each record; a record whose class is not a leaf
-    # would silently take a neighbour's
-    targets = np.searchsorted(leaf_ids, leaves)
-    if not (leaf_ids.take(targets, mode="clip") == leaves).all():
-        check_true_objects(batch, leaf_ids, where="batch ")
-    fused = fwd.fused_visuals(leaves, batch.box, batch.tokens)
-    # a record without a ground-truth box regresses onto its own region
-    gts = np.where(np.isnan(batch.gt_box), batch.box, batch.gt_box)
-    bbox = bbox_regression_loss(fwd.predicted_boxes(fused), gts)
+    fused = fwd.fused_visuals(batch)
+    bbox = bbox_regression_loss(fwd.predicted_boxes(fused), batch.gts)
     labels = ad.take_row(fwd.p["token_table"], leaf_ids)
-    cls = classification_loss(fused, labels, targets, tau)
+    cls = classification_loss(fused, labels, batch.targets, tau)
     weights = config.loss_weights
     if config.objective == "det-only":
         return objective_det(bbox, cls, weights=weights)
-    captions = fwd.captions(batch.tokens)
+    captions = fwd.captions(batch.counts, batch.totals)
     if config.objective == "baseline":
         cap = euclidean_contrastive_loss(fused, captions, tau)
         return objective_baseline(bbox, cls, cap, weights=weights)
@@ -434,9 +456,12 @@ def _batch_losses(fwd: _Forward, batch: Corpus, config: ExperimentConfig,
     return objective_hyper(bbox, cls, cap, entail, weights=weights)
 
 
-def step(state: ModelState, records: Corpus) -> tuple:
+def step(state: ModelState, records) -> tuple:
     """One optimization step on a batch of records; returns the new state
-    and the loss report.
+    and the loss report.  ``records`` is a ``Corpus``, prepared on entry (a
+    record whose class is not a leaf raises, ``batch record i: ...``), or
+    rows of the inputs that ``train`` prepares once, which pass straight
+    through.
 
     Forward through fusion, all active losses, reverse-mode backward, then
     an adaptive-moment update (beta1 0.9, beta2 0.999, eps 1e-8) with a
@@ -444,9 +469,12 @@ def step(state: ModelState, records: Corpus) -> tuple:
     the parameter if a parameter or its update is non-finite, or naming
     the tape row that a non-finite gradient came from.
     """
-    if not len(records):
-        raise ValueError("empty batch")
     config, layout = state.config, state.layout
+    if isinstance(records, Corpus):
+        records = _prepare(state, records, config.objective != "det-only",
+                           "batch ")
+    if not len(records.leaves):
+        raise ValueError("empty batch")
     # the parameters as one vector: one finiteness check here, for edits
     # in place since the state was made, and one elementwise update below
     value, m_prev, v_prev = state.vectors
@@ -509,13 +537,15 @@ def split_records(records: Corpus) -> tuple:
     return records[~held], records[held]
 
 
-def embed_records(state: ModelState, records: Corpus) -> tuple:
+def embed_records(state: ModelState, records) -> tuple:
     """Plain-array caption (queries) and fused visual (candidates) rows,
     then both lifted onto the hyperboloid: the one forward and lift that
-    retrieval and hierarchy numbers share."""
+    retrieval and hierarchy numbers share; ``records`` as for ``step``."""
+    if isinstance(records, Corpus):
+        records = _prepare(state, records)
     fwd = _Forward(state.params)
-    visuals = fwd.fused_visuals(records.leaves(), records.box, records.tokens)
-    captions = fwd.captions(records.tokens)
+    visuals = fwd.fused_visuals(records)
+    captions = fwd.captions(records.counts, records.totals)
     curvature = math.exp(state.params["curv_raw"])
     return (captions, visuals, exp_map_origin(captions, curvature),
             exp_map_origin(visuals, curvature))
@@ -596,12 +626,14 @@ def train(config: ExperimentConfig, records: Optional[Corpus] = None,
     if not len(train_recs) or not len(held_recs):
         raise ValueError("both splits need records; add scenes")
     state = init(config, tree, synonyms)
+    train_rows = _prepare(state, train_recs, config.objective != "det-only")
+    held_rows = _prepare(state, held_recs)
     rng = np.random.default_rng([config.seed, 1])
     # batches are class-distinct where possible: at toy vocabulary size,
     # same-class rows would act as false negatives for the contrastive and
     # entailment terms and push matched pairs out of their own cones.  The
     # pool of a class is its training records in corpus order.
-    leaves = train_recs.leaves()
+    leaves = train_rows.leaves
     by_leaf = np.argsort(leaves, kind="stable")
     batch_leaves, starts, sizes = np.unique(
         leaves[by_leaf], return_index=True, return_counts=True)
@@ -611,21 +643,15 @@ def train(config: ExperimentConfig, records: Optional[Corpus] = None,
                           replace=len(batch_leaves) < config.batch)
         # one draw per batch row, in row order, from its class's pool
         picks = starts[take] + rng.integers(sizes[take])
-        state, report = step(state, train_recs[by_leaf[picks]])
+        state, report = step(state, train_rows.take(by_leaf[picks]))
         is_last = t + 1 == config.steps
         if (t + 1) % config.eval_every == 0 or is_last:
-            embedded = embed_records(state, held_recs)
+            embedded = embed_records(state, held_rows)
             recall = evaluate_retrieval(state, held_recs, embedded)
             hier = hierarchy_report(state, held_recs, embedded)
-            values = report.values()
             metrics.append(MetricsRecord(
-                step=t + 1, bbox=values["bbox"], cls=values["cls"],
-                cap=values["cap"], entail=values["entail"],
-                total=values["total"], recall_at_1=recall,
-                mean_caption_norm=hier.mean_caption_norm,
-                mean_object_norm=hier.mean_object_norm,
-                containment_rate=hier.containment_rate,
-                noise_pct=noise_pct))
+                step=t + 1, **report.values(), recall_at_1=recall,
+                **asdict(hier), noise_pct=noise_pct))
             if config.early_stop and recall == 1.0:
                 if (config.objective != "hyper"
                         or hier.containment_rate >= 0.95):
@@ -688,13 +714,17 @@ def load_state(path) -> ModelState:
 
 
 def export_embeddings(state: ModelState, records: Corpus) -> list:
-    """Rows for external 2D projection: id, kind, pre-lift vector, norm."""
-    fwd = _Forward(state.params)
+    """Rows for external 2D projection: id, kind, pre-lift vector, norm.
+    A class's row fuses its own label token over the full-image box."""
+    fwd, leaves = _Forward(state.params), state.leaf_ids
     curvature = math.exp(state.params["curv_raw"])
-    ids = [(leaf, "object") for leaf in state.leaf_ids.tolist()]
+    ids = [(leaf, "object") for leaf in leaves.tolist()]
     ids += [(i, "caption") for i in range(len(records))]
-    vectors = np.concatenate([fwd.class_embeddings(state.leaf_ids),
-                              fwd.captions(records.tokens)])
+    full = np.tile([0.0, 0.0, 1.0, 1.0], (len(leaves), 1))
+    classes = _Batch(leaves, None, *encode_boxes(full, state.config.d), None,
+                     leaves[:, None], None, None)
+    vectors = np.concatenate([fwd.fused_visuals(classes),
+                              fwd.captions(*_counts(state, records.tokens))])
     norms = exp_map_origin(vectors, curvature).space_norm
     return [{"id": i, "kind": kind, "vector": vec, "lifted_norm": norm}
             for (i, kind), vec, norm in zip(ids, vectors.tolist(),

@@ -264,7 +264,8 @@ def test_criterion_2_gradient_suite():
                                       head_count=4)
         mlp = fu.FusionMlp(p["w1"], p["b1"], p["w2"], p["b2"])
         v_l = fu.cross_modal_attention(p["vis"], text_np, owner, weights)
-        v_s = fu.positional_encode(p["vis"], boxes, p["proj"])
+        v_s = fu.positional_encode(p["vis"], fu.encode_boxes(boxes, d),
+                                   p["proj"])
         fused = fu.fuse(v_l, v_s, mlp)
         curv = ad.exp(p["raw_curv"])
         return obj.hyperbolic_contrastive_loss(

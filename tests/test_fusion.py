@@ -235,8 +235,8 @@ def features(x1, y1, x2, y2):
 
 
 def encode(box, d):
-    """The encoding of one (x1, y1, x2, y2) box: a 1-row feature batch."""
-    return fu.sinusoidal_box_encoding(features(*box)[None, :], d)[0]
+    """The encoding of one (x1, y1, x2, y2) box: a 1-row batch."""
+    return fu.encode_boxes(np.array([box], dtype=np.float64), d)[1][0]
 
 
 def test_encoding_deterministic_for_identical_boxes():
@@ -282,21 +282,37 @@ def test_positional_encode_adds_three_parts():
     v = rng.normal(size=(2, 16))
     boxes = np.array([(0.2, 0.3, 0.6, 0.8), (0.0, 0.1, 0.9, 0.4)])
     proj = rng.normal(size=(4, 16))
-    got = val(fu.positional_encode(v, boxes, proj))
+    got = val(fu.positional_encode(v, fu.encode_boxes(boxes, 16), proj))
     for i, box in enumerate(boxes):
         want = v[i] + features(*box) @ proj + encode(box, 16)
         assert np.allclose(got[i], want, atol=1e-12)
 
 
+def test_rows_of_an_encoding_are_the_encoding_of_those_rows():
+    # a corpus is encoded once and a batch takes rows of the pair: the
+    # same bits as encoding the batch's own corners
+    rng = np.random.default_rng(9)
+    lo = rng.uniform(0.0, 0.5, size=(7, 2))
+    corners = np.hstack([lo, lo + rng.uniform(0.05, 0.5, size=(7, 2))])
+    rows = np.array([6, 0, 0, 3])
+    features, encoding = fu.encode_boxes(corners, 16)
+    v, proj = rng.normal(size=(4, 16)), rng.normal(size=(4, 16))
+    want = fu.positional_encode(v, fu.encode_boxes(corners[rows], 16), proj)
+    got = fu.positional_encode(v, (features[rows], encoding[rows]), proj)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_region_feature_rejects_bad_box():
-    # a region feature is a visual row and its box: one row of an n x 4
-    # corner array per visual row
+    # a region feature is a visual row and its box: one row of the
+    # encode_boxes pair of an n x 4 corner array per visual row
     proj = np.zeros((4, 8))
+    box = np.array([(0.0, 0.0, 1.0, 1.0)])
     with pytest.raises(ValueError, match="box row"):
         fu.positional_encode(np.zeros((1, 8)), [(0, 0, 1, 1)], proj)
     with pytest.raises(ValueError, match="box row"):
-        fu.positional_encode(np.zeros((2, 8)),
-                             np.array([(0.0, 0.0, 1.0, 1.0)]), proj)
+        fu.positional_encode(np.zeros((1, 8)), box, proj)
+    with pytest.raises(ValueError, match="box row"):
+        fu.positional_encode(np.zeros((2, 8)), fu.encode_boxes(box, 8), proj)
 
 
 # --- fuse ------------------------------------------------------------------------
@@ -380,7 +396,8 @@ def test_full_fusion_path_gradients():
                                       head_count=4)
         mlp = fu.FusionMlp(p["w1"], p["b1"], p["w2"], p["b2"])
         v_l = fu.cross_modal_attention(p["vis"], text_np, owner, weights)
-        v_s = fu.positional_encode(p["vis"], boxes, p["proj"])
+        v_s = fu.positional_encode(p["vis"], fu.encode_boxes(boxes, d),
+                                   p["proj"])
         fused = fu.fuse(v_l, v_s, mlp)
         curv = ad.exp(p["raw_curv"])
         return obj.hyperbolic_contrastive_loss(

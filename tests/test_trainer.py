@@ -365,6 +365,77 @@ def test_train_bit_deterministic(corpus):
     assert [m.to_json() for m in m1] == [m.to_json() for m in m2]
 
 
+#: batches of training-split rows: class-distinct, with repeats, and one row
+GATHERS = ([0, 5, 9, 2, 11, 7], [3, 3, 8, 0, 3, 8], [4])
+
+
+@pytest.mark.parametrize("objective", tr.OBJECTIVES)
+def test_a_step_on_prepared_rows_keeps_the_corpus_route_bits(corpus,
+                                                            objective):
+    # train prepares its split once and gathers rows; a step on the same
+    # records as a Corpus must give byte-identical states and losses
+    cfg, tree, syn, records = corpus
+    cfg = dataclasses.replace(cfg, objective=objective)
+    train, _ = tr.split_records(records)
+    state = tr.init(cfg, tree, syn)
+    prepared = tr._prepare(state, train, objective != "det-only")
+    gathered = from_corpus = state
+    for rows in map(np.array, GATHERS):
+        gathered, got = tr.step(gathered, prepared.take(rows))
+        from_corpus, want = tr.step(from_corpus, train[rows])
+        assert got.values() == want.values()
+        for a, b in zip(gathered.vectors, from_corpus.vectors):
+            assert a.tobytes() == b.tobytes()
+    assert gathered.adam_t == from_corpus.adam_t == len(GATHERS)
+
+
+def test_embed_records_on_prepared_rows_keeps_the_corpus_route_bits(corpus):
+    cfg, tree, syn, records = corpus
+    _, held = tr.split_records(records)
+    state = tr.init(cfg, tree, syn)
+    rng = np.random.default_rng(12)
+    for name in ("token_table", "object_table"):
+        state.params[name][...] = rng.normal(0.0, 0.5,
+                                             size=state.params[name].shape)
+    prepared = tr._prepare(state, held)
+    for rows in (np.arange(len(held))[::-1], np.array([1, 1, 0]),
+                 np.array([2])):
+        got = tr.embed_records(state, prepared.take(rows))
+        want = tr.embed_records(state, held[rows])
+        for a, b in zip(got[:2], want[:2]):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(got[2:], want[2:]):
+            assert a.space.tobytes() == b.space.tobytes()
+
+
+def test_train_selects_corpus_records_only_to_split_them(corpus,
+                                                         monkeypatch):
+    # every step gathers rows of inputs prepared once, not Corpus records
+    cfg, tree, syn, records = corpus
+    select = Corpus.__getitem__
+    calls = []
+
+    def counted(self, rows):
+        calls.append(len(self))
+        return select(self, rows)
+
+    monkeypatch.setattr(Corpus, "__getitem__", counted)
+    tr.train(cfg, records=records, tree=tree, synonyms=syn)
+    assert cfg.steps > 2
+    assert calls == [len(records)] * 2
+
+
+def test_train_rejects_a_bad_class_before_its_first_step(corpus,
+                                                         monkeypatch):
+    cfg, tree, syn, records = corpus
+    bad = with_true_objects(records, 5, {tree.children[tree.root][0]})
+    steps = []
+    monkeypatch.setattr(tr, "step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="^record 5: true_objects"):
+        tr.train(cfg, records=bad, tree=tree, synonyms=syn)
+    assert not steps
+
+
 def test_split_is_seed_stable_and_scene_level(corpus):
     cfg, tree, syn, records = corpus
     train_recs, held_recs = tr.split_records(records)
