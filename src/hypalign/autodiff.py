@@ -8,12 +8,11 @@ makes repeated backward passes bit-identical.
 Each primitive is one row of an op table: its name, its value kernel and its
 vector-Jacobian products (VJPs).  A row's index is its opcode, and
 ``_OP_NAMES`` and the backward dispatch are read off the same table.  A VJP
-is handed the node's stored output (``exp``, ``sqrt``, ``tanh``,
-``sigmoid``, ``norm``, ``logsumexp`` and ``softmax`` read it instead of
-recomputing it).  Accumulation never writes into an array it does not own:
-an adjoint's first contribution is kept as it is, possibly shared with other
-adjoints, each later one makes a new sum, and the scatter adjoints of
-``take_row``, ``cols`` and ``pick`` copy a shared adjoint before adding.
+is handed the node's stored output (``exp`` reads it instead of recomputing
+it).  Accumulation never writes into an array it does not own: an adjoint's
+first contribution is kept as it is, possibly shared with other adjoints,
+each later one makes a new sum, and the scatter adjoint of ``take_row``
+copies a shared adjoint before adding.
 
 Every public op is polymorphic: called with :class:`Var` arguments it records
 a tape node (a plain operand rides in the node's aux and takes no VJP),
@@ -23,26 +22,25 @@ finite-difference checker exploits.  ``Var`` has no arithmetic operators.
 
 Every value, on the tape and on the plain route, is float64 numpy: an array,
 or a numpy float64 (or 0-d array) for a scalar such as the temperature, the
-curvature or a loss total.  There is no broadcasting engine: binary ops
-accept equal shapes, a scalar paired with an array, or (``add``, ``sub``) a
+curvature or a loss total.  There is no broadcasting engine: ``add`` and
+``div`` accept equal shapes, a scalar paired with an array, or (``add``) a
 row vector added to every row of a matrix.  A batch is always an n x d
-matrix of rows: ``norm``, ``dot``, ``logsumexp`` and ``softmax`` work
-row-wise on it and reject any other rank, naming the shape.  With them and
-``matmul``, ``scale_rows``, ``outer``, ``pick``, ``sum``, ``cols`` and
-``take_row``, a whole batch, from the fusion forward to each loss, is a
-handful of array nodes instead of one node per row or pair.  The hot
-formulas are one row each: the hyperboloid lift, distance, cone aperture
-and exterior angle (which ``geometry`` wraps), the embedding squash,
-multi-head attention and the residual MLP (which ``fusion`` wraps), the
-trainer's box head, and every loss (which ``objectives`` wraps): the
-cross-entropy at target columns, of scaled logits or of cosine
-similarities, the entailment cone hinge, the mean smooth L1 and the
-weighted total of the terms.  Each has one plain-array kernel, for
-training and evaluation alike, and a hand-derived VJP that sums each
-operand's adjoint terms in the order the formula's spelled-out ops would,
-so a row keeps their bits.  Index operands are integers: ``indices``
-rejects any other entry, naming it, and takes a whole float for its
-integer.
+matrix of rows.  Besides those two, ``exp``, ``matmul`` and ``take_row``,
+the table holds one row per formula that a training step records, so a
+whole batch, from the fusion forward to each loss, is a handful of array
+nodes: the hyperboloid lift, distance, cone aperture and exterior angle
+(which ``geometry`` wraps), the embedding squash, multi-head attention and
+the residual MLP (which ``fusion`` wraps), the trainer's box head, and
+every loss (which ``objectives`` wraps): the cross-entropy at target
+columns, of scaled logits or of cosine similarities, the entailment cone
+hinge, the mean smooth L1 and the weighted total of the terms.  Each has
+one plain-array kernel, for training and evaluation alike, which calls
+numpy and this module's private helpers directly, and a hand-derived VJP
+that sums each operand's adjoint terms in the order the formula's
+spelled-out ops would, so a row keeps their bits.  The ``hinge`` row is a
+name only, which no op records: the benchmark's tracer looks its opcode
+up.  Index operands are integers: ``indices`` rejects any other entry,
+naming it, and takes a whole float for its integer.
 """
 
 from __future__ import annotations
@@ -53,13 +51,14 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-#: Gradient container returned by ``backward``/``finite_diff``: one entry per
-#: named leaf, shaped exactly like the leaf value.
+#: Gradient container returned by ``finite_diff``: one entry per named
+#: parameter, shaped exactly like its value.
 GradientMap = Dict[str, np.ndarray]
 
 _ACOSH_GUARD = 1.0 + 1e-12   # derivative of arccosh is clipped below this
 _TRIG_GUARD = 1.0 - 1e-12    # |argument| cap for asin/arccos derivatives
 _SINHC_SWITCH = 1e-4         # below this, sinh(t)/t uses its Taylor series
+_ARCCOS_SWITCH = 1.0 - 1e-6  # above this |cos|, an angle comes from its sine
 
 
 class Var:
@@ -78,8 +77,8 @@ class Tape:
     """Append-only record of primitive ops.
 
     One tape per differentiated computation; tapes are not shared across
-    threads.  Leaves may be named, and named leaves are the keys of the
-    GradientMap produced by ``backward``.
+    threads.  Leaves may be named; ``backward`` returns the gradients of
+    the named leaves, in the order they were named.
     """
 
     __slots__ = ("ops", "values", "names")
@@ -150,9 +149,14 @@ class _Op:
         self.code = len(_OPS)
         self.name, self.kernel, self.backward = name, kernel, backward
         _OPS.append(self)
+        _OP_NAMES.append(name)
+        _BACKWARDS.append(backward)
 
 
+# the rows, and each row's name and backward, by opcode
 _OPS: list = []
+_OP_NAMES: list = []
+_BACKWARDS: list = []
 # every leaf's tape entry: opcode 0, no inputs, no aux
 _LEAF_OP = (_Op("leaf", None, None).code, (), None)
 
@@ -195,14 +199,6 @@ def _apply(row: _Op, a, aux):
         return a.tape._record(row.code, (a.idx,), aux,
                               row.kernel(a.value, aux))
     return row.kernel(_num(a), aux)
-
-
-def _gated(name: str, kernel: Callable, active: Callable) -> _Op:
-    """A row that passes the adjoint where ``active(x, aux)`` holds."""
-    def backward(g, ans, inputs, aux, values, adj, owned):
-        _acc(adj, inputs[0], g * active(values[inputs[0]], aux))
-
-    return _Op(name, kernel, backward)
 
 
 def _scatter(name: str, kernel: Callable, write: Callable) -> _Op:
@@ -340,7 +336,8 @@ def _acosh_den(x):
 
 def _trig_den(x):
     # sqrt(1-x^2), the denominator of the asin and arccos derivatives
-    return np.sqrt(1.0 - np.square(np.clip(x, -_TRIG_GUARD, _TRIG_GUARD)))
+    return np.sqrt(1.0 - np.square(np.minimum(np.maximum(x, -_TRIG_GUARD),
+                                              _TRIG_GUARD)))
 
 
 def _norm(u):
@@ -374,12 +371,6 @@ def _logsumexp(u):
     return m[:, 0] + np.log(np.add.reduce(np.exp(u - m), axis=1))
 
 
-def _softmax(u):
-    _rows("softmax", u)
-    e = np.exp(u - np.maximum.reduce(u, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
-
-
 def _smooth_l1(a):
     # 0.5 a^2 for |a| < 1, |a| - 0.5 otherwise (threshold 1), elementwise
     return np.where(np.abs(a) < 1.0, 0.5 * a * a, np.abs(a) - 0.5)
@@ -394,71 +385,27 @@ def _smooth_l1_slope(a):
 
 add = _binary("add", operator.add, lambda g, a, b: _fit(g, a),
               lambda g, a, b: _fit(g, b))
-sub = _binary("sub", operator.sub, lambda g, a, b: _fit(g, a),
-              lambda g, a, b: -_fit(g, b))
-mul = _binary("mul", operator.mul, lambda g, a, b: _fit(g * b, a),
-              lambda g, a, b: _fit(g * a, b))
 # a / b elementwise: equal shapes, or either operand a scalar
 div = _binary("div", operator.truediv, lambda g, a, b: _fit(g / b, a),
               lambda g, a, b: -_fit(g * a, b) / (b * b))
-neg = _unary("neg", operator.neg, lambda g, ans, x: -g)
 # math.exp of a scalar: np.exp differs from it in the last bit for some
 # arguments, and the temperature and curvature are exp of scalar leaves
 exp = _unary("exp", lambda x: np.exp(x) if x.ndim else np.float64(math.exp(x)),
              lambda g, ans, x: g * ans)
-sqrt = _unary("sqrt", np.sqrt,
-              lambda g, ans, x: g / (2.0 * np.maximum(ans, 1e-150)))
-# sinh(t)/t, series-expanded near t = 0
-sinhc = _unary("sinhc", _sinhc, lambda g, ans, x: g * _sinhc_deriv(x))
-tanh = _unary("tanh", np.tanh, lambda g, ans, x: g * (1.0 - ans * ans))
-sigmoid = _unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)),
-                 lambda g, ans, x: g * ans * (1.0 - ans))
-arccosh = _unary("arccosh", np.arccosh,
-                  lambda g, ans, x: g / _acosh_den(x))
-asin = _unary("asin", np.arcsin, lambda g, ans, x: g / _trig_den(x))
-arccos = _unary("arccos", np.arccos, lambda g, ans, x: -g / _trig_den(x))
-# the boundary of a clamp or hinge takes the inactive side: zero gradient
-_CLAMP_MIN = _gated("clamp_min", np.maximum, operator.gt)
-_CLAMP_MAX = _gated("clamp_max", np.minimum, operator.lt)
-_HINGE = _gated("hinge", np.maximum, operator.gt)
-# smooth L1 (threshold 1), elementwise
-smooth_l1 = _unary("smooth_l1", _smooth_l1,
-                   lambda g, ans, a: g * _smooth_l1_slope(a))
-# inner product of every row of u with every row of v (u @ v.T)
-dot = _binary("dot", _dot, lambda g, u, v: g @ v, lambda g, u, v: g.T @ u)
-# the vector of row norms of a matrix
-norm = _unary("norm", _norm, _norm_vjp)
 matmul = _binary("matmul", np.matmul, lambda g, a, b: g @ b.T,
                  lambda g, a, b: a.T @ g)
 _TAKE_ROW = _scatter("take_row", operator.getitem, np.add.at)
-_COLS = _scatter("cols", lambda m, s: m[:, s].copy(),
-                 lambda buf, s, g: np.add(buf[:, s], g, out=buf[:, s]))
-# stable log(sum(exp(row))) of each row of a matrix
-logsumexp = _unary("logsumexp", _logsumexp,
-                   lambda g, ans, u: g[:, None] * np.exp(u - ans[:, None]))
-# softmax of each row of a matrix
-softmax = _unary("softmax", _softmax, lambda g, ans, u: ans * (
-    g - np.add.reduce(g * ans, axis=1, keepdims=True)))
-# row i of matrix m times s[i]
-scale_rows = _binary("scale_rows", lambda s, m: s[:, None] * m,
-                     lambda g, s, m: _row_dot(g, m),
-                     lambda g, s, m: s[:, None] * g)
-# outer product of two vectors (n x m)
-outer = _binary("outer", np.outer, lambda g, a, b: g @ b,
-                lambda g, a, b: a @ g)
-# sum of all entries of an array, as a scalar
-sum = _unary("sum", lambda x: np.add.reduce(x, axis=None),  # shadows builtin
-             lambda g, ans, x: np.full(x.shape, g))
-_PICK = _scatter("pick", operator.getitem, np.add.at)
+# a name only: no op records it (see the module docstring)
+_Op("hinge", None, None)
 
 
 # ---------------------------------------------------------------------------
-# composite rows: the Lorentz-model formulas, the embedding squash and
-# multi-head attention
+# composite rows: the Lorentz-model formulas, the embedding squash,
+# multi-head attention, the residual MLP, the box head and the losses
 #
-# Each kernel is its formula's op sequence on plain arrays, the one
-# implementation that training (on the tape) and evaluation share; each
-# VJP is hand-derived, with the guards and gates of the ops it spans.  A
+# Each kernel is its formula's op sequence as numpy calls on plain arrays,
+# the one implementation that training (on the tape) and evaluation share;
+# each VJP is hand-derived, with the guards and gates of the ops it spans.  A
 # hyperboloid point's spatial norm and time sqrt(1/C + |x|^2), and the
 # inner products of two batches, are plain arrays in aux: the VJPs
 # differentiate through them as functions of the rows and curvatures.
@@ -482,9 +429,9 @@ def _inner_vjp(gl, us, vs, cu, cv, ut, vt, gut, gvt):
 def _lift(x, c, aux):
     # sinh(sqrt(C) |x|) / (sqrt(C) |x|) * x, row-wise
     norm = _norm(x)
-    t = sqrt(c) * norm
-    s = sinhc(t)
-    return scale_rows(s, x), (norm, t, s)
+    t = np.sqrt(c) * norm
+    s = _sinhc(t)
+    return s[:, None] * x, (norm, t, s)
 
 
 def _lift_vjp(g, ans, saved, x, c, aux):
@@ -505,8 +452,9 @@ def _lorentz_dist(us, vs, cu, cv, aux):
     if np.any(low):
         raise ValueError("off-manifold pair: -C<u,v>_H = "
                          f"{float(np.min(arg[low]))} < 1")
-    root = sqrt(1.0 / cu)
-    return root * arccosh(clamp_min(arg, 1.0)) * keep, (keep, arg, root)
+    root = np.sqrt(1.0 / cu)
+    return (root * np.arccosh(np.maximum(arg, 1.0)) * keep,
+            (keep, arg, root))
 
 
 def _lorentz_dist_vjp(g, ans, saved, us, vs, cu, cv, aux):
@@ -523,8 +471,8 @@ def _lorentz_dist_vjp(g, ans, saved, us, vs, cu, cv, aux):
 def _cone_aperture(cs, c, aux):
     # asin(min(2K / (sqrt(C) |c_space|), 1)) of each row
     sn, k = aux
-    ratio = 2.0 * k / (sqrt(c) * sn)
-    return asin(clamp_max(ratio, 1.0)), ratio
+    ratio = 2.0 * k / (np.sqrt(c) * sn)
+    return np.arcsin(np.minimum(ratio, 1.0)), ratio
 
 
 def _cone_aperture_vjp(g, ans, ratio, cs, c, aux):
@@ -543,11 +491,20 @@ def _cone_angle(cs, vs, cc, cv, aux):
     ci = cc * inner
     dsq = ci * ci - 1.0
     keep = np.where(dsq > 0.0, 1.0, 0.0)
-    root = sqrt(np.where(dsq > 0.0, dsq, 1.0))
-    den = scale_rows(sn, root)
-    q = (vt + scale_rows(ct, ci)) / den
-    cos = clamp_max(clamp_min(q, -1.0), 1.0)
-    return arccos(cos) * keep, (ci, keep, root, den, q, cos)
+    root = np.sqrt(np.where(dsq > 0.0, dsq, 1.0))
+    den = sn[:, None] * root
+    q = (vt + ct[:, None] * ci) / den
+    cos = np.minimum(np.maximum(q, -1.0), 1.0)
+    angle = np.arccos(cos)
+    # near |q| = 1, v near the line through the apex and c, arccos would
+    # magnify the rounding of q: there the angle is atan2 of q and the
+    # well-conditioned sine, sqrt(C) |v_space orthogonal to c_space| / root
+    i, j = np.nonzero(np.abs(q) > _ARCCOS_SWITCH)
+    if i.size:
+        u, v = cs[i] / sn[i][:, None], vs[j]
+        perp = _norm(v - _row_dot(v, u)[:, None] * u)
+        angle[i, j] = np.arctan2(np.sqrt(cc) * perp / root[i, j], q[i, j])
+    return angle * keep, (ci, keep, root, den, q, cos)
 
 
 def _cone_angle_vjp(g, ans, saved, cs, vs, cc, cv, aux):
@@ -568,10 +525,10 @@ def _cone_angle_vjp(g, ans, saved, cs, vs, cc, cv, aux):
 def _squash(x, radius):
     # x * radius tanh(|x| / radius) / |x|, row-wise, |x| clamped to 1e-12
     norm = _norm(x)
-    n = clamp_min(norm, 1e-12)
-    th = tanh(n / radius)
+    n = np.maximum(norm, 1e-12)
+    th = np.tanh(n / radius)
     f = th * radius / n
-    return scale_rows(f, x), (norm, n, th, f)
+    return f[:, None] * x, (norm, n, th, f)
 
 
 def _squash_vjp(g, ans, saved, x, radius):
@@ -589,8 +546,8 @@ def _cross_entropy(u, tau, aux):
     targets, sign = aux
     scale = sign * tau
     logits = u / scale
-    lse = logsumexp(logits)
-    per_row = lse - pick(logits, targets)
+    lse = _logsumexp(logits)
+    per_row = lse - logits[np.arange(len(targets)), targets]
     return (np.add.reduce(per_row, axis=None) / np.float64(len(targets)),
             (logits, lse, scale))
 
@@ -598,14 +555,15 @@ def _cross_entropy(u, tau, aux):
 def _cross_entropy_vjp(g, ans, saved, u, tau, aux):
     logits, lse, scale = saved
     targets, sign = aux
-    # the spelled-out adjoints in backward order: the mean, the sum, the
-    # picked entries (a scatter into zeros, one entry a row, so 0.0 - g is
-    # what the scatter's 0.0 + (-g) gives), the logsumexp, then the
-    # division: tau's adjoint is sign times that of the divisor sign tau
-    g_row = np.full(lse.shape, g / np.float64(len(targets)))
+    # the spelled-out adjoints in backward order: the mean, the sum (each
+    # row's adjoint g / n), the picked entries (a scatter into zeros, one
+    # entry a row, so 0.0 - g is what the scatter's 0.0 + (-g) gives), the
+    # logsumexp, then the division: tau's adjoint is sign times that of the
+    # divisor sign tau
+    g_row = g / np.float64(len(targets))
     gl = np.zeros(logits.shape)
     gl[np.arange(len(targets)), targets] = 0.0 - g_row
-    gl = gl + g_row[:, None] * np.exp(logits - lse[:, None])
+    gl = gl + g_row * np.exp(logits - lse[:, None])
     return ((0, gl / scale),
             (1, sign * (-np.add.reduce(gl * u, axis=None) / (scale * scale))))
 
@@ -616,7 +574,7 @@ def _cosine_cross_entropy(a, b, tau, aux):
     # product, outer product of the norms and division, then the row above
     targets, na, nb = aux
     dots = _dot(a, b)
-    o = np.outer(na, nb)
+    o = na[:, None] * nb
     sims = dots / o
     value, saved = _cross_entropy(sims, tau, (targets, 1.0))
     return value, (dots, o, sims, saved)
@@ -641,10 +599,10 @@ def _cone_hinge(angles, aperture, margin):
     # spelled-out loss records, in its order
     n = len(aperture)
     eye = np.eye(n)
-    s1 = angles - np.outer(aperture, np.ones(n))
-    outside = hinge(s1)
+    s1 = angles - aperture[:, None]
+    outside = np.maximum(s1, 0.0)
     s2 = margin - outside
-    terms = outside * eye + hinge(s2) * (1.0 - eye)
+    terms = outside * eye + np.maximum(s2, 0.0) * (1.0 - eye)
     return np.add.reduce(terms, axis=None) / np.float64(n), (eye, s1, s2)
 
 
@@ -654,7 +612,7 @@ def _cone_hinge_vjp(g, ans, saved, angles, aperture, margin):
     # the spelled-out adjoints in backward order: the mean, the sum, the
     # margin hinge, then the diagonal; the outside hinge, then the angles
     # and the aperture broadcast across each row
-    gt = np.full(s1.shape, g / np.float64(n))
+    gt = g / np.float64(n)
     g_out = -(gt * (1.0 - eye) * (s2 > 0.0)) + gt * eye
     g_s1 = g_out * (s1 > 0.0)
     return (0, g_s1), (1, (-g_s1) @ np.ones(n))
@@ -669,8 +627,7 @@ def _smooth_l1_loss(pred, gt, aux):
 
 
 def _smooth_l1_loss_vjp(g, ans, diff, pred, gt, aux):
-    gd = (np.full(diff.shape, g / np.float64(diff.size))
-          * _smooth_l1_slope(diff))
+    gd = g / np.float64(diff.size) * _smooth_l1_slope(diff)
     return (0, gd), (1, -gd)
 
 
@@ -696,8 +653,8 @@ def _weighted_total_vjp(g, ans, saved, *args):
 def _residual_mlp(a, b, w1, b1, w2, b2, aux):
     # x + tanh(x w1 + b1) w2 + b2 with x = a + b, biases on every row
     x = a + b
-    hidden = tanh(matmul(x, w1) + b1)
-    return x + matmul(hidden, w2) + b2, (x, hidden)
+    hidden = np.tanh(x @ w1 + b1)
+    return x + hidden @ w2 + b2, (x, hidden)
 
 
 def _residual_mlp_vjp(g, ans, saved, a, b, w1, b1, w2, b2, aux):
@@ -719,12 +676,12 @@ def _box_head(x, w, b, eps):
     # u = eps + (1 - 2 eps) sigmoid(x w + b) per row, read as a start u[:2]
     # and a size u[2:]: (x1, y1) = start (1 - size), (x2, y2) = (x1, y1) +
     # size.  Each step is the op the spelled-out head records, in its order
-    s = sigmoid(matmul(x, w) + b)
+    s = 1.0 / (1.0 + np.exp(-(x @ w + b)))
     u = s * (1.0 - 2.0 * eps) + eps
-    size, start = cols(u, 2, 4), cols(u, 0, 2)
+    size, start = u[:, 2:4], u[:, 0:2]
     rest = 1.0 - size
     near = start * rest
-    return (matmul(near, _NEAR_CORNER) + matmul(near + size, _FAR_CORNER),
+    return (near @ _NEAR_CORNER + (near + size) @ _FAR_CORNER,
             (s, start, rest))
 
 
@@ -838,22 +795,6 @@ residual_mlp = _composite("residual_mlp", _residual_mlp, _residual_mlp_vjp)
 # the margin eps that keeps every box's width and height above zero
 box_head = _composite("box_head", _box_head, _box_head_vjp)
 
-_OP_NAMES = [row.name for row in _OPS]
-_BACKWARDS = [row.backward for row in _OPS]
-
-
-def clamp_min(a, lo):
-    return _apply(_CLAMP_MIN, a, float(lo))
-
-
-def clamp_max(a, hi):
-    return _apply(_CLAMP_MAX, a, float(hi))
-
-
-def hinge(a):
-    """max(0, a); subgradient 0 at the kink."""
-    return _apply(_HINGE, a, 0.0)
-
 
 def indices(idx, what: str) -> np.ndarray:
     """An array of integer indices as intp.  A whole number in a float
@@ -871,15 +812,6 @@ def indices(idx, what: str) -> np.ndarray:
     return idx.astype(np.intp, copy=False)
 
 
-def pick(m, idx: Sequence[int]):
-    """Entry ``idx[i]`` of row i of matrix ``m``, for every row: a vector."""
-    cols = indices(idx, "pick column")
-    rows = val(m).shape[0]
-    if cols.shape != (rows,):
-        raise ValueError(f"pick needs one column index per row ({rows})")
-    return _apply(_PICK, m, (np.arange(rows), cols))
-
-
 def take_row(m, i: Sequence[int]):
     """The rows of a matrix at a non-empty sequence of indices, as a matrix
     (an index may repeat)."""
@@ -891,24 +823,21 @@ def take_row(m, i: Sequence[int]):
     return _apply(_TAKE_ROW, m, i)
 
 
-def cols(m, a: int, b: int):
-    """Column slice of a matrix."""
-    return _apply(_COLS, m, slice(int(a), int(b)))
-
-
 # ---------------------------------------------------------------------------
 # backward
 
 
-def backward(tape: Tape, output: Var) -> GradientMap:
+def backward(tape: Tape, output: Var) -> np.ndarray:
     """Reverse-accumulate d(output)/d(leaf) for every named leaf.
 
     The traversal order is fixed (reverse node order), so two backward
     passes over the same tape produce bit-identical gradients.  Raises if
     the output is not a scalar recorded on this tape, or if a gradient is
     not finite; that error names the node, by index and row, whose VJP
-    first turned a finite adjoint into non-finite ones.  Two leaves may be
-    handed the same gradient array: treat the arrays as read-only.
+    first turned a finite adjoint into non-finite ones.  Returns one new
+    vector, the gradients flattened and laid end to end in the order their
+    leaves were named (``tape.names``), the one array its finiteness check
+    reads.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise ValueError("output is not a node of this tape")
@@ -927,14 +856,13 @@ def backward(tape: Tape, output: Var) -> GradientMap:
         opcode, inputs, aux = ops[i]
         if opcode:   # leaves, opcode 0, have no operands
             table[opcode](g, values[i], inputs, aux, values, adj, owned)
-    grads: GradientMap = {
-        name: np.zeros_like(values[j]) if adj[j] is None else adj[j]
-        for name, j in tape.names.items()}
+    grads = [np.zeros_like(values[j]) if adj[j] is None else adj[j]
+             for j in tape.names.values()]
     # one check over every gradient at once; only a failure walks the tape
-    if grads and not np.isfinite(np.concatenate(list(grads.values()),
-                                                axis=None)).all():
+    vector = np.concatenate(grads, axis=None) if grads else np.empty(0)
+    if not np.isfinite(vector).all():
         raise ArithmeticError(_non_finite_origin(tape, output))
-    return grads
+    return vector
 
 
 def _non_finite_origin(tape: Tape, output: Var) -> str:

@@ -83,15 +83,17 @@ def cross_modal_attention(visual, text, owner: Sequence[int],
         raise ValueError(f"attention takes n x {d} visual rows and L x {d} "
                          f"text rows, got shapes {vis_shape} and "
                          f"{text_shape}")
+    n, length = vis_shape[0], text_shape[0]
     owner = ad.indices(owner, "owner")
-    own = owner.ravel()[None, :] == np.arange(vis_shape[0])[:, None]
-    if (owner.shape != (text_shape[0],) or not own.any(axis=0).all()
-            or not own.any(axis=1).all()):
+    if (owner.shape != (length,) or not ((owner >= 0) & (owner < n)).all()
+            or not np.bincount(owner, minlength=n).all()):
         raise ValueError("each text row needs an owner visual row, and each "
                          "visual row at least one text row")
+    # 0 on each visual row's own tokens, -inf elsewhere
+    mask = np.full((n, length), -np.inf)
+    mask[owner, np.arange(length)] = 0.0
     return ad.attention(visual, text, weights.w_q, weights.w_k, weights.w_v,
-                        weights.w_out,
-                        aux=(np.where(own, 0.0, -np.inf), weights.head_count))
+                        weights.w_out, aux=(mask, weights.head_count))
 
 
 def encode_boxes(corners: np.ndarray, d: int) -> tuple:

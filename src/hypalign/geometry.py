@@ -85,13 +85,14 @@ class LorentzPoint:
         self._place(space, curvature)
 
     def _place(self, space, curvature):
-        # curvature and row shape already checked (a lift keeps the shape)
-        sv = val(space)
+        # curvature and row shape already checked (a lift keeps the shape);
+        # plain rows are kept as a float64 array
+        sv = ad._num(val(space))
         if not np.isfinite(sv).all():
             raise ValueError("non-finite spatial coordinates")
-        self.space = space
+        self.space = space if isinstance(space, ad.Var) else sv
         self.curvature = curvature
-        self.space_norm = ad.norm(sv)
+        self.space_norm = ad._norm(sv)
         # time = sqrt(1/C + ||space||^2) >= 1/sqrt(C)
         self.time = np.sqrt(1.0 / val(curvature)
                             + self.space_norm * self.space_norm)
@@ -129,8 +130,7 @@ def _inner(u: LorentzPoint, v: LorentzPoint) -> np.ndarray:
     every row pair, as a plain n x m matrix, for rows on a tape too: the
     distance and cone rows differentiate through it."""
     _same_curvature(u, v)
-    return ad.sub(ad.dot(val(u.space), val(v.space)),
-                  ad.outer(u.time, v.time))
+    return ad._dot(val(u.space), val(v.space)) - u.time[:, None] * v.time
 
 
 def lorentz_distance(u: LorentzPoint, v: LorentzPoint):

@@ -84,22 +84,24 @@ def _tau(tau):
     return tau
 
 
-def _row_norms(rows, what: str):
-    norms = ad.norm(rows)
-    if not val(norms).all():
-        zero = np.flatnonzero(val(norms) == 0.0)
+def _row_norms(rows: np.ndarray, what: str) -> np.ndarray:
+    norms = ad._norm(ad._num(rows))
+    if not norms.all():
+        zero = np.flatnonzero(norms == 0.0)
         raise ValueError(f"zero-norm {what} {zero[0]}: cosine undefined")
     return norms
 
 
-def pairwise_cosine(a, b, what_a: str, what_b: str):
-    """Cosine similarity of every row of ``a`` with every row of ``b``.
+def pairwise_cosine(a: np.ndarray, b: np.ndarray, what_a: str,
+                    what_b: str) -> np.ndarray:
+    """Cosine similarity of every row of the matrix ``a`` with every row of
+    ``b``.
 
     A zero row has no direction and is rejected, naming it as
     ``{what} {index}``.
     """
-    return ad.div(ad.dot(a, b), ad.outer(_row_norms(a, what_a),
-                                         _row_norms(b, what_b)))
+    return ad._dot(a, b) / (_row_norms(a, what_a)[:, None]
+                            * _row_norms(b, what_b))
 
 
 def _cosine_cross_entropy(a, b, tau, targets: np.ndarray, what_a: str,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -207,7 +208,9 @@ class _Layout:
     def flatten(self, map_name: str, values: Mapping) -> np.ndarray:
         """``values`` laid end to end in a new vector.  Raises naming
         ``map_name`` and the parameter if a name is missing or unexpected,
-        a shape differs or an entry is not finite."""
+        an entry is not a number (a string, a boolean or null), a shape
+        differs or an entry is not finite.  A boolean among numbers is
+        read as one: the check is of an array's type, not of each entry."""
         if values.keys() != self.cuts.keys():
             missing = sorted(self.cuts.keys() - values.keys())
             extra = sorted(values.keys() - self.cuts.keys())
@@ -215,7 +218,10 @@ class _Layout:
                 f"{map_name}: missing {missing}, unexpected {extra}")
         flat = np.empty(self.size)
         for name, (where, shape) in self.cuts.items():
-            value = np.asarray(values[name], dtype=np.float64)
+            value = np.asarray(values[name])
+            if value.dtype.kind not in "iuf":
+                raise ValueError(f"{map_name}.{name}: expected numbers, got "
+                                 f"{reprlib.repr(values[name])}")
             if value.shape != shape:
                 raise ValueError(f"{map_name}.{name}: shape {value.shape}, "
                                  f"expected {shape}")
@@ -255,10 +261,11 @@ class ModelState:
 
     The parameters and the two Adam moments are one float64 vector each,
     ``vectors`` = (params, adam_m, adam_v), laid out by ``layout``.  The
-    maps ``params``, ``adam_m`` and ``adam_v`` are read-only views into
-    them, one array per parameter name: an edit of an array in place is an
-    edit of its vector, but no entry can be replaced or added, so no map
-    disagrees with its vector.  To change an entry, make a new state.
+    maps ``params``, ``adam_m`` and ``adam_v`` are made when read, each a
+    read-only map of views into its vector, one array per parameter name:
+    an edit of an array in place is an edit of its vector, but no entry
+    can be replaced or added, so no map disagrees with its vector.  To
+    change an entry, make a new state.
 
     This constructor makes every state from its maps (``init``,
     ``state_from_json`` and a replacement by ``dataclasses.replace``): it
@@ -283,24 +290,26 @@ class ModelState:
 
     def __post_init__(self):
         layout = _Layout(self.config.d, _vocab_size(self.tree, self.synonyms))
-        vectors = tuple(layout.flatten(name, getattr(self, name))
+        # the maps given are laid out in vectors and dropped, so that a read
+        # of one reaches __getattr__; the fields a frozen dataclass derives
+        # go past its __setattr__
+        vectors = tuple(layout.flatten(name, self.__dict__.pop(name))
                         for name in _MAPS)
-        # the fields a frozen dataclass derives go past its __setattr__
         self.__dict__.update(
-            _over(layout, vectors), layout=layout,
+            layout=layout, vectors=vectors,
             leaf_ids=np.asarray(self.tree.leaves(), dtype=np.intp))
+
+    def __getattr__(self, name: str):
+        # only a name that no attribute holds gets here: a map, made anew
+        if name in _MAPS:
+            return self.layout.views(self.vectors[_MAPS.index(name)])
+        raise AttributeError(name)
 
     def _stepped(self, vectors: tuple, adam_t: int) -> ModelState:
         """This model at ``adam_t`` over a step's new vectors."""
         new = object.__new__(ModelState)
-        new.__dict__.update(self.__dict__, adam_t=adam_t,
-                            **_over(self.layout, vectors))
+        new.__dict__.update(self.__dict__, adam_t=adam_t, vectors=vectors)
         return new
-
-
-def _over(layout: _Layout, vectors: tuple) -> dict:
-    """The fields of a state over ``vectors``: them and their maps."""
-    return dict(zip(_MAPS, map(layout.views, vectors)), vectors=vectors)
 
 
 def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
@@ -480,11 +489,13 @@ def step(state: ModelState, records) -> tuple:
     value, m_prev, v_prev = state.vectors
     layout.check_finite(value)
     tape = ad.Tape()
-    leaves = {name: tape.leaf(v, name, check=False)
-              for name, v in state.params.items()}
+    leaves = {name: tape.leaf(value[where].reshape(shape), name, check=False)
+              for name, (where, shape) in layout.cuts.items()}
     report = _batch_losses(_Forward(leaves, check=False), records, config,
                            state.leaf_ids)
-    grads = ad.backward(tape, report.total)
+    # the leaves were named in layout order: the gradient is laid out as
+    # the vectors are
+    g = ad.backward(tape, report.total)
 
     t = state.adam_t + 1
     warmup = max(1, math.ceil(WARMUP_FRACTION * config.steps))
@@ -499,7 +510,6 @@ def step(state: ModelState, records) -> tuple:
     b2c = 1.0 - ADAM_BETA2 ** t
     # the moments and lr_t (m / b1c) / (sqrt(v / b2c) + eps), each product
     # and sum as written, in buffers of their own
-    g = np.concatenate([grads[name] for name in layout.cuts], axis=None)
     m = ADAM_BETA1 * m_prev
     m += (1.0 - ADAM_BETA1) * g
     v = g * g

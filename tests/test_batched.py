@@ -74,8 +74,14 @@ def m_aperture(p, c, k=geo.APERTURE_K):
 def m_angle(p, q, c):
     ci = c * m_inner(p, q)
     n = math.sqrt(sum(s * s for s in p[0]))
-    cos = (q[1] + p[1] * ci) / (n * math.sqrt(ci * ci - 1.0))
-    return math.acos(min(max(cos, -1.0), 1.0))
+    root = math.sqrt(ci * ci - 1.0)
+    cos = (q[1] + p[1] * ci) / (n * root)
+    # the sine, sqrt(C) |q_space orthogonal to p_space| / root, keeps atan2
+    # well-conditioned at an angle near 0 or pi (collinear rows), where
+    # acos would magnify the rounding of cos past the tolerance
+    along = sum(a * b for a, b in zip(p[0], q[0])) / (n * n)
+    perp = math.sqrt(sum((b - along * a) ** 2 for a, b in zip(p[0], q[0])))
+    return math.atan2(math.sqrt(c) * perp / root, cos)
 
 
 def loop_hyperbolic_contrastive(v_rows, c_rows, c, tau):

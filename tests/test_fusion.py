@@ -12,6 +12,8 @@ from hypalign import geometry as geo
 from hypalign import objectives as obj
 from hypalign.autodiff import val
 
+import reference_ops as ref
+
 
 def zero_mlp(d):
     """The exact identity of ``fuse``: a zero residual branch."""
@@ -104,6 +106,10 @@ def test_attention_rejects_empty_text():
     with pytest.raises(ValueError, match="owner"):
         fu.cross_modal_attention(rng.normal(size=(1, 8)),
                                  rng.normal(size=(1, 8)), 0, w)
+    # a negative owner names no visual row, though each row has a token
+    with pytest.raises(ValueError, match="owner"):
+        fu.cross_modal_attention(rng.normal(size=(2, 8)),
+                                 rng.normal(size=(3, 8)), [0, -1, 1], w)
 
 
 def test_attention_weights_validation():
@@ -161,10 +167,10 @@ def reference_attention(visual, text, owner, weights):
     out = None
     for h in range(weights.head_count):
         lo, hi = h * hd, (h + 1) * hd
-        scores = ad.mul(ad.dot(ad.cols(q, lo, hi), ad.cols(keys, lo, hi)),
-                        1.0 / math.sqrt(dh))
-        attn = ad.softmax(ad.add(scores, mask))
-        head = ad.matmul(ad.matmul(attn, ad.cols(values, lo, hi)),
+        scores = ref.mul(ref.dot(ref.cols(q, lo, hi), ref.cols(keys, lo, hi)),
+                         1.0 / math.sqrt(dh))
+        attn = ref.softmax(ad.add(scores, mask))
+        head = ad.matmul(ad.matmul(attn, ref.cols(values, lo, hi)),
                          ad.take_row(weights.w_out, range(lo, hi)))
         out = head if out is None else ad.add(out, head)
     return out
@@ -200,8 +206,8 @@ def test_attention_row_keeps_the_per_head_bits(heads, tokens_per_row):
         tape = ad.Tape()
         out = run(attention, {k: tape.leaf(v, name=k)
                               for k, v in params.items()})
-        results.append((val(out), ad.backward(
-            tape, ad.sum(ad.mul(out, out_weights)))))
+        results.append((val(out), ref.gradients(
+            tape, ref.sum(ref.mul(out, out_weights)))))
     (value, grads), (want_value, want_grads) = results
     assert value.tobytes() == want_value.tobytes() == got.tobytes()
     for name in params:
@@ -406,7 +412,7 @@ def test_full_fusion_path_gradients():
 
     tape = ad.Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
-    grads = ad.backward(tape, build(leaves))
+    grads = ref.gradients(tape, build(leaves))
     fd = ad.finite_diff(lambda p: float(val(build(p))), params)
     for name in params:
         # atol floor covers components below what central differences with

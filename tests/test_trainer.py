@@ -16,6 +16,8 @@ from hypalign.datasynth import Corpus
 from hypalign.geometry import (exp_map_origin, exterior_angle, half_aperture,
                                lorentz_distance)
 
+import reference_ops as ref
+
 
 def tiny_config(**kw):
     # 16 scenes so the seed-stable hash yields a held-out scene (id 15)
@@ -241,8 +243,10 @@ def test_flat_update_matches_the_per_parameter_loop_bit_for_bit(
     backward = ad.backward
 
     def recording_backward(tape, output):
-        seen.append(backward(tape, output))
-        return seen[-1]
+        # the step reads the vector; the reference loop, the map by name
+        vector = backward(tape, output)
+        seen.append(ref.split(tape, vector))
+        return vector
 
     monkeypatch.setattr(ad, "backward", recording_backward)
     for t in range(12):
@@ -284,13 +288,19 @@ def test_backward_reads_stored_outputs(corpus, monkeypatch):
     cfg, tree, syn, records = corpus
     calls = {"forward": 0, "backward": 0}
     phase = ["forward"]
-    for name in ("norm", "softmax", "logsumexp", "exp", "tanh", "sigmoid"):
-        row = ad._OPS[ad._OP_NAMES.index(name)]
 
-        def counted(*args, _kernel=row.kernel):
+    def counted(kernel):
+        def call(*args):
             calls[phase[0]] += 1
-            return _kernel(*args)
-        monkeypatch.setattr(row, "kernel", counted)
+            return kernel(*args)
+        return call
+
+    # every row's kernel, and the helpers the kernels call for a value
+    for row in ad._OPS:
+        if row.kernel is not None:
+            monkeypatch.setattr(row, "kernel", counted(row.kernel))
+    for name in ("_norm", "_dot", "_logsumexp", "_sinhc"):
+        monkeypatch.setattr(ad, name, counted(getattr(ad, name)))
     backward = ad.backward
 
     def phased_backward(tape, output):
@@ -629,6 +639,28 @@ def test_state_file_config_and_step_checked_at_load(tmp_path, corpus, edit,
     tr.save_state(path, tr.init(cfg, tree, syn))
     data = json.loads(path.read_text())
     edit(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tr.state_from_json(data)
+
+
+@pytest.mark.parametrize("field, name, value, message", [
+    ("params", "log_tau", "0.5",
+     "params.log_tau: expected numbers, got '0.5'"),
+    ("params", "curv_raw", True,
+     "params.curv_raw: expected numbers, got True"),
+    ("adam_m", "box_b", [True, False, "1", 0],
+     "adam_m.box_b: expected numbers, got [True, False, '1', 0]"),
+    ("adam_v", "log_tau", None, "adam_v.log_tau: expected numbers, got None"),
+])
+def test_state_file_entries_must_be_numbers(tmp_path, corpus, field, name,
+                                            value, message):
+    # a string, a boolean or null is rejected, not read as a number (or,
+    # for null, as NaN)
+    cfg, tree, syn, _ = corpus
+    path = tmp_path / "state.json"
+    tr.save_state(path, tr.init(cfg, tree, syn))
+    data = json.loads(path.read_text())
+    data[field][name] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         tr.state_from_json(data)
 
