@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap,
+from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap, _object,
                         caption_noise_metric, grid_sample, json_line,
-                        proposal_sample, read_corpus, write_corpus,
-                        write_lines)
+                        load_json, proposal_sample, read_corpus,
+                        write_corpus, write_lines)
 from .trainer import (ExperimentConfig, _vocab_size, check_true_objects,
                       default_corpus, embed_records, evaluate_retrieval,
                       export_embeddings, hierarchy_report, load_state,
@@ -96,8 +96,7 @@ def _emit(payload: dict) -> None:
 
 def _load_corpus(config: ExperimentConfig):
     records = read_corpus(config.corpus_path)
-    with open(config.synonyms_path, encoding="utf-8") as fh:
-        synonyms = SynonymMap.from_json(json.load(fh))
+    synonyms = SynonymMap.from_json(load_json(config.synonyms_path))
     return records, synonyms
 
 
@@ -106,8 +105,9 @@ def _load_artifacts(config: ExperimentConfig, state=None):
     of ``state``, or of a model built from this tree and these synonyms, and
     true objects must be leaves of that model's tree."""
     records, synonyms = _load_corpus(config)
-    with open(config.meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _object(load_json(config.meta_path), config.meta_path)
+    if "tree" not in meta:
+        raise ValueError(f"{config.meta_path}: tree: missing")
     tree = ConceptTree.from_json(meta["tree"])
     model_tree, model_synonyms = ((tree, synonyms) if state is None
                                   else (state.tree, state.synonyms))

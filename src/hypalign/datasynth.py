@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional
 
 import numpy as np
+import orjson
 
 DEFAULT_GRID_K = 3
 DEFAULT_NMS_THRESHOLD = 0.5
@@ -241,7 +243,12 @@ class ConceptTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConceptTree":
-        return cls(root=int(data["root"]), children=data["children"])
+        """The tree of a ``to_json`` object; an input of another shape
+        raises naming the field, e.g. ``tree.children.3: expected a list,
+        got 5``."""
+        _exact_fields(_object(data, "tree"), ("root", "children"), "tree.")
+        return cls(root=int(data["root"]),
+                   children=_lists(data["children"], "tree.children"))
 
 
 @dataclass(frozen=True)
@@ -278,7 +285,39 @@ class SynonymMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "SynonymMap":
-        return cls(forms={int(k): v for k, v in data.items()})
+        """The map of a ``to_json`` object; an input of another shape
+        raises naming the field, e.g. ``synonyms.5: expected a list, got
+        3``."""
+        return cls(forms={int(k): v for k, v in
+                          _lists(data, "synonyms").items()})
+
+
+def _object(value, name: str) -> dict:
+    """``value`` if it is a JSON object, else a ``ValueError`` naming
+    ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name}: expected an object, got "
+                         f"{reprlib.repr(value)}")
+    return value
+
+
+def _exact_fields(value: dict, names, where: str = "") -> None:
+    """Raise unless the object ``value`` has exactly the fields ``names``,
+    naming the first that differs: ``{where}{field}: missing`` or
+    ``unknown field``."""
+    for name in sorted(value.keys() ^ set(names)):
+        raise ValueError(f"{where}{name}: " + ("missing" if name in names
+                                               else "unknown field"))
+
+
+def _lists(value, name: str) -> dict:
+    """``value`` if it is a JSON object of lists, else a ``ValueError``
+    naming ``name`` or the entry."""
+    for key, entry in _object(value, name).items():
+        if not isinstance(entry, list):
+            raise ValueError(f"{name}.{key}: expected a list, got "
+                             f"{reprlib.repr(entry)}")
+    return value
 
 
 def default_synonyms(tree: ConceptTree) -> SynonymMap:
@@ -688,6 +727,74 @@ def json_line(payload) -> str:
     return _ENCODER.encode(payload)
 
 
+#: ``bytes.translate`` tables of :func:`read_json`'s guard: every digit to
+#: "0", "." kept and every other byte to a space; the braces to brackets,
+#: with every byte deleted but brackets, quotes and backslashes
+_DIGIT_RUNS = bytes(48 if 48 <= i <= 57 else 46 if i == 46 else 32
+                    for i in range(256))
+_BRACKETS = bytes.maketrans(b"{}", b"[]")
+_NOT_NESTING = bytes(set(range(256)) - set(b'[]{}"\\'))
+#: an integer literal this long may lie outside orjson's 64-bit range
+_LONG_INT = b"0" * 19
+#: a text may nest this deep and still be read by orjson: json raises
+#: RecursionError only near the interpreter's recursion limit (1000)
+_MAX_DEPTH = 64
+
+
+def read_json(text: str):
+    """``json.loads(text)``: the same value, or the same error.
+
+    The text is parsed by orjson, which is several times faster, except
+    where orjson's answer would differ, which goes to ``json``:
+    - orjson reads an integer outside [-2**63, 2**64) as a float, so a run
+      of 19 or more digits that no "." precedes goes to ``json``;
+    - orjson reads any depth of nesting, where ``json`` raises
+      RecursionError, so a text that may nest deeper than ``_MAX_DEPTH``
+      goes to ``json``: one that does, and one with a string that holds a
+      bracket, a quote or a backslash, whose depth the guard cannot see;
+    - orjson rejects NaN, Infinity, numbers out of float range and lone
+      surrogates, which ``json`` reads, so a text orjson rejects goes to
+      ``json`` (which also raises its own error for text that is not
+      JSON).
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    if _orjson_reads_as_json(data):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
+def _orjson_reads_as_json(data: bytes) -> bool:
+    """Whether the JSON text ``data`` holds no long integer literal and
+    nests at most ``_MAX_DEPTH`` deep, with no bracket, quote or backslash
+    in a string."""
+    digits = data.translate(_DIGIT_RUNS)
+    if digits.startswith(_LONG_INT) or b" " + _LONG_INT in digits:
+        return False
+    del digits
+    # the brackets outside strings; each pass drops the innermost pairs
+    nesting = data.translate(_BRACKETS, _NOT_NESTING).replace(b'""', b"")
+    for _ in range(_MAX_DEPTH + 1):
+        shallower = nesting.replace(b"[]", b"")
+        if shallower == nesting:
+            return not nesting
+        nesting = shallower
+    return False
+
+
+def load_json(path):
+    """The JSON value in the file at ``path`` (:func:`read_json`); text
+    that is not JSON raises ``{path}: invalid JSON: ...``."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return read_json(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{os.fspath(path)}: invalid JSON: {exc}") from None
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each line and a newline to ``path``, atomically.
 
@@ -747,7 +854,7 @@ def read_corpus(path) -> Corpus:
     with open(path, encoding="utf-8") as fh:
         lines = list(filter(str.strip, fh.read().split("\n")))
     try:
-        rows = json.loads("[" + ",".join(lines) + "]")
+        rows = read_json("[" + ",".join(lines) + "]")
     except json.JSONDecodeError:
         rows = None
     if rows is None or len(rows) != len(lines):

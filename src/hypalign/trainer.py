@@ -18,7 +18,6 @@ and all metric computations.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import reprlib
 from collections.abc import Mapping
@@ -31,8 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasynth import (ConceptTree, Corpus, IdLists, SynonymMap,
-                        caption_noise_metric, default_synonyms, json_line,
-                        synth_corpus, write_lines)
+                        _exact_fields, _object, caption_noise_metric,
+                        default_synonyms, json_line, load_json, synth_corpus,
+                        write_lines)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
                      encode_boxes, fuse, positional_encode)
 from .geometry import (APERTURE_K, cone_contains, exp_map_origin,
@@ -693,9 +693,7 @@ def _config_from_json(data: dict) -> ExperimentConfig:
     """A state file's config: every field, of its default's type (a bool
     is no number; an integer may stand for a float)."""
     kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-    for name in sorted(kinds.keys() ^ data.keys()):
-        raise ValueError(f"config.{name}: " + ("missing" if name in kinds
-                                               else "unknown field"))
+    _exact_fields(_object(data, "config"), kinds, "config.")
     for name, kind in kinds.items():
         if type(data[name]) not in ((int, kind) if kind is float else (kind,)):
             raise ValueError(f"config.{name}: expected {kind.__name__}, "
@@ -705,6 +703,13 @@ def _config_from_json(data: dict) -> ExperimentConfig:
 
 
 def state_from_json(data: dict) -> ModelState:
+    """The state of a ``state_to_json`` object.  An input of another
+    shape raises naming the field, e.g. ``adam_t: missing`` or ``params:
+    expected an object, got [1]``."""
+    _exact_fields(_object(data, "state"), ("config", "tree", "synonyms",
+                                           "adam_t") + _MAPS)
+    for name in _MAPS:
+        _object(data[name], name)
     config = _config_from_json(data["config"])
     adam_t = data["adam_t"]
     if type(adam_t) is not int or adam_t < 0:
@@ -719,8 +724,7 @@ def save_state(path, state: ModelState) -> None:
 
 
 def load_state(path) -> ModelState:
-    with open(path, encoding="utf-8") as fh:
-        return state_from_json(json.load(fh))
+    return state_from_json(load_json(path))
 
 
 def export_embeddings(state: ModelState, records: Corpus) -> list:

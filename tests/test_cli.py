@@ -379,3 +379,33 @@ def test_non_finite_state_numbers_are_rejected_at_load(tmp_path, capsys,
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == (
         f"ValueError: {field}.{name}: non-finite entries")
+
+
+_NOT_JSON = ("{path}: invalid JSON: Expecting property name enclosed in "
+             "double quotes: line 1 column 2 (char 1)")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("state.json", "[1]", "state: expected an object, got [1]"),
+    ("state.json", "{", _NOT_JSON),
+    ("synonyms.json", "[1]", "synonyms: expected an object, got [1]"),
+    ("synonyms.json", '{"5": 3}', "synonyms.5: expected a list, got 3"),
+    ("synonyms.json", "{", _NOT_JSON),
+    ("meta.json", "[1]", "{path}: expected an object, got [1]"),
+    ("meta.json", '{"v": "v1"}', "{path}: tree: missing"),
+    ("meta.json", '{"tree": {"root": 0, "children": [1]}}',
+     "tree.children: expected an object, got [1]"),
+    ("meta.json", "{", _NOT_JSON),
+])
+def test_malformed_json_files_are_named_at_load(tmp_path, capsys, name,
+                                                text, message):
+    # each was a TypeError, KeyError, AttributeError or a JSONDecodeError
+    # that named neither the file nor the field
+    assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
+    assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
+    capsys.readouterr()
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli(flag_fix(["eval"] + train_args(tmp_path))) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError: " + message.format(path=path)

@@ -499,6 +499,76 @@ def test_ids_and_scenes_must_be_json_integers(tmp_path, field, value):
         ds.read_corpus(path)
 
 
+def _corpus_text(tmp_path):
+    _, lines = _generated_lines(tmp_path)
+    return "[" + ",".join(lines) + "]"
+
+
+def _state_text(tmp_path):
+    from hypalign import trainer as tr
+    config = tr.ExperimentConfig(d=8, batch=4, steps=3, eval_every=3,
+                                 scenes=16, categories=2,
+                                 leaves_per_category=2)
+    state, _ = tr.train(config)
+    return ds.json_line(tr.state_to_json(state))
+
+
+#: texts that json reads one way and orjson another, or only one of them
+#: reads, and the files this package writes
+JSON_TEXTS = {
+    "corpus": _corpus_text,
+    "state": _state_text,
+    "nan": "[1.5, NaN]",
+    "infinity": '{"a": Infinity}',
+    "-infinity": "[-Infinity]",
+    "1e400": "[1e400]",
+    "1e-400": "[1e-400]",
+    "2**63-1": str(2**63 - 1),
+    "2**63": f"[{2**63}]",
+    "2**64": f'{{"a": [0.5, {2**64}]}}',
+    "-2**63-1": f"[{-2**63 - 1}]",
+    "25-digit": "[" + "1234567890" * 2 + "12345]",
+    "19-fraction-digits": "[-0.0022839923002638268]",
+    "lone-surrogate": '["\\ud800"]',
+    "duplicate-keys": '{"b": 1, "a": 2, "b": 3}',
+    "bom": '\ufeff{"a": 1}',
+    "truncated": '{"a": [1, 2',
+    "64-deep": "[" * 64 + "]" * 64,
+    "65-deep": "[" * 65 + "]" * 65,
+    "5000-deep": "[" * 5000 + "]" * 5000,
+    "bracket-in-a-string": '{"a]": [[1]]}',
+    # a string's bracket closes each level, so its brackets alone nest 1 deep
+    "5000-deep-behind-strings": '["]", ' * 5000 + "1" + ', "["]' * 5000,
+}
+
+
+def _parsed(parse, text: str) -> str:
+    """``repr`` of what ``parse`` returns, so int and float differ, or the
+    type and message of what it raises."""
+    try:
+        return repr(parse(text))
+    except (ValueError, RecursionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", JSON_TEXTS)
+def test_read_json_gives_json_loads_values_and_errors(tmp_path, name):
+    text = JSON_TEXTS[name]
+    if callable(text):
+        text = text(tmp_path)
+    assert _parsed(ds.read_json, text) == _parsed(json.loads, text)
+
+
+def test_read_json_parses_written_files_without_json(tmp_path, monkeypatch):
+    corpus, state = _corpus_text(tmp_path), _state_text(tmp_path)
+
+    def unused(text):
+        raise AssertionError("json.loads was called")
+    monkeypatch.setattr(json, "loads", unused)
+    assert ds.read_json(corpus)[0]["v"] == ds.SCHEMA_VERSION
+    assert ds.read_json(state)["adam_t"] == 3
+
+
 def test_write_corpus_is_atomic(tmp_path):
     path = tmp_path / "corpus.jsonl"
     ds.write_corpus(path, corpus(([4], [4], [])))

@@ -117,3 +117,67 @@ def test_a_local_of_the_same_name_is_no_use():
         ROWS = take(pick([[1.0]], 0))
         """)
     assert unused_public_names({"mod.py": source}) == ["mod.py:cols"]
+
+
+#: The calls that parse JSON, by module and top-level definition:
+#: ``read_json`` (orjson, and json where orjson's answer would differ) and
+#: ``read_corpus``'s line-by-line scan of a file it failed to parse.
+JSON_PARSES = [("datasynth.py", "read_corpus", "json.loads"),
+               ("datasynth.py", "read_json", "json.loads"),
+               ("datasynth.py", "read_json", "orjson.loads")]
+
+_PARSERS = {"json": {"load", "loads"}, "orjson": {"loads"}}
+
+
+def json_parses(sources: dict) -> list:
+    """``(file, definition, call)`` of every call of ``json.load``,
+    ``json.loads`` or ``orjson.loads`` in the given module sources, and of
+    every import that would hide one: ``from json import loads`` or
+    ``import json as j``."""
+    found = []
+    for file, text in sorted(sources.items()):
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.attr in _PARSERS.get(
+                            node.func.value.id, ())):
+                    found.append((file, owner,
+                                  f"{node.func.value.id}.{node.func.attr}"))
+                elif isinstance(node, ast.ImportFrom) and node.module in (
+                        _PARSERS):
+                    found += [(file, owner, f"from {node.module} import "
+                               f"{alias.name}") for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    found += [(file, owner, f"import {alias.name} as "
+                               f"{alias.asname}") for alias in node.names
+                              if alias.name in _PARSERS and alias.asname]
+    return sorted(found)
+
+
+def test_json_is_parsed_only_by_read_json():
+    found = json_parses({path.name: path.read_text()
+                         for path in SRC.glob("*.py")})
+    assert found == JSON_PARSES
+
+
+def test_json_parses_sees_every_route_to_a_parser():
+    source = textwrap.dedent("""
+        import json
+        import orjson as fast
+        from json import load
+
+        def read(fh, text):
+            return json.load(fh), json.loads(text), json.dumps(text)
+
+        class Reader:
+            def read(self, text):
+                return orjson.loads(text)
+        """)
+    assert json_parses({"mod.py": source}) == [
+        ("mod.py", "<module>", "from json import load"),
+        ("mod.py", "<module>", "import orjson as fast"),
+        ("mod.py", "Reader", "orjson.loads"),
+        ("mod.py", "read", "json.load"), ("mod.py", "read", "json.loads")]

@@ -631,6 +631,22 @@ def test_state_file_shapes_checked_at_load(tmp_path, corpus):
     (lambda d: d.update(adam_t=2.7), "adam_t: 2.7 is not a non-negative"),
     (lambda d: d.update(adam_t=True), "adam_t: True is not a non-negative"),
     (lambda d: d.update(adam_t=-4), "adam_t: -4 is not a non-negative"),
+    # the top level and each map
+    (lambda d: d.pop("adam_t"), "adam_t: missing"),
+    (lambda d: d.update(extra=1), "extra: unknown field"),
+    (lambda d: d.update(params=[1]), "params: expected an object, got [1]"),
+    (lambda d: d.update(adam_v=None), "adam_v: expected an object, got None"),
+    (lambda d: d.update(config=[1]), "config: expected an object, got [1]"),
+    (lambda d: d.update(tree=[1]), "tree: expected an object, got [1]"),
+    (lambda d: d["tree"].pop("root"), "tree.root: missing"),
+    (lambda d: d["tree"].update(children=[0]),
+     "tree.children: expected an object, got [0]"),
+    (lambda d: d["tree"]["children"].update({"1": 5}),
+     "tree.children.1: expected a list, got 5"),
+    (lambda d: d.update(synonyms=[1]),
+     "synonyms: expected an object, got [1]"),
+    (lambda d: d["synonyms"].update({"5": 3}),
+     "synonyms.5: expected a list, got 3"),
 ])
 def test_state_file_config_and_step_checked_at_load(tmp_path, corpus, edit,
                                                     message):
