@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap, _object,
-                        caption_noise_metric, grid_sample, json_line,
-                        load_json, proposal_sample, read_corpus,
-                        write_corpus, write_lines)
+                        caption_noise_metric, grid_sample, json_bytes,
+                        load_json, plain_floats, proposal_sample,
+                        read_corpus, write_corpus, write_lines)
 from .trainer import (ExperimentConfig, _vocab_size, check_true_objects,
                       default_corpus, embed_records, evaluate_retrieval,
                       export_embeddings, hierarchy_report, load_state,
@@ -134,7 +134,8 @@ def cmd_gen_corpus(args) -> int:
     config = build_config(args)
     tree, synonyms, records, (classes, boxes) = default_corpus(config)
     write_corpus(config.corpus_path, records)
-    write_lines(config.synonyms_path, [json_line(synonyms.to_json())])
+    # ids only: no float to check
+    write_lines(config.synonyms_path, [json_bytes(synonyms.to_json(), True)])
     meta = {
         "v": SCHEMA_VERSION,
         "tree": tree.to_json(),
@@ -148,7 +149,8 @@ def cmd_gen_corpus(args) -> int:
                                              boxes.tolist()))
         ],
     }
-    write_lines(config.meta_path, [json_line(meta)])
+    write_lines(config.meta_path, [json_bytes(meta, plain_floats(
+        boxes).all() and plain_floats(config.rho))])
     noise = caption_noise_metric(records, synonyms)
     _emit({"records": len(records), "noise_pct": noise,
            "corpus": config.corpus_path})
@@ -160,7 +162,8 @@ def cmd_train(args) -> int:
     records, synonyms, tree = _load_artifacts(config)
     state, metrics = train(config, records=records, tree=tree,
                            synonyms=synonyms)
-    write_lines(config.metrics_path, (record.to_json() for record in metrics))
+    write_lines(config.metrics_path,
+                (record.to_json().encode() for record in metrics))
     save_state(config.state_path, state)
     last = metrics[-1]
     _emit({"steps": last.step, "recall_at_1": last.recall_at_1,
@@ -215,8 +218,7 @@ def cmd_export_embeddings(args) -> int:
     config = build_config(args)
     state = load_state(config.state_path)
     records, _, _ = _load_artifacts(config, state)
-    rows = export_embeddings(state, records)
-    write_lines(config.export_path, (json_line(row) for row in rows))
+    rows = export_embeddings(state, records, config.export_path)
     _emit({"rows": len(rows), "export": config.export_path})
     return 0
 

@@ -14,6 +14,7 @@ columns.  Corpus files are UTF-8 JSON lines with a schema version field
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -126,21 +127,25 @@ def _scored_rows(boxes) -> np.ndarray:
     return rows
 
 
-def nms(boxes, iou_threshold: float) -> np.ndarray:
+def nms(boxes, iou_threshold: float, top_n: Optional[int] = None
+        ) -> np.ndarray:
     """Greedy non-maximum suppression of n x 5 scored rows, by descending
     score: the kept rows, in the order they are kept.
 
     A box is kept iff its IoU with every previously kept box is strictly
     below the threshold; score ties break toward the lower original index.
-    The IoU of every pair comes from one :func:`iou` call.
+    With ``top_n``, only the top_n highest-scoring rows take part; every
+    row is checked.  The IoU of every pair comes from one :func:`iou` call.
     """
+    if top_n is not None and top_n <= 0:
+        raise ValueError(f"top_n must be positive, got {top_n}")
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou threshold must be in (0, 1), got {iou_threshold}")
     rows = _scored_rows(boxes)
-    order = np.argsort(-rows[:, 4], kind="stable").tolist()
+    rows = rows[np.argsort(-rows[:, 4], kind="stable")[:top_n]]
     overlaps = iou(rows[:, :4], rows[:, :4]).tolist()
     kept: list = []
-    for i in order:
+    for i in range(len(rows)):
         if all(overlaps[i][k] < iou_threshold for k in kept):
             kept.append(i)
     return rows[kept]
@@ -150,14 +155,11 @@ def proposal_sample(proposals, top_n: int,
                     iou_threshold: float = DEFAULT_NMS_THRESHOLD
                     ) -> np.ndarray:
     """Keep the top_n highest-objectness of n x 5 scored rows (ties toward
-    the lower index), then de-duplicate them with :func:`nms`."""
+    the lower index), then de-duplicate them: :func:`nms` with
+    ``top_n``."""
     if not len(proposals):
         raise ValueError("no proposals to sample from")
-    if top_n <= 0:
-        raise ValueError(f"top_n must be positive, got {top_n}")
-    rows = _scored_rows(proposals)
-    return nms(rows[np.argsort(-rows[:, 4], kind="stable")[:top_n]],
-               iou_threshold)
+    return nms(proposals, iou_threshold, top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +724,45 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+#: orjson writes a float as ``json`` does when it is 0 or its magnitude is
+#: in [_PLAIN_LOW, _PLAIN_HIGH); outside, their exponent styles differ
+_PLAIN_LOW, _PLAIN_HIGH = 1e-4, 1e16
+
+
 def json_line(payload) -> str:
     """Compact, key-sorted JSON text: the form of every file written."""
     return _ENCODER.encode(payload)
+
+
+def plain_floats(values) -> np.ndarray:
+    """Entry by entry, whether a float is one that orjson writes as
+    ``json`` does: 0, or a magnitude in [1e-4, 1e16).  NaN and the
+    infinities are not."""
+    size = np.abs(values)
+    return (size == 0.0) | ((size >= _PLAIN_LOW) & (size < _PLAIN_HIGH))
+
+
+def json_bytes(row, plain) -> bytes:
+    """``json_line(row)`` as ASCII bytes: the one writer of every file.
+
+    ``plain`` says that every float in ``row`` passes :func:`plain_floats`,
+    which the caller checks on its numpy columns, for all rows at once.
+    Such a row is written by orjson, several times faster, unless orjson
+    rejects it (an int outside 64 bits, a key that is not a string, a lone
+    surrogate) or its bytes hold a character that ``json`` escapes and
+    orjson does not (non-ASCII, or DEL); those rows, and every row without
+    ``plain``, go to :func:`json_line`.  Rows are made of dict, list,
+    tuple, str, int, float, bool and None.
+    """
+    if plain:
+        try:
+            line = orjson.dumps(row, option=orjson.OPT_SORT_KEYS)
+        except TypeError:
+            pass
+        else:
+            if line.isascii() and b"\x7f" not in line:
+                return line
+    return json_line(row).encode("ascii")
 
 
 #: ``bytes.translate`` tables of :func:`read_json`'s guard: every digit to
@@ -756,13 +794,21 @@ def read_json(text: str):
       surrogates, which ``json`` reads, so a text orjson rejects goes to
       ``json`` (which also raises its own error for text that is not
       JSON).
+
+    Every object orjson makes survives its parse, so a collection during
+    the parse could free nothing; the garbage collector is off for it.
     """
     data = text.encode("utf-8", "surrogatepass")
     if _orjson_reads_as_json(data):
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:
             pass
+        finally:
+            if collecting:
+                gc.enable()
     return json.loads(text)
 
 
@@ -795,17 +841,17 @@ def load_json(path):
         raise ValueError(f"{os.fspath(path)}: invalid JSON: {exc}") from None
 
 
-def write_lines(path, lines: Iterable[str]) -> None:
+def write_lines(path, lines: Iterable[bytes]) -> None:
     """Write each line and a newline to ``path``, atomically.
 
-    The text goes to a temporary file beside ``path`` that then replaces
+    The bytes go to a temporary file beside ``path`` that then replaces
     it, so an error part-way leaves the old file as it was.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             for line in lines:
-                fh.write(line + "\n")
+                fh.write(line + b"\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -815,19 +861,23 @@ def write_lines(path, lines: Iterable[str]) -> None:
 
 def write_corpus(path, records: Corpus) -> None:
     """One key-sorted JSON object per record, in record order."""
-    unscored = np.isnan(records.score).tolist()
-    no_gt = np.isnan(records.gt_box[:, 0]).tolist()
+    unscored = np.isnan(records.score)
+    no_gt = np.isnan(records.gt_box[:, 0])
+    plain = (plain_floats(records.box).all(axis=1)
+             & (unscored | plain_floats(records.score))
+             & (no_gt | plain_floats(records.gt_box).all(axis=1)))
     rows = zip(records.scene.tolist(), records.box.tolist(),
-               records.score.tolist(), unscored, records.gt_box.tolist(),
-               no_gt, records.tokens.lists(), records.true_objects.lists(),
-               records.hallucinated.lists())
-    write_lines(path, (json_line({
+               records.score.tolist(), unscored.tolist(),
+               records.gt_box.tolist(), no_gt.tolist(),
+               records.tokens.lists(), records.true_objects.lists(),
+               records.hallucinated.lists(), plain.tolist())
+    write_lines(path, (json_bytes({
         "v": SCHEMA_VERSION, "scene": scene, "box": box,
         "score": None if no_score else score,
         "gt_box": None if no_box else gt_box, "tokens": tokens,
-        "true_objects": true, "hallucinated": hallucinated})
+        "true_objects": true, "hallucinated": hallucinated}, ok)
         for (scene, box, score, no_score, gt_box, no_box, tokens, true,
-             hallucinated) in rows))
+             hallucinated, ok) in rows))
 
 
 def _field(rows: list, name: str, where: str) -> list:

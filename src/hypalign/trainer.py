@@ -31,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .datasynth import (ConceptTree, Corpus, IdLists, SynonymMap,
                         _exact_fields, _object, caption_noise_metric,
-                        default_synonyms, json_line, load_json, synth_corpus,
-                        write_lines)
+                        default_synonyms, json_bytes, load_json,
+                        plain_floats, synth_corpus, write_lines)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
                      encode_boxes, fuse, positional_encode)
 from .geometry import (APERTURE_K, cone_contains, exp_map_origin,
@@ -156,7 +156,10 @@ class MetricsRecord:
     noise_pct: float
 
     def to_json(self) -> str:
-        return json_line(asdict(self))
+        """The record's line of ``metrics.jsonl``."""
+        values = asdict(self)
+        return json_bytes(values, plain_floats(list(values.values())).all()
+                          ).decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -720,16 +723,22 @@ def state_from_json(data: dict) -> ModelState:
 
 
 def save_state(path, state: ModelState) -> None:
-    write_lines(path, [json_line(state_to_json(state))])
+    config = asdict(state.config)
+    plain = (all(plain_floats(vector).all() for vector in state.vectors)
+             and plain_floats([v for v in config.values()
+                               if type(v) is float]).all())
+    write_lines(path, [json_bytes(state_to_json(state), plain)])
 
 
 def load_state(path) -> ModelState:
     return state_from_json(load_json(path))
 
 
-def export_embeddings(state: ModelState, records: Corpus) -> list:
+def export_embeddings(state: ModelState, records: Corpus,
+                      path=None) -> list:
     """Rows for external 2D projection: id, kind, pre-lift vector, norm.
-    A class's row fuses its own label token over the full-image box."""
+    A class's row fuses its own label token over the full-image box.  With
+    a ``path``, the rows are also written there, one JSON line each."""
     fwd, leaves = _Forward(state.params), state.leaf_ids
     curvature = math.exp(state.params["curv_raw"])
     ids = [(leaf, "object") for leaf in leaves.tolist()]
@@ -740,6 +749,10 @@ def export_embeddings(state: ModelState, records: Corpus) -> list:
     vectors = np.concatenate([fwd.fused_visuals(classes),
                               fwd.captions(*_counts(state, records.tokens))])
     norms = exp_map_origin(vectors, curvature).space_norm
-    return [{"id": i, "kind": kind, "vector": vec, "lifted_norm": norm}
+    rows = [{"id": i, "kind": kind, "vector": vec, "lifted_norm": norm}
             for (i, kind), vec, norm in zip(ids, vectors.tolist(),
                                             norms.tolist())]
+    if path is not None:
+        plain = plain_floats(vectors).all(axis=1) & plain_floats(norms)
+        write_lines(path, map(json_bytes, rows, plain.tolist()))
+    return rows

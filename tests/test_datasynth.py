@@ -1,5 +1,6 @@
 """Region sampling, NMS-vs-brute-force, corpus determinism, noise metric."""
 
+import gc
 import hashlib
 import json
 import re
@@ -569,19 +570,170 @@ def test_read_json_parses_written_files_without_json(tmp_path, monkeypatch):
     assert ds.read_json(state)["adam_t"] == 3
 
 
+def test_read_json_parses_with_the_collector_off(monkeypatch):
+    # a collection in the parse would scan objects that all survive it
+    parse, collecting = ds.orjson.loads, []
+    monkeypatch.setattr(ds.orjson, "loads", lambda data: collecting.append(
+        gc.isenabled()) or parse(data))
+    assert ds.read_json('[{"a": [1]}]') == [{"a": [1]}] and gc.isenabled()
+    # a collector that was off stays off, whichever parser reads the text
+    gc.disable()
+    try:
+        assert ds.read_json("[1]") == [1] and ds.read_json("[NaN]") != [0]
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert collecting == [False, False, False]
+
+
 def test_write_corpus_is_atomic(tmp_path):
     path = tmp_path / "corpus.jsonl"
     ds.write_corpus(path, corpus(([4], [4], [])))
     before = path.read_bytes()
 
     def lines():
-        yield "{}"
+        yield b"{}"
         raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError):
         ds.write_lines(path, lines())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+#: the encoder every file was written with before orjson wrote any line
+STDLIB = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: where orjson's text could differ from json's: the float range edges,
+#: zero, the smallest subnormal and the non-finite floats, non-ASCII, DEL
+#: and lone surrogates, ints past 64 bits, keys that are not strings, and
+#: tuples
+WRITER_CASES = {
+    "1e-4": [1e-4], "-1e-4": [-1e-4],
+    "below 1e-4": [np.nextafter(1e-4, 0.0).item()],
+    "1e16": [1e16], "-1e16": [-1e16],
+    "below 1e16": [np.nextafter(1e16, 0.0).item()],
+    "zero": [0.0], "negative zero": [-0.0], "subnormal": [5e-324],
+    "nan": [float("nan")], "inf": [float("inf")], "-inf": [-float("inf")],
+    "non-ascii": {"kind": "é"}, "lone surrogate": ["\ud800"],
+    "del": ["\x7f"], "controls": ["\x00\x1f\n\t\"\\/"],
+    "2**64": [2**64], "2**64 - 1": [2**64 - 1], "-2**63": [-2**63],
+    "-2**63 - 1": [-2**63 - 1], "int key": {1: [0.5]},
+    "tuple": {"box": (0.25, 1, None, True)},
+}
+
+
+def _floats_of(row) -> list:
+    if isinstance(row, float):
+        return [row]
+    if isinstance(row, dict):
+        row = list(row.values())
+    if isinstance(row, (list, tuple)):
+        return [x for item in row for x in _floats_of(item)]
+    return []
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_json_bytes_are_the_stdlib_encoders(case):
+    row = WRITER_CASES[case]
+    plain = bool(ds.plain_floats(_floats_of(row)).all())
+    assert ds.json_bytes(row, plain) == STDLIB.encode(row).encode("ascii")
+    assert ds.json_bytes(row, False) == STDLIB.encode(row).encode("ascii")
+
+
+def test_plain_floats_edges():
+    below = np.nextafter
+    values = [1e-4, below(1e-4, 0.0), 1e16, below(1e16, 0.0), 0.0, -0.0,
+              5e-324, np.nan, np.inf, -1e-4, -below(1e16, 0.0)]
+    assert ds.plain_floats(values).tolist() == [
+        True, False, False, True, True, True, False, False, False, True,
+        True]
+
+
+def _fuzz_floats(rng, n: int) -> np.ndarray:
+    """Shuffled: raw 64-bit patterns, decades from 1e-330 to 1e308,
+    magnitudes from 1e-5 to 1e17 about both edges of the plain range,
+    uniforms in [-1, 1] and the special values, n of each."""
+    specials = np.array([0.0, 5e-324, np.nan, np.inf, 1e-4,
+                         np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+                         1e16, np.nextafter(1e16, 0.0), 1e308, 1e-308])
+    sign = rng.choice([-1.0, 1.0], 4 * n)
+    with np.errstate(over="ignore", under="ignore"):
+        decades = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-330, 309,
+                                                                    n)
+    parts = [rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+             np.concatenate([decades, 10.0 ** rng.uniform(-5.0, 17.0, n),
+                             rng.uniform(0.0, 1.0, n),
+                             rng.choice(specials, n)]) * sign]
+    return rng.permutation(np.concatenate(parts))
+
+
+def test_json_bytes_fuzz_against_the_stdlib_encoder(monkeypatch):
+    # rows of 1 to 3 floats, an id and a kind, shaped like the export's;
+    # the plain flags are one numpy check over all their floats
+    rng = np.random.default_rng(2024)
+    floats = _fuzz_floats(rng, 50_000)
+    ends = np.cumsum(rng.integers(1, 4, len(floats)))
+    starts = np.concatenate(([0], ends))[:np.searchsorted(ends, len(floats),
+                                                          side="right")]
+    ends = ends[:len(starts)]
+    plain = np.logical_and.reduceat(ds.plain_floats(floats), starts)
+    ids = [0, 7, 2**63 - 1, -2**63, 2**64 - 1, 2**64, -2**63 - 1, -5]
+    kinds = ["object", "caption", "é", "\x7f", "a\"b\\c", "\x00"]
+    values = floats.tolist()
+    rows = [{"id": i if i % 7 else ids[i % 8],
+             "kind": "object" if i % 11 else kinds[i % 6],
+             "vector": values[a:b]}
+            for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))]
+    to_json = []
+    monkeypatch.setattr(ds, "json_line", lambda payload: to_json.append(1)
+                        or STDLIB.encode(payload))
+    got = [ds.json_bytes(row, ok) for row, ok in zip(rows, plain.tolist())]
+    want = [STDLIB.encode(row).encode("ascii") for row in rows]
+    bad = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert not bad, (rows[bad[0]], got[bad[0]], want[bad[0]])
+    # both writers wrote many rows
+    assert len(rows) >= 100_000 and 20_000 < len(to_json) < len(rows) - 20_000
+
+
+def test_generated_corpus_is_written_by_orjson(tmp_path, monkeypatch):
+    records, _ = ds.synth_corpus(ds.ConceptTree.balanced(3, 4), scenes=20,
+                                 noise_rate=0.3, seed=5)
+    path = tmp_path / "corpus.jsonl"
+    ds.write_corpus(path, records)
+    want = path.read_bytes()
+
+    def unused(payload):
+        raise AssertionError("a generated record was written by json")
+    monkeypatch.setattr(ds, "json_line", unused)
+    ds.write_corpus(path, records)
+    assert path.read_bytes() == want
+
+
+def test_corpus_with_a_tiny_coordinate_keeps_the_stdlib_bytes(tmp_path,
+                                                               monkeypatch):
+    # x1 = 5e-5 is written "5e-05" by json and "0.00005" by orjson; that
+    # record alone goes to json
+    records = ds.Corpus.from_lists(
+        box=[[5e-05, 0.1, 0.5, 0.5], [0.25, 0.1, 0.5, 0.5]],
+        tokens=[[3, 1], [4]], true_objects=[[3], [4]], hallucinated=[[], []],
+        score=[None, 0.75], gt_box=[[0.0, 0.1, 0.5, 0.5], None],
+        scene=[0, 1])
+    calls = []
+    monkeypatch.setattr(ds, "json_line",
+                        lambda payload: calls.append(payload)
+                        or STDLIB.encode(payload))
+    path = tmp_path / "corpus.jsonl"
+    ds.write_corpus(path, records)
+    rows = [{"v": "v1", "scene": 0, "box": [5e-05, 0.1, 0.5, 0.5],
+             "score": None, "gt_box": [0.0, 0.1, 0.5, 0.5], "tokens": [3, 1],
+             "true_objects": [3], "hallucinated": []},
+            {"v": "v1", "scene": 1, "box": [0.25, 0.1, 0.5, 0.5],
+             "score": 0.75, "gt_box": None, "tokens": [4],
+             "true_objects": [4], "hallucinated": []}]
+    assert path.read_text() == "".join(STDLIB.encode(row) + "\n"
+                                       for row in rows)
+    assert b"[5e-05," in path.read_bytes() and calls == rows[:1]
 
 
 def test_corpus_rows_select_records():

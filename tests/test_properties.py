@@ -1,7 +1,8 @@
 """IoU and NMS invariants and the corpus and state JSON round trips.
 
-Property tests draw their inputs with hypothesis, derandomized and without
-an example database, so every run checks the same examples.
+Property tests draw their inputs with hypothesis, derandomized, without an
+example database and from the constant pool that ``conftest.py`` pins, so
+every run checks the same examples whatever the package's source holds.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from hypalign import datasynth as ds
 from hypalign import trainer as tr
+
+import conftest
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -130,3 +133,18 @@ def test_state_json_round_trip(seed, d, scale, adam_t):
         for name in want:
             assert np.array_equal(got[name], want[name]), (field, name)
             assert type(got[name]) is type(want[name])
+
+
+def test_examples_come_from_the_pinned_constant_pool():
+    # hypothesis reads its pool of source constants through the hook that
+    # conftest.py installs; were it to stop, the examples above would move
+    # with the package's literals again
+    before = conftest.pinned_local_constants.calls
+
+    @PROPERTY
+    @given(st.lists(st.floats(), min_size=20, max_size=20))
+    def draw(values):
+        pass
+
+    draw()
+    assert conftest.pinned_local_constants.calls > before

@@ -126,35 +126,60 @@ JSON_PARSES = [("datasynth.py", "read_corpus", "json.loads"),
                ("datasynth.py", "read_json", "json.loads"),
                ("datasynth.py", "read_json", "orjson.loads")]
 
+#: The calls that write JSON: the one writer of every file, ``json_bytes``
+#: (orjson, and the ``_ENCODER`` of ``json_line`` where orjson's bytes
+#: could differ), and the CLI's stdout and stderr lines.
+JSON_WRITES = [("cli.py", "_emit", "json.dumps"),
+               ("cli.py", "run_cli", "json.dumps"),
+               ("datasynth.py", "_ENCODER", "json.JSONEncoder"),
+               ("datasynth.py", "json_bytes", "orjson.dumps")]
+
 _PARSERS = {"json": {"load", "loads"}, "orjson": {"loads"}}
+_WRITERS = {"json": {"dump", "dumps", "JSONEncoder"}, "orjson": {"dumps"}}
 
 
-def json_parses(sources: dict) -> list:
-    """``(file, definition, call)`` of every call of ``json.load``,
-    ``json.loads`` or ``orjson.loads`` in the given module sources, and of
-    every import that would hide one: ``from json import loads`` or
-    ``import json as j``."""
+def _json_calls(sources: dict, calls: dict) -> list:
+    """``(file, definition, call)`` of every call of ``module.name`` for a
+    name in ``calls[module]`` in the given module sources, and of every
+    import that would hide one: ``from json import loads`` or ``import
+    json as j``.  A call at module level is owned by the name it is
+    assigned to, if any."""
     found = []
     for file, text in sorted(sources.items()):
         for stmt in ast.parse(text).body:
             owner = getattr(stmt, "name", "<module>")
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0],
+                                                           ast.Name):
+                owner = stmt.targets[0].id
             for node in ast.walk(stmt):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and isinstance(node.func.value, ast.Name)
-                        and node.func.attr in _PARSERS.get(
-                            node.func.value.id, ())):
+                        and node.func.attr in calls.get(node.func.value.id,
+                                                        ())):
                     found.append((file, owner,
                                   f"{node.func.value.id}.{node.func.attr}"))
                 elif isinstance(node, ast.ImportFrom) and node.module in (
-                        _PARSERS):
+                        calls):
                     found += [(file, owner, f"from {node.module} import "
                                f"{alias.name}") for alias in node.names]
                 elif isinstance(node, ast.Import):
                     found += [(file, owner, f"import {alias.name} as "
                                f"{alias.asname}") for alias in node.names
-                              if alias.name in _PARSERS and alias.asname]
+                              if alias.name in calls and alias.asname]
     return sorted(found)
+
+
+def json_parses(sources: dict) -> list:
+    """:func:`_json_calls` of ``json.load``, ``json.loads`` and
+    ``orjson.loads``."""
+    return _json_calls(sources, _PARSERS)
+
+
+def json_writes(sources: dict) -> list:
+    """:func:`_json_calls` of ``json.dump``, ``json.dumps``,
+    ``json.JSONEncoder`` and ``orjson.dumps``."""
+    return _json_calls(sources, _WRITERS)
 
 
 def test_json_is_parsed_only_by_read_json():
@@ -181,3 +206,35 @@ def test_json_parses_sees_every_route_to_a_parser():
         ("mod.py", "<module>", "import orjson as fast"),
         ("mod.py", "Reader", "orjson.loads"),
         ("mod.py", "read", "json.load"), ("mod.py", "read", "json.loads")]
+
+
+def test_json_is_written_only_by_json_bytes_and_the_cli_lines():
+    found = json_writes({path.name: path.read_text()
+                         for path in SRC.glob("*.py")})
+    assert found == JSON_WRITES
+
+
+def test_json_writes_sees_every_route_to_a_writer():
+    source = textwrap.dedent("""
+        import json as j
+        from orjson import dumps
+
+        ENCODER = json.JSONEncoder(indent=1)
+        PRETTY, RAW = json.JSONEncoder(), orjson.dumps([1])
+
+        def write(fh, value):
+            json.dump(value, fh)
+            return json.dumps(value), json.loads(value), ENCODER.encode(value)
+
+        class Writer:
+            def write(self, value):
+                return orjson.dumps(value)
+        """)
+    assert json_writes({"mod.py": source}) == [
+        ("mod.py", "<module>", "from orjson import dumps"),
+        ("mod.py", "<module>", "import json as j"),
+        ("mod.py", "<module>", "json.JSONEncoder"),
+        ("mod.py", "<module>", "orjson.dumps"),
+        ("mod.py", "ENCODER", "json.JSONEncoder"),
+        ("mod.py", "Writer", "orjson.dumps"),
+        ("mod.py", "write", "json.dump"), ("mod.py", "write", "json.dumps")]

@@ -706,6 +706,76 @@ def test_export_embeddings_rows(corpus):
     assert tr.export_embeddings(state, records[:0]) == objects
 
 
+#: the encoder every file was written with before orjson wrote any line
+STDLIB = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _counting_json_line(monkeypatch) -> list:
+    """Record each row that the writer sends to ``json_line``."""
+    from hypalign import datasynth as ds
+    sent = []
+    monkeypatch.setattr(ds, "json_line", lambda payload: sent.append(payload)
+                        or STDLIB.encode(payload))
+    return sent
+
+
+def test_written_exports_keep_the_stdlib_bytes(tmp_path, monkeypatch):
+    # seed 2's export holds both kinds of row
+    cfg = tiny_config(seed=2)
+    tree, syn, records, _ = tr.default_corpus(cfg)
+    state, _ = tr.train(cfg, records=records, tree=tree, synonyms=syn)
+    sent = _counting_json_line(monkeypatch)
+    path = tmp_path / "embeddings.jsonl"
+    rows = tr.export_embeddings(state, records, path)
+    assert rows == tr.export_embeddings(state, records)
+    assert path.read_text() == "".join(STDLIB.encode(row) + "\n"
+                                       for row in rows)
+    # a row with a coordinate below 1e-4 goes to json, the others to orjson
+    tiny = [row for row in rows
+            if min(map(abs, row["vector"] + [row["lifted_norm"]])) < 1e-4]
+    assert sent == tiny and 0 < len(tiny) < len(rows) // 10
+
+
+def test_state_files_keep_the_stdlib_bytes(corpus, tmp_path, monkeypatch):
+    cfg, tree, syn, records = corpus
+    trained, _ = tr.train(cfg, records=records, tree=tree, synonyms=syn)
+    rng = np.random.default_rng(3)
+
+    def plain(values):
+        return {k: rng.uniform(0.5, 2.0, v.shape) for k, v in values.items()}
+    untrained = tr.init(cfg, tree, syn)
+    plain_state = dataclasses.replace(
+        untrained, params=plain(untrained.params),
+        adam_m=plain(untrained.adam_m), adam_v=plain(untrained.adam_v))
+    tiny_decay = dataclasses.replace(
+        plain_state, config=dataclasses.replace(cfg, weight_decay=1e-05))
+    path = tmp_path / "state.json"
+    # Adam's second moments fall below 1e-4, and so does the decay: both
+    # states go to json; a state of plain floats goes to orjson
+    for state, by_json in ((trained, True), (plain_state, False),
+                           (tiny_decay, True)):
+        sent = _counting_json_line(monkeypatch)
+        tr.save_state(path, state)
+        assert path.read_text() == STDLIB.encode(
+            tr.state_to_json(state)) + "\n"
+        assert len(sent) == by_json
+    assert b'"weight_decay":1e-05' in path.read_bytes()
+
+
+def test_metrics_lines_keep_the_stdlib_bytes(monkeypatch):
+    record = tr.MetricsRecord(step=10, bbox=0.5, cls=1.25, cap=2.0,
+                              entail=0.0, total=3.75, recall_at_1=1.0,
+                              mean_caption_norm=0.3, mean_object_norm=0.4,
+                              containment_rate=0.5, noise_pct=12.5)
+    for record, by_json in ((record, False),
+                            (dataclasses.replace(record, entail=3e-05), True),
+                            (dataclasses.replace(record, noise_pct=math.nan),
+                             True)):
+        sent = _counting_json_line(monkeypatch)
+        assert record.to_json() == STDLIB.encode(dataclasses.asdict(record))
+        assert len(sent) == by_json
+
+
 #: sha256 of the eval-route outputs below, taken before the lift, distance
 #: and cones became one tape row each; the plain route keeps its bits
 EVAL_ROUTE_DIGEST = (
