@@ -20,7 +20,7 @@ import math
 import os
 import reprlib
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -61,12 +61,18 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"iou takes n x 4 corner rows, got shapes {a.shape} "
                          f"and {b.shape}")
     # (width, height) of every intersection, then of every box
-    wh = np.maximum(0.0, np.minimum(a[:, None, 2:], b[None, :, 2:])
-                    - np.maximum(a[:, None, :2], b[None, :, :2]))
-    inter = wh[..., 0] * wh[..., 1]
-    size_a, size_b = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]
-    area_a, area_b = size_a[:, 0] * size_a[:, 1], size_b[:, 0] * size_b[:, 1]
+    wh = np.minimum(a[:, None, 2:], b[:, 2:])
+    wh -= np.maximum(a[:, None, :2], b[:, :2])
+    inter = np.maximum(0.0, wh, out=wh)[..., 0] * wh[..., 1]
+    area_a = _area(a)
+    area_b = area_a if b is a else _area(b)
     return inter / (area_a[:, None] + area_b - inter)
+
+
+def _area(rows: np.ndarray) -> np.ndarray:
+    """(x2 - x1) * (y2 - y1) of every corner row."""
+    size = rows[:, 2:] - rows[:, :2]
+    return size[:, 0] * size[:, 1]
 
 
 _CORNERS = ("x1", "y1", "x2", "y2")
@@ -95,7 +101,6 @@ def _box_check(field: str, rows: np.ndarray, live) -> tuple:
     underflow to 0 (its IoU would be 0/0)."""
     lo, hi = rows[:, :2], rows[:, 2:]
     valid = (0.0 <= lo) & (lo < hi) & (hi <= 1.0)
-    size = hi - lo
 
     def message(i):
         outside = ~((rows[i] >= 0.0) & (rows[i] <= 1.0))
@@ -107,8 +112,8 @@ def _box_check(field: str, rows: np.ndarray, live) -> tuple:
             return f"{field} requires x1 < x2 and y1 < y2"
         return f"{field} area (x2 - x1) * (y2 - y1) is 0"
 
-    return (live & ~(valid[:, 0] & valid[:, 1]
-                     & (size[:, 0] * size[:, 1] > 0.0)), message)
+    return (live & ~(valid[:, 0] & valid[:, 1] & (_area(rows) > 0.0)),
+            message)
 
 
 def _score_check(scores: np.ndarray, scored) -> tuple:
@@ -143,7 +148,8 @@ def nms(boxes, iou_threshold: float, top_n: Optional[int] = None
         raise ValueError(f"iou threshold must be in (0, 1), got {iou_threshold}")
     rows = _scored_rows(boxes)
     rows = rows[np.argsort(-rows[:, 4], kind="stable")[:top_n]]
-    overlaps = iou(rows[:, :4], rows[:, :4]).tolist()
+    corners = rows[:, :4]
+    overlaps = iou(corners, corners).tolist()
     kept: list = []
     for i in range(len(rows)):
         if all(overlaps[i][k] < iou_threshold for k in kept):
@@ -406,14 +412,14 @@ def _integers(values: list, field: str, record_of, fail) -> np.ndarray:
     fails, naming the record ``record_of(position)``."""
     if set(map(type, values)) <= {int}:
         try:
-            return np.array(values, dtype=np.int64)
+            return np.fromiter(values, np.int64, len(values))
         except OverflowError:
             pass
     for k, v in enumerate(values):
         if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
                 or not -2**63 <= v < 2**63):
             fail(record_of(k), f"{field}: {v!r} is not a 64-bit integer")
-    return np.array(values, dtype=np.int64)
+    return np.fromiter(values, np.int64, len(values))
 
 
 def _id_lists(lists: list, field: str, fail) -> IdLists:
@@ -421,31 +427,41 @@ def _id_lists(lists: list, field: str, fail) -> IdLists:
         i = next(i for i, v in enumerate(lists)
                  if not isinstance(v, (list, tuple)))
         fail(i, f"{field}: {lists[i]!r} is not a list of ids")
-    offsets = np.concatenate(([0], np.cumsum(list(map(len, lists)),
-                                             dtype=np.int64)))
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)),
+              out=offsets[1:])
     values = _integers(
         list(chain.from_iterable(lists)), field,
         lambda k: int(np.searchsorted(offsets, k, side="right")) - 1, fail)
     return IdLists(values, offsets)
 
 
+#: the types of a float column's entries; None reads as NaN
+_FLOAT_TYPES = {float, int, type(None)}
+
+
 def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
-    """One float64 entry of ``shape`` per record (None reads as NaN)."""
+    """One float64 entry of ``shape`` per record: a number, or None, which
+    reads as NaN.  An entry of another shape, or a value that is no number
+    (a boolean or a string), fails, naming the record."""
+    width = shape[0] if shape else 1
     try:
-        out = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        out = None
-    if out is not None and out.shape == (len(values),) + shape:
-        return out
-    for i, v in enumerate(values):
-        try:
-            bad = np.array(v, dtype=np.float64).shape != shape
-        except (TypeError, ValueError):
-            bad = True
-        if bad:
-            fail(i, f"{field}: {v!r} is not "
-                    + ("[x1, y1, x2, y2]" if shape else "a number or null"))
-    return np.zeros((0,) + shape)
+        flat = list(chain.from_iterable(values)) if shape else values
+        shaped = not shape or set(map(len, values)) <= {width}
+    except TypeError:
+        flat, shaped = [], False
+    if not (shaped and set(map(type, flat)) <= _FLOAT_TYPES):
+        for i, v in enumerate(values):
+            if shape and not (isinstance(v, (list, tuple))
+                              and len(v) == width):
+                fail(i, f"{field}: {v!r} is not [x1, y1, x2, y2]")
+            for x in v if shape else [v]:
+                if x is not None and (isinstance(x, bool) or not isinstance(
+                        x, (int, float, np.integer, np.floating))):
+                    fail(i, f"{field}: {x!r} is not a number"
+                            + ("" if shape else " or null"))
+    return np.fromiter(flat, np.float64, len(flat)).reshape(
+        (len(values),) + shape)
 
 
 def _negative_check(field: str, ids: IdLists) -> tuple:
@@ -591,21 +607,40 @@ def caption_noise_metric(records: Corpus, synonyms: SynonymMap) -> float:
 # corpus generation
 
 
-def _random_box(rng) -> list:
-    """A corner row around a uniform centre, clipped to the image."""
-    cx, cy = rng.uniform(0.15, 0.85, size=2).tolist()
-    w, h = rng.uniform(0.15, 0.45, size=2).tolist()
-    return [max(0.0, cx - w / 2), max(0.0, cy - h / 2),
-            min(1.0, cx + w / 2), min(1.0, cy + h / 2)]
+#: ``low`` and ``high - low`` of the uniform draws of a random box's
+#: centre (x, y) and size (w, h), then of a random proposal's score:
+#: ``Generator.uniform(low, high)`` is ``low + (high - low) * random()``
+_RANDOM_LOW = np.array([0.15, 0.15, 0.15, 0.15, 0.0])
+_RANDOM_SPAN = np.array([0.85 - 0.15] * 2 + [0.45 - 0.15] * 2 + [0.7 - 0.0])
 
 
-def _jitter_box(rng, box: np.ndarray, scale: float, score: float) -> list:
-    """A scored row: ``box`` moved by Gaussian noise, at least 0.02 wide
-    and high."""
-    x1, y1, x2, y2 = (box + rng.normal(scale=scale, size=4)).tolist()
-    x1, y1 = min(max(x1, 0.0), 0.97), min(max(y1, 0.0), 0.97)
-    return [x1, y1, max(min(x2, 1.0), x1 + 0.02),
-            max(min(y2, 1.0), y1 + 0.02), score]
+def _random_rows(rng, n: int, width: int) -> np.ndarray:
+    """n corner rows around uniform centres, clipped to the image, each
+    followed by a uniform score when ``width`` is 5: one ``random`` call
+    for the n * width draws, row by row."""
+    rows = _RANDOM_LOW[:width] + _RANDOM_SPAN[:width] * rng.random(
+        n * width).reshape(n, width)
+    centre, half = rows[:, :2], rows[:, 2:4] / 2
+    rows[:, :4] = np.concatenate((np.maximum(0.0, centre - half),
+                                  np.minimum(1.0, centre + half)), axis=1)
+    return rows
+
+
+def _jitter_rows(rng, boxes: np.ndarray, scale: float) -> np.ndarray:
+    """Scored rows: each box moved by Gaussian noise, at least 0.02 wide
+    and high, with a score uniform in [0.6, 1) drawn before its noise."""
+    scores, noise = zip(*[(rng.uniform(0.6, 1.0),
+                           rng.normal(scale=scale, size=4)) for _ in boxes])
+    moved = boxes + np.array(noise)
+    lo = np.minimum(np.maximum(moved[:, :2], 0.0), 0.97)
+    hi = np.maximum(np.minimum(moved[:, 2:], 1.0), lo + 0.02)
+    return np.column_stack((lo, hi, scores))
+
+
+def _pick(rng, forms: tuple):
+    """``forms[rng.integers(len(forms))]``; one form draws nothing, as
+    ``integers(1)`` does not."""
+    return forms[int(rng.integers(len(forms)))] if len(forms) > 1 else forms[0]
 
 
 def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
@@ -640,6 +675,11 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         raise ValueError(f"noise rate must be in [0, 1), got {noise_rate}")
     if scenes < 1:
         raise ValueError(f"scenes must be >= 1, got {scenes}")
+    if objects_per_scene < 1:
+        raise ValueError("objects_per_scene must be >= 1, got "
+                         f"{objects_per_scene}")
+    if top_n < 1:
+        raise ValueError(f"top_n must be positive, got {top_n}")
     if synonyms is None:
         synonyms = default_synonyms(tree)
     rng = np.random.default_rng(seed)
@@ -673,13 +713,11 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
 
     for scene_id in range(scenes):
         chosen = rng.choice(len(leaves), size=n_obj, replace=False).tolist()
-        truth = np.array([_random_box(rng) for _ in chosen])
+        truth = _random_rows(rng, n_obj, 4)
         picked.append(chosen)
         objects.append(truth)
-        proposals = [_jitter_box(rng, box, 0.05, rng.uniform(0.6, 1.0))
-                     for box in truth]
-        for _ in range(top_n):
-            proposals.append([*_random_box(rng), rng.uniform(0.0, 0.7)])
+        proposals = np.concatenate((_jitter_rows(rng, truth, 0.05),
+                                    _random_rows(rng, top_n, 5)))
         sampled = proposal_sample(proposals, top_n, iou_threshold)
         regions = np.concatenate((truth, sampled[:, :4], grid))
         scores = [None] * n_obj + sampled[:, 4].tolist() + [None] * len(grid)
@@ -692,9 +730,10 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         columns["gt_box"] += [gt_boxes[j] for j in owners]
         columns["true_objects"] += [[leaves[chosen[j]]] for j in owners]
         columns["scene"] += [scene_id] * len(owners)
+        scene_draws = [leaf_draws(i) for i in chosen]
         for j in owners:
-            surface, ancestors, candidates, cdf = leaf_draws(chosen[j])
-            tokens = [surface[int(rng.integers(len(surface)))]]
+            surface, ancestors, candidates, cdf = scene_draws[j]
+            tokens = [_pick(rng, surface)]
             # one draw per ancestor (kept below ancestor_keep_prob), then
             # the noise draw
             uniforms = rng.random(len(ancestors) + 1).tolist()
@@ -706,11 +745,12 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
                 # Generator.choice(candidates, p=...), one draw
                 inject = int(candidates[cdf.searchsorted(rng.random(),
                                                          side="right")])
-                forms = synonyms.forms.get(inject, (inject,))
-                tokens.append(forms[int(rng.integers(len(forms)))])
+                tokens.append(_pick(rng, synonyms.forms.get(inject,
+                                                            (inject,))))
                 hallucinated = [inject]
-            order = rng.permutation(len(tokens)).tolist()
-            columns["tokens"].append([tokens[i] for i in order])
+            # in place, as indexing by rng.permutation(len(tokens)) would
+            rng.shuffle(tokens)
+            columns["tokens"].append(tokens)
             columns["hallucinated"].append(hallucinated)
     return Corpus.from_lists(**columns), (leaf_ids[picked], np.array(objects))
 
@@ -779,8 +819,9 @@ _LONG_INT = b"0" * 19
 _MAX_DEPTH = 64
 
 
-def read_json(text: str):
-    """``json.loads(text)``: the same value, or the same error.
+def read_json(text):
+    """``json.loads(text)``: the same value, or the same error.  Bytes
+    read as their UTF-8 text: ``json.loads(text.decode("utf-8"))``.
 
     The text is parsed by orjson, which is several times faster, except
     where orjson's answer would differ, which goes to ``json``:
@@ -798,7 +839,8 @@ def read_json(text: str):
     Every object orjson makes survives its parse, so a collection during
     the parse could free nothing; the garbage collector is off for it.
     """
-    data = text.encode("utf-8", "surrogatepass")
+    data = (text if isinstance(text, bytes)
+            else text.encode("utf-8", "surrogatepass"))
     if _orjson_reads_as_json(data):
         collecting = gc.isenabled()
         gc.disable()
@@ -809,7 +851,8 @@ def read_json(text: str):
         finally:
             if collecting:
                 gc.enable()
-    return json.loads(text)
+    return json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                      else text)
 
 
 def _orjson_reads_as_json(data: bytes) -> bool:
@@ -850,8 +893,11 @@ def write_lines(path, lines: Iterable[bytes]) -> None:
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for line in lines:
-                fh.write(line + b"\n")
+            # a write for each 256 lines: one a line costs more, and one
+            # for the whole file holds all of its bytes at once
+            ends = chain.from_iterable(zip(lines, repeat(b"\n")))
+            while chunk := b"".join(islice(ends, 512)):
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -891,23 +937,37 @@ def _field(rows: list, name: str, where: str) -> list:
         raise ValueError(f"{where}record {i}: {problem}") from None
 
 
+def _json_array(lines: list):
+    """The JSON values of the byte strings ``lines``, parsed as one array,
+    or None if that fails or gives another count of values."""
+    try:
+        rows = read_json(b"[" + b",".join(lines) + b"]")
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return rows if len(rows) == len(lines) else None
+
+
 def read_corpus(path) -> Corpus:
     """Load and check a corpus file.
 
-    The non-blank lines are parsed as one JSON array; a line that is not a
-    JSON value is found line by line only when that fails.  Records are
-    numbered from 0 over the non-blank lines, and every error reads
+    The file's bytes are split at line ends (LF, CRLF or CR) and the
+    non-blank lines parsed as one JSON array.  Only when that fails is the
+    file read again as a text-mode read sees it, which raises on invalid
+    UTF-8 and finds a line that is not a JSON value line by line.  Records
+    are numbered from 0 over the non-blank lines, and every error reads
     ``{path}: record {i}: {field} ...``.  ``score`` and ``gt_box`` may be
     absent (null) and ``scene`` defaults to 0.
     """
     where = f"{os.fspath(path)}: "
-    with open(path, encoding="utf-8") as fh:
-        lines = list(filter(str.strip, fh.read().split("\n")))
-    try:
-        rows = read_json("[" + ",".join(lines) + "]")
-    except json.JSONDecodeError:
-        rows = None
-    if rows is None or len(rows) != len(lines):
+    with open(path, "rb") as fh:
+        rows = _json_array(list(filter(bytes.strip, fh.read().splitlines())))
+    if rows is None:
+        # a line that only str.strip finds blank (say, a no-break space)
+        # is no record; a line that is no JSON value is reported
+        with open(path, encoding="utf-8") as fh:
+            lines = list(filter(str.strip, fh.read().split("\n")))
+        rows = _json_array([line.encode() for line in lines])
+    if rows is None:
         for i, line in enumerate(lines):
             try:
                 json.loads(line)
@@ -923,6 +983,7 @@ def read_corpus(path) -> Corpus:
         box=_field(rows, "box", where), tokens=_field(rows, "tokens", where),
         true_objects=_field(rows, "true_objects", where),
         hallucinated=_field(rows, "hallucinated", where),
-        score=[row.get("score") for row in rows],
-        gt_box=[row.get("gt_box") for row in rows],
-        scene=[row.get("scene", 0) for row in rows], where=where)
+        score=list(map(dict.get, rows, repeat("score"))),
+        gt_box=list(map(dict.get, rows, repeat("gt_box"))),
+        scene=list(map(dict.get, rows, repeat("scene"), repeat(0))),
+        where=where)

@@ -722,12 +722,40 @@ def state_from_json(data: dict) -> ModelState:
                       data["adam_m"], data["adam_v"], adam_t)
 
 
+def _object_bytes(pieces: dict) -> bytes:
+    """A JSON object's bytes from its key-sorted fields' bytes."""
+    return b"{" + b",".join(json_bytes(key, True) + b":" + piece
+                            for key, piece in sorted(pieces.items())) + b"}"
+
+
+def _array_bytes(values: list, plain: np.ndarray) -> bytes:
+    """``json_line(values)`` as bytes, for the ``tolist()`` of an array
+    whose :func:`plain_floats` are ``plain``: a matrix a row at a time, so
+    that only a row with a float that orjson writes otherwise goes to
+    ``json_line``."""
+    if plain.ndim != 2:
+        return json_bytes(values, bool(plain.all()))
+    return b"[" + b",".join(map(json_bytes, values,
+                                plain.all(axis=1).tolist())) + b"]"
+
+
 def save_state(path, state: ModelState) -> None:
-    config = asdict(state.config)
-    plain = (all(plain_floats(vector).all() for vector in state.vectors)
-             and plain_floats([v for v in config.values()
-                               if type(v) is float]).all())
-    write_lines(path, [json_bytes(state_to_json(state), plain)])
+    """One line, ``json_line(state_to_json(state))``, put together from
+    pieces: every row of a parameter or Adam moment matrix is one, so that
+    only rows with a float below 1e-4 go to ``json_line``; in a trained
+    state every map holds some."""
+    data = state_to_json(state)
+    config = data.pop("config")
+    pieces = {"config": json_bytes(config, bool(plain_floats(
+        [v for v in config.values() if type(v) is float]).all()))}
+    for key in _MAPS:
+        arrays = getattr(state, key)
+        pieces[key] = _object_bytes({
+            name: _array_bytes(rows, plain_floats(arrays[name]))
+            for name, rows in data.pop(key).items()})
+    # the tree, the synonyms and adam_t hold no float
+    pieces.update((key, json_bytes(value, True)) for key, value in data.items())
+    write_lines(path, [_object_bytes(pieces)])
 
 
 def load_state(path) -> ModelState:

@@ -500,6 +500,110 @@ def test_ids_and_scenes_must_be_json_integers(tmp_path, field, value):
         ds.read_corpus(path)
 
 
+@pytest.mark.parametrize("field,value,bad", [
+    ("box", ["0.1", 0.2, 0.5, 0.6], "'0.1' is not a number"),
+    ("box", [0.1, 0.2, True, 0.6], "True is not a number"),
+    ("box", [0.1, [0.2], 0.5, 0.6], r"\[0.2\] is not a number"),
+    ("box", [0.1, 0.2, 0.5], r"\[0.1, 0.2, 0.5\] is not \[x1, y1, x2, y2\]"),
+    ("box", "0.1 0.2 0.5 0.6", r"'0.1 0.2 0.5 0.6' is not \[x1, y1, x2, y2\]"),
+    ("gt_box", [False, 0, True, 1], "False is not a number"),
+    ("score", "0.7", "'0.7' is not a number or null"),
+    ("score", True, "True is not a number or null"),
+    ("score", [0.7], r"\[0.7\] is not a number or null"),
+])
+def test_floats_must_be_json_numbers(tmp_path, field, value, bad):
+    # a string or a boolean once read as a coordinate or score: "0.7" as
+    # 0.7 and true as 1.0
+    path, lines = _generated_lines(tmp_path)
+    lines[7] = _edit(field, lambda old: value)(lines[7])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"record 7: {field}: {bad}"):
+        ds.read_corpus(path)
+
+
+def test_float_columns_read_null_as_nan_and_integers_as_floats(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_payloads(path, [payload([4], [4], [], box=[0, 0, 1, 1], score=1,
+                                  gt_box=[0, 0.5, 1, 1]),
+                          payload([4], [4], [], score=None)])
+    records = ds.read_corpus(path)
+    assert records.box.tolist() == [[0.0, 0.0, 1.0, 1.0], [0.1, 0.1, 0.5, 0.5]]
+    assert records.score[0] == 1.0 and np.isnan(records.score[1])
+    assert records.gt_box[0].tolist() == [0.0, 0.5, 1.0, 1.0]
+    assert np.isnan(records.gt_box[1]).all()
+    assert all(column.dtype == np.float64 for column in (
+        records.box, records.score, records.gt_box))
+    # a null coordinate reads as NaN, which the box check then rejects
+    write_payloads(path, [payload([4], [4], [], box=[0.1, None, 0.5, 0.5])])
+    with pytest.raises(ValueError, match="record 0: box coordinate y1=nan"):
+        ds.read_corpus(path)
+
+
+def _read(path):
+    """What ``read_corpus`` returns, or the type and message it raises,
+    with the path left out."""
+    try:
+        return ds.read_corpus(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {str(exc).replace(str(path), '<path>')}"
+
+
+#: corpus files whose line ends, blank lines, byte order mark, encoding or
+#: a cut line are read as a text-mode read of the file read them: the
+#: records of the plain file, or the error, as the parent's text-mode read
+#: gave it; each edits the generated lines of ``_edge_lines``
+READ_EDGES = {
+    "crlf": (lambda lines: b"\r\n".join(lines) + b"\r\n", None),
+    "cr": (lambda lines: b"\r".join(lines) + b"\r", None),
+    "blank-lines": (lambda lines: b"\n \t\n" + b"\n\n".join(lines)
+                    + b"\n\r\n\x0c\n", None),
+    # str.strip finds a no-break space blank, bytes.strip does not
+    "no-break-space-line": (lambda lines: lines[0] + b"\n\xc2\xa0\n"
+                            + b"\n".join(lines[1:]), None),
+    # json.loads of bytes would skip the mark; of the text, it fails
+    "utf-8-bom": (lambda lines: b"\xef\xbb\xbf" + b"\n".join(lines),
+                  "ValueError: <path>: record 0: invalid JSON: Unexpected "
+                  "UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+                  "(char 0)"),
+    "utf-8-bom-at-record-3": (
+        lambda lines: b"\n".join(lines[:3]) + b"\n\n\xef\xbb\xbf"
+        + b"\n".join(lines[3:]),
+        "ValueError: <path>: record 3: invalid JSON: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "truncated": (lambda lines: b"\r\n".join(lines[:4] + [lines[4][:30]]
+                                               + lines[5:]),
+                  "ValueError: <path>: record 4: invalid JSON: Expecting "
+                  "',' delimiter: line 1 column 30 (char 29)"),
+}
+
+
+def _edge_lines(tmp_path):
+    records, _ = ds.synth_corpus(ds.ConceptTree.balanced(2, 2), scenes=2,
+                                 noise_rate=0.5, seed=3)
+    path = tmp_path / "corpus.jsonl"
+    ds.write_corpus(path, records)
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == 21
+    return path, records, lines
+
+
+@pytest.mark.parametrize("case", READ_EDGES)
+def test_read_corpus_edges_keep_the_text_mode_values_and_errors(tmp_path,
+                                                                case):
+    path, records, lines = _edge_lines(tmp_path)
+    edit, error = READ_EDGES[case]
+    path.write_bytes(edit(lines))
+    assert _read(path) == (records if error is None else error)
+
+
+def test_read_corpus_raises_on_invalid_utf8_as_a_text_mode_read(tmp_path):
+    path, _, lines = _edge_lines(tmp_path)
+    path.write_bytes(b"\n".join(lines[:3]) + b"\n\xff" + b"\n".join(lines[3:]))
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff in "
+                                                 "position 788"):
+        ds.read_corpus(path)
+
+
 def _corpus_text(tmp_path):
     _, lines = _generated_lines(tmp_path)
     return "[" + ",".join(lines) + "]"
@@ -838,8 +942,9 @@ def test_generator_output_matches_pinned_digests(tmp_path, case):
     assert tuple(h.hexdigest() for h in got) == GENERATOR_DIGESTS[case]
 
 
-# synth_corpus draws a hallucinated mention and its keep/noise uniforms in
-# fewer Generator calls than the plain forms below; the stream and every
+# synth_corpus makes fewer Generator calls than the plain forms below: a
+# hallucinated mention, the keep/noise uniforms, a scene's boxes and
+# scores, a one-form pick and a caption's shuffle; the stream and every
 # value must be the same, or the pinned digests above move
 
 SEEDS = (0, 1, 7, 2024, 2**40 + 3)
@@ -872,6 +977,40 @@ def test_k_uniform_calls_are_one_random_k(seed):
     for k in (1, 2, 3, 4, 17):
         assert [a.uniform() for _ in range(k)] == b.random(k).tolist()
     assert same_state(a, b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_a_b_calls_are_an_affine_map_of_one_random(seed):
+    # a scene's random boxes: centre and size, scalar and size=2 calls
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for low, high in ((0.15, 0.85), (0.15, 0.45), (0.0, 0.7), (0.6, 1.0)):
+        for k in (1, 2, 5):
+            want = [a.uniform(low, high) for _ in range(k)]
+            want += a.uniform(low, high, size=2).tolist()
+            assert (low + (high - low) * b.random(k + 2)).tolist() == want
+    assert same_state(a, b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integers_of_one_draws_nothing(seed):
+    # integers(2) keeps half of a 64-bit draw for the next 32-bit one;
+    # integers(1) between them must not take it
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        want = [int(a.integers(2)), int(a.integers(1)), int(a.integers(3))]
+        assert [int(b.integers(2)), 0, int(b.integers(3))] == want
+        assert same_state(a, b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shuffle_of_a_list_is_indexing_by_a_permutation(seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (1, 2, 3, 4, 7, 40, 2, 3):
+        tokens = [100 + 3 * i for i in range(n)]
+        want = [tokens[i] for i in a.permutation(len(tokens)).tolist()]
+        b.shuffle(tokens)
+        assert tokens == want
+        assert same_state(a, b)
 
 
 def test_one_leaf_tree_has_no_mention_to_inject():
@@ -936,6 +1075,14 @@ def test_corpus_rejects_bad_noise_rate():
         ds.synth_corpus(tree, scenes=1, noise_rate=1.0, seed=0)
     with pytest.raises(ValueError, match="scenes"):
         ds.synth_corpus(tree, scenes=0, noise_rate=0.0, seed=0)
+    for top_n in (0, -1):
+        with pytest.raises(ValueError, match=f"top_n must be positive, got "
+                                             f"{top_n}"):
+            ds.synth_corpus(tree, scenes=1, noise_rate=0.0, seed=0,
+                            top_n=top_n)
+    with pytest.raises(ValueError, match="objects_per_scene must be >= 1"):
+        ds.synth_corpus(tree, scenes=1, noise_rate=0.0, seed=0,
+                        objects_per_scene=0)
 
 
 def test_hallucinations_prefer_siblings():

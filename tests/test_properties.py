@@ -7,6 +7,11 @@ every run checks the same examples whatever the package's source holds.
 
 import dataclasses
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,3 +153,82 @@ def test_examples_come_from_the_pinned_constant_pool():
 
     draw()
     assert conftest.pinned_local_constants.calls > before
+
+
+#: Run in a fresh interpreter with the package and the tests on its path:
+#: draws every example that the property tests of ``test_batched.py`` and
+#: ``test_properties.py`` would run, without running them, and prints a
+#: digest of the examples in order.  With "unpinned", the constant pool is
+#: hypothesis's own again, read from the loaded modules' literals.
+DRAWN_EXAMPLES = """
+import functools, hashlib, inspect, sys
+import numpy as np
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.reflection import function_digest
+own_pool = providers._get_local_constants
+import conftest, test_batched, test_properties
+if sys.argv[1] == "unpinned":
+    providers._get_local_constants = own_pool
+
+def exact(value):
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes().hex())
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [exact(v) for v in value]
+    if isinstance(value, dict):
+        return sorted((k, exact(v)) for k, v in value.items())
+    return repr(value)
+
+digest = hashlib.sha256()
+for module in (test_batched, test_properties):
+    for name, test in sorted(vars(module).items()):
+        inner = getattr(getattr(test, "hypothesis", None), "inner_test", None)
+        if inner is None:
+            continue
+
+        @functools.wraps(inner)
+        def record(*args, _name=name, **kwargs):
+            digest.update(repr((_name, exact(args), exact(kwargs))).encode())
+
+        # derandomized examples are seeded by the test's source and
+        # signature, which the wrapper keeps
+        assert function_digest(record) == function_digest(inner), name
+        test.hypothesis.inner_test = record
+        test(**dict.fromkeys(inspect.signature(test).parameters))
+print(digest.hexdigest())
+"""
+
+
+def _drawn_examples(tmp_path, pool: str, literal: str) -> subprocess.Popen:
+    """Start drawing the examples with a copy of the package whose
+    ``datasynth.py`` ends with ``literal``; the process prints their
+    digest."""
+    src = pathlib.Path(ds.__file__).parent
+    copy = tmp_path / f"{pool}-{len(literal)}" / "hypalign"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "datasynth.py", "a") as fh:
+        fh.write(literal)
+    tests = pathlib.Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(copy.parent), str(tests)]), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-c", DRAWN_EXAMPLES, pool],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def test_a_new_literal_in_the_package_moves_no_drawn_example(tmp_path):
+    # a float literal added to the package's source leaves every drawn
+    # example as it was; without the pinned pool the same edit moves some,
+    # so the digest does see a move
+    literal = "\n_UNRELATED_LITERAL = 0.123456789\n"
+    digests = {}
+    for pool in ("pinned", "unpinned"):
+        runs = [_drawn_examples(tmp_path, pool, text) for text in ("", literal)]
+        for run in runs:
+            out, err = run.communicate(timeout=600)
+            assert run.returncode == 0, err
+            digests.setdefault(pool, []).append(out.strip())
+    assert digests["pinned"][0] == digests["pinned"][1]
+    assert digests["unpinned"][0] != digests["unpinned"][1]

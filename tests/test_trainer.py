@@ -12,7 +12,7 @@ from scipy import stats
 
 from hypalign import autodiff as ad
 from hypalign import trainer as tr
-from hypalign.datasynth import Corpus
+from hypalign.datasynth import Corpus, json_line
 from hypalign.geometry import (exp_map_origin, exterior_angle, half_aperture,
                                lorentz_distance)
 
@@ -750,16 +750,31 @@ def test_state_files_keep_the_stdlib_bytes(corpus, tmp_path, monkeypatch):
     tiny_decay = dataclasses.replace(
         plain_state, config=dataclasses.replace(cfg, weight_decay=1e-05))
     path = tmp_path / "state.json"
-    # Adam's second moments fall below 1e-4, and so does the decay: both
-    # states go to json; a state of plain floats goes to orjson
-    for state, by_json in ((trained, True), (plain_state, False),
-                           (tiny_decay, True)):
-        sent = _counting_json_line(monkeypatch)
+    sent = {}
+    for name, state in (("trained", trained), ("plain", plain_state),
+                        ("tiny decay", tiny_decay)):
+        sent[name] = _counting_json_line(monkeypatch)
         tr.save_state(path, state)
+        assert path.read_bytes() == (
+            json_line(tr.state_to_json(state)) + "\n").encode()
         assert path.read_text() == STDLIB.encode(
             tr.state_to_json(state)) + "\n"
-        assert len(sent) == by_json
     assert b'"weight_decay":1e-05' in path.read_bytes()
+    # the pieces of a state go to json one by one: in a trained state, the
+    # matrix rows and vectors with a float below 1e-4, which every map
+    # holds, and no other; in the others, nothing or only the config
+    rows = {name: [row for array in getattr(trained, name).values()
+                   for row in (array.tolist() if array.ndim == 2
+                               else [array.tolist()])]
+            for name in tr._MAPS}
+    tiny = {name: [row for row in map_rows
+                   if any(0.0 < abs(x) < 1e-4 for x in np.ravel(row))]
+            for name, map_rows in rows.items()}
+    assert sorted(map(json.dumps, sent["trained"])) == sorted(
+        json.dumps(row) for name in tiny for row in tiny[name])
+    assert all(0 < len(tiny[name]) < len(rows[name]) for name in rows)
+    assert sent["plain"] == []
+    assert sent["tiny decay"] == [dataclasses.asdict(tiny_decay.config)]
 
 
 def test_metrics_lines_keep_the_stdlib_bytes(monkeypatch):
