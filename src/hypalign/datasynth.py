@@ -436,10 +436,6 @@ def _id_lists(lists: list, field: str, fail) -> IdLists:
     return IdLists(values, offsets)
 
 
-#: the types of a float column's entries; None reads as NaN
-_FLOAT_TYPES = {float, int, type(None)}
-
-
 def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
     """One float64 entry of ``shape`` per record: a number, or None, which
     reads as NaN.  An entry of another shape, or a value that is no number
@@ -450,7 +446,7 @@ def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
         shaped = not shape or set(map(len, values)) <= {width}
     except TypeError:
         flat, shaped = [], False
-    if not (shaped and set(map(type, flat)) <= _FLOAT_TYPES):
+    if not (shaped and set(map(type, flat)) <= {float, int, type(None)}):
         for i, v in enumerate(values):
             if shape and not (isinstance(v, (list, tuple))
                               and len(v) == width):

@@ -754,7 +754,8 @@ def save_state(path, state: ModelState) -> None:
             name: _array_bytes(rows, plain_floats(arrays[name]))
             for name, rows in data.pop(key).items()})
     # the tree, the synonyms and adam_t hold no float
-    pieces.update((key, json_bytes(value, True)) for key, value in data.items())
+    pieces.update((key, json_bytes(value, True))
+                  for key, value in data.items())
     write_lines(path, [_object_bytes(pieces)])
 
 

@@ -574,6 +574,11 @@ READ_EDGES = {
                                                + lines[5:]),
                   "ValueError: <path>: record 4: invalid JSON: Expecting "
                   "',' delimiter: line 1 column 30 (char 29)"),
+    # the text-mode read's own error, at the byte's place in the file
+    "invalid-utf-8": (lambda lines: b"\n".join(lines[:3]) + b"\n\xff"
+                      + b"\n".join(lines[3:]),
+                      "UnicodeDecodeError: 'utf-8' codec can't decode byte "
+                      "0xff in position 788: invalid start byte"),
 }
 
 
@@ -594,14 +599,6 @@ def test_read_corpus_edges_keep_the_text_mode_values_and_errors(tmp_path,
     edit, error = READ_EDGES[case]
     path.write_bytes(edit(lines))
     assert _read(path) == (records if error is None else error)
-
-
-def test_read_corpus_raises_on_invalid_utf8_as_a_text_mode_read(tmp_path):
-    path, _, lines = _edge_lines(tmp_path)
-    path.write_bytes(b"\n".join(lines[:3]) + b"\n\xff" + b"\n".join(lines[3:]))
-    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff in "
-                                                 "position 788"):
-        ds.read_corpus(path)
 
 
 def _corpus_text(tmp_path):

@@ -225,7 +225,8 @@ def test_a_new_literal_in_the_package_moves_no_drawn_example(tmp_path):
     literal = "\n_UNRELATED_LITERAL = 0.123456789\n"
     digests = {}
     for pool in ("pinned", "unpinned"):
-        runs = [_drawn_examples(tmp_path, pool, text) for text in ("", literal)]
+        runs = [_drawn_examples(tmp_path, pool, text)
+                for text in ("", literal)]
         for run in runs:
             out, err = run.communicate(timeout=600)
             assert run.returncode == 0, err
