@@ -7,15 +7,19 @@ makes repeated backward passes bit-identical.
 
 Each primitive is one row of an op table: its name, its value kernel and its
 vector-Jacobian products (VJPs).  A row's index is its opcode, and
-``_OP_NAMES`` and the backward dispatch are read off the same table.  A VJP
-is handed the node's stored output (``exp`` reads it instead of recomputing
-it).  Accumulation never writes into an array it does not own: an adjoint's
-first contribution is kept as it is, possibly shared with other adjoints,
-each later one makes a new sum, and the scatter adjoint of ``take_row``
-copies a shared adjoint before adding.
+``_OP_NAMES`` and the backward dispatch are read off the same table.  Every
+row but the leaf and ``hinge`` is made by one maker, ``_composite``, whose
+VJP is handed the node's stored output (``exp`` reads it instead of
+recomputing it) and returns (operand, adjoint) pairs.  Accumulation never
+writes into an array it does not own: an adjoint's first contribution is
+kept as it is, possibly shared with other adjoints, and each later one
+makes a new sum.  A gather's adjoint (``take_row``'s) is an ``(index,
+rows)`` pair instead, which ``np.add.at`` adds into the running adjoint,
+copied first if it is shared, so a slot read by several gathers takes
+their rows in backward order.
 
 Every public op is polymorphic: called with :class:`Var` arguments it records
-a tape node (a plain operand rides in the node's aux and takes no VJP),
+a tape node (a plain operand rides in the node's aux and takes no adjoint),
 called with plain numbers or arrays it just computes the value.  That gives
 two independent evaluation routes for the same formula, which the
 finite-difference checker exploits.  ``Var`` has no arithmetic operators.
@@ -46,7 +50,6 @@ naming it, and takes a whole float for its integer.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, Dict, Sequence
 
 import numpy as np
@@ -161,13 +164,6 @@ _BACKWARDS: list = []
 _LEAF_OP = (_Op("leaf", None, None).code, (), None)
 
 
-def _acc(adj, j, contrib):
-    # the first contribution is kept as it is, and may be shared with other
-    # slots, so a later one makes a new array (the same IEEE sum as +=)
-    cur = adj[j]
-    adj[j] = contrib if cur is None else cur + contrib
-
-
 def _fit(grad, operand):
     """An adjoint summed down to a broadcast scalar or row vector."""
     if grad.ndim > operand.ndim:
@@ -175,98 +171,17 @@ def _fit(grad, operand):
     return grad
 
 
-def _unary(name: str, kernel: Callable, vjp: Callable) -> Callable:
-    """Register a one-operand row and return its op: ``kernel(x)`` is the
-    value and ``vjp(g, ans, x)`` the adjoint of x."""
-    def backward(g, ans, inputs, aux, values, adj, owned):
-        _acc(adj, inputs[0], vjp(g, ans, values[inputs[0]]))
-
-    row = _Op(name, kernel, backward)
-
-    def op(a):
-        if isinstance(a, Var):
-            return a.tape._record(row.code, (a.idx,), None,
-                                  row.kernel(a.value))
-        return row.kernel(_num(a))
-
-    op.__name__ = name
-    return op
-
-
-def _apply(row: _Op, a, aux):
-    """Record a one-operand row with a parameter ``aux``, or compute it."""
-    if isinstance(a, Var):
-        return a.tape._record(row.code, (a.idx,), aux,
-                              row.kernel(a.value, aux))
-    return row.kernel(_num(a), aux)
-
-
-def _scatter(name: str, kernel: Callable, write: Callable) -> _Op:
-    """A row whose adjoint goes, by ``write(buf, aux, g)``, into part of a
-    buffer shaped like its operand that slot alone holds: a zeros buffer,
-    or a copy of a borrowed adjoint."""
-    def backward(g, ans, inputs, aux, values, adj, owned):
-        j = inputs[0]
-        cur = adj[j]
-        if cur is None:
-            cur = adj[j] = np.zeros(values[j].shape)
-        elif j not in owned:
-            cur = adj[j] = cur.copy()
-        owned.add(j)
-        write(cur, aux, g)
-
-    return _Op(name, kernel, backward)
-
-
-def _binary(name: str, kernel: Callable, vjp_a: Callable,
-            vjp_b: Callable) -> Callable:
-    """Register a two-operand row and return its op.
-
-    ``vjp_a(g, a, b)`` and ``vjp_b(g, a, b)`` are the adjoints of a and b,
-    each summed down to its operand's shape.  A plain operand rides in the
-    node's aux as (position of the Var, constant), and takes no VJP.
-    """
-    def backward(g, ans, inputs, aux, values, adj, owned):
-        if aux is None:
-            a, b = values[inputs[0]], values[inputs[1]]
-            _acc(adj, inputs[0], vjp_a(g, a, b))
-            _acc(adj, inputs[1], vjp_b(g, a, b))
-        elif aux[0] == 0:
-            _acc(adj, inputs[0], vjp_a(g, values[inputs[0]], aux[1]))
-        else:
-            _acc(adj, inputs[0], vjp_b(g, aux[1], values[inputs[0]]))
-
-    row = _Op(name, kernel, backward)
-
-    def op(a, b):
-        if isinstance(a, Var):
-            if isinstance(b, Var):
-                if a.tape is not b.tape:
-                    raise ValueError("operands recorded on different tapes")
-                return a.tape._record(row.code, (a.idx, b.idx), None,
-                                      row.kernel(a.value, b.value))
-            c = _num(b)
-            return a.tape._record(row.code, (a.idx,), (0, c),
-                                  row.kernel(a.value, c))
-        if isinstance(b, Var):
-            c = _num(a)
-            return b.tape._record(row.code, (b.idx,), (1, c),
-                                  row.kernel(c, b.value))
-        return row.kernel(_num(a), _num(b))
-
-    op.__name__ = name
-    return op
-
-
 def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
-    """Register a row for a whole formula of several operands and return
-    its op, ``op(*operands, aux=None)``.
+    """Register a row for a formula of one or more operands and return its
+    op, ``op(*operands, aux=None)``.
 
     ``kernel(*values, aux)`` returns the value and what the VJP needs of
     the forward pass; ``vjp(g, ans, saved, *values, aux)`` returns
     (operand position, adjoint) pairs in the order they accumulate, so an
     operand that the spelled-out formula reads twice takes its adjoints as
-    two terms, in that formula's backward order.  ``aux`` holds the
+    two terms, in that formula's backward order.  An adjoint may be an
+    ``(index, rows)`` pair instead of an array: ``np.add.at`` adds the rows
+    at the index into the operand's adjoint, in place.  ``aux`` holds the
     formula's plain parameters.  Any operand may be plain: the node's
     inputs are its Var operands, and its aux holds each operand's node id
     (None for a plain one), every operand value, ``aux`` and the saved
@@ -276,8 +191,23 @@ def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
         ids, args, extra, saved = aux
         for k, grad in vjp(g, ans, saved, *args, extra):
             j = ids[k]
-            if j is not None:
-                _acc(adj, j, grad)
+            if j is None:
+                continue
+            cur = adj[j]
+            if type(grad) is not tuple:
+                # the first contribution is kept as it is, and may be
+                # shared with other slots, so a later one makes a new array
+                # (the same IEEE sum as +=)
+                adj[j] = grad if cur is None else cur + grad
+                continue
+            # a scatter adds into a buffer that slot alone holds: zeros, or
+            # a copy of a borrowed adjoint
+            if cur is None:
+                cur = adj[j] = np.zeros(args[k].shape)
+            elif j not in owned:
+                cur = adj[j] = cur.copy()
+            owned.add(j)
+            np.add.at(cur, *grad)
 
     row = _Op(name, kernel, backward)
 
@@ -383,18 +313,24 @@ def _smooth_l1_slope(a):
 # ---------------------------------------------------------------------------
 # primitive ops
 
-add = _binary("add", operator.add, lambda g, a, b: _fit(g, a),
-              lambda g, a, b: _fit(g, b))
+add = _composite("add", lambda a, b, aux: (a + b, None),
+                 lambda g, ans, saved, a, b, aux: ((0, _fit(g, a)),
+                                                   (1, _fit(g, b))))
 # a / b elementwise: equal shapes, or either operand a scalar
-div = _binary("div", operator.truediv, lambda g, a, b: _fit(g / b, a),
-              lambda g, a, b: -_fit(g * a, b) / (b * b))
+div = _composite("div", lambda a, b, aux: (a / b, None),
+                 lambda g, ans, saved, a, b, aux: (
+                     (0, _fit(g / b, a)), (1, -_fit(g * a, b) / (b * b))))
 # math.exp of a scalar: np.exp differs from it in the last bit for some
 # arguments, and the temperature and curvature are exp of scalar leaves
-exp = _unary("exp", lambda x: np.exp(x) if x.ndim else np.float64(math.exp(x)),
-             lambda g, ans, x: g * ans)
-matmul = _binary("matmul", np.matmul, lambda g, a, b: g @ b.T,
-                 lambda g, a, b: a.T @ g)
-_TAKE_ROW = _scatter("take_row", operator.getitem, np.add.at)
+exp = _composite("exp", lambda x, aux: (
+    np.exp(x) if x.ndim else np.float64(math.exp(x)), None),
+    lambda g, ans, saved, x, aux: ((0, g * ans),))
+matmul = _composite("matmul", lambda a, b, aux: (np.matmul(a, b), None),
+                    lambda g, ans, saved, a, b, aux: ((0, g @ b.T),
+                                                      (1, a.T @ g)))
+# the rows of a matrix at an index vector, aux; the adjoint is a scatter
+_take_row = _composite("take_row", lambda m, i: (m[i], None),
+                       lambda g, ans, saved, m, i: ((0, (i, g)),))
 # a name only: no op records it (see the module docstring)
 _Op("hinge", None, None)
 
@@ -820,7 +756,7 @@ def take_row(m, i: Sequence[int]):
         raise ValueError("take_row takes an n x d matrix and a non-empty "
                          f"sequence of row indices, got shapes "
                          f"{np.shape(val(m))} and {i.shape}")
-    return _apply(_TAKE_ROW, m, i)
+    return _take_row(m, aux=i)
 
 
 # ---------------------------------------------------------------------------

@@ -436,26 +436,37 @@ def _id_lists(lists: list, field: str, fail) -> IdLists:
     return IdLists(values, offsets)
 
 
+#: the least integer that float() rounds beyond the largest float64
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
 def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
     """One float64 entry of ``shape`` per record: a number, or None, which
-    reads as NaN.  An entry of another shape, or a value that is no number
-    (a boolean or a string), fails, naming the record."""
+    reads as NaN.  An entry of another shape, a value that is no number (a
+    boolean or a string) or an integer beyond float range fails, naming the
+    record."""
     width = shape[0] if shape else 1
     try:
         flat = list(chain.from_iterable(values)) if shape else values
         shaped = not shape or set(map(len, values)) <= {width}
     except TypeError:
         flat, shaped = [], False
-    if not (shaped and set(map(type, flat)) <= {float, int, type(None)}):
-        for i, v in enumerate(values):
-            if shape and not (isinstance(v, (list, tuple))
-                              and len(v) == width):
-                fail(i, f"{field}: {v!r} is not [x1, y1, x2, y2]")
-            for x in v if shape else [v]:
-                if x is not None and (isinstance(x, bool) or not isinstance(
-                        x, (int, float, np.integer, np.floating))):
-                    fail(i, f"{field}: {x!r} is not a number"
-                            + ("" if shape else " or null"))
+    if shaped and set(map(type, flat)) <= {float, int, type(None)}:
+        try:
+            return np.fromiter(flat, np.float64, len(flat)).reshape(
+                (len(values),) + shape)
+        except OverflowError:
+            pass   # an integer beyond float range, which the loop names
+    for i, v in enumerate(values):
+        if shape and not (isinstance(v, (list, tuple)) and len(v) == width):
+            fail(i, f"{field}: {v!r} is not [x1, y1, x2, y2]")
+        for x in v if shape else [v]:
+            if x is not None and (isinstance(x, bool) or not isinstance(
+                    x, (int, float, np.integer, np.floating))):
+                fail(i, f"{field}: {x!r} is not a number"
+                        + ("" if shape else " or null"))
+            if isinstance(x, int) and abs(x) >= _FLOAT_OVERFLOW:
+                fail(i, f"{field}: an integer beyond float range")
     return np.fromiter(flat, np.float64, len(flat)).reshape(
         (len(values),) + shape)
 

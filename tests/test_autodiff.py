@@ -477,6 +477,32 @@ def test_scatter_adjoint_leaves_a_shared_adjoint_alone(scatter):
                                 "b": RNG.normal(size=(3, 4))})
 
 
+def test_scatter_adjoints_add_into_the_running_adjoint_in_order():
+    # as a hyper step reads the token table: backward reaches a matmul of it
+    # first, then a gather of distinct rows, then one of repeated rows.  Each
+    # gather adds its rows into the running adjoint, (cur + g_a) + g_b, not
+    # into a buffer of its own that is added after, cur + (g_a + g_b)
+    rng = np.random.default_rng(11)
+    table, counts = rng.normal(size=(5, 3)), rng.normal(size=(4, 5))
+    distinct, repeated = [3, 0, 4], [1, 3, 3, 0, 3]
+    g_m, g_a, g_b = (rng.normal(size=(n, 3)) for n in (4, 3, 5))
+    tape = ad.Tape()
+    leaf = tape.leaf(table, name="table")
+    reads = [ad.take_row(leaf, repeated), ad.take_row(leaf, distinct),
+             ad.matmul(counts, leaf)]
+    out = ref.sum(ref.mul(reads[0], g_b))
+    for read, g in zip(reads[1:], (g_a, g_m)):
+        out = ad.add(out, ref.sum(ref.mul(read, g)))
+    want, apart = counts.T @ g_m, np.zeros(table.shape)
+    for rows, g in ((distinct, g_a), (repeated, g_b)):
+        for r, row in zip(rows, g):
+            want[r] = want[r] + row
+            apart[r] = apart[r] + row
+    assert ad.backward(tape, out).tobytes() == want.tobytes()
+    # the two orders differ in these bits
+    assert (counts.T @ g_m + apart).tobytes() != want.tobytes()
+
+
 @pytest.mark.parametrize("pairwise", [
     geo.lorentz_distance,
     lambda c, v: geo.exterior_angle(c, v).radians,
@@ -588,6 +614,15 @@ def test_op_table_holds_only_rows_a_step_records():
     idle = [row.name for row in ad._OPS
             if row not in ref.ROWS and row.code not in recorded]
     assert idle == ["hinge"]
+
+
+def test_every_row_but_the_leaf_and_hinge_is_a_composite_row():
+    # one row kind: the package's rows and the reference rows alike are made
+    # by ad._composite, whose backward handles every adjoint, scatters too
+    others = [row.name for row in ad._OPS
+              if getattr(row.backward, "__qualname__", None)
+              != "_composite.<locals>.backward"]
+    assert others == ["leaf", "hinge"]
 
 
 def test_kernels_keep_the_spelled_out_values():

@@ -548,10 +548,20 @@ def _read(path):
         return f"{type(exc).__name__}: {str(exc).replace(str(path), '<path>')}"
 
 
+def _beyond_float(lines, field, value):
+    """The lines with record 2's ``field`` set to ``value``, which holds an
+    integer beyond float range."""
+    row = json.loads(lines[2])
+    row[field] = value
+    return b"\n".join(lines[:2] + [json.dumps(row).encode()] + lines[3:])
+
+
 #: corpus files whose line ends, blank lines, byte order mark, encoding or
 #: a cut line are read as a text-mode read of the file read them: the
 #: records of the plain file, or the error, as the parent's text-mode read
-#: gave it; each edits the generated lines of ``_edge_lines``
+#: gave it; a box, ground-truth box or score written as an integer beyond
+#: float range fails, naming the record and field.  Each edits the
+#: generated lines of ``_edge_lines``
 READ_EDGES = {
     "crlf": (lambda lines: b"\r\n".join(lines) + b"\r\n", None),
     "cr": (lambda lines: b"\r".join(lines) + b"\r", None),
@@ -579,6 +589,18 @@ READ_EDGES = {
                       + b"\n".join(lines[3:]),
                       "UnicodeDecodeError: 'utf-8' codec can't decode byte "
                       "0xff in position 788: invalid start byte"),
+    "box-beyond-float": (
+        lambda lines: _beyond_float(lines, "box", [0.1, 10 ** 400, 0.5, 0.6]),
+        "ValueError: <path>: record 2: box: an integer beyond float range"),
+    "gt-box-beyond-float": (
+        lambda lines: _beyond_float(lines, "gt_box",
+                                    [0.1, 0.2, 0.5, -10 ** 400]),
+        "ValueError: <path>: record 2: gt_box: an integer beyond float "
+        "range"),
+    "score-beyond-float": (
+        lambda lines: _beyond_float(lines, "score", 10 ** 400),
+        "ValueError: <path>: record 2: score: an integer beyond float "
+        "range"),
 }
 
 

@@ -1,4 +1,5 @@
-"""Every public function, class and method is used by the package itself."""
+"""Every public function, class and method, and every public op bound at
+module level, is used by the package itself."""
 
 import ast
 import textwrap
@@ -20,6 +21,17 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
 def _public(stmts, kinds) -> list:
     return [s for s in stmts if isinstance(s, kinds)
             and not s.name.startswith("_")]
+
+
+def _assigned(stmts) -> list:
+    """The public names that module-level assignments bind, such as an op
+    (``add = _composite(...)``); an UPPER_CASE constant is data, not a
+    function, and is left out."""
+    targets = [t for s in stmts if isinstance(s, (ast.Assign, ast.AnnAssign))
+               for t in getattr(s, "targets", [getattr(s, "target", None)])]
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            and not n.id.startswith("_") and not n.id.isupper()]
 
 
 def _bound(scope) -> set:
@@ -63,12 +75,13 @@ def _loaded_globals(node, hidden=frozenset()) -> set:
 
 
 def unused_public_names(sources: dict) -> list:
-    """``file:name`` of every public function, class and method of the
-    given module sources (file name -> text) that none of them uses.
+    """``file:name`` of every public function, class, method and
+    module-level binding (see :func:`_assigned`) of the given module
+    sources (file name -> text) that none of them uses.
 
-    A function or class is used when its name is loaded without a local of
-    the same name in scope, or read as a module attribute; a method only
-    as an attribute.
+    A function, class or binding is used when its name is loaded without a
+    local of the same name in scope, or read as a module attribute; a
+    method only as an attribute.
     """
     defined, bare, attrs = [], set(), set()
     for file, text in sorted(sources.items()):
@@ -78,6 +91,8 @@ def unused_public_names(sources: dict) -> list:
             if isinstance(stmt, ast.ClassDef):
                 defined += [(f"{file}:{stmt.name}.{m.name}", m.name, True)
                             for m in _public(stmt.body, ast.FunctionDef)]
+        defined += [(f"{file}:{name}", name, False)
+                    for name in _assigned(body)]
         for stmt in body:
             # a definition naming itself (recursion) does not count as a use
             own = {getattr(stmt, "name", None)}
@@ -117,6 +132,27 @@ def test_a_local_of_the_same_name_is_no_use():
         ROWS = take(pick([[1.0]], 0))
         """)
     assert unused_public_names({"mod.py": source}) == ["mod.py:cols"]
+
+
+def test_ops_bound_at_module_level_are_public_names():
+    # an op bound by assignment is a public name like a def; a constant is
+    # not counted
+    source = textwrap.dedent("""
+        def _maker(name):
+            return lambda x: x
+
+        add = _maker("add")
+        exp, log = _maker("exp"), _maker("log")
+        sign: int = 1
+        LIMIT = 3
+
+        def total(x):
+            return add(x, LIMIT)
+
+        ROWS = total(sign)
+        """)
+    assert unused_public_names({"mod.py": source}) == ["mod.py:exp",
+                                                       "mod.py:log"]
 
 
 #: The calls that parse JSON, by module and top-level definition:
