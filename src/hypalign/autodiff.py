@@ -26,25 +26,24 @@ finite-difference checker exploits.  ``Var`` has no arithmetic operators.
 
 Every value, on the tape and on the plain route, is float64 numpy: an array,
 or a numpy float64 (or 0-d array) for a scalar such as the temperature, the
-curvature or a loss total.  There is no broadcasting engine: ``add`` and
-``div`` accept equal shapes, a scalar paired with an array, or (``add``) a
-row vector added to every row of a matrix.  A batch is always an n x d
-matrix of rows.  Besides those two, ``exp``, ``matmul`` and ``take_row``,
-the table holds one row per formula that a training step records, so a
-whole batch, from the fusion forward to each loss, is a handful of array
-nodes: the hyperboloid lift, distance, cone aperture and exterior angle
-(which ``geometry`` wraps), the embedding squash, multi-head attention and
-the residual MLP (which ``fusion`` wraps), the trainer's box head, and
-every loss (which ``objectives`` wraps): the cross-entropy at target
-columns, of scaled logits or of cosine similarities, the entailment cone
-hinge, the mean smooth L1 and the weighted total of the terms.  Each has
-one plain-array kernel, for training and evaluation alike, which calls
-numpy and this module's private helpers directly, and a hand-derived VJP
-that sums each operand's adjoint terms in the order the formula's
-spelled-out ops would, so a row keeps their bits.  The ``hinge`` row is a
-name only, which no op records: the benchmark's tracer looks its opcode
-up.  Index operands are integers: ``indices`` rejects any other entry,
-naming it, and takes a whole float for its integer.
+curvature or a loss total.  A batch is always an n x d matrix of rows.
+Besides ``exp`` and the ``take_row`` gather, the table holds one row per
+formula that a training step records, so a whole batch, from the fusion
+forward to each loss, is a handful of array nodes: the hyperboloid lift,
+distance, cone aperture and exterior angle (which ``geometry`` wraps), the
+embedding squash, the captions' squashed mean token embedding, multi-head
+attention, the positional sum and the residual MLP (which ``fusion``
+wraps), the trainer's box head, and every loss (which ``objectives``
+wraps): the cross-entropy at target columns, of scaled logits or of cosine
+similarities, the entailment cone hinge, the mean smooth L1 and the
+weighted total of the terms.  Each has one plain-array kernel, for
+training and evaluation alike, which calls numpy and this module's private
+helpers directly, and a hand-derived VJP that sums each operand's adjoint
+terms in the order the formula's spelled-out ops would, so a row keeps
+their bits.  The ``hinge`` row is a name only, which no op records: the
+benchmark's tracer looks its opcode up.  Index operands are integers:
+``indices`` rejects any other entry, naming it, and takes a whole float for
+its integer.
 """
 
 from __future__ import annotations
@@ -164,13 +163,6 @@ _BACKWARDS: list = []
 _LEAF_OP = (_Op("leaf", None, None).code, (), None)
 
 
-def _fit(grad, operand):
-    """An adjoint summed down to a broadcast scalar or row vector."""
-    if grad.ndim > operand.ndim:
-        return np.add.reduce(grad, axis=0 if operand.ndim else None)
-    return grad
-
-
 def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
     """Register a row for a formula of one or more operands and return its
     op, ``op(*operands, aux=None)``.
@@ -245,6 +237,8 @@ def _rows(op: str, *arrays: np.ndarray) -> None:
 def _sinhc(t):
     # removable singularity at 0: 4-term Taylor series below the switch point
     small = np.abs(t) < _SINHC_SWITCH
+    if not small.any():
+        return np.sinh(t) / t
     safe = np.where(small, 1.0, t)
     t2 = t * t
     return np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0
@@ -253,6 +247,8 @@ def _sinhc(t):
 
 def _sinhc_deriv(t):
     small = np.abs(t) < _SINHC_SWITCH
+    if not small.any():
+        return np.cosh(t) / t - np.sinh(t) / (t * t)
     safe = np.where(small, 1.0, t)
     t2 = t * t
     return np.where(small, t / 3.0 + t * t2 / 30.0 + t * t2 * t2 / 840.0,
@@ -313,21 +309,11 @@ def _smooth_l1_slope(a):
 # ---------------------------------------------------------------------------
 # primitive ops
 
-add = _composite("add", lambda a, b, aux: (a + b, None),
-                 lambda g, ans, saved, a, b, aux: ((0, _fit(g, a)),
-                                                   (1, _fit(g, b))))
-# a / b elementwise: equal shapes, or either operand a scalar
-div = _composite("div", lambda a, b, aux: (a / b, None),
-                 lambda g, ans, saved, a, b, aux: (
-                     (0, _fit(g / b, a)), (1, -_fit(g * a, b) / (b * b))))
 # math.exp of a scalar: np.exp differs from it in the last bit for some
 # arguments, and the temperature and curvature are exp of scalar leaves
 exp = _composite("exp", lambda x, aux: (
     np.exp(x) if x.ndim else np.float64(math.exp(x)), None),
     lambda g, ans, saved, x, aux: ((0, g * ans),))
-matmul = _composite("matmul", lambda a, b, aux: (np.matmul(a, b), None),
-                    lambda g, ans, saved, a, b, aux: ((0, g @ b.T),
-                                                      (1, a.T @ g)))
 # the rows of a matrix at an index vector, aux; the adjoint is a scatter
 _take_row = _composite("take_row", lambda m, i: (m[i], None),
                        lambda g, ans, saved, m, i: ((0, (i, g)),))
@@ -378,11 +364,22 @@ def _lift_vjp(g, ans, saved, x, c, aux):
     return enumerate((gx, np.add.reduce(dt * norm) / (2.0 * root)))
 
 
+def _distinct(us, vs):
+    # 0.0 at the row pairs equal entry for entry, 1.0 elsewhere; only pairs
+    # with equal largest entries are compared whole (equal row sums would
+    # not do: a sum's rounding depends on the array's layout)
+    same = (np.maximum.reduce(us, axis=1, initial=-np.inf)[:, None]
+            == np.maximum.reduce(vs, axis=1, initial=-np.inf))
+    if same.any():
+        i, j = np.nonzero(same)
+        same[i, j] = np.all(us[i] == vs[j], axis=1)
+    return np.where(same, 0.0, 1.0)
+
+
 def _lorentz_dist(us, vs, cu, cv, aux):
     # sqrt(1/C) arccosh(-C <u, v>_H), 0 for bitwise-identical rows
     ut, vt, inner, tol = aux
-    keep = np.where(np.all(us[:, None, :] == vs[None, :, :], axis=2),
-                    0.0, 1.0)
+    keep = _distinct(us, vs)
     arg = -(cu * inner)
     low = (arg < 1.0 - tol) & (keep != 0.0)
     if np.any(low):
@@ -473,6 +470,19 @@ def _squash_vjp(g, ans, saved, x, radius):
     w = np.where(norm > 1e-12, _row_dot(g, x) * (1.0 - th * th - f)
                  / (n * n), 0.0)
     return ((0, f[:, None] * g + w[:, None] * x),)
+
+
+def _caption_embed(table, aux):
+    # squash(counts table / totals), aux (counts, totals, radius): the
+    # spelled-out matmul, division by each row's token count and squash
+    mean = np.matmul(aux[0], table) / aux[1]
+    value, saved = _squash(mean, aux[2])
+    return value, (mean, saved)
+
+
+def _caption_embed_vjp(g, ans, saved, table, aux):
+    ((_, gm),) = _squash_vjp(g, ans, saved[1], saved[0], aux[2])
+    return ((0, aux[0].T @ (gm / aux[1])),)
 
 
 def _cross_entropy(u, tau, aux):
@@ -696,6 +706,17 @@ cone_aperture = _composite("cone_aperture", _cone_aperture,
 cone_angle = _composite("cone_angle", _cone_angle, _cone_angle_vjp)
 # direction-preserving row norm bound; aux the radius
 squash = _composite("squash", _squash, _squash_vjp)
+# each caption's squashed mean token embedding, operand the token table;
+# aux (captions x vocabulary counts, their row sums as a column, radius)
+caption_embed = _composite("caption_embed", _caption_embed,
+                           _caption_embed_vjp)
+# n x d rows plus their n x 4 box features times a projection plus the
+# features' encoding, operands (rows, projection); aux (features,
+# encoding).  The spelled-out matmul and two additions, whose adjoints are
+# the rows' at the first addition, then the projection's at the matmul
+positional = _composite(
+    "positional", lambda v, p, aux: (v + np.matmul(aux[0], p) + aux[1], None),
+    lambda g, ans, saved, v, p, aux: ((0, g), (1, aux[0].T @ g)))
 # multi-head attention from visual rows over text rows, operands (visual,
 # text, w_q, w_k, w_v, w_out); aux (n x L additive mask, head count)
 attention = _composite("attention", _attention, _attention_vjp)

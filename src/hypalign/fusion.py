@@ -7,11 +7,12 @@ the two views through a small residual MLP standing in for a region-fusion
 network.
 
 Each forward takes an n x d matrix of visual rows, one per region, works
-on plain arrays or autodiff ``Var`` values alike, and records a fixed
-handful of tape nodes whatever n is.  Attention is one node, all heads
-included: ``cross_modal_attention`` checks the rows and the token owners
-and builds the -inf mask, and ``autodiff.attention`` does the rest.  The
-fusion MLP is one ``autodiff.residual_mlp`` node.
+on plain arrays or autodiff ``Var`` values alike, and records one tape
+node whatever n is.  Attention is one node, all heads included:
+``cross_modal_attention`` checks the rows and the token owners and builds
+the -inf mask, and ``autodiff.attention`` does the rest.  The positional
+sum is one ``autodiff.positional`` node and the fusion MLP one
+``autodiff.residual_mlp`` node.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def positional_encode(visual, boxes: tuple, proj):
                          "row: the encode_boxes pair of n x 4 corners")
     if _shape(proj) != (4, d):
         raise ValueError("proposal projection must map p to the embedding dim")
-    return ad.add(ad.add(visual, ad.matmul(boxes[0], proj)), boxes[1])
+    return ad.positional(visual, proj, aux=boxes)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,11 @@ class Angle:
     radians: object  # float | ndarray | ad.Var
 
     def __post_init__(self):
+        # the extremes, from 0.0 so that an empty array passes; NaN fails
         r = val(self.radians)
-        if not np.all((r >= -1e-12) & (r <= math.pi + 1e-12)):
+        if not (np.minimum.reduce(r, axis=None, initial=0.0) >= -1e-12
+                and np.maximum.reduce(r, axis=None, initial=0.0)
+                <= math.pi + 1e-12):
             raise ValueError(f"angle out of [0, pi]: {r}")
 
     @property

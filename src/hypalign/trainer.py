@@ -406,8 +406,8 @@ class _Forward:
     def captions(self, counts: np.ndarray, totals: np.ndarray):
         """Mean token embedding of each caption: its ``_counts`` row times
         the token table, over its token count."""
-        total = ad.matmul(counts, self.p["token_table"])
-        return ad.squash(ad.div(total, totals), aux=EMBED_RADIUS)
+        return ad.caption_embed(self.p["token_table"],
+                                aux=(counts, totals, EMBED_RADIUS))
 
     def fused_visuals(self, batch: _Batch):
         """One row per region: its class's object row, its box and its

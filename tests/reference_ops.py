@@ -55,16 +55,31 @@ def _gather(name):
                          lambda g, ans, saved, m, index: ((0, (index, g)),))
 
 
+def _fit(grad, operand):
+    """An adjoint summed down to a broadcast scalar or row vector."""
+    if grad.ndim > operand.ndim:
+        return np.add.reduce(grad, axis=0 if operand.ndim else None)
+    return grad
+
+
 def _softmax(u):
     ad._rows("softmax", u)
     e = np.exp(u - np.maximum.reduce(u, axis=1, keepdims=True))
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
-sub = _binary("ref_sub", operator.sub, lambda g, a, b: ad._fit(g, a),
-              lambda g, a, b: -ad._fit(g, b))
-mul = _binary("ref_mul", operator.mul, lambda g, a, b: ad._fit(g * b, a),
-              lambda g, a, b: ad._fit(g * a, b))
+# equal shapes, a scalar paired with an array, or (add, sub, mul) a row
+# vector and every row of a matrix
+add = _binary("ref_add", operator.add, lambda g, a, b: _fit(g, a),
+              lambda g, a, b: _fit(g, b))
+sub = _binary("ref_sub", operator.sub, lambda g, a, b: _fit(g, a),
+              lambda g, a, b: -_fit(g, b))
+mul = _binary("ref_mul", operator.mul, lambda g, a, b: _fit(g * b, a),
+              lambda g, a, b: _fit(g * a, b))
+div = _binary("ref_div", operator.truediv, lambda g, a, b: _fit(g / b, a),
+              lambda g, a, b: -_fit(g * a, b) / (b * b))
+matmul = _binary("ref_matmul", np.matmul, lambda g, a, b: g @ b.T,
+                 lambda g, a, b: a.T @ g)
 neg = _unary("ref_neg", operator.neg, lambda g, ans, x: -g)
 sqrt = _unary("ref_sqrt", np.sqrt,
               lambda g, ans, x: g / (2.0 * np.maximum(ans, 1e-150)))

@@ -123,9 +123,9 @@ def _array_op_cases(rng):
     for _ in range(3):
         normal()
     cases += [
-        ("div", lambda p: reduce(ad.div(p["x"], p["y"])),
+        ("div", lambda p: reduce(ref.div(p["x"], p["y"])),
          {"x": normal(), "y": between(0.5, 2.0)}),
-        ("add_scalar_array", lambda p: reduce(ad.exp(ad.add(p["a"], p["x"]))),
+        ("add_scalar_array", lambda p: reduce(ad.exp(ref.add(p["a"], p["x"]))),
          {"a": 0.3, "x": normal() * 0.5}),
     ]
     # norm's, dot's, logsumexp's, scale_rows', outer's, sum's and pick's
@@ -142,7 +142,7 @@ def _array_op_cases(rng):
     between(1.1, 3.0), rng.choice([-1.0, 1.0], size=shape)
     cases.append(
         ("add_row_bias",
-         lambda p: reduce(ad.exp(ad.add(p["x"], p["b"]))),
+         lambda p: reduce(ad.exp(ref.add(p["x"], p["b"]))),
          {"x": normal() * 0.5, "b": rng.normal(size=12) * 0.5}))
     # the composite rows' inputs are drawn after the other cases' draws
     series = normal() * 0.5
@@ -157,6 +157,12 @@ def _array_op_cases(rng):
     y_pair[2] = x_pair[5]
     w_pair = w[:, :8].copy()
     w_pair[5, 2] = 0.0
+    # the caption embedding's counts over a 12-token vocabulary, each
+    # caption at least one token, and the positional sum's box features
+    # and encoding
+    counts = rng.integers(0, 3, size=shape) + np.eye(*shape)
+    caption_aux = (counts, np.add.reduce(counts, axis=1, keepdims=True), 3.0)
+    boxes = rng.uniform(size=(10, 4)), normal()
 
     def points(p, rows):
         return geo.LorentzPoint(p[rows], p["c"])
@@ -179,6 +185,12 @@ def _array_op_cases(rng):
          {"x": x_pair, "y": y_pair, "c": 0.8}),
         ("squash", lambda p: reduce(ad.squash(p["x"], aux=3.0)),
          {"x": with_zero_row}),
+        ("caption_embed",
+         lambda p: reduce(ad.caption_embed(p["t"], aux=caption_aux)),
+         {"t": rng.normal(size=(12, 12))}),
+        ("positional",
+         lambda p: reduce(ad.positional(p["x"], p["p"], aux=boxes)),
+         {"x": normal(), "p": rng.normal(size=(4, 12))}),
     ]
 
 

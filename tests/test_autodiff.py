@@ -60,16 +60,16 @@ def test_arccosh_gradient_analytic():
 # --- exhaustive per-primitive coverage -------------------------------------
 
 SCALAR_CASES = [
-    ("add", lambda p: ad.add(p["a"], p["b"]), lambda: {"a": 0.7, "b": -1.3}),
-    ("addc", lambda p: ad.add(p["a"], 2.5), lambda: {"a": 0.7}),
+    ("add", lambda p: ref.add(p["a"], p["b"]), lambda: {"a": 0.7, "b": -1.3}),
+    ("addc", lambda p: ref.add(p["a"], 2.5), lambda: {"a": 0.7}),
     ("sub", lambda p: ref.sub(p["a"], p["b"]), lambda: {"a": 1.2, "b": 0.4}),
     ("rsub", lambda p: ref.sub(1.5, p["a"]), lambda: {"a": 0.9}),
     ("neg", lambda p: ref.neg(p["a"]), lambda: {"a": 0.3}),
     ("mul", lambda p: ref.mul(p["a"], p["b"]), lambda: {"a": 1.7, "b": -0.6}),
     ("mulc", lambda p: ref.mul(p["a"], -3.0), lambda: {"a": 0.8}),
-    ("div", lambda p: ad.div(p["a"], p["b"]), lambda: {"a": 1.3, "b": 0.7}),
-    ("divc", lambda p: ad.div(p["a"], 4.0), lambda: {"a": 2.2}),
-    ("cdiv", lambda p: ad.div(3.0, p["a"]), lambda: {"a": 1.4}),
+    ("div", lambda p: ref.div(p["a"], p["b"]), lambda: {"a": 1.3, "b": 0.7}),
+    ("divc", lambda p: ref.div(p["a"], 4.0), lambda: {"a": 2.2}),
+    ("cdiv", lambda p: ref.div(3.0, p["a"]), lambda: {"a": 1.4}),
     ("exp", lambda p: ad.exp(p["a"]), lambda: {"a": 0.4}),
     ("sqrt", lambda p: ref.sqrt(p["a"]),
      lambda: {"a": float(RNG.uniform(0.5, 3.0))}),
@@ -101,6 +101,11 @@ SCALAR_CASES = [
 ]
 
 
+#: token counts of three captions over a five-token vocabulary
+CAPTION_COUNTS = np.array([[1.0, 0.0, 2.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                           [1.0, 1.0, 1.0, 1.0, 1.0]])
+
+
 def points(p, rows):
     """Rows of p as the spatial parts of a batch at curvature p["c"]."""
     return geo.LorentzPoint(p[rows], p["c"])
@@ -128,9 +133,9 @@ VECTOR_CASES = [
      lambda: {"a": 1.3, "u": RNG.normal(size=3)}),
     ("mul_array_array", lambda p: ref.sum(ref.mul(p["u"], p["v"])),
      lambda: {"u": RNG.normal(size=3), "v": RNG.normal(size=3)}),
-    ("div_array_scalar", lambda p: ref.sum(ad.div(p["u"], p["a"])),
+    ("div_array_scalar", lambda p: ref.sum(ref.div(p["u"], p["a"])),
      lambda: {"u": RNG.normal(size=3), "a": 1.7}),
-    ("matmul", lambda p: ref.sum(ad.matmul(p["A"], p["B"])),
+    ("matmul", lambda p: ref.sum(ref.matmul(p["A"], p["B"])),
      lambda: {"A": RNG.normal(size=(2, 4)), "B": RNG.normal(size=(4, 3))}),
     ("take_row",
      lambda p: ref.sum(ref.mul(ad.take_row(p["M"], [1]),
@@ -159,7 +164,7 @@ VECTOR_CASES = [
                                    RNG.uniform(1.1, 3.0, size=2),
                                    -RNG.uniform(1.1, 3.0, size=2)])}),
     ("add_row_bias",
-     lambda p: ref.sum(ref.mul(ref.sub(ad.add(p["M"], p["b"]), p["c"]),
+     lambda p: ref.sum(ref.mul(ref.sub(ref.add(p["M"], p["b"]), p["c"]),
                                np.arange(6.0).reshape(2, 3))),
      lambda: {"M": RNG.normal(size=(2, 3)), "b": RNG.normal(size=3),
               "c": RNG.normal(size=3)}),
@@ -278,6 +283,19 @@ VECTOR_CASES = [
      lambda: {"a": float(RNG.uniform(0.1, 2.0)),
               "b": float(RNG.uniform(0.1, 2.0)),
               "c": float(RNG.uniform(0.1, 2.0))}),
+    # three captions over a five-token vocabulary, one token read twice
+    ("caption_embed",
+     lambda p: ref.sum(ref.mul(ad.caption_embed(p["T"], aux=(
+         CAPTION_COUNTS, np.add.reduce(CAPTION_COUNTS, axis=1, keepdims=True),
+         3.0)), np.arange(12.0).reshape(3, 4) - 5.0)),
+     lambda: {"T": RNG.normal(scale=2.0, size=(5, 4))}),
+    # the box features and their encoding ride in aux
+    ("positional",
+     lambda p: ref.sum(ref.mul(ad.positional(p["V"], p["P"], aux=(
+         np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+         np.cos(np.arange(24.0)).reshape(3, 8))),
+         np.arange(24.0).reshape(3, 8) - 11.0)),
+     lambda: {"V": RNG.normal(size=(3, 8)), "P": RNG.normal(size=(4, 8))}),
 ]
 
 
@@ -292,28 +310,28 @@ def test_primitive_gradients(name, build, sample):
 def spelled_out_box_head(x, w, b, eps=1e-3):
     """The box head as 13 tape nodes, as the trainer recorded it before it
     was one row: the reference ``box_head`` must match bit for bit."""
-    raw = ad.add(ad.matmul(x, w), b)
-    u = ad.add(ref.mul(ref.sigmoid(raw), 1.0 - 2.0 * eps), eps)
+    raw = ref.add(ref.matmul(x, w), b)
+    u = ref.add(ref.mul(ref.sigmoid(raw), 1.0 - 2.0 * eps), eps)
     sizes = ref.cols(u, 2, 4)
     near = ref.mul(ref.cols(u, 0, 2), ref.sub(1.0, sizes))
-    return ad.add(ad.matmul(near, np.eye(2, 4)),
-                  ad.matmul(ad.add(near, sizes), np.eye(2, 4, 2)))
+    return ref.add(ref.matmul(near, np.eye(2, 4)),
+                   ref.matmul(ref.add(near, sizes), np.eye(2, 4, 2)))
 
 
 def spelled_out_cross_entropy(u, tau, targets, sign=1.0):
     """The mean cross-entropy of u / (sign tau) as the losses recorded it
     before it was one row, the reference for ``cross_entropy``: a negation
     for sign -1, the division, then 5 tape nodes."""
-    logits = ad.div(u if sign > 0 else ref.neg(u), tau)
+    logits = ref.div(u if sign > 0 else ref.neg(u), tau)
     per_row = ref.sub(ref.logsumexp(logits), ref.pick(logits, targets))
-    return ad.div(ref.sum(per_row), float(len(targets)))
+    return ref.div(ref.sum(per_row), float(len(targets)))
 
 
 def spelled_out_cosine_cross_entropy(a, b, tau, targets):
     """The cosine cross-entropy of the classification and Euclidean
     contrastive losses as 12 tape nodes, the reference for
     ``cosine_cross_entropy``."""
-    sims = ad.div(ref.dot(a, b), ref.outer(ref.norm(a), ref.norm(b)))
+    sims = ref.div(ref.dot(a, b), ref.outer(ref.norm(a), ref.norm(b)))
     return spelled_out_cross_entropy(sims, tau, targets)
 
 
@@ -323,16 +341,16 @@ def spelled_out_cone_hinge(angles, aperture, margin):
     n = len(ad.val(aperture))
     outside = ref.hinge(ref.sub(angles, ref.outer(aperture, np.ones(n))))
     eye = np.eye(n)
-    terms = ad.add(ref.mul(outside, eye),
-                   ref.mul(ref.hinge(ref.sub(margin, outside)), 1.0 - eye))
-    return ad.div(ref.sum(terms), float(n))
+    terms = ref.add(ref.mul(outside, eye),
+                    ref.mul(ref.hinge(ref.sub(margin, outside)), 1.0 - eye))
+    return ref.div(ref.sum(terms), float(n))
 
 
 def spelled_out_smooth_l1_loss(pred, gt):
     """The box loss of n x 4 rows as 4 tape nodes, the reference for
     ``smooth_l1_loss``."""
-    return ad.div(ref.sum(ref.smooth_l1(ref.sub(pred, gt))),
-                  4.0 * len(ad.val(pred)))
+    return ref.div(ref.sum(ref.smooth_l1(ref.sub(pred, gt))),
+                   4.0 * len(ad.val(pred)))
 
 
 def spelled_out_weighted_total(terms, weights):
@@ -342,19 +360,35 @@ def spelled_out_weighted_total(terms, weights):
              for t, w in zip(terms, weights)]
     total = parts[0]
     for part in parts[1:]:
-        total = ad.add(total, part)
+        total = ref.add(total, part)
     return total
 
 
 def spelled_out_residual_mlp(a, b, w1, b1, w2, b2):
     """The fusion MLP as 7 tape nodes, the reference for
     ``residual_mlp``."""
-    x = ad.add(a, b)
-    hidden = ref.tanh(ad.add(ad.matmul(x, w1), b1))
-    return ad.add(ad.add(x, ad.matmul(hidden, w2)), b2)
+    x = ref.add(a, b)
+    hidden = ref.tanh(ref.add(ref.matmul(x, w1), b1))
+    return ref.add(ref.add(x, ref.matmul(hidden, w2)), b2)
+
+
+def spelled_out_caption_embed(table, counts, totals, radius):
+    """The caption embedding as the trainer recorded it before it was one
+    row: a matmul, the division by the token counts and the squash."""
+    return ad.squash(ref.div(ref.matmul(counts, table), totals), aux=radius)
+
+
+def spelled_out_positional(visual, proj, features, encoding):
+    """The positional sum as 3 tape nodes, the reference for
+    ``positional``."""
+    return ref.add(ref.add(visual, ref.matmul(features, proj)), encoding)
 
 
 def _row_operands(name, rng, n, d):
+    if name == "caption_embed":
+        return [rng.normal(size=(d, d))]
+    if name == "positional":
+        return [rng.normal(size=(n, d)), rng.normal(size=(4, d))]
     if name == "box_head":
         return [rng.normal(size=(n, d)), rng.normal(scale=3.0, size=(d, 4)),
                 rng.normal(size=4)]
@@ -392,7 +426,8 @@ TOTAL_WEIGHTS = (np.float64(0.75), np.float64(1.0), None, np.float64(2.5))
 @pytest.mark.parametrize("name", ["box_head", "cross_entropy",
                                   "residual_mlp", "cross_entropy_negated",
                                   "cosine_cross_entropy", "cone_hinge",
-                                  "smooth_l1_loss", "weighted_total"])
+                                  "smooth_l1_loss", "weighted_total",
+                                  "caption_embed", "positional"])
 def test_row_keeps_the_spelled_out_bits(name, n, d):
     # value and every operand adjoint, on the tape and on the plain route;
     # the first operand has a second consumer after the row, as the fused
@@ -400,6 +435,13 @@ def test_row_keeps_the_spelled_out_bits(name, n, d):
     rng = np.random.default_rng([n, d])
     operands = _row_operands(name.replace("_negated", ""), rng, n, d)
     targets = rng.integers(0, d, n)
+    # the plain operands of the caption and positional rows, from a
+    # generator of their own: counts over a d-token vocabulary, each
+    # caption at least one token, and the box features and encoding
+    plain = np.random.default_rng([n, d, 1])
+    counts = plain.integers(0, 3, size=(n, d)) + np.eye(n, d)
+    totals = np.add.reduce(counts, axis=1, keepdims=True)
+    boxes = plain.normal(size=(n, 4)), plain.normal(size=(n, d))
     # the logits of a loss are a fresh node that feeds nothing else, or
     # the temperature's division of one; the row's two adjoint terms then
     # sum in the spelled-out order
@@ -425,7 +467,13 @@ def test_row_keeps_the_spelled_out_bits(name, n, d):
                                                            TOTAL_WEIGHTS),
                 lambda a, b, c: ad.weighted_total(a, b, 0.0, c,
                                                   aux=TOTAL_WEIGHTS)),
-            "residual_mlp": (spelled_out_residual_mlp, ad.residual_mlp)}
+            "residual_mlp": (spelled_out_residual_mlp, ad.residual_mlp),
+            "caption_embed": (
+                lambda t: spelled_out_caption_embed(t, counts, totals, 3.0),
+                lambda t: ad.caption_embed(t, aux=(counts, totals, 3.0))),
+            "positional": (
+                lambda v, p: spelled_out_positional(v, p, *boxes),
+                lambda v, p: ad.positional(v, p, aux=boxes))}
     weights = rng.normal(size=np.shape(rows[name][0](*operands)))
     if weights.ndim:
         weights[0] = 0.0   # a zero adjoint row keeps its signed zeros
@@ -434,8 +482,8 @@ def test_row_keeps_the_spelled_out_bits(name, n, d):
         tape = ad.Tape()
         leaves = [tape.leaf(v, str(k)) for k, v in enumerate(operands)]
         out = row(*leaves)
-        grads = ref.gradients(tape, ad.add(ref.sum(ref.mul(out, weights)),
-                                         ref.sum(ref.tanh(leaves[0]))))
+        grads = ref.gradients(tape, ref.add(ref.sum(ref.mul(out, weights)),
+                                          ref.sum(ref.tanh(leaves[0]))))
         results.append([out.value.tobytes(), row(*operands).tobytes()]
                        + [grads[str(k)].tobytes()
                           for k in range(len(operands))])
@@ -468,9 +516,9 @@ def test_scatter_adjoint_leaves_a_shared_adjoint_alone(scatter):
     # ``a``, recorded earlier, runs later in backward and adds into a's slot
     def build(p):
         part = scatter(p["a"])
-        both = ad.add(p["a"], p["b"])
-        return ad.add(ref.sum(ref.mul(both, np.arange(12.0).reshape(3, 4))),
-                      ref.sum(ref.mul(part, part)))
+        both = ref.add(p["a"], p["b"])
+        return ref.add(ref.sum(ref.mul(both, np.arange(12.0).reshape(3, 4))),
+                       ref.sum(ref.mul(part, part)))
 
     for _ in range(3):
         check_gradients(build, {"a": RNG.normal(size=(3, 4)),
@@ -489,10 +537,10 @@ def test_scatter_adjoints_add_into_the_running_adjoint_in_order():
     tape = ad.Tape()
     leaf = tape.leaf(table, name="table")
     reads = [ad.take_row(leaf, repeated), ad.take_row(leaf, distinct),
-             ad.matmul(counts, leaf)]
+             ref.matmul(counts, leaf)]
     out = ref.sum(ref.mul(reads[0], g_b))
     for read, g in zip(reads[1:], (g_a, g_m)):
-        out = ad.add(out, ref.sum(ref.mul(read, g)))
+        out = ref.add(out, ref.sum(ref.mul(read, g)))
     want, apart = counts.T @ g_m, np.zeros(table.shape)
     for rows, g in ((distinct, g_a), (repeated, g_b)):
         for r, row in zip(rows, g):
@@ -643,20 +691,56 @@ def test_kernels_keep_the_spelled_out_values():
     dist = ref.mul(ref.sqrt(1.0 / c), ref.arccosh(
         ref.clamp_min(ref.neg(ref.mul(c, inner)), 1.0)))
     assert geo.lorentz_distance(u, v).tobytes() == dist.tobytes()
-    ratio = ad.div(2.0 * geo.APERTURE_K, ref.mul(ref.sqrt(c), u.space_norm))
+    ratio = ref.div(2.0 * geo.APERTURE_K, ref.mul(ref.sqrt(c), u.space_norm))
     aperture = ref.asin(ref.clamp_max(ratio, 1.0))
     assert geo.half_aperture(u).value.tobytes() == aperture.tobytes()
     ci = ref.mul(c, inner)
     dsq = ref.sub(ref.mul(ci, ci), 1.0)
     den = ref.scale_rows(u.space_norm, ref.sqrt(np.where(dsq > 0.0, dsq,
                                                          1.0)))
-    q = ad.div(ad.add(v.time, ref.scale_rows(u.time, ci)), den)
+    q = ref.div(ref.add(v.time, ref.scale_rows(u.time, ci)), den)
     angle = ref.mul(ref.arccos(ref.clamp_max(ref.clamp_min(q, -1.0), 1.0)),
                     np.where(dsq > 0.0, 1.0, 0.0))
     assert geo.exterior_angle(u, v).value.tobytes() == angle.tobytes()
     n = ref.clamp_min(ref.norm(x), 1e-12)
-    f = ad.div(ref.mul(ref.tanh(ad.div(n, 3.0)), 3.0), n)
+    f = ref.div(ref.mul(ref.tanh(ref.div(n, 3.0)), 3.0), n)
     assert ad.squash(x, aux=3.0).tobytes() == ref.scale_rows(f, x).tobytes()
+    # the caption embedding and the positional sum, drawn after the rest
+    table = rng.normal(size=(7, 4))
+    counts = rng.integers(0, 3, size=(5, 7)) + np.eye(5, 7)
+    totals = np.add.reduce(counts, axis=1, keepdims=True)
+    mean = ref.div(ref.matmul(counts, table), totals)
+    assert (ad.caption_embed(table, aux=(counts, totals, 3.0)).tobytes()
+            == ad.squash(mean, aux=3.0).tobytes())
+    features, proj = rng.normal(size=(5, 4)), rng.normal(size=(4, 4))
+    encoding = rng.normal(size=(5, 4))
+    summed = ref.add(ref.add(x, ref.matmul(features, proj)), encoding)
+    assert (ad.positional(x, proj, aux=(features, encoding)).tobytes()
+            == summed.tobytes())
+
+
+def where_sinhc(t):
+    """sinh(t)/t and its derivative with np.where choosing, entry by
+    entry, between the Taylor series and the closed form."""
+    small = np.abs(t) < ad._SINHC_SWITCH
+    safe = np.where(small, 1.0, t)
+    t2 = t * t
+    return (np.where(small, 1.0 + t2 / 6.0 + t2 * t2 / 120.0
+                     + t2 * t2 * t2 / 5040.0, np.sinh(safe) / safe),
+            np.where(small, t / 3.0 + t * t2 / 30.0 + t * t2 * t2 / 840.0,
+                     np.cosh(safe) / safe - np.sinh(safe) / (safe * safe)))
+
+
+@pytest.mark.parametrize("t", [
+    np.array([1e-4, -1e-4, 3e-4, -0.7, 1.0, 2.5, 17.0, -40.0]),
+    np.array([0.0, -0.0, 1e-300, 1e-9, -5e-5, 9.99e-5, -9.99e-5]),
+    np.array([2.0, 0.0, 5e-5, -1.3, 1e-4, -1e-7, 0.3]),
+], ids=["all_large", "all_small", "mixed"])
+def test_sinhc_keeps_the_where_bits(t):
+    # the closed form alone when no entry is below the switch
+    value, deriv = where_sinhc(t)
+    assert ad._sinhc(t).tobytes() == value.tobytes()
+    assert ad._sinhc_deriv(t).tobytes() == deriv.tobytes()
 
 
 def test_backward_deterministic_bit_identical():
@@ -664,7 +748,7 @@ def test_backward_deterministic_bit_identical():
 
     def build(p):
         s = ref.softmax(ref.mul(p["u"], p["a"]))
-        return ad.add(ref.sum(ref.logsumexp(s)), ref.sum(ref.norm(p["u"])))
+        return ref.add(ref.sum(ref.logsumexp(s)), ref.sum(ref.norm(p["u"])))
 
     tape = ad.Tape()
     leaves = {k: tape.leaf(v, name=k) for k, v in params.items()}
@@ -677,7 +761,7 @@ def test_backward_deterministic_bit_identical():
 def test_reused_operand_accumulates():
     tape = ad.Tape()
     x = tape.leaf(2.0, name="x")
-    out = ad.add(ref.mul(x, x), x)  # x^2 + x -> 2x + 1
+    out = ref.add(ref.mul(x, x), x)  # x^2 + x -> 2x + 1
     grads = ref.gradients(tape, out)
     assert grads["x"] == pytest.approx(5.0, abs=1e-12)
 
@@ -718,7 +802,7 @@ def test_cross_tape_operands_rejected():
     x = t1.leaf(1.0, name="x")
     y = t2.leaf(2.0, name="y")
     with pytest.raises(ValueError, match="tape"):
-        ad.add(x, y)
+        ref.add(x, y)
 
 
 def test_non_finite_gradient_reports_node():
@@ -771,3 +855,45 @@ def test_tape_indices_reference_earlier_nodes_only():
     for i, (_, inputs, _) in enumerate(tape.ops):
         assert all(j < i for j in inputs)
     assert out.idx == len(tape.ops) - 1
+
+
+def _mask_batches(name):
+    rng = np.random.default_rng(23)
+    if name == "duplicates":
+        rows = rng.normal(size=(4, 5))
+        return rows[[0, 1, 1, 3]], rows[[1, 2, 0, 1, 1]]
+    if name == "signed_zeros":
+        return (np.array([[0.0, 1.0, -0.0], [2.0, 0.0, 0.0]]),
+                np.array([[-0.0, 1.0, 0.0], [2.0, -0.0, -0.0],
+                          [0.0, 1.0, 1e-300]]))
+    if name == "equal_sums":
+        # equal sums and largest entries, different rows, and one equal row
+        return (np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]),
+                np.array([[2.0, 2.0, 2.0], [1.0, 3.0, 2.0], [3.0, 2.0, 1.0],
+                          [2.0, 3.0, 1.0]]))
+    if name == "layouts":
+        # equal rows in a C-ordered and a Fortran-ordered batch, whose row
+        # sums may round differently
+        rows = rng.normal(size=(6, 9)) * 10.0 ** rng.integers(-8, 8, (6, 9))
+        return rows, np.asfortranarray(rows[[5, 0, 3, 3]])
+    if name == "nan":
+        rows = np.array([[np.nan, 1.0], [0.5, 2.0]])
+        return rows, rows.copy()
+    if name == "no_entries":
+        return np.zeros((2, 0)), np.zeros((3, 0))
+    pair = identical_pair()
+    return pair["U"], pair["V"]
+
+
+@pytest.mark.parametrize("name", ["duplicates", "signed_zeros", "equal_sums",
+                                  "layouts", "nan", "no_entries",
+                                  "identical_pair"])
+def test_distinct_rows_equal_the_whole_row_comparison(name):
+    # the distance's mask compares whole rows only where the largest
+    # entries agree; it must equal comparing every pair in full.  This
+    # test is last in the module, so identical_pair's draws move no other
+    # test's data
+    us, vs = _mask_batches(name)
+    full = np.all(us[:, None, :] == vs[None, :, :], axis=2)
+    assert ad._distinct(us, vs).tobytes() == np.where(full, 0.0,
+                                                      1.0).tobytes()

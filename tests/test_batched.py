@@ -214,15 +214,20 @@ def test_batch_losses_record_the_same_nodes_at_any_batch_size():
     assert loss_nodes(4) == loss_nodes(16)
 
 
-def step_nodes(objective, batch_size):
-    """Tape nodes of one full step in the benchmark's configuration."""
+def step_tape(objective, batch_size):
+    """The tape of one full step in the benchmark's configuration."""
     config = tr.ExperimentConfig(objective=objective, d=16, batch=16,
                                  rho=0.326, scenes=60, categories=4,
                                  leaves_per_category=3, seed=0)
     tree, synonyms, records, _ = tr.default_corpus(config)
     train, _ = tr.split_records(records)
     _, report = tr.step(tr.init(config, tree, synonyms), train[:batch_size])
-    return len(report.total.tape)
+    return report.total.tape
+
+
+def step_nodes(objective, batch_size):
+    """Tape nodes of one full step in the benchmark's configuration."""
+    return len(step_tape(objective, batch_size))
 
 
 @pytest.mark.parametrize("objective", tr.OBJECTIVES)
@@ -232,22 +237,52 @@ def test_step_records_the_same_nodes_at_any_batch_size(objective):
 
 
 def test_hyper_step_tape_stays_small():
-    # 40 nodes when this bound was set: one node per loss and one for the
-    # weighted total (66 with the losses spelled out in 4-10 nodes each,
-    # 92 with the box head, the fusion MLP and both cross-entropies spelled
-    # out too, 137 with the 4 attention heads spelled out in 46 nodes, 226
-    # with two lifts and the Lorentz formulas spelled out in elementwise
-    # ops, 1,691 with a per-record forward)
-    assert step_nodes("hyper", 16) <= 40
+    # 36 nodes when this bound was set: one node per loss, one for the
+    # weighted total, one for the caption embedding and one for the
+    # positional sum (40 with those two spelled out in 3 nodes each, 66
+    # with the losses spelled out in 4-10 nodes each, 92 with the box head,
+    # the fusion MLP and both cross-entropies spelled out too, 137 with the
+    # 4 attention heads spelled out in 46 nodes, 226 with two lifts and the
+    # Lorentz formulas spelled out in elementwise ops, 1,691 with a
+    # per-record forward)
+    assert step_nodes("hyper", 16) <= 36
 
 
-@pytest.mark.parametrize("objective,bound", [("baseline", 33),
-                                             ("det-only", 29)])
+@pytest.mark.parametrize("objective,bound", [("baseline", 29),
+                                             ("det-only", 27)])
 def test_other_step_tapes_stay_small(objective, bound):
-    # the counts when these bounds were set: one node per loss and one for
-    # the weighted total, which records nothing for an inactive term (53
-    # and 42 before), one node each for the box head, the fusion MLP and
-    # every cross-entropy (79 and 64 before that), one node for multi-head
-    # attention (124 and 109 before that), after one node per squash and
-    # constant operands of matrix ops in aux (141 and 119 before that)
+    # the counts when these bounds were set: one node for the positional
+    # sum and (baseline) one for the caption embedding (33 and 29 before),
+    # one node per loss and one for the weighted total, which records
+    # nothing for an inactive term (53 and 42 before that), one node each
+    # for the box head, the fusion MLP and every cross-entropy (79 and 64
+    # before that), one node for multi-head attention (124 and 109 before
+    # that), after one node per squash and constant operands of matrix ops
+    # in aux (141 and 119 before that)
     assert step_nodes(objective, 16) <= bound
+
+
+#: the rows every step records after its 15 parameter leaves, from the
+#: temperature to the classification loss
+_FORWARD_ROWS = ["exp", "take_row", "take_row", "attention", "positional",
+                 "residual_mlp", "squash", "box_head", "smooth_l1_loss",
+                 "take_row", "cosine_cross_entropy"]
+#: each objective's rows in the order a step records them, so that a
+#: folded row split again, or a row recorded twice, shows
+STEP_ROWS = {
+    "det-only": _FORWARD_ROWS + ["weighted_total"],
+    "baseline": _FORWARD_ROWS + ["caption_embed", "cosine_cross_entropy",
+                                 "weighted_total"],
+    "hyper": _FORWARD_ROWS + ["caption_embed", "exp", "lift", "lift",
+                              "lorentz_dist", "cross_entropy",
+                              "cone_aperture", "cone_angle", "cone_hinge",
+                              "weighted_total"],
+}
+
+
+@pytest.mark.parametrize("objective", tr.OBJECTIVES)
+def test_step_records_its_rows_in_order(objective):
+    tape = step_tape(objective, 16)
+    assert [code for code, _, _ in tape.ops].count(0) == 15
+    assert ([ad._OP_NAMES[code] for code, _, _ in tape.ops if code]
+            == STEP_ROWS[objective])

@@ -161,18 +161,18 @@ def reference_attention(visual, text, owner, weights):
                     0.0, -np.inf)
     dh = np.shape(val(weights.w_q))[1]
     hd = dh // weights.head_count
-    q = ad.matmul(visual, weights.w_q)
-    keys = ad.matmul(text, weights.w_k)
-    values = ad.matmul(text, weights.w_v)
+    q = ref.matmul(visual, weights.w_q)
+    keys = ref.matmul(text, weights.w_k)
+    values = ref.matmul(text, weights.w_v)
     out = None
     for h in range(weights.head_count):
         lo, hi = h * hd, (h + 1) * hd
         scores = ref.mul(ref.dot(ref.cols(q, lo, hi), ref.cols(keys, lo, hi)),
                          1.0 / math.sqrt(dh))
-        attn = ref.softmax(ad.add(scores, mask))
-        head = ad.matmul(ad.matmul(attn, ref.cols(values, lo, hi)),
-                         ad.take_row(weights.w_out, range(lo, hi)))
-        out = head if out is None else ad.add(out, head)
+        attn = ref.softmax(ref.add(scores, mask))
+        head = ref.matmul(ref.matmul(attn, ref.cols(values, lo, hi)),
+                          ad.take_row(weights.w_out, range(lo, hi)))
+        out = head if out is None else ref.add(out, head)
     return out
 
 
