@@ -814,11 +814,11 @@ def json_bytes(row, plain) -> bytes:
 
 #: ``bytes.translate`` tables of :func:`read_json`'s guard: every digit to
 #: "0", "." kept and every other byte to a space; the braces to brackets,
-#: with every byte deleted but brackets, quotes and backslashes
+#: with every byte deleted but brackets, quotes, backslashes and NUL
 _DIGIT_RUNS = bytes(48 if 48 <= i <= 57 else 46 if i == 46 else 32
                     for i in range(256))
 _BRACKETS = bytes.maketrans(b"{}", b"[]")
-_NOT_NESTING = bytes(set(range(256)) - set(b'[]{}"\\'))
+_NOT_NESTING = bytes(set(range(256)) - set(b'[]{}"\\\0'))
 #: an integer literal this long may lie outside orjson's 64-bit range
 _LONG_INT = b"0" * 19
 #: a text may nest this deep and still be read by orjson: json raises
@@ -865,7 +865,8 @@ def read_json(text):
 def _orjson_reads_as_json(data: bytes) -> bool:
     """Whether the JSON text ``data`` holds no long integer literal and
     nests at most ``_MAX_DEPTH`` deep, with no bracket, quote or backslash
-    in a string."""
+    in a string.  A NUL byte, which no JSON text holds, parts texts: each
+    part's brackets and quotes must pair within it."""
     digits = data.translate(_DIGIT_RUNS)
     if digits.startswith(_LONG_INT) or b" " + _LONG_INT in digits:
         return False
@@ -875,24 +876,25 @@ def _orjson_reads_as_json(data: bytes) -> bool:
     for _ in range(_MAX_DEPTH + 1):
         shallower = nesting.replace(b"[]", b"")
         if shallower == nesting:
-            return not nesting
+            return not nesting.strip(b"\0")
         nesting = shallower
     return False
 
 
 def load_json(path):
     """The JSON value in the file at ``path`` (:func:`read_json`); text
-    that is not JSON raises ``{path}: invalid JSON: ...``."""
+    that is not JSON, or nests past the recursion limit, raises
+    ``{path}: invalid JSON: ...``."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         return read_json(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{os.fspath(path)}: invalid JSON: {exc}") from None
 
 
-def write_lines(path, lines: Iterable[bytes]) -> None:
-    """Write each line and a newline to ``path``, atomically.
+def write_bytes(path, pieces: Iterable[bytes]) -> None:
+    """Write the byte strings ``pieces`` to ``path``, atomically.
 
     The bytes go to a temporary file beside ``path`` that then replaces
     it, so an error part-way leaves the old file as it was.
@@ -900,16 +902,20 @@ def write_lines(path, lines: Iterable[bytes]) -> None:
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            # a write for each 256 lines: one a line costs more, and one
-            # for the whole file holds all of its bytes at once
-            ends = chain.from_iterable(zip(lines, repeat(b"\n")))
-            while chunk := b"".join(islice(ends, 512)):
-                fh.write(chunk)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_lines(path, lines: Iterable[bytes]) -> None:
+    """Write each line and a newline to ``path``, atomically."""
+    # a write for each 256 lines: one a line costs more, and one for the
+    # whole file holds all of its bytes at once
+    ends = chain.from_iterable(zip(lines, repeat(b"\n")))
+    write_bytes(path, iter(lambda: b"".join(islice(ends, 512)), b""))
 
 
 def write_corpus(path, records: Corpus) -> None:
@@ -933,6 +939,50 @@ def write_corpus(path, records: Corpus) -> None:
              hallucinated, ok) in rows))
 
 
+#: the fields every record has but ``v``, and those that may be absent,
+#: with the value they then take
+_FIELDS = ("box", "tokens", "true_objects", "hallucinated")
+_OPTIONAL = {"score": None, "gt_box": None, "scene": 0}
+#: the lines parsed at once: only one chunk's records are ever dicts
+_CHUNK = 256
+
+
+def _columns(lines: list):
+    """The fields of the records that the byte strings ``lines`` hold, as
+    lists; None if a line is no JSON object of this schema version with
+    every field that orjson reads as ``json`` does.  A chunk's lines are
+    let go and parsed as one array, its fields moved to the lists, before
+    the next chunk, with the garbage collector off as in :func:`read_json`.
+    The guard, with a NUL between lines, finds each line's brackets paired
+    within it, so the array holds one value a line only if each line is
+    one JSON value."""
+    columns = {name: [] for name in _FIELDS + tuple(_OPTIONAL)}
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, len(lines), _CHUNK):
+            chunk = lines[start:start + _CHUNK]
+            lines[start:start + _CHUNK] = [None] * len(chunk)
+            if not _orjson_reads_as_json(b"\0".join(chunk)):
+                return None
+            rows = orjson.loads(b"[" + b",".join(chunk) + b"]")
+            if (len(rows) != len(chunk)
+                    or set(map(itemgetter("v"), rows)) != {SCHEMA_VERSION}):
+                return None
+            for name in _FIELDS:
+                columns[name] += map(itemgetter(name), rows)
+            for name, absent in _OPTIONAL.items():
+                columns[name] += map(dict.get, rows, repeat(name),
+                                     repeat(absent))
+            del chunk, rows
+    except (orjson.JSONDecodeError, KeyError, TypeError):
+        return None
+    finally:
+        if collecting:
+            gc.enable()
+    return columns
+
+
 def _field(rows: list, name: str, where: str) -> list:
     try:
         return list(map(itemgetter(name), rows))
@@ -944,53 +994,50 @@ def _field(rows: list, name: str, where: str) -> list:
         raise ValueError(f"{where}record {i}: {problem}") from None
 
 
-def _json_array(lines: list):
-    """The JSON values of the byte strings ``lines``, parsed as one array,
-    or None if that fails or gives another count of values."""
-    try:
-        rows = read_json(b"[" + b",".join(lines) + b"]")
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return rows if len(rows) == len(lines) else None
-
-
-def read_corpus(path) -> Corpus:
-    """Load and check a corpus file.
-
-    The file's bytes are split at line ends (LF, CRLF or CR) and the
-    non-blank lines parsed as one JSON array.  Only when that fails is the
-    file read again as a text-mode read sees it, which raises on invalid
-    UTF-8 and finds a line that is not a JSON value line by line.  Records
-    are numbered from 0 over the non-blank lines, and every error reads
-    ``{path}: record {i}: {field} ...``.  ``score`` and ``gt_box`` may be
-    absent (null) and ``scene`` defaults to 0.
-    """
-    where = f"{os.fspath(path)}: "
-    with open(path, "rb") as fh:
-        rows = _json_array(list(filter(bytes.strip, fh.read().splitlines())))
-    if rows is None:
-        # a line that only str.strip finds blank (say, a no-break space)
-        # is no record; a line that is no JSON value is reported
-        with open(path, encoding="utf-8") as fh:
-            lines = list(filter(str.strip, fh.read().split("\n")))
-        rows = _json_array([line.encode() for line in lines])
-    if rows is None:
-        for i, line in enumerate(lines):
-            try:
-                json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}record {i}: invalid JSON: {exc}"
-                                 ) from None
+def _checked_columns(path, where: str) -> dict:
+    """:func:`_columns` of the file at ``path`` as a text-mode read sees
+    it, read line by line: the first line that is no JSON value raises,
+    then the first record that is no object or lacks ``v``, then the first
+    of another schema version, then the first that lacks another field."""
+    # a line that only str.strip finds blank (say, a no-break space) is no
+    # record; invalid UTF-8 raises here
+    with open(path, encoding="utf-8") as fh:
+        lines = list(filter(str.strip, fh.read().split("\n")))
+    rows = []
+    for i, line in enumerate(lines):
+        try:
+            rows.append(json.loads(line))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{where}record {i}: invalid JSON: {exc}"
+                             ) from None
     versions = _field(rows, "v", where)
     if versions.count(SCHEMA_VERSION) != len(rows):
         i = next(i for i, v in enumerate(versions) if v != SCHEMA_VERSION)
         raise ValueError(f"{where}record {i}: v: unsupported corpus schema "
                          f"{versions[i]!r}")
-    return Corpus.from_lists(
-        box=_field(rows, "box", where), tokens=_field(rows, "tokens", where),
-        true_objects=_field(rows, "true_objects", where),
-        hallucinated=_field(rows, "hallucinated", where),
-        score=list(map(dict.get, rows, repeat("score"))),
-        gt_box=list(map(dict.get, rows, repeat("gt_box"))),
-        scene=list(map(dict.get, rows, repeat("scene"), repeat(0))),
-        where=where)
+    columns = {name: _field(rows, name, where) for name in _FIELDS}
+    columns.update((name, list(map(dict.get, rows, repeat(name),
+                                   repeat(absent))))
+                   for name, absent in _OPTIONAL.items())
+    return columns
+
+
+def read_corpus(path) -> Corpus:
+    """Load and check a corpus file.
+
+    The file's bytes are split at line ends (LF, CRLF or CR), and each
+    non-blank line must be one JSON object; the lines are parsed in chunks
+    straight into the fields' columns.  Only when that fails is the file
+    read again as a text-mode read sees it, which raises on invalid UTF-8
+    and finds the first line that is no JSON value or the first bad
+    record.  Records are numbered from 0 over the non-blank lines, and
+    every error reads ``{path}: record {i}: {field} ...``.  ``score`` and
+    ``gt_box`` may be absent (null) and ``scene`` defaults to 0.
+    """
+    where = f"{os.fspath(path)}: "
+    with open(path, "rb") as fh:
+        columns = _columns(list(filter(bytes.strip,
+                                       fh.read().splitlines())))
+    if columns is None:
+        columns = _checked_columns(path, where)
+    return Corpus.from_lists(**columns, where=where)

@@ -23,8 +23,9 @@ import reprlib
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from . import autodiff as ad
 from .datasynth import (ConceptTree, Corpus, IdLists, SynonymMap,
                         _exact_fields, _object, caption_noise_metric,
                         default_synonyms, json_bytes, load_json,
-                        plain_floats, synth_corpus, write_lines)
+                        plain_floats, synth_corpus, write_bytes,
+                        write_lines)
 from .fusion import (AttentionWeights, FusionMlp, cross_modal_attention,
                      encode_boxes, fuse, positional_encode)
 from .geometry import (APERTURE_K, cone_contains, exp_map_origin,
@@ -676,22 +678,6 @@ def train(config: ExperimentConfig, records: Optional[Corpus] = None,
 # state serialization
 
 
-def _plain(values: dict) -> dict:
-    return {k: v.tolist() for k, v in values.items()}
-
-
-def state_to_json(state: ModelState) -> dict:
-    return {
-        "config": asdict(state.config),
-        "tree": state.tree.to_json(),
-        "synonyms": state.synonyms.to_json(),
-        "params": _plain(state.params),
-        "adam_m": _plain(state.adam_m),
-        "adam_v": _plain(state.adam_v),
-        "adam_t": state.adam_t,
-    }
-
-
 def _config_from_json(data: dict) -> ExperimentConfig:
     """A state file's config: every field, of its default's type (a bool
     is no number; an integer may stand for a float)."""
@@ -706,9 +692,10 @@ def _config_from_json(data: dict) -> ExperimentConfig:
 
 
 def state_from_json(data: dict) -> ModelState:
-    """The state of a ``state_to_json`` object.  An input of another
-    shape raises naming the field, e.g. ``adam_t: missing`` or ``params:
-    expected an object, got [1]``."""
+    """The state of the JSON object that :func:`save_state` writes: the
+    fields of a :class:`ModelState`, each map of arrays an object of
+    nested lists.  An input of another shape raises naming the field, e.g.
+    ``adam_t: missing`` or ``params: expected an object, got [1]``."""
     _exact_fields(_object(data, "state"), ("config", "tree", "synonyms",
                                            "adam_t") + _MAPS)
     for name in _MAPS:
@@ -722,41 +709,45 @@ def state_from_json(data: dict) -> ModelState:
                       data["adam_m"], data["adam_v"], adam_t)
 
 
-def _object_bytes(pieces: dict) -> bytes:
-    """A JSON object's bytes from its key-sorted fields' bytes."""
-    return b"{" + b",".join(json_bytes(key, True) + b":" + piece
-                            for key, piece in sorted(pieces.items())) + b"}"
+def _object_pieces(members: dict) -> Iterator[bytes]:
+    """A JSON object's bytes, key-sorted, from a map of its keys to
+    iterables of their values' bytes, each made as it is written."""
+    for i, key in enumerate(sorted(members)):
+        yield (b"," if i else b"{") + json_bytes(key, True) + b":"
+        yield from members[key]
+    yield b"}"
 
 
-def _array_bytes(values: list, plain: np.ndarray) -> bytes:
-    """``json_line(values)`` as bytes, for the ``tolist()`` of an array
-    whose :func:`plain_floats` are ``plain``: a matrix a row at a time, so
-    that only a row with a float that orjson writes otherwise goes to
-    ``json_line``."""
-    if plain.ndim != 2:
-        return json_bytes(values, bool(plain.all()))
-    return b"[" + b",".join(map(json_bytes, values,
-                                plain.all(axis=1).tolist())) + b"]"
+def _array_pieces(values: np.ndarray) -> Iterator[bytes]:
+    """``json_line(values.tolist())`` as bytes, made when it is asked for:
+    a matrix a row at a time, so that only a row with a float that orjson
+    writes otherwise goes to ``json_line``."""
+    plain = plain_floats(values)
+    if values.ndim != 2:
+        yield json_bytes(values.tolist(), bool(plain.all()))
+    else:
+        yield b"[" + b",".join(map(json_bytes, values.tolist(),
+                                   plain.all(axis=1).tolist())) + b"]"
 
 
 def save_state(path, state: ModelState) -> None:
-    """One line, ``json_line(state_to_json(state))``, put together from
-    pieces: every row of a parameter or Adam moment matrix is one, so that
-    only rows with a float below 1e-4 go to ``json_line``; in a trained
-    state every map holds some."""
-    data = state_to_json(state)
-    config = data.pop("config")
-    pieces = {"config": json_bytes(config, bool(plain_floats(
-        [v for v in config.values() if type(v) is float]).all()))}
+    """One line, the key-sorted JSON object of the state's fields, each
+    map of arrays an object of nested lists.  It is written a piece at a
+    time, each array's text made only when it is its turn, and each matrix
+    row goes to ``json_bytes`` alone, so that only rows with a float below
+    1e-4 go to ``json_line``; in a trained state every map holds some."""
+    config = asdict(state.config)
+    # the tree, the synonyms and adam_t hold no float
+    members = {"config": [json_bytes(config, bool(plain_floats(
+                   [v for v in config.values() if type(v) is float]).all()))],
+               "tree": [json_bytes(state.tree.to_json(), True)],
+               "synonyms": [json_bytes(state.synonyms.to_json(), True)],
+               "adam_t": [json_bytes(state.adam_t, True)]}
     for key in _MAPS:
         arrays = getattr(state, key)
-        pieces[key] = _object_bytes({
-            name: _array_bytes(rows, plain_floats(arrays[name]))
-            for name, rows in data.pop(key).items()})
-    # the tree, the synonyms and adam_t hold no float
-    pieces.update((key, json_bytes(value, True))
-                  for key, value in data.items())
-    write_lines(path, [_object_bytes(pieces)])
+        members[key] = _object_pieces({name: _array_pieces(arrays[name])
+                                       for name in arrays})
+    write_bytes(path, chain(_object_pieces(members), [b"\n"]))
 
 
 def load_state(path) -> ModelState:

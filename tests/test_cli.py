@@ -396,6 +396,10 @@ _NOT_JSON = ("{path}: invalid JSON: Expecting property name enclosed in "
     ("meta.json", '{"tree": {"root": 0, "children": [1]}}',
      "tree.children: expected an object, got [1]"),
     ("meta.json", "{", _NOT_JSON),
+    pytest.param("state.json", "[" * 5000 + "]" * 5000,
+                 "{path}: invalid JSON: maximum recursion depth exceeded "
+                 "while decoding a JSON array from a unicode string",
+                 id="state.json-5000-deep"),
 ])
 def test_malformed_json_files_are_named_at_load(tmp_path, capsys, name,
                                                 text, message):

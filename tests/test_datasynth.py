@@ -4,11 +4,14 @@ import gc
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypalign import datasynth as ds
+
+from reference_state import state_to_json
 
 
 # --- grid sampling -----------------------------------------------------------
@@ -601,6 +604,18 @@ READ_EDGES = {
         lambda lines: _beyond_float(lines, "score", 10 ** 400),
         "ValueError: <path>: record 2: score: an integer beyond float "
         "range"),
+    # no line is one JSON value, though the lines joined by commas are
+    # three records: two on line 0, a third split after its box
+    "records-across-lines": (
+        lambda lines: lines[0] + b"," + lines[1] + b"\n"
+        + lines[2].replace(b'],"', b']\n"', 1),
+        "ValueError: <path>: record 0: invalid JSON: Extra data: line 1 "
+        "column 265 (char 264)"),
+    "nested-past-the-recursion-limit": (
+        lambda lines: lines[0] + b"\n" + b"[" * 5000 + b"]" * 5000 + b"\n"
+        + b"\n".join(lines[1:]),
+        "ValueError: <path>: record 1: invalid JSON: maximum recursion depth "
+        "exceeded while decoding a JSON array from a unicode string"),
 }
 
 
@@ -623,6 +638,120 @@ def test_read_corpus_edges_keep_the_text_mode_values_and_errors(tmp_path,
     assert _read(path) == (records if error is None else error)
 
 
+def _chunked_lines(tmp_path):
+    """``_generated_lines`` as bytes: records in three of the reader's
+    chunks, the last of them record 512 on."""
+    path, lines = _generated_lines(tmp_path)
+    assert 2 * ds._CHUNK < len(lines) < 3 * ds._CHUNK
+    return path, [line.encode() for line in lines]
+
+
+def test_chunked_read_equals_from_lists_of_the_records(tmp_path):
+    # every third record leaves out the fields that may be absent
+    path, lines = _chunked_lines(tmp_path)
+    rows = [json.loads(line) for line in lines]
+    for row in rows[::3]:
+        del row["score"], row["gt_box"], row["scene"]
+    path.write_text("\n".join(map(json.dumps, rows)))
+    assert ds.read_corpus(path) == ds.Corpus.from_lists(
+        box=[row["box"] for row in rows],
+        tokens=[row["tokens"] for row in rows],
+        true_objects=[row["true_objects"] for row in rows],
+        hallucinated=[row["hallucinated"] for row in rows],
+        score=[row.get("score") for row in rows],
+        gt_box=[row.get("gt_box") for row in rows],
+        scene=[row.get("scene", 0) for row in rows])
+
+
+#: errors in record 650, in the reader's last chunk, as the reader of one
+#: array of the whole file reported them
+LAST_CHUNK_ERRORS = {
+    "truncated": (lambda line: line[:30],
+                  "ValueError: <path>: record 650: invalid JSON: Expecting "
+                  "',' delimiter: line 1 column 31 (char 30)"),
+    "invalid-utf-8": (lambda line: b"\xff" + line,
+                      "UnicodeDecodeError: 'utf-8' codec can't decode byte "
+                      "0xff in position 167311: invalid start byte"),
+    "box-beyond-float": (
+        lambda line: line.replace(b'"box":[0.0,', b'"box":[1' + b"0" * 400
+                                  + b",", 1),
+        "ValueError: <path>: record 650: box: an integer beyond float "
+        "range"),
+    "wrong-v": (lambda line: line.replace(b'"v":"v1"', b'"v":"v2"'),
+                "ValueError: <path>: record 650: v: unsupported corpus "
+                "schema 'v2'"),
+}
+
+
+@pytest.mark.parametrize("case", LAST_CHUNK_ERRORS)
+def test_errors_in_the_last_chunk_name_the_record_in_the_file(tmp_path,
+                                                              case):
+    path, lines = _chunked_lines(tmp_path)
+    edit, error = LAST_CHUNK_ERRORS[case]
+    lines[650] = edit(lines[650])
+    path.write_bytes(b"\n".join(lines))
+    assert _read(path) == error
+
+
+def test_errors_keep_their_precedence_across_chunks(tmp_path):
+    # a version beats a missing field in an earlier chunk, and a line that
+    # is no JSON value beats both
+    path, lines = _chunked_lines(tmp_path)
+    lines[300] = _drop("box")(lines[300]).encode()
+    lines[600] = _edit("v", lambda v: "v2")(lines[600]).encode()
+    path.write_bytes(b"\n".join(lines))
+    assert _read(path) == ("ValueError: <path>: record 600: v: unsupported "
+                           "corpus schema 'v2'")
+    lines[690] = lines[690][:-1]
+    path.write_bytes(b"\n".join(lines))
+    assert _read(path).startswith("ValueError: <path>: record 690: invalid "
+                                  "JSON: Expecting ',' delimiter")
+
+
+def test_read_corpus_parses_with_the_collector_off(tmp_path, monkeypatch):
+    # a collection in the chunk loop would scan objects that all survive
+    path, lines = _chunked_lines(tmp_path)
+    parse, collecting = ds.orjson.loads, []
+    monkeypatch.setattr(ds.orjson, "loads", lambda data: collecting.append(
+        gc.isenabled()) or parse(data))
+    assert len(ds.read_corpus(path)) == len(lines) and gc.isenabled()
+    # a chunk that fails leaves the collector as it found it
+    lines[300] = _drop("box")(lines[300]).encode()
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match="record 300: box missing"):
+        ds.read_corpus(path)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(ValueError, match="record 300: box missing"):
+            ds.read_corpus(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    # a parse a chunk: three for the file, then two for each read that
+    # stops in the second chunk
+    assert collecting == [False] * (3 + 2 + 2)
+
+
+def _traced_peak(call, *args) -> int:
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_corpus_peaks_below_a_parse_of_the_file_as_one_array(tmp_path):
+    # one chunk's records are dicts at a time, and the file's lines go as
+    # they are parsed: less than one parse of the file's records alone
+    # holds, let alone its bytes
+    path, lines = _chunked_lines(tmp_path)
+    array = b"[" + b",".join(lines) + b"]"
+    assert _traced_peak(ds.read_corpus, path) < _traced_peak(
+        ds.orjson.loads, array)
+
+
 def _corpus_text(tmp_path):
     _, lines = _generated_lines(tmp_path)
     return "[" + ",".join(lines) + "]"
@@ -634,7 +763,7 @@ def _state_text(tmp_path):
                                  scenes=16, categories=2,
                                  leaves_per_category=2)
     state, _ = tr.train(config)
-    return ds.json_line(tr.state_to_json(state))
+    return ds.json_line(state_to_json(state))
 
 
 #: texts that json reads one way and orjson another, or only one of them
@@ -663,6 +792,9 @@ JSON_TEXTS = {
     "bracket-in-a-string": '{"a]": [[1]]}',
     # a string's bracket closes each level, so its brackets alone nest 1 deep
     "5000-deep-behind-strings": '["]", ' * 5000 + "1" + ', "["]' * 5000,
+    # the guard reads a NUL as a wall between texts, which no JSON holds
+    "nul-between-values": "[1]\x00[2]",
+    "nul-in-a-string": '["a\x00b"]',
 }
 
 

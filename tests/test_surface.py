@@ -156,9 +156,12 @@ def test_ops_bound_at_module_level_are_public_names():
 
 
 #: The calls that parse JSON, by module and top-level definition:
-#: ``read_json`` (orjson, and json where orjson's answer would differ) and
-#: ``read_corpus``'s line-by-line scan of a file it failed to parse.
-JSON_PARSES = [("datasynth.py", "read_corpus", "json.loads"),
+#: ``read_json`` (orjson, and json where orjson's answer would differ),
+#: ``_columns``, which parses a corpus a chunk of lines at a time with
+#: orjson behind ``read_json``'s guard, and ``_checked_columns``'s
+#: line-by-line scan of a corpus that ``_columns`` failed to read.
+JSON_PARSES = [("datasynth.py", "_checked_columns", "json.loads"),
+               ("datasynth.py", "_columns", "orjson.loads"),
                ("datasynth.py", "read_json", "json.loads"),
                ("datasynth.py", "read_json", "orjson.loads")]
 
@@ -176,10 +179,10 @@ _WRITERS = {"json": {"dump", "dumps", "JSONEncoder"}, "orjson": {"dumps"}}
 
 def _json_calls(sources: dict, calls: dict) -> list:
     """``(file, definition, call)`` of every call of ``module.name`` for a
-    name in ``calls[module]`` in the given module sources, and of every
-    import that would hide one: ``from json import loads`` or ``import
-    json as j``.  A call at module level is owned by the name it is
-    assigned to, if any."""
+    name in ``calls[module]`` in the given module sources, or use of it as
+    a value (``map(orjson.loads, lines)``), and of every import that would
+    hide one: ``from json import loads`` or ``import json as j``.  A call
+    at module level is owned by the name it is assigned to, if any."""
     found = []
     for file, text in sorted(sources.items()):
         for stmt in ast.parse(text).body:
@@ -188,13 +191,11 @@ def _json_calls(sources: dict, calls: dict) -> list:
                                                            ast.Name):
                 owner = stmt.targets[0].id
             for node in ast.walk(stmt):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.attr in calls.get(node.func.value.id,
-                                                        ())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.attr in calls.get(node.value.id, ())):
                     found.append((file, owner,
-                                  f"{node.func.value.id}.{node.func.attr}"))
+                                  f"{node.value.id}.{node.attr}"))
                 elif isinstance(node, ast.ImportFrom) and node.module in (
                         calls):
                     found += [(file, owner, f"from {node.module} import "
@@ -236,12 +237,16 @@ def test_json_parses_sees_every_route_to_a_parser():
         class Reader:
             def read(self, text):
                 return orjson.loads(text)
+
+        def read_lines(lines):
+            return list(map(orjson.loads, lines)), json.JSONDecodeError
         """)
     assert json_parses({"mod.py": source}) == [
         ("mod.py", "<module>", "from json import load"),
         ("mod.py", "<module>", "import orjson as fast"),
         ("mod.py", "Reader", "orjson.loads"),
-        ("mod.py", "read", "json.load"), ("mod.py", "read", "json.loads")]
+        ("mod.py", "read", "json.load"), ("mod.py", "read", "json.loads"),
+        ("mod.py", "read_lines", "orjson.loads")]
 
 
 def test_json_is_written_only_by_json_bytes_and_the_cli_lines():

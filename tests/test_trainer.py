@@ -17,6 +17,7 @@ from hypalign.geometry import (exp_map_origin, exterior_angle, half_aperture,
                                lorentz_distance)
 
 import reference_ops as ref
+from reference_state import state_to_json
 
 
 def tiny_config(**kw):
@@ -275,7 +276,7 @@ def test_step_reads_parameters_edited_in_place(corpus):
     state, _ = tr.step(tr.init(cfg, tree, syn), records[:6])
     state.params["box_w"][0, 0] += 0.5
     state.adam_v["fuse_b1"][3] *= 2.0
-    rebuilt = tr.state_from_json(tr.state_to_json(state))
+    rebuilt = tr.state_from_json(state_to_json(state))
     assert rebuilt.params["box_w"][0, 0] == state.params["box_w"][0, 0]
     got, _ = tr.step(state, records[6:12])
     want, _ = tr.step(rebuilt, records[6:12])
@@ -756,7 +757,7 @@ def test_state_files_keep_the_stdlib_bytes(corpus, tmp_path, monkeypatch):
         sent[name] = _counting_json_line(monkeypatch)
         tr.save_state(path, state)
         assert path.read_bytes() == (STDLIB.encode(
-            tr.state_to_json(state)) + "\n").encode()
+            state_to_json(state)) + "\n").encode()
     assert b'"weight_decay":1e-05' in path.read_bytes()
     # the pieces of a state go to json one by one: in a trained state, the
     # matrix rows and vectors with a float below 1e-4, which every map
@@ -773,6 +774,31 @@ def test_state_files_keep_the_stdlib_bytes(corpus, tmp_path, monkeypatch):
     assert all(0 < len(tiny[name]) < len(rows[name]) for name in rows)
     assert sent["plain"] == []
     assert sent["tiny decay"] == [dataclasses.asdict(tiny_decay.config)]
+
+
+def test_a_save_that_fails_part_way_leaves_the_old_state_file(
+        corpus, tmp_path, monkeypatch):
+    # the pieces are written as they are made: an error among them leaves
+    # the old file as it was and no temporary file
+    cfg, tree, syn, records = corpus
+    state = tr.init(cfg, tree, syn)
+    path = tmp_path / "state.json"
+    tr.save_state(path, state)
+    before = path.read_bytes()
+    write, writing = tr.json_bytes, []
+
+    def failing(row, plain):
+        if len(list(tmp_path.iterdir())) > 1:
+            writing.append(row)
+            if len(writing) == 3:
+                raise RuntimeError("interrupted")
+        return write(row, plain)
+    monkeypatch.setattr(tr, "json_bytes", failing)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        tr.save_state(path, dataclasses.replace(state, adam_t=5))
+    assert len(writing) == 3
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
 def test_metrics_lines_keep_the_stdlib_bytes(monkeypatch):
