@@ -5,18 +5,17 @@ only reference earlier nodes, so the graph is acyclic by construction.
 ``backward`` walks the tape in reverse with a fixed accumulation order, which
 makes repeated backward passes bit-identical.
 
-Each primitive is one row of an op table: its name, its value kernel and its
-vector-Jacobian products (VJPs).  A row's index is its opcode, and
-``_OP_NAMES`` and the backward dispatch are read off the same table.  Every
-row but the leaf and ``hinge`` is made by one maker, ``_composite``, whose
-VJP is handed the node's stored output (``exp`` reads it instead of
-recomputing it) and returns (operand, adjoint) pairs.  Accumulation never
-writes into an array it does not own: an adjoint's first contribution is
-kept as it is, possibly shared with other adjoints, and each later one
-makes a new sum.  A gather's adjoint (``take_row``'s) is an ``(index,
-rows)`` pair instead, which ``np.add.at`` adds into the running adjoint,
-copied first if it is shared, so a slot read by several gathers takes
-their rows in backward order.
+Each primitive is one row, ``_Op``: its name, its value kernel and its
+vector-Jacobian products (VJPs).  A row is also its op, and a tape entry
+holds its row (None for a leaf), its input ids and its aux, so
+``backward`` calls each entry's row.  A row's VJP is handed the node's
+stored output (``exp`` reads it instead of recomputing it) and returns
+(operand, adjoint) pairs.  Accumulation never writes into an array it does
+not own: an adjoint's first contribution is kept as it is, possibly shared
+with other adjoints, and each later one makes a new sum.  A gather's
+adjoint (``take_row``'s) is an ``(index, rows)`` pair instead, which
+``np.add.at`` adds into the running adjoint, copied first if it is shared,
+so a slot read by several gathers takes their rows in backward order.
 
 Every public op is polymorphic: called with :class:`Var` arguments it records
 a tape node (a plain operand rides in the node's aux and takes no adjoint),
@@ -27,23 +26,21 @@ finite-difference checker exploits.  ``Var`` has no arithmetic operators.
 Every value, on the tape and on the plain route, is float64 numpy: an array,
 or a numpy float64 (or 0-d array) for a scalar such as the temperature, the
 curvature or a loss total.  A batch is always an n x d matrix of rows.
-Besides ``exp`` and the ``take_row`` gather, the table holds one row per
-formula that a training step records, so a whole batch, from the fusion
-forward to each loss, is a handful of array nodes: the hyperboloid lift,
-distance, cone aperture and exterior angle (which ``geometry`` wraps), the
-embedding squash, the captions' squashed mean token embedding, multi-head
-attention, the positional sum and the residual MLP (which ``fusion``
-wraps), the trainer's box head, and every loss (which ``objectives``
-wraps): the cross-entropy at target columns, of scaled logits or of cosine
+Besides ``exp`` and the ``take_row`` gather, there is one row per formula
+that a training step records, so a whole batch, from the fusion forward to
+each loss, is a handful of array nodes: the hyperboloid lift, distance,
+cone aperture and exterior angle (which ``geometry`` wraps), the embedding
+squash, the captions' squashed mean token embedding, multi-head attention,
+the positional sum and the residual MLP (which ``fusion`` wraps), the
+trainer's box head, and every loss (which ``objectives`` wraps): the
+cross-entropy at target columns, of scaled logits or of cosine
 similarities, the entailment cone hinge, the mean smooth L1 and the
 weighted total of the terms.  Each has one plain-array kernel, for
 training and evaluation alike, which calls numpy and this module's private
 helpers directly, and a hand-derived VJP that sums each operand's adjoint
 terms in the order the formula's spelled-out ops would, so a row keeps
-their bits.  The ``hinge`` row is a name only, which no op records: the
-benchmark's tracer looks its opcode up.  Index operands are integers:
-``indices`` rejects any other entry, naming it, and takes a whole float for
-its integer.
+their bits.  Index operands are integers: ``indices`` rejects any other
+entry, naming it, and takes a whole float for its integer.
 """
 
 from __future__ import annotations
@@ -86,16 +83,16 @@ class Tape:
     __slots__ = ("ops", "values", "names")
 
     def __init__(self):
-        self.ops: list = []      # (opcode, input node ids, aux)
+        self.ops: list = []      # (row, input node ids, aux)
         self.values: list = []   # float64 array or scalar per node
         self.names: dict = {}    # leaf name -> node id
 
     def __len__(self):
         return len(self.values)
 
-    def _record(self, opcode: int, inputs: tuple, aux, value) -> Var:
+    def _record(self, row: "_Op", inputs: tuple, aux, value) -> Var:
         idx = len(self.values)
-        self.ops.append((opcode, inputs, aux))
+        self.ops.append((row, inputs, aux))
         self.values.append(value)
         return Var(self, idx, value)
 
@@ -118,7 +115,7 @@ class Tape:
             if name in self.names:
                 raise ValueError(f"duplicate leaf name: {name!r}")
             self.names[name] = idx
-        self.ops.append(_LEAF_OP)
+        self.ops.append((None, (), None))
         self.values.append(value)
         return Var(self, idx, value)
 
@@ -134,38 +131,12 @@ _num = np.float64
 
 
 # ---------------------------------------------------------------------------
-# the op table
+# rows
 
 
 class _Op:
-    """One primitive: its name, its value kernel and its backward.
-
-    A backward takes the node's adjoint ``g``, its stored output ``ans``, its
-    input ids, its aux, the tape values, the adjoint list and the set of
-    adjoint slots whose buffer no other slot shares.
-    """
-
-    __slots__ = ("code", "name", "kernel", "backward")
-
-    def __init__(self, name: str, kernel, backward):
-        self.code = len(_OPS)
-        self.name, self.kernel, self.backward = name, kernel, backward
-        _OPS.append(self)
-        _OP_NAMES.append(name)
-        _BACKWARDS.append(backward)
-
-
-# the rows, and each row's name and backward, by opcode
-_OPS: list = []
-_OP_NAMES: list = []
-_BACKWARDS: list = []
-# every leaf's tape entry: opcode 0, no inputs, no aux
-_LEAF_OP = (_Op("leaf", None, None).code, (), None)
-
-
-def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
-    """Register a row for a formula of one or more operands and return its
-    op, ``op(*operands, aux=None)``.
+    """One row: a formula of one or more operands, and its op, called as
+    ``op(*operands, aux=None)``.
 
     ``kernel(*values, aux)`` returns the value and what the VJP needs of
     the forward pass; ``vjp(g, ans, saved, *values, aux)`` returns
@@ -179,9 +150,38 @@ def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
     (None for a plain one), every operand value, ``aux`` and the saved
     intermediates.
     """
-    def backward(g, ans, inputs, aux, values, adj, owned):
+
+    __slots__ = ("name", "kernel", "vjp")
+
+    def __init__(self, name: str, kernel: Callable, vjp: Callable):
+        self.name, self.kernel, self.vjp = name, kernel, vjp
+
+    def __call__(self, *operands, aux=None):
+        tape, args, ids = None, [], []
+        for a in operands:
+            if isinstance(a, Var):
+                if tape is None:
+                    tape = a.tape
+                elif a.tape is not tape:
+                    raise ValueError("operands recorded on different tapes")
+                args.append(a.value)
+                ids.append(a.idx)
+            else:
+                args.append(_num(a))
+                ids.append(None)
+        value, saved = self.kernel(*args, aux)
+        if tape is None:
+            return value
+        inputs = tuple([j for j in ids if j is not None])
+        return tape._record(self, inputs, (ids, args, aux, saved), value)
+
+    def backward(self, g, ans, inputs, aux, values, adj, owned):
+        """Add a node's operands' adjoints, given its adjoint ``g``, its
+        stored output ``ans``, its input ids, its aux, the tape values, the
+        adjoint list and the set of adjoint slots whose buffer no other
+        slot shares."""
         ids, args, extra, saved = aux
-        for k, grad in vjp(g, ans, saved, *args, extra):
+        for k, grad in self.vjp(g, ans, saved, *args, extra):
             j = ids[k]
             if j is None:
                 continue
@@ -201,29 +201,10 @@ def _composite(name: str, kernel: Callable, vjp: Callable) -> Callable:
             owned.add(j)
             np.add.at(cur, *grad)
 
-    row = _Op(name, kernel, backward)
 
-    def op(*operands, aux=None):
-        tape, args, ids = None, [], []
-        for a in operands:
-            if isinstance(a, Var):
-                if tape is None:
-                    tape = a.tape
-                elif a.tape is not tape:
-                    raise ValueError("operands recorded on different tapes")
-                args.append(a.value)
-                ids.append(a.idx)
-            else:
-                args.append(_num(a))
-                ids.append(None)
-        value, saved = row.kernel(*args, aux)
-        if tape is None:
-            return value
-        inputs = tuple([j for j in ids if j is not None])
-        return tape._record(row.code, inputs, (ids, args, aux, saved), value)
-
-    op.__name__ = name
-    return op
+# the one row name the benchmark's tracer looks up, at index 0, which no
+# tape entry equals; ROADMAP item 1 removes it with that lookup
+_OP_NAMES = ("hinge",)
 
 
 def _rows(op: str, *arrays: np.ndarray) -> None:
@@ -311,14 +292,12 @@ def _smooth_l1_slope(a):
 
 # math.exp of a scalar: np.exp differs from it in the last bit for some
 # arguments, and the temperature and curvature are exp of scalar leaves
-exp = _composite("exp", lambda x, aux: (
+exp = _Op("exp", lambda x, aux: (
     np.exp(x) if x.ndim else np.float64(math.exp(x)), None),
     lambda g, ans, saved, x, aux: ((0, g * ans),))
 # the rows of a matrix at an index vector, aux; the adjoint is a scatter
-_take_row = _composite("take_row", lambda m, i: (m[i], None),
-                       lambda g, ans, saved, m, i: ((0, (i, g)),))
-# a name only: no op records it (see the module docstring)
-_Op("hinge", None, None)
+_take_row = _Op("take_row", lambda m, i: (m[i], None),
+                lambda g, ans, saved, m, i: ((0, (i, g)),))
 
 
 # ---------------------------------------------------------------------------
@@ -695,62 +674,56 @@ def _attention_vjp(g, ans, saved, visual, text, w_q, w_k, w_v, w_out, aux):
 
 
 # the spatial part of the lift of each row to the hyperboloid
-lift = _composite("lift", _lift, _lift_vjp)
+lift = _Op("lift", _lift, _lift_vjp)
 # geodesic distance of every row pair; aux (u time, v time, <u, v>_H,
 # off-manifold tolerance)
-lorentz_dist = _composite("lorentz_dist", _lorentz_dist, _lorentz_dist_vjp)
+lorentz_dist = _Op("lorentz_dist", _lorentz_dist, _lorentz_dist_vjp)
 # half aperture of the cone at each row; aux (spatial norms, K)
-cone_aperture = _composite("cone_aperture", _cone_aperture,
-                           _cone_aperture_vjp)
+cone_aperture = _Op("cone_aperture", _cone_aperture, _cone_aperture_vjp)
 # exterior angle of every row pair; aux (c norms, c time, v time, <c, v>_H)
-cone_angle = _composite("cone_angle", _cone_angle, _cone_angle_vjp)
+cone_angle = _Op("cone_angle", _cone_angle, _cone_angle_vjp)
 # direction-preserving row norm bound; aux the radius
-squash = _composite("squash", _squash, _squash_vjp)
+squash = _Op("squash", _squash, _squash_vjp)
 # each caption's squashed mean token embedding, operand the token table;
 # aux (captions x vocabulary counts, their row sums as a column, radius)
-caption_embed = _composite("caption_embed", _caption_embed,
-                           _caption_embed_vjp)
+caption_embed = _Op("caption_embed", _caption_embed, _caption_embed_vjp)
 # n x d rows plus their n x 4 box features times a projection plus the
 # features' encoding, operands (rows, projection); aux (features,
 # encoding).  The spelled-out matmul and two additions, whose adjoints are
 # the rows' at the first addition, then the projection's at the matmul
-positional = _composite(
+positional = _Op(
     "positional", lambda v, p, aux: (v + np.matmul(aux[0], p) + aux[1], None),
     lambda g, ans, saved, v, p, aux: ((0, g), (1, aux[0].T @ g)))
 # multi-head attention from visual rows over text rows, operands (visual,
 # text, w_q, w_k, w_v, w_out); aux (n x L additive mask, head count)
-attention = _composite("attention", _attention, _attention_vjp)
+attention = _Op("attention", _attention, _attention_vjp)
 
 # mean over the rows of a matrix u of -log softmax(row / (sign tau)) at
 # its target column, operands (u, tau); aux (the column of each row, an
 # intp vector, and the sign, 1.0 or -1.0).  Its two adjoint terms sum in
 # the spelled-out order when u feeds nothing else
-cross_entropy = _composite("cross_entropy", _cross_entropy,
-                           _cross_entropy_vjp)
+cross_entropy = _Op("cross_entropy", _cross_entropy, _cross_entropy_vjp)
 # the same cross-entropy of cos(a_i, b_j) / tau over the rows of two
 # matrices, operands (a, b, tau); aux (targets, row norms of a, row norms
 # of b)
-cosine_cross_entropy = _composite("cosine_cross_entropy",
-                                  _cosine_cross_entropy,
-                                  _cosine_cross_entropy_vjp)
+cosine_cross_entropy = _Op("cosine_cross_entropy", _cosine_cross_entropy,
+                           _cosine_cross_entropy_vjp)
 # the entailment hinge of an n x n matrix of exterior angles (cone i, row
 # j) against the n half apertures, operands (angles, apertures); aux the
 # margin
-cone_hinge = _composite("cone_hinge", _cone_hinge, _cone_hinge_vjp)
+cone_hinge = _Op("cone_hinge", _cone_hinge, _cone_hinge_vjp)
 # mean smooth L1 over every entry of the difference of two equally shaped
 # arrays, operands (pred, target)
-smooth_l1_loss = _composite("smooth_l1_loss", _smooth_l1_loss,
-                            _smooth_l1_loss_vjp)
+smooth_l1_loss = _Op("smooth_l1_loss", _smooth_l1_loss, _smooth_l1_loss_vjp)
 # the sum of weighted scalar terms in order; aux one weight per term, None
 # for an inactive term passed as a plain 0.0
-weighted_total = _composite("weighted_total", _weighted_total,
-                            _weighted_total_vjp)
+weighted_total = _Op("weighted_total", _weighted_total, _weighted_total_vjp)
 # the residual fusion MLP of two n x d summands, operands (a, b, w1, b1,
 # w2, b2): x + tanh(x w1 + b1) w2 + b2 with x = a + b
-residual_mlp = _composite("residual_mlp", _residual_mlp, _residual_mlp_vjp)
+residual_mlp = _Op("residual_mlp", _residual_mlp, _residual_mlp_vjp)
 # the sigmoid corner-size box head, operands (rows, weight, bias); aux
 # the margin eps that keeps every box's width and height above zero
-box_head = _composite("box_head", _box_head, _box_head_vjp)
+box_head = _Op("box_head", _box_head, _box_head_vjp)
 
 
 def indices(idx, what: str) -> np.ndarray:
@@ -805,14 +778,13 @@ def backward(tape: Tape, output: Var) -> np.ndarray:
     owned: set = set()
     ops = tape.ops
     values = tape.values
-    table = _BACKWARDS
     for i in range(output.idx, -1, -1):
         g = adj[i]
         if g is None:
             continue
-        opcode, inputs, aux = ops[i]
-        if opcode:   # leaves, opcode 0, have no operands
-            table[opcode](g, values[i], inputs, aux, values, adj, owned)
+        row, inputs, aux = ops[i]
+        if row is not None:   # a leaf has no operands
+            row.backward(g, values[i], inputs, aux, values, adj, owned)
     grads = [np.zeros_like(values[j]) if adj[j] is None else adj[j]
              for j in tape.names.values()]
     # one check over every gradient at once; only a failure walks the tape
@@ -830,15 +802,14 @@ def _non_finite_origin(tape: Tape, output: Var) -> str:
     adj[output.idx] = np.float64(1.0)
     owned: set = set()
     for i in range(output.idx, -1, -1):
-        opcode, inputs, aux = tape.ops[i]
-        if adj[i] is None or not opcode:
+        row, inputs, aux = tape.ops[i]
+        if adj[i] is None or row is None:
             continue
-        _BACKWARDS[opcode](adj[i], tape.values[i], inputs, aux, tape.values,
-                           adj, owned)
+        row.backward(adj[i], tape.values[i], inputs, aux, tape.values, adj,
+                     owned)
         if not all(adj[j] is None or np.isfinite(adj[j]).all()
                    for j in inputs):
-            return (f"non-finite gradient from node {i} "
-                    f"(op {_OPS[opcode].name})")
+            return f"non-finite gradient from node {i} (op {row.name})"
     return "non-finite gradient"
 
 

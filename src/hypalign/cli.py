@@ -28,7 +28,6 @@ from .trainer import (ExperimentConfig, _vocab_size, check_true_objects,
                       export_embeddings, hierarchy_report, load_state,
                       save_state, split_records, train)
 
-_BOOL_FIELDS = {"early_stop"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -40,7 +39,7 @@ def _flag(name: str) -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags win")
     for field in dataclasses.fields(ExperimentConfig):
-        if field.name in _BOOL_FIELDS:
+        if type(field.default) is bool:
             parser.add_argument(_flag(field.name), dest=field.name,
                                 action="store_true", default=None)
         else:
@@ -62,14 +61,14 @@ def load_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _BOOL_FIELDS:
+            kind = type(fields[key].default)
+            if kind is bool:
                 if value.lower() not in _BOOL_WORDS:
                     raise ValueError(
                         f"{path}:{lineno}: {key} must be one of "
                         f"{'/'.join(_BOOL_WORDS)}, got {value!r}")
                 out[key] = _BOOL_WORDS[value.lower()]
             else:
-                kind = type(fields[key].default)
                 try:
                     out[key] = kind(value)
                 except ValueError:

@@ -34,6 +34,10 @@ SCHEMA_VERSION = "v1"
 #: Co-occurrence weight of a sibling leaf relative to a non-sibling when
 #: sampling hallucinated mentions.
 SIBLING_WEIGHT = 4.0
+#: The least IoU with a scene object at which a region is captioned.
+MIN_MATCH_IOU = 0.05
+#: The chance that a caption mentions each ancestor of its object's leaf.
+ANCESTOR_KEEP_PROB = 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +658,11 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
                  seed: int, synonyms: Optional[SynonymMap] = None,
                  k: int = DEFAULT_GRID_K, objects_per_scene: int = 3,
                  top_n: int = 4,
-                 iou_threshold: float = DEFAULT_NMS_THRESHOLD,
-                 min_match_iou: float = 0.05,
-                 ancestor_keep_prob: float = 0.7,
-                 sibling_weight: float = SIBLING_WEIGHT):
+                 iou_threshold: float = DEFAULT_NMS_THRESHOLD):
     """Generate caption records over B (truth), P (proposals), G (grid).
 
-    Every region is matched to the scene object of highest IoU and given a
+    Every region whose IoU with some scene object reaches
+    ``MIN_MATCH_IOU`` is matched to the object of highest IoU and given a
     caption entailing that object: one surface-form mention of its leaf
     plus sampled ancestor attributes.  With probability ``noise_rate`` the
     caption additionally mentions one co-occurrence-correlated leaf that
@@ -701,7 +703,7 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         "scene")}
     # leaf index -> (its surface forms, ancestors, the other leaves and the
     # cumulative distribution of a hallucinated mention over them, as
-    # Generator.choice builds it: siblings weigh sibling_weight, the rest
+    # Generator.choice builds it: siblings weigh SIBLING_WEIGHT, the rest
     # 1); built on first use, as a table of every leaf is leaves x leaves
     draws: dict = {}
 
@@ -711,7 +713,7 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
             if len(candidates):
                 weights = np.where(
                     np.delete(leaf_parents, i) == leaf_parents[i],
-                    sibling_weight, 1.0)
+                    SIBLING_WEIGHT, 1.0)
                 cdf = (weights / weights.sum()).cumsum()
                 cdf /= cdf[-1]
             draws[i] = (synonyms.forms.get(leaves[i], (leaves[i],)),
@@ -730,7 +732,7 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         scores = [None] * n_obj + sampled[:, 4].tolist() + [None] * len(grid)
         overlaps = iou(regions, truth)
         best = overlaps.argmax(axis=1)
-        matched = overlaps[np.arange(len(regions)), best] >= min_match_iou
+        matched = overlaps[np.arange(len(regions)), best] >= MIN_MATCH_IOU
         owners, gt_boxes = best[matched].tolist(), truth.tolist()
         columns["box"] += regions[matched].tolist()
         columns["score"] += [scores[r] for r in np.flatnonzero(matched)]
@@ -741,11 +743,11 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
         for j in owners:
             surface, ancestors, candidates, cdf = scene_draws[j]
             tokens = [_pick(rng, surface)]
-            # one draw per ancestor (kept below ancestor_keep_prob), then
+            # one draw per ancestor (kept below ANCESTOR_KEEP_PROB), then
             # the noise draw
             uniforms = rng.random(len(ancestors) + 1).tolist()
             kept = [a for a, u in zip(ancestors, uniforms)
-                    if u < ancestor_keep_prob]
+                    if u < ANCESTOR_KEEP_PROB]
             tokens.extend(kept or ancestors[:1])
             hallucinated = []
             if uniforms[-1] < noise_rate and cdf is not None:
@@ -882,13 +884,15 @@ def _orjson_reads_as_json(data: bytes) -> bool:
 
 
 def load_json(path):
-    """The JSON value in the file at ``path`` (:func:`read_json`); text
-    that is not JSON, or nests past the recursion limit, raises
-    ``{path}: invalid JSON: ...``."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """The JSON value in the file at ``path`` (:func:`read_json`); bytes
+    that are not UTF-8 raise ``{path}: invalid UTF-8: ...``, and text that
+    is not JSON, or nests past the recursion limit, ``{path}: invalid
+    JSON: ...``."""
     try:
-        return read_json(text)
+        with open(path, encoding="utf-8") as fh:
+            return read_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{os.fspath(path)}: invalid UTF-8: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{os.fspath(path)}: invalid JSON: {exc}") from None
 
@@ -994,15 +998,32 @@ def _field(rows: list, name: str, where: str) -> list:
         raise ValueError(f"{where}record {i}: {problem}") from None
 
 
+def _text_lines(data: bytes) -> list:
+    """The UTF-8 bytes ``data`` split into lines as a text-mode read splits
+    them: at LF, CRLF or CR."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace(
+        "\r", "\n").split("\n")
+
+
 def _checked_columns(path, where: str) -> dict:
     """:func:`_columns` of the file at ``path`` as a text-mode read sees
-    it, read line by line: the first line that is no JSON value raises,
-    then the first record that is no object or lacks ``v``, then the first
-    of another schema version, then the first that lacks another field."""
+    it, read line by line: the first record whose line holds invalid UTF-8
+    raises, then the first line that is no JSON value, then the first
+    record that is no object or lacks ``v``, then the first of another
+    schema version, then the first that lacks another field."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = _text_lines(data)
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; the last of their
+        # lines is the start of the bad byte's
+        i = len(list(filter(str.strip, _text_lines(data[:exc.start])[:-1])))
+        raise ValueError(f"{where}record {i}: invalid UTF-8: {exc}"
+                         ) from None
     # a line that only str.strip finds blank (say, a no-break space) is no
-    # record; invalid UTF-8 raises here
-    with open(path, encoding="utf-8") as fh:
-        lines = list(filter(str.strip, fh.read().split("\n")))
+    # record
+    lines = list(filter(str.strip, lines))
     rows = []
     for i, line in enumerate(lines):
         try:
@@ -1028,9 +1049,9 @@ def read_corpus(path) -> Corpus:
     The file's bytes are split at line ends (LF, CRLF or CR), and each
     non-blank line must be one JSON object; the lines are parsed in chunks
     straight into the fields' columns.  Only when that fails is the file
-    read again as a text-mode read sees it, which raises on invalid UTF-8
-    and finds the first line that is no JSON value or the first bad
-    record.  Records are numbered from 0 over the non-blank lines, and
+    read again as a text-mode read sees it, which finds the first line
+    that holds invalid UTF-8, else the first that is no JSON value, else
+    the first bad record.  Records are numbered from 0 over the non-blank lines, and
     every error reads ``{path}: record {i}: {field} ...``.  ``score`` and
     ``gt_box`` may be absent (null) and ``scene`` defaults to 0.
     """

@@ -1,15 +1,15 @@
 """The fine-grained ops that the composite rows of ``hypalign.autodiff``
 spell out, kept as test references.
 
-Each is a row on the package's op table, made with the package's one row
-maker, ``ad._composite``, through the small helpers below and, where the
-package has one, its private kernel or derivative helper, so a tape
-records and differentiates it like any row.  The bit checks compare a
-composite row with its formula spelled out in these ops, and the gradient
-checks reduce an array result to a scalar with ``sum(mul(x, weights))``.
-No training step records any of them; ``ROWS`` names them apart from the
-package's own rows, and each row's name starts with ``ref_``, so that none
-shares a name with a package row.
+Each is a row of the package's one row kind, ``ad._Op``, made through the
+small helpers below and, where the package has one, its private kernel or
+derivative helper, so a tape records and differentiates it like any row.
+The bit checks compare a composite row with its formula spelled out in
+these ops, and the gradient checks reduce an array result to a scalar
+with ``sum(mul(x, weights))``.  No training step records any of them.
+``ROWS`` are this module's rows and ``PACKAGE_ROWS`` the package's own;
+each row's name here starts with ``ref_``, so that none shares a name
+with a package row.
 
 ``gradients`` splits ``ad.backward``'s vector into a map by leaf name, the
 form the checks compare with ``ad.finite_diff``.
@@ -22,37 +22,39 @@ import numpy as np
 
 from hypalign import autodiff as ad
 
-_FIRST = len(ad._OPS)
+
+def rows_of(namespace: dict) -> tuple:
+    """The rows that a module's namespace binds, in binding order."""
+    return tuple(op for op in namespace.values() if isinstance(op, ad._Op))
 
 
 def _unary(name, kernel, vjp):
     """A one-operand row: ``kernel(x)`` is the value and ``vjp(g, ans, x)``
     the adjoint of x."""
-    return ad._composite(name, lambda x, aux: (kernel(x), None),
-                         lambda g, ans, saved, x, aux: ((0, vjp(g, ans, x)),))
+    return ad._Op(name, lambda x, aux: (kernel(x), None),
+                  lambda g, ans, saved, x, aux: ((0, vjp(g, ans, x)),))
 
 
 def _binary(name, kernel, vjp_a, vjp_b):
     """A two-operand row: ``kernel(a, b)`` is the value, and ``vjp_a(g, a,
     b)`` and ``vjp_b(g, a, b)`` the adjoints of a and b."""
-    return ad._composite(name, lambda a, b, aux: (kernel(a, b), None),
-                         lambda g, ans, saved, a, b, aux: (
-                             (0, vjp_a(g, a, b)), (1, vjp_b(g, a, b))))
+    return ad._Op(name, lambda a, b, aux: (kernel(a, b), None),
+                  lambda g, ans, saved, a, b, aux: (
+                      (0, vjp_a(g, a, b)), (1, vjp_b(g, a, b))))
 
 
 def _gated(name, kernel, active):
     """A row ``kernel(x, aux)`` that passes the adjoint where ``active(x,
     aux)`` holds."""
-    return ad._composite(name, lambda x, aux: (kernel(x, aux), None),
-                         lambda g, ans, saved, x, aux: (
-                             (0, g * active(x, aux)),))
+    return ad._Op(name, lambda x, aux: (kernel(x, aux), None),
+                  lambda g, ans, saved, x, aux: ((0, g * active(x, aux)),))
 
 
 def _gather(name):
     """A row of the entries of a matrix at an index, aux, whose adjoint is
     the package's scatter pair."""
-    return ad._composite(name, lambda m, index: (m[index], None),
-                         lambda g, ans, saved, m, index: ((0, (index, g)),))
+    return ad._Op(name, lambda m, index: (m[index], None),
+                  lambda g, ans, saved, m, index: ((0, (index, g)),))
 
 
 def _fit(grad, operand):
@@ -126,8 +128,9 @@ sum = _unary("ref_sum",  # shadows builtin
              lambda g, ans, x: np.full(x.shape, g))
 _PICK = _gather("ref_pick")
 
-#: the rows this module adds to the op table
-ROWS = tuple(ad._OPS[_FIRST:])
+#: this module's rows, and the package's
+ROWS = rows_of(globals())
+PACKAGE_ROWS = rows_of(vars(ad))
 
 
 def split(tape, vector):

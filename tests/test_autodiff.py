@@ -1,5 +1,6 @@
 """Tape engine tests: per-primitive derivative checks, determinism, guards."""
 
+import importlib.util
 import math
 import re
 
@@ -637,40 +638,47 @@ def test_row_ops_reject_other_ranks_naming_the_shape(op, operands):
 
 
 def test_gradient_cases_cover_every_primitive():
-    # criterion 2 is the gate for new ops: a primitive registered without a
-    # case in test_primitive_gradients fails here.  The reference rows are
-    # primitives too; the package's hinge row is a name that nothing records
+    # criterion 2 is the gate for new ops: a row made without a case in
+    # test_primitive_gradients fails here.  The reference rows are
+    # primitives too
     recorded = set()
     for _, build, sample in SCALAR_CASES + VECTOR_CASES:
         tape = ad.Tape()
         build({k: tape.leaf(v, name=k) for k, v in sample().items()})
-        recorded |= {opcode for opcode, _, _ in tape.ops}
-    hinge = ad._OP_NAMES.index("hinge")
-    assert recorded | {hinge} == set(range(len(ad._OPS)))
+        recorded |= {row for row, _, _ in tape.ops}
+    assert recorded == {None, *ref.PACKAGE_ROWS, *ref.ROWS}
 
 
 def test_op_table_holds_only_rows_a_step_records():
-    # a row that no training tape records has no job.  The hinge row stays
-    # only because perfbench's tracer looks its opcode up by name, until
-    # ROADMAP item 1 drops that lookup
+    # a package row that no training tape records has no job
     recorded = set()
     for objective in tr.OBJECTIVES:
         config = tr.ExperimentConfig(objective=objective, scenes=6, batch=6)
         tree, synonyms, records, _ = tr.default_corpus(config)
         _, report = tr.step(tr.init(config, tree, synonyms), records[:6])
-        recorded |= {opcode for opcode, _, _ in report.total.tape.ops}
-    idle = [row.name for row in ad._OPS
-            if row not in ref.ROWS and row.code not in recorded]
-    assert idle == ["hinge"]
+        recorded |= {row for row, _, _ in report.total.tape.ops}
+    assert recorded == {None, *ref.PACKAGE_ROWS}
 
 
-def test_every_row_but_the_leaf_and_hinge_is_a_composite_row():
-    # one row kind: the package's rows and the reference rows alike are made
-    # by ad._composite, whose backward handles every adjoint, scatters too
-    others = [row.name for row in ad._OPS
-              if getattr(row.backward, "__qualname__", None)
-              != "_composite.<locals>.backward"]
-    assert others == ["leaf", "hinge"]
+def test_every_row_is_one_kind():
+    # the package's rows and the reference rows alike are ad._Op rows,
+    # whose backward handles every adjoint, scatters too
+    others = [row.name for row in ref.PACKAGE_ROWS + ref.ROWS
+              if type(row) is not ad._Op]
+    assert others == []
+
+
+@pytest.mark.parametrize("module", ["reference_ops", "reference_state"])
+def test_importing_a_reference_module_changes_nothing_in_autodiff(module):
+    # the reference rows stay in the tests: a fresh import adds no row and
+    # no row name to the package, and rebinds none of its names
+    bindings, names = dict(vars(ad)), list(ad._OP_NAMES)
+    spec = importlib.util.find_spec(module)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert list(ad._OP_NAMES) == names == ["hinge"]
+    assert vars(ad).keys() == bindings.keys()
+    assert all(vars(ad)[k] is v for k, v in bindings.items())
+    assert ref.rows_of(vars(ad)) == ref.PACKAGE_ROWS
 
 
 def test_kernels_keep_the_spelled_out_values():
@@ -821,14 +829,12 @@ def test_non_finite_gradient_reports_node():
 def test_non_finite_gradient_names_the_row_it_came_from(monkeypatch):
     # a composite row's VJP emits NaN, which reaches both leaves, one of
     # them through a later row: the error names the composite row
-    code = ad._OP_NAMES.index("cone_hinge")
-    vjp = ad._BACKWARDS[code]
+    vjp = ad.cone_hinge.vjp
 
     def poisoned(g, *rest):
-        vjp(g * np.nan, *rest)
+        return vjp(g * np.nan, *rest)
 
-    monkeypatch.setattr(ad, "_BACKWARDS", [
-        poisoned if i == code else row for i, row in enumerate(ad._BACKWARDS)])
+    monkeypatch.setattr(ad.cone_hinge, "vjp", poisoned)
     tape = ad.Tape()
     x = tape.leaf(np.full((3, 3), -1.0), name="x")
     aperture = tape.leaf(np.full(3, 0.5), name="aperture")

@@ -283,6 +283,6 @@ STEP_ROWS = {
 @pytest.mark.parametrize("objective", tr.OBJECTIVES)
 def test_step_records_its_rows_in_order(objective):
     tape = step_tape(objective, 16)
-    assert [code for code, _, _ in tape.ops].count(0) == 15
-    assert ([ad._OP_NAMES[code] for code, _, _ in tape.ops if code]
+    assert [row for row, _, _ in tape.ops].count(None) == 15
+    assert ([row.name for row, _, _ in tape.ops if row is not None]
             == STEP_ROWS[objective])

@@ -383,6 +383,8 @@ def test_non_finite_state_numbers_are_rejected_at_load(tmp_path, capsys,
 
 _NOT_JSON = ("{path}: invalid JSON: Expecting property name enclosed in "
              "double quotes: line 1 column 2 (char 1)")
+_NOT_UTF_8 = ("{path}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+              "in position 2: invalid start byte")
 
 
 @pytest.mark.parametrize("name,text,message", [
@@ -400,16 +402,19 @@ _NOT_JSON = ("{path}: invalid JSON: Expecting property name enclosed in "
                  "{path}: invalid JSON: maximum recursion depth exceeded "
                  "while decoding a JSON array from a unicode string",
                  id="state.json-5000-deep"),
+    *(pytest.param(name, b'{"\xff": 1}', _NOT_UTF_8,
+                   id=f"{name}-invalid-utf-8")
+      for name in ("state.json", "synonyms.json", "meta.json")),
 ])
 def test_malformed_json_files_are_named_at_load(tmp_path, capsys, name,
                                                 text, message):
-    # each was a TypeError, KeyError, AttributeError or a JSONDecodeError
-    # that named neither the file nor the field
+    # each was a TypeError, KeyError, AttributeError, JSONDecodeError or
+    # UnicodeDecodeError that named neither the file nor the field
     assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
     assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
     capsys.readouterr()
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert run_cli(flag_fix(["eval"] + train_args(tmp_path))) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "ValueError: " + message.format(path=path)

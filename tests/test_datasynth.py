@@ -587,11 +587,13 @@ READ_EDGES = {
                                                + lines[5:]),
                   "ValueError: <path>: record 4: invalid JSON: Expecting "
                   "',' delimiter: line 1 column 30 (char 29)"),
-    # the text-mode read's own error, at the byte's place in the file
+    # the decoder's error, at the byte's place in the file, names the
+    # record whose line holds it
     "invalid-utf-8": (lambda lines: b"\n".join(lines[:3]) + b"\n\xff"
                       + b"\n".join(lines[3:]),
-                      "UnicodeDecodeError: 'utf-8' codec can't decode byte "
-                      "0xff in position 788: invalid start byte"),
+                      "ValueError: <path>: record 3: invalid UTF-8: 'utf-8' "
+                      "codec can't decode byte 0xff in position 788: "
+                      "invalid start byte"),
     "box-beyond-float": (
         lambda lines: _beyond_float(lines, "box", [0.1, 10 ** 400, 0.5, 0.6]),
         "ValueError: <path>: record 2: box: an integer beyond float range"),
@@ -670,8 +672,9 @@ LAST_CHUNK_ERRORS = {
                   "ValueError: <path>: record 650: invalid JSON: Expecting "
                   "',' delimiter: line 1 column 31 (char 30)"),
     "invalid-utf-8": (lambda line: b"\xff" + line,
-                      "UnicodeDecodeError: 'utf-8' codec can't decode byte "
-                      "0xff in position 167311: invalid start byte"),
+                      "ValueError: <path>: record 650: invalid UTF-8: "
+                      "'utf-8' codec can't decode byte 0xff in position "
+                      "167311: invalid start byte"),
     "box-beyond-float": (
         lambda line: line.replace(b'"box":[0.0,', b'"box":[1' + b"0" * 400
                                   + b",", 1),

@@ -25,7 +25,7 @@ def _public(stmts, kinds) -> list:
 
 def _assigned(stmts) -> list:
     """The public names that module-level assignments bind, such as an op
-    (``add = _composite(...)``); an UPPER_CASE constant is data, not a
+    (``add = _Op(...)``); an UPPER_CASE constant is data, not a
     function, and is left out."""
     targets = [t for s in stmts if isinstance(s, (ast.Assign, ast.AnnAssign))
                for t in getattr(s, "targets", [getattr(s, "target", None)])]
