@@ -23,10 +23,10 @@ from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap, _object,
                         caption_noise_metric, grid_sample, json_bytes,
                         load_json, plain_floats, proposal_sample,
                         read_corpus, write_corpus, write_lines)
-from .trainer import (ExperimentConfig, _vocab_size, check_true_objects,
-                      default_corpus, embed_records, evaluate_retrieval,
-                      export_embeddings, hierarchy_report, load_state,
-                      save_state, split_records, train)
+from .trainer import (ExperimentConfig, check_corpus, default_corpus,
+                      embed_records, evaluate_retrieval, export_embeddings,
+                      hierarchy_report, load_state, save_state,
+                      split_records, train)
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
@@ -39,21 +39,23 @@ def _flag(name: str) -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags win")
     for field in dataclasses.fields(ExperimentConfig):
-        if type(field.default) is bool:
-            parser.add_argument(_flag(field.name), dest=field.name,
-                                action="store_true", default=None)
-        else:
-            parser.add_argument(_flag(field.name), dest=field.name,
-                                type=type(field.default), default=None)
+        kind = type(field.default)
+        parser.add_argument(_flag(field.name), dest=field.name, default=None,
+                            **({"action": "store_true"} if kind is bool
+                               else {"type": kind}))
 
 
 def load_config_file(path: str) -> dict:
     """Plain key=value lines; blank lines and # comments ignored."""
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
+            try:  # a byte that is not UTF-8 was read as a lone surrogate
+                line = raw.encode(errors="surrogateescape").decode().strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: invalid UTF-8: {exc}") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -79,13 +81,10 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
+    values = load_config_file(args.config) if args.config else {}
     for field in dataclasses.fields(ExperimentConfig):
-        flag_value = getattr(args, field.name, None)
-        if flag_value is not None:
-            values[field.name] = flag_value
+        if getattr(args, field.name) is not None:
+            values[field.name] = getattr(args, field.name)
     return ExperimentConfig(**values)
 
 
@@ -94,43 +93,25 @@ def _emit(payload: dict) -> None:
 
 
 def _load_corpus(config: ExperimentConfig):
-    records = read_corpus(config.corpus_path)
-    synonyms = SynonymMap.from_json(load_json(config.synonyms_path))
-    return records, synonyms
+    return (read_corpus(config.corpus_path),
+            SynonymMap.from_json(load_json(config.synonyms_path)))
 
 
 def _load_artifacts(config: ExperimentConfig, state=None):
-    """Corpus, synonyms and tree.  Every id must index the embedding tables
-    of ``state``, or of a model built from this tree and these synonyms, and
-    true objects must be leaves of that model's tree."""
+    """Corpus, synonyms and tree, the corpus checked by ``check_corpus``
+    against the model of ``state``, or of this tree and these synonyms."""
     records, synonyms = _load_corpus(config)
     meta = _object(load_json(config.meta_path), config.meta_path)
     if "tree" not in meta:
         raise ValueError(f"{config.meta_path}: tree: missing")
     tree = ConceptTree.from_json(meta["tree"])
-    model_tree, model_synonyms = ((tree, synonyms) if state is None
-                                  else (state.tree, state.synonyms))
-    vocab = _vocab_size(model_tree, model_synonyms)
-    # the first record with an id past the vocabulary, fields in order
-    outside = []
-    for order, field in enumerate(("tokens", "true_objects", "hallucinated")):
-        ids = getattr(records, field)
-        hits = np.flatnonzero(ids.rows_with(ids.values >= vocab))
-        if hits.size:
-            outside.append((int(hits[0]), order, field))
-    if outside:
-        i, _, field = min(outside)
-        raise ValueError(
-            f"{config.corpus_path}: record {i}: {field} id "
-            f"{max(getattr(records, field).row(i))} is outside the "
-            f"vocabulary of {vocab} ids")
-    check_true_objects(records, model_tree.leaves(),
-                       where=f"{config.corpus_path}: ")
+    model = (tree, synonyms) if state is None else (state.tree,
+                                                    state.synonyms)
+    check_corpus(records, *model, where=f"{config.corpus_path}: ")
     return records, synonyms, tree
 
 
-def cmd_gen_corpus(args) -> int:
-    config = build_config(args)
+def cmd_gen_corpus(config: ExperimentConfig) -> int:
     tree, synonyms, records, (classes, boxes) = default_corpus(config)
     write_corpus(config.corpus_path, records)
     # ids only: no float to check
@@ -156,8 +137,7 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = build_config(args)
+def cmd_train(config: ExperimentConfig) -> int:
     records, synonyms, tree = _load_artifacts(config)
     state, metrics = train(config, records=records, tree=tree,
                            synonyms=synonyms)
@@ -171,31 +151,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = build_config(args)
+def cmd_eval(config: ExperimentConfig) -> int:
     state = load_state(config.state_path)
     records, _, _ = _load_artifacts(config, state)
     _, held = split_records(records)
     embedded = embed_records(state, held)
     recall = evaluate_retrieval(state, held, embedded)
     hier = hierarchy_report(state, held, embedded)
-    _emit({"recall_at_1": recall,
-           "containment_rate": hier.containment_rate,
-           "mean_caption_norm": hier.mean_caption_norm,
-           "mean_object_norm": hier.mean_object_norm,
+    _emit({"recall_at_1": recall, **dataclasses.asdict(hier),
            "held_out_pairs": len(held)})
     return 0
 
 
-def cmd_noise_metric(args) -> int:
-    config = build_config(args)
-    records, synonyms = _load_corpus(config)
-    print(caption_noise_metric(records, synonyms))
+def cmd_noise_metric(config: ExperimentConfig) -> int:
+    print(caption_noise_metric(*_load_corpus(config)))
     return 0
 
 
-def cmd_sample_regions(args) -> int:
-    config = build_config(args)
+def cmd_sample_regions(config: ExperimentConfig) -> int:
     rng = np.random.default_rng(config.seed)
     proposals = []
     for _ in range(max(config.top_n * 3, 6)):
@@ -213,8 +186,7 @@ def cmd_sample_regions(args) -> int:
     return 0
 
 
-def cmd_export_embeddings(args) -> int:
-    config = build_config(args)
+def cmd_export_embeddings(config: ExperimentConfig) -> int:
     state = load_state(config.state_path)
     records, _, _ = _load_artifacts(config, state)
     rows = export_embeddings(state, records, config.export_path)
@@ -256,7 +228,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints usage; unknown flag -> 2
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command][0](build_config(args))
     except BrokenPipeError:
         return 1
     except Exception as exc:  # one machine-readable line on stderr

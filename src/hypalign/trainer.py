@@ -22,7 +22,7 @@ import math
 import reprlib
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Optional
@@ -333,12 +333,9 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
     vocab = _vocab_size(tree, synonyms)
     rng = np.random.default_rng(config.seed)
     biases = {"fuse_b1", "fuse_b2", "box_b"}
-    params: dict = {}
-    for name, shape in _param_specs(config.d, vocab):
-        if name in biases:
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, INIT_SCALE, size=shape)
+    params = {name: np.zeros(shape) if name in biases
+              else rng.normal(0.0, INIT_SCALE, size=shape)
+              for name, shape in _param_specs(config.d, vocab)}
     params["log_tau"] = np.array(math.log(config.tau_init))
     params["curv_raw"] = np.array(math.log(config.c_init))
     zeros = {k: np.zeros_like(v) for k, v in params.items()}
@@ -374,11 +371,15 @@ def _counts(state: ModelState, tokens: IdLists) -> tuple:
 def _prepare(state: ModelState, records: Corpus, captions: bool = True,
              where: str = "") -> _Batch:
     """The ``_Batch`` of ``records``, with caption counts if ``captions``;
-    a record whose class is not a leaf raises, naming ``where`` and it."""
-    leaves, tokens = records.leaves(), records.tokens
+    records that do not fit the model raise by :func:`check_corpus`."""
+    tokens = records.tokens
+    if not records.true_objects.lengths().all() or tokens.values.max(
+            initial=0) >= _vocab_size(state.tree, state.synonyms):
+        check_corpus(records, state.tree, state.synonyms, where)
+    leaves = records.leaves()
     targets = np.searchsorted(state.leaf_ids, leaves)
     if not (state.leaf_ids.take(targets, mode="clip") == leaves).all():
-        check_true_objects(records, state.leaf_ids, where)
+        check_corpus(records, state.tree, state.synonyms, where)
     lengths = tokens.lengths()
     ids = np.full((len(tokens), lengths.max(initial=0)), -1)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = tokens.values
@@ -433,14 +434,27 @@ class _Forward:
                            aux=BOX_HEAD_EPS)
 
 
-def check_true_objects(records: Corpus, leaves, where: str = "") -> None:
-    """A record's class is its smallest true object: true_objects must be
-    one or more leaves of the tree.  Errors name ``where`` and the record."""
-    true = records.true_objects
-    bad = true.rows_with(~np.isin(true.values, leaves)) | (true.lengths() == 0)
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        i = int(hits[0])
+def check_corpus(records: Corpus, tree: ConceptTree, synonyms: SynonymMap,
+                 where: str = "") -> None:
+    """Raise unless every ``tokens``, ``true_objects`` and ``hallucinated``
+    id indexes the embedding tables of the model of ``tree`` and
+    ``synonyms``, and every ``true_objects`` list is one or more leaves.
+    Errors name ``where``, the first record at fault and its field."""
+    vocab = _vocab_size(tree, synonyms)
+    names = ("tokens", "true_objects", "hallucinated")
+    columns = [getattr(records, name) for name in names]
+    past = np.transpose([ids.rows_with(ids.values >= vocab)
+                         for ids in columns])
+    if past.any():
+        i, f = np.argwhere(past)[0]
+        raise ValueError(f"{where}record {i}: {names[f]} id "
+                         f"{max(columns[f].row(i))} is outside the "
+                         f"vocabulary of {vocab} ids")
+    true = columns[1]
+    bad = true.rows_with(~np.isin(true.values, tree.leaves()))
+    bad |= true.lengths() == 0
+    if bad.any():
+        i = np.argmax(bad)
         raise ValueError(
             f"{where}record {i}: true_objects {true.row(i)} "
             "must be one or more leaves of the concept tree")
@@ -472,8 +486,8 @@ def _batch_losses(fwd: _Forward, batch: _Batch, config: ExperimentConfig,
 
 def step(state: ModelState, records) -> tuple:
     """One optimization step on a batch of records; returns the new state
-    and the loss report.  ``records`` is a ``Corpus``, prepared on entry (a
-    record whose class is not a leaf raises, ``batch record i: ...``), or
+    and the loss report.  ``records`` is a ``Corpus``, prepared on entry
+    (one that does not fit the model raises, ``batch record i: ...``), or
     rows of the inputs that ``train`` prepares once, which pass straight
     through.
 
@@ -635,7 +649,7 @@ def train(config: ExperimentConfig, records: Optional[Corpus] = None,
         tree, synonyms, records, _ = default_corpus(config)
     if tree is None or synonyms is None:
         raise ValueError("tree and synonyms are required with records")
-    check_true_objects(records, tree.leaves())
+    check_corpus(records, tree, synonyms)
     noise_pct = caption_noise_metric(records, synonyms)
     train_recs, held_recs = split_records(records)
     if not len(train_recs) or not len(held_recs):
@@ -678,43 +692,32 @@ def train(config: ExperimentConfig, records: Optional[Corpus] = None,
 # state serialization
 
 
-def _config_from_json(data: dict) -> ExperimentConfig:
+def _config_from_json(data: dict, name: str) -> ExperimentConfig:
     """A state file's config: every field, of its default's type (a bool
     is no number; an integer may stand for a float)."""
     kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
-    _exact_fields(_object(data, "config"), kinds, "config.")
-    for name, kind in kinds.items():
-        if type(data[name]) not in ((int, kind) if kind is float else (kind,)):
-            raise ValueError(f"config.{name}: expected {kind.__name__}, "
-                             f"got {data[name]!r}")
-    return ExperimentConfig(**{name: kind(data[name])
-                               for name, kind in kinds.items()})
+    _exact_fields(_object(data, name), kinds, f"{name}.")
+    for key, kind in kinds.items():
+        if type(data[key]) not in ((int, kind) if kind is float else (kind,)):
+            raise ValueError(f"{name}.{key}: expected {kind.__name__}, "
+                             f"got {data[key]!r}")
+    return ExperimentConfig(**{key: kind(data[key])
+                               for key, kind in kinds.items()})
 
 
-def state_from_json(data: dict) -> ModelState:
-    """The state of the JSON object that :func:`save_state` writes: the
-    fields of a :class:`ModelState`, each map of arrays an object of
-    nested lists.  An input of another shape raises naming the field, e.g.
-    ``adam_t: missing`` or ``params: expected an object, got [1]``."""
-    _exact_fields(_object(data, "state"), ("config", "tree", "synonyms",
-                                           "adam_t") + _MAPS)
-    for name in _MAPS:
-        _object(data[name], name)
-    config = _config_from_json(data["config"])
-    adam_t = data["adam_t"]
-    if type(adam_t) is not int or adam_t < 0:
-        raise ValueError(f"adam_t: {adam_t!r} is not a non-negative integer")
-    return ModelState(config, ConceptTree.from_json(data["tree"]),
-                      SynonymMap.from_json(data["synonyms"]), data["params"],
-                      data["adam_m"], data["adam_v"], adam_t)
+def _count_from_json(value, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name}: {value!r} is not a non-negative integer")
+    return value
 
 
-def _object_pieces(members: dict) -> Iterator[bytes]:
-    """A JSON object's bytes, key-sorted, from a map of its keys to
-    iterables of their values' bytes, each made as it is written."""
+def _object_pieces(members: Mapping, pieces=iter) -> Iterator[bytes]:
+    """A JSON object's bytes, key-sorted, from a map of its keys to their
+    values: ``pieces(value)`` iterates over a value's bytes, each made as
+    it is written."""
     for i, key in enumerate(sorted(members)):
         yield (b"," if i else b"{") + json_bytes(key, True) + b":"
-        yield from members[key]
+        yield from pieces(members[key])
     yield b"}"
 
 
@@ -730,23 +733,45 @@ def _array_pieces(values: np.ndarray) -> Iterator[bytes]:
                                    plain.all(axis=1).tolist())) + b"]"
 
 
+def _config_pieces(config: ExperimentConfig) -> list:
+    values = asdict(config)
+    return [json_bytes(values, bool(plain_floats(
+        [v for v in values.values() if type(v) is float]).all()))]
+
+
+#: The state file's fields in check order: name (the ModelState argument),
+#: reader (JSON value, name) -> argument, writer attribute -> bytes pieces.
+_STATE_FIELDS = (
+    *((name, _object, partial(_object_pieces, pieces=_array_pieces))
+      for name in _MAPS),
+    ("config", _config_from_json, _config_pieces),
+    ("adam_t", _count_from_json, lambda t: [json_bytes(t, True)]),
+    ("tree", lambda data, _: ConceptTree.from_json(data),
+     lambda tree: [json_bytes(tree.to_json(), True)]),
+    ("synonyms", lambda data, _: SynonymMap.from_json(data),
+     lambda synonyms: [json_bytes(synonyms.to_json(), True)]),
+)
+
+
+def state_from_json(data: dict) -> ModelState:
+    """The state of the JSON object that :func:`save_state` writes: the
+    fields of a :class:`ModelState`, each map of arrays an object of
+    nested lists.  An input of another shape raises naming the field, e.g.
+    ``adam_t: missing`` or ``params: expected an object, got [1]``."""
+    _exact_fields(_object(data, "state"),
+                  [name for name, _, _ in _STATE_FIELDS])
+    return ModelState(**{name: read(data[name], name)
+                         for name, read, _ in _STATE_FIELDS})
+
+
 def save_state(path, state: ModelState) -> None:
     """One line, the key-sorted JSON object of the state's fields, each
     map of arrays an object of nested lists.  It is written a piece at a
     time, each array's text made only when it is its turn, and each matrix
     row goes to ``json_bytes`` alone, so that only rows with a float below
     1e-4 go to ``json_line``; in a trained state every map holds some."""
-    config = asdict(state.config)
-    # the tree, the synonyms and adam_t hold no float
-    members = {"config": [json_bytes(config, bool(plain_floats(
-                   [v for v in config.values() if type(v) is float]).all()))],
-               "tree": [json_bytes(state.tree.to_json(), True)],
-               "synonyms": [json_bytes(state.synonyms.to_json(), True)],
-               "adam_t": [json_bytes(state.adam_t, True)]}
-    for key in _MAPS:
-        arrays = getattr(state, key)
-        members[key] = _object_pieces({name: _array_pieces(arrays[name])
-                                       for name in arrays})
+    members = {name: write(getattr(state, name))
+               for name, _, write in _STATE_FIELDS}
     write_bytes(path, chain(_object_pieces(members), [b"\n"]))
 
 
@@ -758,7 +783,9 @@ def export_embeddings(state: ModelState, records: Corpus,
                       path=None) -> list:
     """Rows for external 2D projection: id, kind, pre-lift vector, norm.
     A class's row fuses its own label token over the full-image box.  With
-    a ``path``, the rows are also written there, one JSON line each."""
+    a ``path``, the rows are also written there, one JSON line each;
+    records that do not fit the model raise by :func:`check_corpus`."""
+    check_corpus(records, state.tree, state.synonyms)
     fwd, leaves = _Forward(state.params), state.leaf_ids
     curvature = math.exp(state.params["curv_raw"])
     ids = [(leaf, "object") for leaf in leaves.tolist()]

@@ -311,6 +311,21 @@ def test_config_file_reports_unparsable_number(tmp_path, capsys):
         load_config_file(str(cfg_file))
 
 
+def test_config_file_with_invalid_utf_8_names_its_line(tmp_path, capsys):
+    # it was a bare UnicodeDecodeError naming neither the file nor the line
+    cfg_file = tmp_path / "bytes.cfg"
+    cfg_file.write_bytes(b"# \xc3\xa9t\xc3\xa9\r\nseed = 3\rlr=\xff\n")
+    assert run_cli(["gen-corpus", "--config", str(cfg_file)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == (
+        f"ValueError: {cfg_file}:3: invalid UTF-8: 'utf-8' codec can't "
+        "decode byte 0xff in position 3: invalid start byte")
+    cfg_file.write_bytes(b"seed = 3\n" * 5000 + b"steps = \xe2\x82\n")
+    with pytest.raises(ValueError, match=r":5001: invalid UTF-8: .* bytes "
+                                         r"in position 8-9"):
+        load_config_file(str(cfg_file))
+
+
 def _edit_last_record(path, field, edit):
     lines = path.read_text().splitlines()
     record = json.loads(lines[-1])
@@ -321,7 +336,7 @@ def _edit_last_record(path, field, edit):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
-@pytest.mark.parametrize("field", ["tokens", "true_objects"])
+@pytest.mark.parametrize("field", ["tokens", "true_objects", "hallucinated"])
 def test_ids_outside_the_vocabulary_are_rejected_at_load(tmp_path, capsys,
                                                          command, field):
     assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0

@@ -279,3 +279,79 @@ def test_json_writes_sees_every_route_to_a_writer():
         ("mod.py", "ENCODER", "json.JSONEncoder"),
         ("mod.py", "Writer", "orjson.dumps"),
         ("mod.py", "write", "json.dump"), ("mod.py", "write", "json.dumps")]
+
+
+#: The private names that one module under ``src/`` takes from another,
+#: as (importer, module, name): datasynth's checks of a JSON object, which
+#: the state and meta readers share, and autodiff's plain-array kernels,
+#: which the metric routes of geometry and objectives share.
+PRIVATE_IMPORTS = [("cli.py", "datasynth", "_object"),
+                   ("geometry.py", "autodiff", "_dot"),
+                   ("geometry.py", "autodiff", "_norm"),
+                   ("geometry.py", "autodiff", "_num"),
+                   ("objectives.py", "autodiff", "_dot"),
+                   ("objectives.py", "autodiff", "_norm"),
+                   ("objectives.py", "autodiff", "_num"),
+                   ("trainer.py", "datasynth", "_exact_fields"),
+                   ("trainer.py", "datasynth", "_object")]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(sources: dict) -> list:
+    """``(file, module, name)`` of every private name that one of the given
+    module sources takes from a module of the package: by ``from .module
+    import _name`` or ``from hypalign.module import _name``, or as
+    ``alias._name`` of a module imported as ``alias``."""
+    found = set()
+    for file, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == "hypalign"):
+                module = (node.module or "").removeprefix("hypalign")
+                module = module.lstrip(".")
+                for alias in node.names:
+                    if not module:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        found.add((file, module, alias.name))
+            elif isinstance(node, ast.Import):
+                modules.update({alias.asname: alias.name.split(".")[-1]
+                                for alias in node.names if alias.asname
+                                and alias.name.startswith("hypalign.")})
+        found |= {(file, modules[node.value.id], node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)}
+    return sorted(found)
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = private_imports({path.name: path.read_text()
+                             for path in SRC.glob("*.py")})
+    assert found == PRIVATE_IMPORTS
+
+
+def test_private_imports_sees_every_route_to_a_private_name():
+    source = textwrap.dedent("""
+        import numpy as np
+        import hypalign.fusion as fu
+        from . import autodiff as ad, geometry
+        from .trainer import _vocab_size, check_corpus
+        from hypalign.datasynth import _object
+        from hypalign import objectives
+
+        def f(x):
+            return (ad._num(x) + geometry._inner(x) + np._private
+                    + fu._mlp + objectives.val + ad.__name__)
+        """)
+    assert private_imports({"mod.py": source}) == [
+        ("mod.py", "autodiff", "_num"), ("mod.py", "datasynth", "_object"),
+        ("mod.py", "fusion", "_mlp"), ("mod.py", "geometry", "_inner"),
+        ("mod.py", "trainer", "_vocab_size")]

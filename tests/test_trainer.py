@@ -350,10 +350,69 @@ def test_train_rejects_records_without_a_leaf_class(corpus):
                                              "leaves of the concept tree"):
             tr.train(cfg, records=bad, tree=tree, synonyms=syn)
         # a batch is checked too: its row 3 is that record
-        with pytest.raises(ValueError, match="batch record 3: "
-                                             "true_objects|record 3: "
-                                             "true_objects is empty"):
+        with pytest.raises(ValueError, match="^batch record 3: true_objects "
+                                             ".* leaves of the concept tree"):
             tr.step(tr.init(cfg, tree, syn), bad[:6])
+
+
+def with_ids(records, field, index, ids):
+    """The corpus with record ``index``'s ``field`` list replaced."""
+    lists = {name: getattr(records, name).lists()
+             for name in ("tokens", "true_objects", "hallucinated")}
+    lists[field][index] = ids
+    return Corpus.from_lists(
+        records.box.tolist(), **lists,
+        score=[None if np.isnan(s) else s for s in records.score.tolist()],
+        gt_box=records.gt_box.tolist(), scene=records.scene.tolist())
+
+
+@pytest.mark.parametrize("call, prefix", [
+    (lambda cfg, tree, syn, state, bad: tr.train(cfg, records=bad, tree=tree,
+                                                 synonyms=syn), ""),
+    (lambda cfg, tree, syn, state, bad: tr.step(state, bad[:6]), "batch "),
+    (lambda cfg, tree, syn, state, bad: tr.embed_records(state, bad[:6]), ""),
+    (lambda cfg, tree, syn, state, bad: tr.evaluate_retrieval(state, bad[:6]),
+     ""),
+    (lambda cfg, tree, syn, state, bad: tr.export_embeddings(state, bad[:6]),
+     ""),
+], ids=["train", "step", "embed_records", "evaluate_retrieval",
+        "export_embeddings"])
+def test_token_ids_outside_the_vocabulary_are_rejected(corpus, call, prefix):
+    # each raised a bare IndexError from a lookup in the token table
+    cfg, tree, syn, records = corpus
+    state = tr.init(cfg, tree, syn)
+    vocab = len(state.params["token_table"])
+    bad = with_ids(records, "tokens", 3, records.tokens.row(3) + [999])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{prefix}record 3: tokens id 999 is outside the vocabulary "
+            f"of {vocab} ids")):
+        call(cfg, tree, syn, state, bad)
+
+
+def test_check_corpus_names_the_first_fault(corpus):
+    cfg, tree, syn, records = corpus
+    vocab = len(tr.init(cfg, tree, syn).params["token_table"])
+    category = tree.children[tree.root][0]
+    tr.check_corpus(records, tree, syn)
+    # record 2's class is no leaf, but an id past the vocabulary comes first
+    bad = with_true_objects(records, 2, {category})
+    bad = with_ids(bad, "hallucinated", 5, [vocab + 3])
+    with pytest.raises(ValueError, match=re.escape(
+            f"in 7: record 5: hallucinated id {vocab + 3} is outside")):
+        tr.check_corpus(bad, tree, syn, where="in 7: ")
+    # at one record, tokens come before hallucinated ids
+    bad = with_ids(bad, "tokens", 5, records.tokens.row(5) + [vocab])
+    with pytest.raises(ValueError, match=f"^record 5: tokens id {vocab} "):
+        tr.check_corpus(bad, tree, syn)
+    # and a lower record before either
+    bad = with_ids(bad, "hallucinated", 4, [vocab + 9])
+    with pytest.raises(ValueError, match=f"^record 4: hallucinated id "
+                                         f"{vocab + 9} "):
+        tr.check_corpus(bad, tree, syn)
+    with pytest.raises(ValueError, match=re.escape(
+            f"record 2: true_objects [{category}] must be one or more "
+            "leaves")):
+        tr.check_corpus(with_true_objects(records, 2, {category}), tree, syn)
 
 
 def test_train_runs_and_metrics_are_monotone_in_step(corpus):
@@ -647,6 +706,27 @@ def test_state_file_shapes_checked_at_load(tmp_path, corpus):
      "synonyms: expected an object, got [1]"),
     (lambda d: d["synonyms"].update({"5": 3}),
      "synonyms.5: expected a list, got 3"),
+    # two faults at once: the one checked first is named
+    *(pytest.param(edit, message, id=f"two-faults-{i}")
+      for i, (edit, message) in enumerate([
+          (lambda d: d.update(params=[1], config={**d["config"], "d": "16"}),
+           "params: expected an object, got [1]"),
+          (lambda d: (d.pop("adam_t"), d.update(tree=[1])),
+           "adam_t: missing"),
+          (lambda d: d.update(extra=1, adam_m=None), "extra: unknown field"),
+          (lambda d: d.update(adam_v=[1], params=None),
+           "params: expected an object, got None"),
+          (lambda d: d.update(adam_t=-4, config=[1]),
+           "config: expected an object, got [1]"),
+          (lambda d: d.update(adam_t=-4, tree=[1]),
+           "adam_t: -4 is not a non-negative"),
+          (lambda d: d.update(tree=[1], synonyms=[1]),
+           "tree: expected an object, got [1]"),
+          (lambda d: (d["params"].pop("box_b"), d.update(synonyms=[1])),
+           "synonyms: expected an object, got [1]"),
+          (lambda d: (d["params"].pop("box_b"), d["adam_m"].pop("box_b")),
+           "params: missing ['box_b']"),
+      ])),
 ])
 def test_state_file_config_and_step_checked_at_load(tmp_path, corpus, edit,
                                                     message):
