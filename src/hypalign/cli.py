@@ -39,10 +39,12 @@ def _flag(name: str) -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags win")
     for field in dataclasses.fields(ExperimentConfig):
-        kind = type(field.default)
-        parser.add_argument(_flag(field.name), dest=field.name, default=None,
-                            **({"action": "store_true"} if kind is bool
-                               else {"type": kind}))
+        if type(field.default) is bool:
+            parser.add_argument(_flag(field.name), dest=field.name,
+                                action="store_true", default=None)
+        else:
+            parser.add_argument(_flag(field.name), dest=field.name,
+                                type=type(field.default), default=None)
 
 
 def load_config_file(path: str) -> dict:
@@ -81,10 +83,13 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = load_config_file(args.config) if args.config else {}
+    values: dict = {}
+    if getattr(args, "config", None):
+        values.update(load_config_file(args.config))
     for field in dataclasses.fields(ExperimentConfig):
-        if getattr(args, field.name) is not None:
-            values[field.name] = getattr(args, field.name)
+        flag_value = getattr(args, field.name, None)
+        if flag_value is not None:
+            values[field.name] = flag_value
     return ExperimentConfig(**values)
 
 
@@ -93,8 +98,9 @@ def _emit(payload: dict) -> None:
 
 
 def _load_corpus(config: ExperimentConfig):
-    return (read_corpus(config.corpus_path),
-            SynonymMap.from_json(load_json(config.synonyms_path)))
+    records = read_corpus(config.corpus_path)
+    synonyms = SynonymMap.from_json(load_json(config.synonyms_path))
+    return records, synonyms
 
 
 def _load_artifacts(config: ExperimentConfig, state=None):
@@ -158,13 +164,17 @@ def cmd_eval(config: ExperimentConfig) -> int:
     embedded = embed_records(state, held)
     recall = evaluate_retrieval(state, held, embedded)
     hier = hierarchy_report(state, held, embedded)
-    _emit({"recall_at_1": recall, **dataclasses.asdict(hier),
+    _emit({"recall_at_1": recall,
+           "containment_rate": hier.containment_rate,
+           "mean_caption_norm": hier.mean_caption_norm,
+           "mean_object_norm": hier.mean_object_norm,
            "held_out_pairs": len(held)})
     return 0
 
 
 def cmd_noise_metric(config: ExperimentConfig) -> int:
-    print(caption_noise_metric(*_load_corpus(config)))
+    records, synonyms = _load_corpus(config)
+    print(caption_noise_metric(records, synonyms))
     return 0
 
 

@@ -22,7 +22,7 @@ import math
 import reprlib
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Optional
@@ -333,9 +333,12 @@ def init(config: ExperimentConfig, tree: Optional[ConceptTree] = None,
     vocab = _vocab_size(tree, synonyms)
     rng = np.random.default_rng(config.seed)
     biases = {"fuse_b1", "fuse_b2", "box_b"}
-    params = {name: np.zeros(shape) if name in biases
-              else rng.normal(0.0, INIT_SCALE, size=shape)
-              for name, shape in _param_specs(config.d, vocab)}
+    params: dict = {}
+    for name, shape in _param_specs(config.d, vocab):
+        if name in biases:
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(0.0, INIT_SCALE, size=shape)
     params["log_tau"] = np.array(math.log(config.tau_init))
     params["curv_raw"] = np.array(math.log(config.c_init))
     zeros = {k: np.zeros_like(v) for k, v in params.items()}
@@ -372,14 +375,9 @@ def _prepare(state: ModelState, records: Corpus, captions: bool = True,
              where: str = "") -> _Batch:
     """The ``_Batch`` of ``records``, with caption counts if ``captions``;
     records that do not fit the model raise by :func:`check_corpus`."""
-    tokens = records.tokens
-    if not records.true_objects.lengths().all() or tokens.values.max(
-            initial=0) >= _vocab_size(state.tree, state.synonyms):
-        check_corpus(records, state.tree, state.synonyms, where)
-    leaves = records.leaves()
+    check_corpus(records, state.tree, state.synonyms, where)
+    leaves, tokens = records.leaves(), records.tokens
     targets = np.searchsorted(state.leaf_ids, leaves)
-    if not (state.leaf_ids.take(targets, mode="clip") == leaves).all():
-        check_corpus(records, state.tree, state.synonyms, where)
     lengths = tokens.lengths()
     ids = np.full((len(tokens), lengths.max(initial=0)), -1)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = tokens.values
@@ -711,13 +709,12 @@ def _count_from_json(value, name: str) -> int:
     return value
 
 
-def _object_pieces(members: Mapping, pieces=iter) -> Iterator[bytes]:
-    """A JSON object's bytes, key-sorted, from a map of its keys to their
-    values: ``pieces(value)`` iterates over a value's bytes, each made as
-    it is written."""
+def _object_pieces(members: dict) -> Iterator[bytes]:
+    """A JSON object's bytes, key-sorted, from a map of its keys to
+    iterables of their values' bytes, each made as it is written."""
     for i, key in enumerate(sorted(members)):
         yield (b"," if i else b"{") + json_bytes(key, True) + b":"
-        yield from pieces(members[key])
+        yield from members[key]
     yield b"}"
 
 
@@ -742,7 +739,8 @@ def _config_pieces(config: ExperimentConfig) -> list:
 #: The state file's fields in check order: name (the ModelState argument),
 #: reader (JSON value, name) -> argument, writer attribute -> bytes pieces.
 _STATE_FIELDS = (
-    *((name, _object, partial(_object_pieces, pieces=_array_pieces))
+    *((name, _object, lambda arrays: _object_pieces(
+        {key: _array_pieces(arrays[key]) for key in arrays}))
       for name in _MAPS),
     ("config", _config_from_json, _config_pieces),
     ("adam_t", _count_from_json, lambda t: [json_bytes(t, True)]),

@@ -377,16 +377,18 @@ def with_ids(records, field, index, ids):
      ""),
 ], ids=["train", "step", "embed_records", "evaluate_retrieval",
         "export_embeddings"])
-def test_token_ids_outside_the_vocabulary_are_rejected(corpus, call, prefix):
-    # each raised a bare IndexError from a lookup in the token table
+@pytest.mark.parametrize("field", ["tokens", "true_objects", "hallucinated"])
+def test_ids_outside_the_vocabulary_are_rejected(corpus, call, prefix, field):
+    # with a token id, each raised a bare IndexError from a lookup in the
+    # token table; the other fields are checked by the same rule
     cfg, tree, syn, records = corpus
     state = tr.init(cfg, tree, syn)
     vocab = len(state.params["token_table"])
-    bad = with_ids(records, "tokens", 3, records.tokens.row(3) + [999])
+    ids = getattr(records, field).row(3) + [999]
     with pytest.raises(ValueError, match=re.escape(
-            f"{prefix}record 3: tokens id 999 is outside the vocabulary "
+            f"{prefix}record 3: {field} id 999 is outside the vocabulary "
             f"of {vocab} ids")):
-        call(cfg, tree, syn, state, bad)
+        call(cfg, tree, syn, state, with_ids(records, field, 3, ids))
 
 
 def test_check_corpus_names_the_first_fault(corpus):
