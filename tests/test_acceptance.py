@@ -5,6 +5,7 @@ One test per criterion; each prints a single PASS/FAIL line (run with
 module-scoped runs.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -428,6 +429,24 @@ def ablation_runs():
             runs.append(metrics[-1])
         results[objective] = runs
     return results, noise_levels
+
+
+#: sha256 of the criterion-5/6 runs' final ``MetricsRecord`` lines, hyper,
+#: baseline then det-only, each in seed order, joined by newlines: the
+#: values that criteria 5 and 6 judge.  It was computed by running the 15
+#: runs one after another; update it only for an intended change of
+#: training.
+ABLATION_DIGEST = (
+    "e0454c09f27363552a5d7c093295e15dac7854e2248215ae2968885cbe345c28")
+
+
+def test_ablation_runs_match_their_pinned_digest(ablation_runs):
+    results, _ = ablation_runs
+    lines = [record.to_json() for objective in ("hyper", "baseline",
+                                                "det-only")
+             for record in results[objective]]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ABLATION_DIGEST
 
 
 def _cohens_d(a, b):
