@@ -19,14 +19,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap, _object,
-                        caption_noise_metric, grid_sample, json_bytes,
-                        load_json, plain_floats, proposal_sample,
-                        read_corpus, write_corpus, write_lines)
-from .trainer import (ExperimentConfig, check_corpus, default_corpus,
-                      embed_records, evaluate_retrieval, export_embeddings,
-                      hierarchy_report, load_state, save_state,
-                      split_records, train)
+from .datasynth import (SCHEMA_VERSION, ConceptTree, SynonymMap,
+                        _collector_off, _object, caption_noise_metric,
+                        grid_sample, json_bytes, load_json, plain_floats,
+                        proposal_sample, read_corpus, write_corpus,
+                        write_lines)
+from .trainer import (ExperimentConfig, _Misfit, _prepare, check_corpus,
+                      default_corpus, embed_records, evaluate_retrieval,
+                      export_embeddings, hierarchy_report, load_state,
+                      save_state, split_records, train)
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
@@ -103,18 +104,13 @@ def _load_corpus(config: ExperimentConfig):
     return records, synonyms
 
 
-def _load_artifacts(config: ExperimentConfig, state=None):
-    """Corpus, synonyms and tree, the corpus checked by ``check_corpus``
-    against the model of ``state``, or of this tree and these synonyms."""
+def _load_artifacts(config: ExperimentConfig):
+    """Corpus, synonyms and tree; the corpus is not yet checked."""
     records, synonyms = _load_corpus(config)
     meta = _object(load_json(config.meta_path), config.meta_path)
     if "tree" not in meta:
         raise ValueError(f"{config.meta_path}: tree: missing")
-    tree = ConceptTree.from_json(meta["tree"])
-    model = (tree, synonyms) if state is None else (state.tree,
-                                                    state.synonyms)
-    check_corpus(records, *model, where=f"{config.corpus_path}: ")
-    return records, synonyms, tree
+    return records, synonyms, ConceptTree.from_json(meta["tree"])
 
 
 def cmd_gen_corpus(config: ExperimentConfig) -> int:
@@ -159,9 +155,10 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 def cmd_eval(config: ExperimentConfig) -> int:
     state = load_state(config.state_path)
-    records, _, _ = _load_artifacts(config, state)
+    records, _, _ = _load_artifacts(config)
+    check_corpus(records, state.tree, state.synonyms)
     _, held = split_records(records)
-    embedded = embed_records(state, held)
+    embedded = embed_records(state, _prepare(state, held))
     recall = evaluate_retrieval(state, held, embedded)
     hier = hierarchy_report(state, held, embedded)
     _emit({"recall_at_1": recall,
@@ -198,7 +195,7 @@ def cmd_sample_regions(config: ExperimentConfig) -> int:
 
 def cmd_export_embeddings(config: ExperimentConfig) -> int:
     state = load_state(config.state_path)
-    records, _, _ = _load_artifacts(config, state)
+    records, _, _ = _load_artifacts(config)
     rows = export_embeddings(state, records, config.export_path)
     _emit({"rows": len(rows), "export": config.export_path})
     return 0
@@ -238,10 +235,15 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse prints usage; unknown flag -> 2
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][0](build_config(args))
+        # a command makes no reference cycle: a collection frees nothing
+        with _collector_off():
+            config = build_config(args)
+            return _COMMANDS[args.command][0](config)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # one machine-readable line on stderr
+        if isinstance(exc, _Misfit):  # each command checks one corpus
+            exc = ValueError(f"{config.corpus_path}: {exc}")
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return 1

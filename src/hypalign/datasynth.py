@@ -19,7 +19,8 @@ import json
 import math
 import os
 import reprlib
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -411,7 +412,11 @@ def _distinct(ids: IdLists) -> IdLists:
     return IdLists(values[~repeat], np.concatenate(([0], np.cumsum(lengths))))
 
 
-def _integers(values: list, field: str, record_of, fail) -> np.ndarray:
+def _fail(where: str, i: int, text: str):
+    raise ValueError(f"{where}record {i}: {text}")
+
+
+def _integers(values: list, field: str, record_of, where) -> np.ndarray:
     """An int64 array of integers (a boolean is not one); any other value
     fails, naming the record ``record_of(position)``."""
     if set(map(type, values)) <= {int}:
@@ -422,21 +427,22 @@ def _integers(values: list, field: str, record_of, fail) -> np.ndarray:
     for k, v in enumerate(values):
         if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
                 or not -2**63 <= v < 2**63):
-            fail(record_of(k), f"{field}: {v!r} is not a 64-bit integer")
+            _fail(where, record_of(k),
+                  f"{field}: {v!r} is not a 64-bit integer")
     return np.fromiter(values, np.int64, len(values))
 
 
-def _id_lists(lists: list, field: str, fail) -> IdLists:
+def _id_lists(lists: list, field: str, where: str) -> IdLists:
     if not set(map(type, lists)) <= {list, tuple}:
         i = next(i for i, v in enumerate(lists)
                  if not isinstance(v, (list, tuple)))
-        fail(i, f"{field}: {lists[i]!r} is not a list of ids")
+        _fail(where, i, f"{field}: {lists[i]!r} is not a list of ids")
     offsets = np.zeros(len(lists) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)),
               out=offsets[1:])
     values = _integers(
         list(chain.from_iterable(lists)), field,
-        lambda k: int(np.searchsorted(offsets, k, side="right")) - 1, fail)
+        lambda k: int(np.searchsorted(offsets, k, side="right")) - 1, where)
     return IdLists(values, offsets)
 
 
@@ -444,7 +450,7 @@ def _id_lists(lists: list, field: str, fail) -> IdLists:
 _FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
 
-def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
+def _floats(values: list, field: str, shape: tuple, where) -> np.ndarray:
     """One float64 entry of ``shape`` per record: a number, or None, which
     reads as NaN.  An entry of another shape, a value that is no number (a
     boolean or a string) or an integer beyond float range fails, naming the
@@ -463,14 +469,14 @@ def _floats(values: list, field: str, shape: tuple, fail) -> np.ndarray:
             pass   # an integer beyond float range, which the loop names
     for i, v in enumerate(values):
         if shape and not (isinstance(v, (list, tuple)) and len(v) == width):
-            fail(i, f"{field}: {v!r} is not [x1, y1, x2, y2]")
+            _fail(where, i, f"{field}: {v!r} is not [x1, y1, x2, y2]")
         for x in v if shape else [v]:
             if x is not None and (isinstance(x, bool) or not isinstance(
                     x, (int, float, np.integer, np.floating))):
-                fail(i, f"{field}: {x!r} is not a number"
-                        + ("" if shape else " or null"))
+                _fail(where, i, f"{field}: {x!r} is not a number"
+                      + ("" if shape else " or null"))
             if isinstance(x, int) and abs(x) >= _FLOAT_OVERFLOW:
-                fail(i, f"{field}: an integer beyond float range")
+                _fail(where, i, f"{field}: an integer beyond float range")
     return np.fromiter(flat, np.float64, len(flat)).reshape(
         (len(values),) + shape)
 
@@ -553,39 +559,40 @@ class Corpus:
             raise ValueError(f"{where}every column needs one entry per "
                              f"record ({n})")
 
-        def fail(i, text):
-            raise ValueError(f"{where}record {i}: {text}")
-
-        ids = {field: _id_lists(lists, field, fail) for field, lists in (
+        ids = {field: _id_lists(lists, field, where) for field, lists in (
             ("tokens", tokens), ("true_objects", true_objects),
             ("hallucinated", hallucinated))}
-        scenes = _integers(scene, "scene", int, fail)
-        boxes = _floats(box, "box", (4,), fail)
+        scenes = _integers(scene, "scene", int, where)
+        boxes = _floats(box, "box", (4,), where)
         gts = _floats([[math.nan] * 4 if b is None else b for b in gt_box],
-                      "gt_box", (4,), fail)
-        scores = _floats(score, "score", (), fail)
-        scored = np.array([s is not None for s in score], dtype=bool)
-        has_gt = np.array([b is not None for b in gt_box], dtype=bool)
-        true = _distinct(ids["true_objects"])
-        hall = _distinct(ids["hallucinated"])
-        owner, _, shared = _repeats(np.concatenate((true.owner(),
-                                                    hall.owner())),
-                                    np.concatenate((true.values,
-                                                    hall.values)))
+                      "gt_box", (4,), where)
+        scores = _floats(score, "score", (), where)
+        return cls(boxes, scores, gts, scenes, *ids.values())._checked(
+            np.array([s is not None for s in score], dtype=bool),
+            np.array([b is not None for b in gt_box], dtype=bool), where)
 
+    def _checked(self, scored, has_gt, where: str) -> "Corpus":
+        """This corpus with sorted, distinct true_objects and hallucinated
+        lists if every value is in range, else ``{where}record {i}: ...``
+        for the lowest record at fault; ``scored`` and ``has_gt`` mark the
+        given scores and ``gt_box`` rows."""
+        true, hall = _distinct(self.true_objects), _distinct(self.hallucinated)
+        owner, _, shared = _repeats(
+            np.concatenate((true.owner(), hall.owner())),
+            np.concatenate((true.values, hall.values)))
         _fail_first(
-            [_box_check("box", boxes, True), _score_check(scores, scored),
-             _box_check("gt_box", gts, has_gt)]
-            + [_negative_check(field, lists) for field, lists in ids.items()]
-            + [(ids["tokens"].lengths() == 0,
+            [_box_check("box", self.box, True),
+             _score_check(self.score, scored),
+             _box_check("gt_box", self.gt_box, has_gt)]
+            + [_negative_check(field, getattr(self, field))
+               for field in ("tokens", "true_objects", "hallucinated")]
+            + [(self.tokens.lengths() == 0,
                 lambda i: "tokens is empty: a caption needs at least one "
                           "token"),
-               (np.bincount(owner[shared], minlength=n) > 0,
+               (np.bincount(owner[shared], minlength=len(self)) > 0,
                 lambda i: "hallucinated ids must be absent from "
                           "true_objects")], f"{where}record ")
-        return cls(box=boxes, score=scores, gt_box=gts, scene=scenes,
-                   tokens=ids["tokens"], true_objects=true,
-                   hallucinated=hall)
+        return replace(self, true_objects=true, hallucinated=hall)
 
 
 def caption_noise_metric(records: Corpus, synonyms: SynonymMap) -> float:
@@ -698,9 +705,8 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
     n_obj = min(objects_per_scene, len(leaves))
     grid = grid_sample(k)
     picked, objects = [], []
-    columns: dict = {name: [] for name in (
-        "box", "tokens", "true_objects", "hallucinated", "score", "gt_box",
-        "scene")}
+    # per scene, the box, score, gt_box, true object and scene arrays
+    parts, token_lists, hallucinated_lists = [], [], []
     # leaf index -> (its surface forms, ancestors, the other leaves and the
     # cumulative distribution of a hallucinated mention over them, as
     # Generator.choice builds it: siblings weigh SIBLING_WEIGHT, the rest
@@ -729,18 +735,17 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
                                     _random_rows(rng, top_n, 5)))
         sampled = proposal_sample(proposals, top_n, iou_threshold)
         regions = np.concatenate((truth, sampled[:, :4], grid))
-        scores = [None] * n_obj + sampled[:, 4].tolist() + [None] * len(grid)
+        scores = np.full(len(regions), np.nan)
+        scores[n_obj:n_obj + len(sampled)] = sampled[:, 4]
         overlaps = iou(regions, truth)
         best = overlaps.argmax(axis=1)
         matched = overlaps[np.arange(len(regions)), best] >= MIN_MATCH_IOU
-        owners, gt_boxes = best[matched].tolist(), truth.tolist()
-        columns["box"] += regions[matched].tolist()
-        columns["score"] += [scores[r] for r in np.flatnonzero(matched)]
-        columns["gt_box"] += [gt_boxes[j] for j in owners]
-        columns["true_objects"] += [[leaves[chosen[j]]] for j in owners]
-        columns["scene"] += [scene_id] * len(owners)
+        owners = best[matched]
+        parts.append((regions[matched], scores[matched], truth[owners],
+                      leaf_ids[chosen][owners],
+                      np.full(len(owners), scene_id)))
         scene_draws = [leaf_draws(i) for i in chosen]
-        for j in owners:
+        for j in owners.tolist():
             surface, ancestors, candidates, cdf = scene_draws[j]
             tokens = [_pick(rng, surface)]
             # one draw per ancestor (kept below ANCESTOR_KEEP_PROB), then
@@ -759,9 +764,15 @@ def synth_corpus(tree: ConceptTree, scenes: int, noise_rate: float,
                 hallucinated = [inject]
             # in place, as indexing by rng.permutation(len(tokens)) would
             rng.shuffle(tokens)
-            columns["tokens"].append(tokens)
-            columns["hallucinated"].append(hallucinated)
-    return Corpus.from_lists(**columns), (leaf_ids[picked], np.array(objects))
+            token_lists.append(tokens)
+            hallucinated_lists.append(hallucinated)
+    box, score, gt_box, true, scene = map(np.concatenate, zip(*parts))
+    records = Corpus(box, score, gt_box, scene,
+                     _id_lists(token_lists, "tokens", ""),
+                     IdLists(true, np.arange(len(true) + 1)),
+                     _id_lists(hallucinated_lists, "hallucinated", ""))
+    return (records._checked(~np.isnan(score), True, ""),
+            (leaf_ids[picked], np.array(objects)))
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +839,18 @@ _LONG_INT = b"0" * 19
 _MAX_DEPTH = 64
 
 
+@contextmanager
+def _collector_off():
+    """The cyclic garbage collector off inside, then as it was."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def read_json(text):
     """``json.loads(text)``: the same value, or the same error.  Bytes
     read as their UTF-8 text: ``json.loads(text.decode("utf-8"))``.
@@ -851,15 +874,8 @@ def read_json(text):
     data = (text if isinstance(text, bytes)
             else text.encode("utf-8", "surrogatepass"))
     if _orjson_reads_as_json(data):
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with suppress(orjson.JSONDecodeError), _collector_off():
             return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass
-        finally:
-            if collecting:
-                gc.enable()
     return json.loads(text.decode("utf-8") if isinstance(text, bytes)
                       else text)
 
@@ -956,13 +972,10 @@ def _columns(lines: list):
     lists; None if a line is no JSON object of this schema version with
     every field that orjson reads as ``json`` does.  A chunk's lines are
     let go and parsed as one array, its fields moved to the lists, before
-    the next chunk, with the garbage collector off as in :func:`read_json`.
-    The guard, with a NUL between lines, finds each line's brackets paired
-    within it, so the array holds one value a line only if each line is
-    one JSON value."""
+    the next chunk.  The guard, with a NUL between lines, finds each
+    line's brackets paired within it, so the array holds one value a line
+    only if each line is one JSON value."""
     columns = {name: [] for name in _FIELDS + tuple(_OPTIONAL)}
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         for start in range(0, len(lines), _CHUNK):
             chunk = lines[start:start + _CHUNK]
@@ -981,9 +994,6 @@ def _columns(lines: list):
             del chunk, rows
     except (orjson.JSONDecodeError, KeyError, TypeError):
         return None
-    finally:
-        if collecting:
-            gc.enable()
     return columns
 
 
@@ -1056,7 +1066,7 @@ def read_corpus(path) -> Corpus:
     ``gt_box`` may be absent (null) and ``scene`` defaults to 0.
     """
     where = f"{os.fspath(path)}: "
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _collector_off():  # as in read_json
         columns = _columns(list(filter(bytes.strip,
                                        fh.read().splitlines())))
     if columns is None:

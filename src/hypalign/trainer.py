@@ -371,11 +371,9 @@ def _counts(state: ModelState, tokens: IdLists) -> tuple:
     return counts, np.add.reduce(counts, axis=1, keepdims=True)
 
 
-def _prepare(state: ModelState, records: Corpus, captions: bool = True,
-             where: str = "") -> _Batch:
+def _prepare(state: ModelState, records: Corpus, captions=True) -> _Batch:
     """The ``_Batch`` of ``records``, with caption counts if ``captions``;
-    records that do not fit the model raise by :func:`check_corpus`."""
-    check_corpus(records, state.tree, state.synonyms, where)
+    the caller has checked them by :func:`check_corpus`."""
     leaves, tokens = records.leaves(), records.tokens
     targets = np.searchsorted(state.leaf_ids, leaves)
     lengths = tokens.lengths()
@@ -432,6 +430,10 @@ class _Forward:
                            aux=BOX_HEAD_EPS)
 
 
+class _Misfit(ValueError):
+    """The error of ``check_corpus``; the CLI names the corpus file."""
+
+
 def check_corpus(records: Corpus, tree: ConceptTree, synonyms: SynonymMap,
                  where: str = "") -> None:
     """Raise unless every ``tokens``, ``true_objects`` and ``hallucinated``
@@ -445,15 +447,15 @@ def check_corpus(records: Corpus, tree: ConceptTree, synonyms: SynonymMap,
                          for ids in columns])
     if past.any():
         i, f = np.argwhere(past)[0]
-        raise ValueError(f"{where}record {i}: {names[f]} id "
-                         f"{max(columns[f].row(i))} is outside the "
-                         f"vocabulary of {vocab} ids")
+        raise _Misfit(f"{where}record {i}: {names[f]} id "
+                      f"{max(columns[f].row(i))} is outside the "
+                      f"vocabulary of {vocab} ids")
     true = columns[1]
     bad = true.rows_with(~np.isin(true.values, tree.leaves()))
     bad |= true.lengths() == 0
     if bad.any():
         i = np.argmax(bad)
-        raise ValueError(
+        raise _Misfit(
             f"{where}record {i}: true_objects {true.row(i)} "
             "must be one or more leaves of the concept tree")
 
@@ -497,8 +499,8 @@ def step(state: ModelState, records) -> tuple:
     """
     config, layout = state.config, state.layout
     if isinstance(records, Corpus):
-        records = _prepare(state, records, config.objective != "det-only",
-                           "batch ")
+        check_corpus(records, state.tree, state.synonyms, "batch ")
+        records = _prepare(state, records, config.objective != "det-only")
     if not len(records.leaves):
         raise ValueError("empty batch")
     # the parameters as one vector: one finiteness check here, for edits
@@ -569,6 +571,7 @@ def embed_records(state: ModelState, records) -> tuple:
     then both lifted onto the hyperboloid: the one forward and lift that
     retrieval and hierarchy numbers share; ``records`` as for ``step``."""
     if isinstance(records, Corpus):
+        check_corpus(records, state.tree, state.synonyms)
         records = _prepare(state, records)
     fwd = _Forward(state.params)
     visuals = fwd.fused_visuals(records)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -365,6 +366,76 @@ def test_true_objects_must_be_leaves_at_load(tmp_path, capsys, command,
     assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert f"{corpus}: record {index}: {problem}" in payload["error"]
+
+
+def test_each_command_checks_its_corpus_once(tmp_path, capsys, monkeypatch):
+    assert run_cli(flag_fix(["gen-corpus"] + corpus_args(tmp_path))) == 0
+    assert run_cli(flag_fix(["train"] + train_args(tmp_path))) == 0
+    corpus = tmp_path / "corpus.jsonl"
+    commands = ("eval", "export-embeddings", "train")
+    checked, check = [], tr.check_corpus
+
+    def counted(records, *args, **kwargs):
+        checked.append(len(records))
+        return check(records, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "check_corpus", counted)
+    monkeypatch.setattr(cli, "check_corpus", counted)
+    for command in commands:
+        assert run_cli(flag_fix([command] + train_args(tmp_path))) == 0
+    assert checked == [len(read_corpus(corpus))] * len(commands)
+    # the one check of a corpus that does not fit names the file
+    capsys.readouterr()
+    index = _edit_last_record(corpus, "tokens", lambda ids: ids + [999])
+    for command in commands:
+        assert run_cli(flag_fix([command] + train_args(tmp_path))) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == (
+            f"ValueError: {corpus}: record {index}: tokens id 999 is "
+            "outside the vocabulary of 18 ids"), command
+
+
+def test_a_command_leaves_no_reference_cycle(tmp_path, capsys):
+    # run_cli turns the cyclic garbage collector off for a command, which
+    # frees nothing only while no command makes a reference cycle: with
+    # the collector off, a collection after each command finds none
+    args = flag_fix(train_args(tmp_path)) + ["--steps", "4"]
+    cli._parser()  # built once per process, before any command
+    commands = [["gen-corpus"], ["noise-metric"],
+                *(["train", "--objective", o] for o in tr.OBJECTIVES),
+                ["eval"], ["export-embeddings"], ["sample-regions"],
+                ["eval", "--state-path", str(tmp_path / "missing.json")]]
+    gc.disable()
+    try:
+        gc.collect()
+        found = [(argv, run_cli(argv[:1] + args + argv[1:]), gc.collect())
+                 for argv in commands]
+        _edit_last_record(tmp_path / "corpus.jsonl", "tokens",
+                          lambda ids: ids + [999])
+        found.append((["eval"], run_cli(["eval"] + args), gc.collect()))
+    finally:
+        gc.enable()
+    assert [(code, cycles) for _, code, cycles in found] == (
+        [(0, 0)] * (len(commands) - 1) + [(1, 0)] * 2), found
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_cli_restores_the_collector_as_it_found_it(tmp_path, capsys,
+                                                       monkeypatch, enabled):
+    during = []
+    monkeypatch.setitem(cli._COMMANDS, "noise-metric", (
+        lambda config: during.append(gc.isenabled()) or 0, "stub"))
+    missing = str(tmp_path / "missing.jsonl")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        after = [(run_cli(argv), gc.isenabled()) for argv in (
+            ["noise-metric"], ["eval", "--corpus-path", missing],
+            ["gen-corpus", "--bogus-flag"], ["--help"])]
+    finally:
+        gc.enable()
+    assert during == [False]
+    assert after == [(0, enabled), (1, enabled), (2, enabled),
+                     (0, enabled)]
 
 
 @pytest.mark.parametrize("command", ["eval", "export-embeddings"])

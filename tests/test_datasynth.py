@@ -1096,6 +1096,30 @@ def test_generator_output_matches_pinned_digests(tmp_path, case):
     assert tuple(h.hexdigest() for h in got) == GENERATOR_DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", list(GENERATOR_CASES))
+def test_generated_columns_are_those_of_their_lists(case):
+    # synth_corpus joins array columns; from_lists of the same values,
+    # written out as lists, must give every column bit for bit
+    shape, kwargs = GENERATOR_CASES[case]
+    records, _ = ds.synth_corpus(ds.ConceptTree.balanced(*shape), **kwargs)
+    listed = ds.Corpus.from_lists(
+        box=records.box.tolist(),
+        score=[None if s != s else s for s in records.score.tolist()],
+        gt_box=[None if b[0] != b[0] else b
+                for b in records.gt_box.tolist()],
+        scene=records.scene.tolist(), tokens=records.tokens.lists(),
+        true_objects=records.true_objects.lists(),
+        hallucinated=records.hallucinated.lists())
+    for name, column in vars(records).items():
+        other = getattr(listed, name)
+        pairs = ([(column, other)] if isinstance(column, np.ndarray) else
+                 [(column.values, other.values),
+                  (column.offsets, other.offsets)])
+        for a, b in pairs:
+            assert (a.dtype, a.shape, a.tobytes()) == (
+                b.dtype, b.shape, b.tobytes()), name
+
+
 # synth_corpus makes fewer Generator calls than the plain forms below: a
 # hallucinated mention, the keep/noise uniforms, a scene's boxes and
 # scores, a one-form pick and a caption's shuffle; the stream and every

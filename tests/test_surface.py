@@ -284,8 +284,14 @@ def test_json_writes_sees_every_route_to_a_writer():
 #: The private names that one module under ``src/`` takes from another,
 #: as (importer, module, name): datasynth's checks of a JSON object, which
 #: the state and meta readers share, and autodiff's plain-array kernels,
-#: which the metric routes of geometry and objectives share.
-PRIVATE_IMPORTS = [("cli.py", "datasynth", "_object"),
+#: which the metric routes of geometry and objectives share; the garbage
+#: collector's switch, which the readers and each command share; and the
+#: trainer's corpus check error and unchecked batch, so that a command
+#: checks its corpus once and names the file.
+PRIVATE_IMPORTS = [("cli.py", "datasynth", "_collector_off"),
+                   ("cli.py", "datasynth", "_object"),
+                   ("cli.py", "trainer", "_Misfit"),
+                   ("cli.py", "trainer", "_prepare"),
                    ("geometry.py", "autodiff", "_dot"),
                    ("geometry.py", "autodiff", "_norm"),
                    ("geometry.py", "autodiff", "_num"),
